@@ -14,6 +14,11 @@ plus-labelled derived quantities (`d_plus`, `n_plus`, the PLUS side of
 `translate_distance`) therefore refer to the left end of the full
 cylinder, and minus-labelled ones to the right end.  Reflecting the
 coefficients (a12 -> -a12) swaps the two labels exactly.
+
+Every integral here uses the one Q1 core of `discretization`: the
+cross-section integrals (`gap_integral_I2`, `slab_bound`, and both factors
+of `exp_test_upper_bound`) its 1D element, and the Picone residual and
+`translate_distance` (on the slab's sub-grid) its tensor-product passes.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ def sweep_lambda(ells, family_coeffs, p, resolution, opts=None,
     opts = opts or SolveOptions()
     quad = quad or QuadratureRule()
     nx2, cpu = resolution
-    cross = cross_section_ground_state(nx2, family_coeffs, p)
+    cross = cross_section_ground_state(nx2, family_coeffs, p, quad=quad)
     table = SweepTable()
     for ell in ells:
         mesh_m = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.MIXED, cpu, nx2))
@@ -247,34 +252,21 @@ def gap_integral_I2(cross: CrossSectionResult, coeffs, p,
     identically zero within tolerance (the trigger separating the gap and
     no-gap regimes).
     """
-    g, wq = _gauss_1d_of(cross)
-    x2q = cross.x2_nodes[:-1, None] + (g[None, :] + 1.0) * (
-        (cross.x2_nodes[1] - cross.x2_nodes[0]) / 2.0)
-    a12q = coeffs.a12(x2q)
-    a22q = coeffs.a22(x2q)
-    wq_vals = _w_at_quadrature(cross, g)
-    wp = cross.w_prime_q
+    e, _, a12q, a22q, wv, wp = _section(cross, coeffs)
     weight = np.abs(a22q * wp ** 2) ** ((p - 2.0) / 2.0)
-    integrand = weight * (a12q * wp) * wq_vals
-    value = float(np.sum(integrand * wq[None, :]))
+    integrand = weight * (a12q * wp) * wv
+    value = float(np.sum(e.weights @ integrand))
     scale = float(np.max(np.abs(a12q * wp))) if a12q.size else 0.0
     ref = float(np.max(np.abs(wp))) * max(1.0, float(np.max(np.abs(a12q))))
     vanishes = scale <= zero_tol * max(1.0, ref)
     return GapIntegral(value, vanishes)
 
 
-def _gauss_1d_of(cross):
-    from .eigensolve import _gauss_1d
-    g, w = _gauss_1d()
-    h = cross.x2_nodes[1] - cross.x2_nodes[0]
-    return g, w * (h / 2.0)
-
-
-def _w_at_quadrature(cross, g):
-    n0 = (1.0 - g) / 2.0
-    n1 = (1.0 + g) / 2.0
-    w = cross.w_nodes
-    return w[:-1, None] * n0[None, :] + w[1:, None] * n1[None, :]
+def _section(cross, coeffs):
+    """Q1 element of the cross section, A, W and W' at its Gauss points."""
+    e = disc._Q1(cross.x2_nodes, QuadratureRule())
+    return (e, *coeffs.entries(e.points), e.values(cross.w_nodes),
+            e.slopes(cross.w_nodes))
 
 
 def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs, p,
@@ -292,31 +284,19 @@ def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs, p,
         raise ConfigurationError(
             f"truncation {truncation} too small: the neglected tail would "
             f"dominate, need at least {10.0 / eps}")
-    g, wq = _gauss_1d_of(cross)
-    x2q = cross.x2_nodes[:-1, None] + (g[None, :] + 1.0) * (
-        (cross.x2_nodes[1] - cross.x2_nodes[0]) / 2.0)
-    a11q = coeffs.a11(x2q)
-    a12q = coeffs.a12(x2q)
-    a22q = coeffs.a22(x2q)
-    wv = _w_at_quadrature(cross, g)
-    wp = cross.w_prime_q
+    e, a11q, a12q, a22q, wv, wp = _section(cross, coeffs)
 
     # cross-section density of |A grad v . grad v| at unit axial factor
     q_sec = (eps ** 2 * a11q * wv ** 2
              - 2.0 * eps * a12q * wp * wv
              + a22q * wp ** 2)
-    sec_energy = float(np.sum(np.abs(q_sec) ** (p / 2.0) * wq[None, :]))
-    sec_mass = float(np.sum(np.abs(wv) ** p * wq[None, :]))
+    sec_energy = float(np.sum(e.weights @ np.abs(q_sec) ** (p / 2.0)))
+    sec_mass = float(np.sum(e.weights @ np.abs(wv) ** p))
 
     # axial quadrature of exp(-p eps x1) over unit panels
-    n_panels = int(np.ceil(truncation))
-    edges = np.linspace(0.0, truncation, n_panels + 1)
-    ga, wa = np.polynomial.legendre.leggauss(3)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    x1q = mid[:, None] + half[:, None] * ga[None, :]
-    w1 = half[:, None] * wa[None, :]
-    axial = float(np.sum(np.exp(-p * eps * x1q) * w1))
+    panels = disc._Q1(np.linspace(0.0, truncation, int(np.ceil(truncation)) + 1),
+                      QuadratureRule())
+    axial = float(np.sum(panels.weights @ np.exp(-p * eps * panels.points)))
     return (axial * sec_energy) / (axial * sec_mass)
 
 
@@ -330,13 +310,7 @@ def slab_bound(cross: CrossSectionResult, coeffs, p, variant="squared"):
     """
     if variant not in ("as_printed", "squared"):
         raise ConfigurationError(f"unknown slab-bound variant {variant!r}")
-    g, wq = _gauss_1d_of(cross)
-    x2q = cross.x2_nodes[:-1, None] + (g[None, :] + 1.0) * (
-        (cross.x2_nodes[1] - cross.x2_nodes[0]) / 2.0)
-    a11q = coeffs.a11(x2q)
-    a12q = coeffs.a12(x2q)
-    a22q = coeffs.a22(x2q)
-    wp = cross.w_prime_q
+    e, a11q, a12q, a22q, _, wp = _section(cross, coeffs)
     base = a22q * wp ** 2
     cross_term = a12q * wp
     if variant == "as_printed":
@@ -345,7 +319,7 @@ def slab_bound(cross: CrossSectionResult, coeffs, p, variant="squared"):
         integrand = base - cross_term ** 2 / a11q
     clamped = int(np.count_nonzero(integrand < 0.0))
     integrand = np.clip(integrand, 0.0, None)
-    value = float(np.sum(integrand ** (p / 2.0) * wq[None, :]))
+    value = float(np.sum(e.weights @ integrand ** (p / 2.0)))
     return value, clamped
 
 
@@ -374,7 +348,6 @@ def picone_residual_min(u: DiscreteField, cross: CrossSectionResult, mesh,
     returned minimum is normalized by the local energy scale, so the
     theoretical bound reads  min >= -1e-10.  Requires u >= 0.
     """
-    quad = quad or QuadratureRule()
     if mesh.n_cells2 != cross.n_cells:
         raise DimensionMismatchError(
             "mesh cross resolution does not match the 1D ground state")
@@ -387,26 +360,14 @@ def picone_residual_min(u: DiscreteField, cross: CrossSectionResult, mesh,
     if w_floor is None:
         w_floor = 1e-3 * float(np.max(cross.w_nodes))
 
-    cells = disc._cells(mesh, quad)
-    gu1 = disc._gather(grid, cells.dN_dx1)
-    gu2 = disc._gather(grid, cells.dN_dx2)
-    uq = disc._gather(grid, cells.N)
-
-    # the lift is x1-independent: per (cross cell, eta point) values
-    from .eigensolve import _gauss_1d
-    geta, _ = _gauss_1d(quad.points_per_dir)
-    n0 = (1.0 - geta) / 2.0
-    n1 = (1.0 + geta) / 2.0
-    wn = cross.w_nodes
-    vq_sec = wn[:-1, None] * n0[None, :] + wn[1:, None] * n1[None, :]
-    vp_sec = cross.w_slope[:, None] * np.ones_like(vq_sec)
-    vq = np.broadcast_to(vq_sec[None, :, None, :], uq.shape)
-    gv2 = np.broadcast_to(vp_sec[None, :, None, :], uq.shape)
-
-    a11, a12, a22 = disc._coeff_arrays(mesh, coeffs, cells)
-    qu = np.abs(a11 * gu1 ** 2 + 2 * a12 * gu1 * gu2 + a22 * gu2 ** 2)
+    core = disc._core(mesh, quad)
+    qu, gu1, gu2, (_, a12, a22) = disc._form(core, coeffs, grid)
+    uq = core.values(grid)
+    # the lift is x1-independent: values per (x2 point, cross cell)
+    vq = core.e2.values(cross.w_nodes)
+    gv2 = core.e2.slopes(cross.w_nodes)
     qv = np.abs(a22 * gv2 ** 2)  # grad v = (0, W')
-    term1 = qu ** (p / 2.0)
+    term1 = disc._power(qu, p / 2.0)
 
     valid = vq > w_floor
     ratio = np.where(valid, uq / np.where(valid, vq, 1.0), 0.0)
@@ -476,18 +437,7 @@ def translate_distance(u_full: DiscreteField, u_half: DiscreteField, side,
         sl_h = grid_h[-(n_cells + 1):, :]
     if float(np.sum(sl_f * sl_h)) < 0.0:
         sl_h = -sl_h
-    return _lp_norm_on_grid(sl_f - sl_h, mesh_f.h1, mesh_f.h2, p, quad)
-
-
-def _lp_norm_on_grid(grid, h1, h2, p, quad):
-    """(integral |u|^p)^(1/p) of a bilinear nodal patch with spacings h1, h2."""
-    g, w = quad.nodes, quad.weights
-    n00 = np.outer((1 - g) / 2, (1 - g) / 2)
-    n10 = np.outer((1 + g) / 2, (1 - g) / 2)
-    n11 = np.outer((1 + g) / 2, (1 + g) / 2)
-    n01 = np.outer((1 - g) / 2, (1 + g) / 2)
-    uq = (grid[:-1, :-1, None, None] * n00 + grid[1:, :-1, None, None] * n10
-          + grid[1:, 1:, None, None] * n11 + grid[:-1, 1:, None, None] * n01)
-    wq = (w[:, None] * w[None, :]) * (h1 * h2 / 4.0)
-    total = float(np.einsum("ijkl,kl->", np.abs(uq) ** p, wq))
-    return total ** (1.0 / p)
+    # the slab's own sub-grid; only its spacing enters the quadrature
+    core = disc._Tensor(mesh_f.x1[:n_cells + 1], mesh_f.x2, quad)
+    dens = disc._power(core.values(sl_f - sl_h), p)
+    return core.integrate(dens) ** (1.0 / p)

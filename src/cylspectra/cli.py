@@ -34,7 +34,7 @@ from .coeffs import (CoefficientFamily, FamilyKind, load_tabulated_csv,
 from .eigensolve import (Init, Side, SolveOptions, cross_section_ground_state,
                          half_cylinder_eigen, linear_spectrum,
                          minimize_rayleigh)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SolverError
 from .mesh import BC, DomainSpec, Shape, build_mesh, slab_integrals
 
 SWEEP_HEADER = ("ell,p,family,lambda_mixed,lambda_dirichlet,lambda_half_plus,"
@@ -44,6 +44,7 @@ SWEEP_HEADER = ("ell,p,family,lambda_mixed,lambda_dirichlet,lambda_half_plus,"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_SOLVER = 4
 
 
 def _g17(x):
@@ -465,7 +466,7 @@ def _run_report(plan, outdir):
             alpha = rows[-1]["alpha_hat"]
             txt.append(f"  decay alpha_hat (last row): {alpha:.6g}")
             csv_rows.append(f"{section},alpha_hat_last,{_g17(alpha)}")
-            ok = all(r["d_plus"] + r["d_minus"] - 1 < 1e-8 for r in rows)
+            ok = all(abs(r["d_plus"] + r["d_minus"] - 1) < 1e-8 for r in rows)
             txt.append(f"  mass-split identity: {'pass' if ok else 'FAIL'}")
             csv_rows.append(f"{section},mass_split_identity,"
                             f"{'pass' if ok else 'fail'}")
@@ -537,6 +538,7 @@ def run_config(path, experiment, output_dir=None, threads=None):
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return None, EXIT_IO
 
+    error = None
     try:
         outputs, converged, results = _RUNNERS[experiment](plan, outdir)
     except OSError as exc:
@@ -546,6 +548,10 @@ def run_config(path, experiment, output_dir=None, threads=None):
         # configuration problems only detectable against computed data
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return None, EXIT_CONFIG
+    except SolverError as exc:
+        # the run directory still gets a manifest recording the failure
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        outputs, converged, results, error = [], False, {}, str(exc)
 
     manifest = {
         "tool": "cylspectra",
@@ -560,13 +566,15 @@ def run_config(path, experiment, output_dir=None, threads=None):
         "results": results,
         "run_dir": outdir,
     }
+    if error is not None:
+        manifest["error"] = error
     try:
         _atomic_write(os.path.join(outdir, "manifest.json"), _dump_json(manifest))
     except OSError as exc:
         print(f"error: cannot write manifest: {exc}", file=sys.stderr)
         return None, EXIT_IO
     print(outdir)
-    return manifest, EXIT_OK
+    return manifest, EXIT_OK if error is None else EXIT_SOLVER
 
 
 def _threads_from(args):

@@ -1,10 +1,15 @@
-"""Quadrature evaluation of the p-energy, its exact nodal gradient, and
-sparse stiffness/mass assembly for the linear case.
+"""Bilinear (Q1) discretization on the tensor grid: the p-energy, the p-mass,
+their exact nodal gradients, and the p = 2 stiffness and mass matrices.
 
-Bilinear Q1 elements on the tensor grid.  All integrals use the same Gauss
-rule, and gradients are exact derivatives of the quadrature sums, so
-finite-difference checks pass to tight tolerance and optimizer line
-searches see a consistent objective.
+Everything is built from one 1D element, `_Q1`: a uniform node array with a
+Gauss rule per cell.  The grid is a tensor product and A depends on x2
+only, so every 2D quantity factors into 1D passes (sum factorization):
+values and slopes at the Gauss points are one pass per axis over the nodal
+grid, nodal gradients are the adjoint passes, and the p = 2 matrices are
+sums of products of tridiagonal 1D Gram matrices.  All integrals use the
+same Gauss rule, and gradients are exact derivatives of the quadrature
+sums, so finite-difference checks pass to tight tolerance and optimizer
+line searches see a consistent objective.
 """
 
 from __future__ import annotations
@@ -70,82 +75,167 @@ def _check_p(p):
         raise UnsupportedExponentError(f"p must be >= 2, got {p}")
 
 
-class _CellData:
-    """Reference shape values/gradients at the quadrature grid of a mesh."""
+class _Q1:
+    """Piecewise-linear element on a uniform 1D node array.
 
-    def __init__(self, mesh, quad):
-        g, w = quad.nodes, quad.weights
-        nq = g.size
-        xi = g[:, None] * np.ones((1, nq))
-        eta = np.ones((nq, 1)) * g[None, :]
-        # corner order: (i,j), (i+1,j), (i+1,j+1), (i,j+1)
-        self.N = np.stack([
-            0.25 * (1 - xi) * (1 - eta),
-            0.25 * (1 + xi) * (1 - eta),
-            0.25 * (1 + xi) * (1 + eta),
-            0.25 * (1 - xi) * (1 + eta),
-        ])
-        dN_dxi = np.stack([
-            -0.25 * (1 - eta), 0.25 * (1 - eta),
-            0.25 * (1 + eta), -0.25 * (1 + eta),
-        ])
-        dN_deta = np.stack([
-            -0.25 * (1 - xi), -0.25 * (1 + xi),
-            0.25 * (1 + xi), 0.25 * (1 - xi),
-        ])
-        self.dN_dx1 = dN_dxi * (2.0 / mesh.h1)
-        self.dN_dx2 = dN_deta * (2.0 / mesh.h2)
-        self.w = (w[:, None] * w[None, :]) * (mesh.h1 * mesh.h2 / 4.0)
-        # physical x2 of each (cross cell, eta point): coefficients live here
-        x2_left = mesh.x2[:-1]
-        self.x2q = x2_left[:, None] + (g[None, :] + 1.0) * (mesh.h2 / 2.0)
+    `points` (point, cell) are the Gauss points of each cell and `weights`
+    (point) their weights; `N` and `dN`, shape (2, point), are the values
+    and slopes of a cell's left and right basis functions there.  `values`
+    and `slopes` take a nodal array to the Gauss points along one axis,
+    which becomes (point, cell); slopes are constant per cell and keep a
+    unit point axis.  The `_adjoint` methods are their transposes, back
+    onto the nodes.  Points come before cells so that the innermost axis
+    of every Gauss-point array is a long one.
+    """
+
+    def __init__(self, nodes, quad):
+        g = quad.nodes
+        self.h = float(nodes[1] - nodes[0])
+        self.points = nodes[:-1] + (g[:, None] + 1.0) * (self.h / 2.0)
+        self.weights = quad.weights * (self.h / 2.0)
+        self.N = np.stack([(1.0 - g) / 2.0, (1.0 + g) / 2.0])
+        self.dN = np.stack([-np.ones_like(g), np.ones_like(g)]) / self.h
+
+    @staticmethod
+    def _ends(U, axis):
+        cut = (slice(None),) * axis + (None,)
+        return U[cut + (slice(None, -1),)], U[cut + (slice(1, None),)]
+
+    def values(self, U, axis=0):
+        lo, hi = self._ends(U, axis)
+        n0, n1 = self.N.reshape((2, -1) + (1,) * (U.ndim - axis))
+        return lo * n0 + hi * n1
+
+    def slopes(self, U, axis=0):
+        lo, hi = self._ends(U, axis)
+        return (hi - lo) / self.h
+
+    def values_adjoint(self, F, axis=0):
+        t = np.tensordot(self.N, F, axes=([1], [axis]))
+        return self._nodal(t[0], t[1], axis)
+
+    def slopes_adjoint(self, F, axis=0):
+        s = F.sum(axis=axis) / self.h
+        return self._nodal(-s, s, axis)
+
+    @staticmethod
+    def _nodal(lo, hi, axis):
+        """Nodal array with `lo` added at each cell's left node, `hi` at its right."""
+        shape = list(lo.shape)
+        shape[axis] += 1
+        out = np.zeros(shape)
+        cut = (slice(None),) * axis
+        out[cut + (slice(None, -1),)] = lo
+        out[cut + (slice(1, None),)] += hi
+        return out
+
+    def band(self, coef, A, B):
+        """Tridiagonal Gram matrix G[r, s] = sum coef w A_r B_s of `N`/`dN`.
+
+        `coef` is a scalar or given at the Gauss points; the result holds
+        the rows (G[r, r-1], G[r, r], G[r, r+1]) over the nodes r.
+        """
+        cw = np.broadcast_to(coef * self.weights[:, None], self.points.shape)
+        L = np.einsum("qc,aq,bq->cab", cw, A, B)
+        zero = np.zeros(len(L))
+        return self._nodal(np.stack([zero, L[:, 0, 0], L[:, 0, 1]]),
+                           np.stack([L[:, 1, 0], L[:, 1, 1], zero]), 1)
 
 
-def _cells(mesh, quad):
+class _Tensor:
+    """Gauss-point values of nodal grids on the tensor grid x1 x x2.
+
+    Gauss-point arrays have the layout (x1 point, x1 cell, x2 point,
+    x2 cell), so data of x2 alone, shaped (x2 point, x2 cell), broadcasts
+    against them; `w` is the product weight in that layout.
+    """
+
+    def __init__(self, x1, x2, quad):
+        self.e1, self.e2 = _Q1(x1, quad), _Q1(x2, quad)
+        self.w = self.e1.weights[:, None, None, None] * self.e2.weights[:, None]
+
+    def values(self, grid):
+        return self.e2.values(self.e1.values(grid), 2)
+
+    def gradient(self, grid):
+        return (self.e2.values(self.e1.slopes(grid), 2),
+                self.e2.slopes(self.e1.values(grid), 2))
+
+    def values_adjoint(self, t):
+        return self.e1.values_adjoint(self.e2.values_adjoint(t, 2))
+
+    def gradient_adjoint(self, f1, f2):
+        return (self.e2.values_adjoint(self.e1.slopes_adjoint(f1), 1)
+                + self.e1.values_adjoint(self.e2.slopes_adjoint(f2, 2)))
+
+    def integrate(self, dens, per_cell=False):
+        nq1, nc1, nq2, nc2 = dens.shape
+        rows = self.e1.weights @ dens.reshape(nq1, -1)
+        cells = self.e2.weights @ rows.reshape(nc1, nq2, nc2)
+        return cells if per_cell else float(cells.sum())
+
+
+def _core(mesh, quad):
+    quad = quad or QuadratureRule()
     # cached on the mesh so lifetimes match (meshes are immutable)
-    cache = mesh.__dict__.setdefault("_quadrature_cache", {})
-    data = cache.get(quad.points_per_dir)
-    if data is None:
-        data = _CellData(mesh, quad)
-        cache[quad.points_per_dir] = data
-    return data
+    cache = mesh.__dict__.setdefault("_tensor_cache", {})
+    if quad.points_per_dir not in cache:
+        cache[quad.points_per_dir] = _Tensor(mesh.x1, mesh.x2, quad)
+    return cache[quad.points_per_dir]
 
 
-def _corners(grid):
-    return (grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:])
+def _grid(mesh, u):
+    return u if isinstance(u, np.ndarray) else mesh.expand(u.values)
 
 
-def _gather(grid, shapes):
-    """Sum of corner values times per-corner shape arrays -> (nc1,nc2,nq,nq)."""
-    c = _corners(grid)
-    out = c[0][:, :, None, None] * shapes[0]
-    for a in (1, 2, 3):
-        out += c[a][:, :, None, None] * shapes[a]
-    return out
+def _power(x, e):
+    """|x|^e pointwise, without pow for the exponents that p = 2, 3 need."""
+    ax = np.abs(x)
+    if e == 0.5:
+        return np.sqrt(ax)
+    if e == 1.0:
+        return ax
+    if e == 1.5:
+        return ax * np.sqrt(ax)
+    if e == 2.0:
+        return ax * ax
+    if e == 3.0:
+        return ax * ax * ax
+    return ax ** e
 
 
-def _coeff_arrays(mesh, coeffs, cells):
-    a11, a12, a22 = coeffs.entries(cells.x2q)
-    # broadcast over the axial cell index and the xi point
-    return (a11[None, :, None, :], a12[None, :, None, :], a22[None, :, None, :])
+def _power_slope(x, e):
+    """d|x|^e / dx; at e = 1 the slope of x itself, since the forms raised
+    to p/2 are nonnegative up to roundoff."""
+    return 1.0 if e == 1.0 else e * np.sign(x) * _power(x, e - 1.0)
 
 
-def _scatter(contrib, shape):
-    """Accumulate per-cell, per-corner values back onto the nodal grid."""
-    grid = np.zeros(shape)
-    grid[:-1, :-1] += contrib[..., 0]
-    grid[1:, :-1] += contrib[..., 1]
-    grid[1:, 1:] += contrib[..., 2]
-    grid[:-1, 1:] += contrib[..., 3]
-    return grid
-
-
-def _quadratic_form(mesh, coeffs, grid, cells):
-    g1 = _gather(grid, cells.dN_dx1)
-    g2 = _gather(grid, cells.dN_dx2)
-    a11, a12, a22 = _coeff_arrays(mesh, coeffs, cells)
-    q = a11 * g1 * g1 + 2.0 * a12 * g1 * g2 + a22 * g2 * g2
+def _form(core, coeffs, grid):
+    """q = A grad u . grad u at the Gauss points, with grad u and A."""
+    g1, g2 = core.gradient(grid)
+    a11, a12, a22 = coeffs.entries(core.e2.points)
+    q = a11 * (g1 * g1) + (2.0 * a12 * g1) * g2 + a22 * (g2 * g2)
     return q, g1, g2, (a11, a12, a22)
+
+
+def _energy_sums(core, coeffs, grid, p, grad):
+    """integral |A grad u . grad u|^{p/2}, and its nodal gradient if `grad`."""
+    q, g1, g2, (a11, a12, a22) = _form(core, coeffs, grid)
+    E = core.integrate(_power(q, p / 2.0))
+    if not grad:
+        return E
+    s = 2.0 * core.w * _power_slope(q, p / 2.0)
+    return E, core.gradient_adjoint(s * (a11 * g1 + a12 * g2),
+                                    s * (a12 * g1 + a22 * g2))
+
+
+def _mass_sums(core, grid, p, grad):
+    """integral |u|^p, and its nodal gradient if `grad`."""
+    uq = core.values(grid)
+    m = core.integrate(_power(uq, p))
+    if not grad:
+        return m
+    return m, core.values_adjoint(core.w * _power_slope(uq, p))
 
 
 def energy(mesh, coeffs, u, p, quad=None) -> float:
@@ -156,34 +246,14 @@ def energy(mesh, coeffs, u, p, quad=None) -> float:
     producing tiny negatives at quadrature points.
     """
     _check_p(p)
-    quad = quad or QuadratureRule()
-    cells = _cells(mesh, quad)
-    grid = u if isinstance(u, np.ndarray) else mesh.expand(u.values)
-    q = _quadratic_form(mesh, coeffs, grid, cells)[0]
-    if p == 2:
-        dens = np.abs(q)
-    else:
-        dens = np.abs(q) ** (p / 2.0)
-    return float(np.einsum("ijkl,kl->", dens, cells.w))
+    return _energy_sums(_core(mesh, quad), coeffs, _grid(mesh, u), p, False)
 
 
 def energy_gradient(mesh, coeffs, u, p, quad=None) -> np.ndarray:
     """Exact derivative of the discrete energy w.r.t. each free nodal value."""
     _check_p(p)
-    quad = quad or QuadratureRule()
-    cells = _cells(mesh, quad)
-    grid = u if isinstance(u, np.ndarray) else mesh.expand(u.values)
-    q, g1, g2, (a11, a12, a22) = _quadratic_form(mesh, coeffs, grid, cells)
-    if p == 2:
-        s = cells.w[None, None, :, :] * np.ones_like(q)
-    else:
-        s = (p / 2.0) * np.abs(q) ** ((p - 2.0) / 2.0) * np.sign(q)
-        s *= cells.w[None, None, :, :]
-    f1 = 2.0 * s * (a11 * g1 + a12 * g2)
-    f2 = 2.0 * s * (a12 * g1 + a22 * g2)
-    contrib = (np.tensordot(f1, cells.dN_dx1, axes=([2, 3], [1, 2]))
-               + np.tensordot(f2, cells.dN_dx2, axes=([2, 3], [1, 2])))
-    return _scatter(contrib, grid.shape)[~mesh.dirichlet_mask]
+    grad = _energy_sums(_core(mesh, quad), coeffs, _grid(mesh, u), p, True)[1]
+    return grad[~mesh.dirichlet_mask]
 
 
 def p_mass(mesh, u, p, quad=None):
@@ -194,93 +264,28 @@ def p_mass(mesh, u, p, quad=None):
     (value, gradient) : (float, ndarray over free DOFs)
     """
     _check_p(p)
-    quad = quad or QuadratureRule()
-    cells = _cells(mesh, quad)
-    grid = u if isinstance(u, np.ndarray) else mesh.expand(u.values)
-    uq = _gather(grid, cells.N)
-    if p == 2:
-        dens = uq * uq
-        t = 2.0 * uq
-    else:
-        absu = np.abs(uq)
-        dens = absu ** p
-        t = p * np.sign(uq) * absu ** (p - 1.0)
-    value = float(np.einsum("ijkl,kl->", dens, cells.w))
-    t *= cells.w[None, None, :, :]
-    contrib = np.tensordot(t, cells.N, axes=([2, 3], [1, 2]))
-    grad = _scatter(contrib, grid.shape)[~mesh.dirichlet_mask]
-    return value, grad
-
-
-def _mass_value(mesh, grid, p, quad):
-    """p-mass value only (skips the gradient work of `p_mass`)."""
-    cells = _cells(mesh, quad)
-    uq = _gather(grid, cells.N)
-    dens = uq * uq if p == 2 else np.abs(uq) ** p
-    return float(np.einsum("ijkl,kl->", dens, cells.w))
-
-
-def _pow_nn(x, e):
-    """x**e for nonnegative x with fast paths for half-integer exponents."""
-    if e == 0.5:
-        return np.sqrt(x)
-    if e == 1.0:
-        return x
-    if e == 1.5:
-        return x * np.sqrt(x)
-    if e == 2.0:
-        return x * x
-    return x ** e
+    value, grad = _mass_sums(_core(mesh, quad), _grid(mesh, u), p, True)
+    return value, grad[~mesh.dirichlet_mask]
 
 
 def _eval_value(mesh, coeffs, grid, p, quad):
-    """(energy, p-mass) in one pass over the quadrature grid."""
-    cells = _cells(mesh, quad)
-    q = _quadratic_form(mesh, coeffs, grid, cells)[0]
-    uq = _gather(grid, cells.N)
-    w = cells.w
-    if p == 2:
-        E = float(np.einsum("ijkl,kl->", np.abs(q), w))
-        m = float(np.einsum("ijkl,kl->", uq * uq, w))
-    else:
-        E = float(np.einsum("ijkl,kl->", _pow_nn(np.abs(q), p / 2.0), w))
-        m = float(np.einsum("ijkl,kl->", _pow_nn(np.abs(uq), p), w))
-    return E, m
+    """(energy, p-mass) of a nodal grid."""
+    core = _core(mesh, quad)
+    return (_energy_sums(core, coeffs, grid, p, False),
+            _mass_sums(core, grid, p, False))
 
 
 def _eval_full(mesh, coeffs, grid, p, quad):
-    """(energy, its gradient, p-mass, its gradient) in one fused pass."""
-    cells = _cells(mesh, quad)
-    q, g1, g2, (a11, a12, a22) = _quadratic_form(mesh, coeffs, grid, cells)
-    uq = _gather(grid, cells.N)
-    wq = cells.w
-    w = wq[None, None, :, :]
+    """(energy, its gradient, p-mass, its gradient) over the free DOFs."""
+    core = _core(mesh, quad)
     free = ~mesh.dirichlet_mask
-    if p == 2:
-        E = float(np.einsum("ijkl,kl->", np.abs(q), wq))
-        s = np.broadcast_to(w, q.shape)
-        m = float(np.einsum("ijkl,kl->", uq * uq, wq))
-        t = 2.0 * uq * w
-    else:
-        absq = np.abs(q)
-        E = float(np.einsum("ijkl,kl->", _pow_nn(absq, p / 2.0), wq))
-        s = (p / 2.0) * _pow_nn(absq, (p - 2.0) / 2.0) * np.sign(q) * w
-        absu = np.abs(uq)
-        m = float(np.einsum("ijkl,kl->", _pow_nn(absu, p), wq))
-        t = p * np.sign(uq) * _pow_nn(absu, p - 1.0) * w
-    f1 = 2.0 * s * (a11 * g1 + a12 * g2)
-    f2 = 2.0 * s * (a12 * g1 + a22 * g2)
-    contrib = (np.tensordot(f1, cells.dN_dx1, axes=([2, 3], [1, 2]))
-               + np.tensordot(f2, cells.dN_dx2, axes=([2, 3], [1, 2])))
-    gE = _scatter(contrib, grid.shape)[free]
-    gM = _scatter(np.tensordot(t, cells.N, axes=([2, 3], [1, 2])),
-                  grid.shape)[free]
-    return E, gE, m, gM
+    E, gE = _energy_sums(core, coeffs, grid, p, True)
+    m, gM = _mass_sums(core, grid, p, True)
+    return E, gE[free], m, gM[free]
 
 
 def rayleigh(mesh, coeffs, u, p, quad=None) -> float:
     """Rayleigh quotient energy / p-mass; scale invariant in u."""
-    quad = quad or QuadratureRule()
     m = p_mass(mesh, u, p, quad)[0]
     if m <= 0.0:
         raise QuotientUndefinedError("Rayleigh quotient of the zero field")
@@ -290,13 +295,9 @@ def rayleigh(mesh, coeffs, u, p, quad=None) -> float:
 def grad_p_norm(mesh, u, p, quad=None) -> float:
     """Plain gradient p-norm  integral |grad u|^p  (no coefficients)."""
     _check_p(p)
-    quad = quad or QuadratureRule()
-    cells = _cells(mesh, quad)
-    grid = u if isinstance(u, np.ndarray) else mesh.expand(u.values)
-    g1 = _gather(grid, cells.dN_dx1)
-    g2 = _gather(grid, cells.dN_dx2)
-    dens = (g1 * g1 + g2 * g2) ** (p / 2.0)
-    return float(np.einsum("ijkl,kl->", dens, cells.w))
+    core = _core(mesh, quad)
+    g1, g2 = core.gradient(_grid(mesh, u))
+    return core.integrate(_power(g1 * g1 + g2 * g2, p / 2.0))
 
 
 def cell_integrals(mesh, coeffs, grid, p, quad=None):
@@ -306,15 +307,12 @@ def cell_integrals(mesh, coeffs, grid, p, quad=None):
     |A grad u . grad u|^{p/2}, `grad_p` for |grad u|^p, `p_mass` for |u|^p.
     """
     _check_p(p)
-    quad = quad or QuadratureRule()
-    cells = _cells(mesh, quad)
-    q, g1, g2, _ = _quadratic_form(mesh, coeffs, grid, cells)
-    uq = _gather(grid, cells.N)
-    w = cells.w
-    a_energy = np.einsum("ijkl,kl->ij", np.abs(q) ** (p / 2.0), w)
-    grad_p = np.einsum("ijkl,kl->ij", (g1 * g1 + g2 * g2) ** (p / 2.0), w)
-    mass = np.einsum("ijkl,kl->ij", np.abs(uq) ** p, w)
-    return {"a_energy": a_energy, "grad_p": grad_p, "p_mass": mass}
+    core = _core(mesh, quad)
+    q, g1, g2, _ = _form(core, coeffs, grid)
+    dens = {"a_energy": _power(q, p / 2.0),
+            "grad_p": _power(g1 * g1 + g2 * g2, p / 2.0),
+            "p_mass": _power(core.values(grid), p)}
+    return {k: core.integrate(v, per_cell=True) for k, v in dens.items()}
 
 
 def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
@@ -323,51 +321,35 @@ def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
     The stiffness includes the a12 cross terms
     a11 d1u d1v + a12 (d1u d2v + d2u d1v) + a22 d2u d2v; the mass matrix is
     the L2 Gram matrix.  u' K u equals energy(u, p=2) by construction.
+    Each term is a product of 1D Gram matrices, K[(i,j),(k,l)] =
+    X[i,k] Y[j,l], so both matrices are 9-point stencils over the nodes.
     """
-    quad = quad or QuadratureRule()
-    cells = _cells(mesh, quad)
-    nq = quad.points_per_dir
-    a11, a12, a22 = coeffs.entries(cells.x2q)  # (nc2, nq)
-    w = cells.w  # (nq, nq)
+    core = _core(mesh, quad)
+    e1, e2 = core.e1, core.e2
+    a11, a12, a22 = coeffs.entries(e2.points)
+    mass1 = e1.band(1.0, e1.N, e1.N)
+    stiff = [(e1.band(1.0, e1.dN, e1.dN), e2.band(a11, e2.N, e2.N)),
+             (e1.band(1.0, e1.dN, e1.N), e2.band(a12, e2.N, e2.dN)),
+             (e1.band(1.0, e1.N, e1.dN), e2.band(a12, e2.dN, e2.N)),
+             (mass1, e2.band(a22, e2.dN, e2.dN))]
+    mass = [(mass1, e2.band(1.0, e2.N, e2.N))]
 
-    d1, d2, N = cells.dN_dx1, cells.dN_dx2, cells.N
-    # element matrices per cross-section row j (identical along the axis)
-    ke = np.zeros((mesh.n_cells2, 4, 4))
-    me = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(4):
-            sym = d1[a] * d2[b] + d2[a] * d1[b]
-            ke[:, a, b] = (
-                a11 @ (w * d1[a] * d1[b]).sum(axis=0)
-                + a12 @ (w * sym).sum(axis=0)
-                + a22 @ (w * d2[a] * d2[b]).sum(axis=0))
-            me[a, b] = np.sum(w * N[a] * N[b])
-
-    n1, n2 = mesh.x1.size, mesh.x2.size
-    i = np.arange(mesh.n_cells1)[:, None]
-    j = np.arange(mesh.n_cells2)[None, :]
-    corner_nodes = np.stack([
-        i * n2 + j, (i + 1) * n2 + j, (i + 1) * n2 + (j + 1), i * n2 + (j + 1)
-    ])  # (4, nc1, nc2)
-
-    dof = mesh.free_dof_map.ravel()
+    dof = mesh.free_dof_map
+    n1, n2 = dof.shape
+    neighbour = np.pad(dof, 1, constant_values=-1)
     rows, cols, kdata, mdata = [], [], [], []
-    for a in range(4):
-        ra = dof[corner_nodes[a].ravel()]
-        for b in range(4):
-            cb = dof[corner_nodes[b].ravel()]
-            keep = (ra >= 0) & (cb >= 0)
-            rows.append(ra[keep])
-            cols.append(cb[keep])
-            kvals = np.broadcast_to(
-                ke[None, :, a, b], (mesh.n_cells1, mesh.n_cells2)).ravel()
-            kdata.append(kvals[keep])
-            mdata.append(np.full(keep.sum(), me[a, b]))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    for d1 in range(3):          # band row d <-> neighbour offset d - 1
+        for d2 in range(3):
+            col = neighbour[d1:d1 + n1, d2:d2 + n2]
+            keep = (dof >= 0) & (col >= 0)
+            rows.append(dof[keep])
+            cols.append(col[keep])
+            for data, terms in ((kdata, stiff), (mdata, mass)):
+                data.append(sum(np.outer(X[d1], Y[d2]) for X, Y in terms)[keep])
+    ij = (np.concatenate(rows), np.concatenate(cols))
     n = mesh.n_free
-    K = sp.coo_matrix((np.concatenate(kdata), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mdata), (rows, cols)), shape=(n, n)).tocsr()
+    K = sp.coo_matrix((np.concatenate(kdata), ij), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((np.concatenate(mdata), ij), shape=(n, n)).tocsr()
     return SparsePair(K, M)
 
 

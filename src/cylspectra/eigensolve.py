@@ -4,7 +4,10 @@ Four entry points: `minimize_rayleigh` (normalized projected gradient
 descent on the Rayleigh quotient, any p >= 2), `linear_spectrum` (p = 2,
 shift-invert Lanczos on the assembled pencil), `cross_section_ground_state`
 (the 1D problem on the cross section), and `half_cylinder_eigen` (first
-eigenvalue of a half cylinder with a Dirichlet far end).
+eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
+the discrete problem through the one Q1 core of `discretization`: the
+cylinder solves through its tensor-product quadrature and p = 2 matrices,
+the cross-section solve through the same 1D element on the x2 nodes.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import discretization as disc
-from .discretization import DiscreteField, QuadratureRule
+from .discretization import (DiscreteField, QuadratureRule, _power,
+                             _power_slope, _Q1)
 from .errors import ConfigurationError, SolverError
 from .mesh import BC, CylinderMesh, DomainSpec, Shape, build_mesh
 
@@ -66,18 +71,16 @@ class CrossSectionResult:
     """Ground state of the cross-section problem on omega = (-1/2, 1/2).
 
     `w_nodes` are the nodal values (zero at the interval ends,
-    p-normalized, positive inside); `w_prime_q` the element slope repeated
-    at the quadrature points of each cell; `poincare_cp` the discrete
-    Poincare constant, mu1(omega; a22 = 1)^{-1/p}.
+    p-normalized, positive inside); `w_slope` the element slopes;
+    `poincare_cp` the discrete Poincare constant, mu1(omega; a22 = 1)^{-1/p}.
     """
 
-    def __init__(self, mu1, w_nodes, x2_nodes, p, w_prime_q, poincare_cp,
+    def __init__(self, mu1, w_nodes, x2_nodes, p, poincare_cp,
                  iterations=0, residual=0.0):
         self.mu1 = float(mu1)
         self.w_nodes = np.asarray(w_nodes, dtype=float)
         self.x2_nodes = np.asarray(x2_nodes, dtype=float)
         self.p = float(p)
-        self.w_prime_q = np.asarray(w_prime_q, dtype=float)
         self.poincare_cp = float(poincare_cp)
         self.iterations = iterations
         self.residual = residual
@@ -381,140 +384,64 @@ def half_cylinder_eigen(side, ell, resolution, coeffs, p,
 # cross-section (1D) problem
 # ---------------------------------------------------------------------------
 
-def _gauss_1d(points=3):
-    if points == 2:
-        a = 1.0 / np.sqrt(3.0)
-        return np.array([-a, a]), np.array([1.0, 1.0])
-    b = np.sqrt(3.0 / 5.0)
-    return np.array([-b, 0.0, b]), np.array([5.0, 8.0, 5.0]) / 9.0
-
-
-class _Cross1D:
-    """Quadrature kernels for the 1D functional on (-1/2, 1/2)."""
-
-    def __init__(self, nx2, coeffs, p):
-        self.nx2 = nx2
-        self.p = p
-        self.x2 = np.linspace(-0.5, 0.5, nx2 + 1)
-        self.h = 1.0 / nx2
-        g, w = _gauss_1d()
-        self.g = g
-        self.wq = w * (self.h / 2.0)
-        self.n0 = (1.0 - g) / 2.0
-        self.n1 = (1.0 + g) / 2.0
-        x2q = self.x2[:-1, None] + (g[None, :] + 1.0) * (self.h / 2.0)
-        self.x2q = x2q
-        self.a22q = coeffs.a22(x2q)
-
-    def full(self, u_free):
-        full = np.zeros(self.nx2 + 1)
-        full[1:-1] = u_free
-        return full
-
-    def value(self, u_free):
-        full = self.full(u_free)
-        slope = np.diff(full) / self.h
-        dens_e = np.abs(self.a22q * slope[:, None] ** 2) ** (self.p / 2.0)
-        E = float(np.sum(dens_e * self.wq[None, :]))
-        uq = full[:-1, None] * self.n0[None, :] + full[1:, None] * self.n1[None, :]
-        m = float(np.sum(np.abs(uq) ** self.p * self.wq[None, :]))
-        return E, m
-
-    def value_grad(self, u_free):
-        p = self.p
-        full = self.full(u_free)
-        slope = np.diff(full) / self.h
-        q = self.a22q * slope[:, None] ** 2
-        absq = np.abs(q)
-        E = float(np.sum(absq ** (p / 2.0) * self.wq[None, :]))
-        s = (p / 2.0) * absq ** ((p - 2.0) / 2.0) * np.sign(q)
-        dq_dslope = 2.0 * self.a22q * slope[:, None]
-        per_cell = np.sum(s * dq_dslope * self.wq[None, :], axis=1)
-        gE_full = np.zeros_like(full)
-        gE_full[:-1] -= per_cell / self.h
-        gE_full[1:] += per_cell / self.h
-
-        uq = full[:-1, None] * self.n0[None, :] + full[1:, None] * self.n1[None, :]
-        absu = np.abs(uq)
-        m = float(np.sum(absu ** p * self.wq[None, :]))
-        t = p * np.sign(uq) * absu ** (p - 1.0) * self.wq[None, :]
-        gM_full = np.zeros_like(full)
-        gM_full[:-1] += np.sum(t * self.n0[None, :], axis=1)
-        gM_full[1:] += np.sum(t * self.n1[None, :], axis=1)
-        return E, gE_full[1:-1], m, gM_full[1:-1]
-
-
-def _cross_p2(kernel):
-    """Dense generalized eigensolve of the 1D p = 2 problem."""
-    n = kernel.nx2
-    h = kernel.h
-    ke_scale = np.sum(kernel.a22q * kernel.wq[None, :], axis=1) / h ** 2
-    K = np.zeros((n + 1, n + 1))
-    M = np.zeros((n + 1, n + 1))
-    m00 = np.sum(kernel.n0 ** 2 * kernel.wq)
-    m01 = np.sum(kernel.n0 * kernel.n1 * kernel.wq)
-    m11 = np.sum(kernel.n1 ** 2 * kernel.wq)
-    for c in range(n):
-        K[c, c] += ke_scale[c]
-        K[c + 1, c + 1] += ke_scale[c]
-        K[c, c + 1] -= ke_scale[c]
-        K[c + 1, c] -= ke_scale[c]
-        M[c, c] += m00
-        M[c + 1, c + 1] += m11
-        M[c, c + 1] += m01
-        M[c + 1, c] += m01
-    Ki = K[1:-1, 1:-1]
-    Mi = M[1:-1, 1:-1]
-    vals, vecs = scipy.linalg.eigh(Ki, Mi)
-    mu = float(vals[0])
-    w = vecs[:, 0]
-    if w[np.argmax(np.abs(w))] < 0:
-        w = -w
-    res = float(np.linalg.norm(Ki @ w - mu * (Mi @ w)) / np.linalg.norm(w))
-    return mu, w, res
-
-
 def cross_section_ground_state(nx2, coeffs, p, opts=None,
                                quad=None) -> CrossSectionResult:
     """Ground state of the cross-section problem with Dirichlet ends.
 
-    Solves the 1D analogue of the cylinder problem with coefficient a22:
-    dense generalized eigensolve for p = 2, projected gradient descent
-    otherwise.  Also computes the discrete Poincare constant from the
-    plain (a22 = 1) problem at the same p and resolution.
+    Solves the 1D analogue of the cylinder problem with coefficient a22 on
+    the Q1 element of the cylinder's x2 nodes and quadrature rule: a dense
+    generalized eigensolve of the interior band matrices for p = 2,
+    projected gradient descent otherwise.  Also computes the discrete
+    Poincare constant from the plain (a22 = 1) problem at the same p,
+    resolution and rule.
     """
     if nx2 < 8:
         raise ConfigurationError(f"nx2 must be >= 8 for the 1D solve, got {nx2}")
     opts = opts or SolveOptions()
-    kernel = _Cross1D(nx2, coeffs, p)
+    quad = quad or QuadratureRule()
+    x2 = np.linspace(-0.5, 0.5, nx2 + 1)
+    e = _Q1(x2, quad)
+    a22 = coeffs.a22(e.points)
+
+    def quotient_terms(w_free, grad=False):
+        w = np.concatenate(([0.0], w_free, [0.0]))
+        slope, wq = e.slopes(w), e.values(w)
+        q = a22 * slope * slope
+        E = float(np.sum(e.weights @ _power(q, p / 2.0)))
+        m = float(np.sum(e.weights @ _power(wq, p)))
+        if not grad:
+            return E, m
+        cw = e.weights[:, None]
+        s = 2.0 * cw * _power_slope(q, p / 2.0) * a22 * slope
+        t = cw * _power_slope(wq, p)
+        return E, e.slopes_adjoint(s)[1:-1], m, e.values_adjoint(t)[1:-1]
 
     if p == 2:
-        mu1, w_free, res = _cross_p2(kernel)
-        iters = 0
+        K, M = (sp.diags([G[0, 2:-1], G[1, 1:-1], G[2, 1:-2]], [-1, 0, 1]).toarray()
+                for G in (e.band(a22, e.dN, e.dN), e.band(1.0, e.N, e.N)))
+        vals, vecs = scipy.linalg.eigh(K, M)
+        mu1, w_free, iters = float(vals[0]), vecs[:, 0], 0
+        res = float(np.linalg.norm(K @ w_free - mu1 * (M @ w_free))
+                    / np.linalg.norm(w_free))
     else:
-        w0 = np.cos(np.pi * kernel.x2[1:-1])
         w_free, mu1, iters, res, _, conv = _minimize_quotient(
-            kernel.value, kernel.value_grad, w0, p, opts)
+            quotient_terms, lambda w: quotient_terms(w, grad=True),
+            np.cos(np.pi * x2[1:-1]), p, opts)
         if not conv:
             raise SolverError("cross-section descent did not converge")
 
-    full = kernel.full(w_free)
-    if np.sum(full) < 0:
-        full = -full
-    m = kernel.value(full[1:-1])[1]
-    full /= m ** (1.0 / p)
+    if np.sum(w_free) < 0:
+        w_free = -w_free
+    w_free = w_free / quotient_terms(w_free)[1] ** (1.0 / p)
 
-    if float(np.max(np.abs(kernel.a22q - 1.0))) < 1e-14:
+    if float(np.max(np.abs(a22 - 1.0))) < 1e-14:
         mu_plain = mu1
     else:
-        ident = _IdentityA22()
-        mu_plain = cross_section_ground_state(nx2, ident, p, opts).mu1
-    poincare_cp = mu_plain ** (-1.0 / p)
-
-    slope = np.diff(full) / kernel.h
-    w_prime_q = np.repeat(slope[:, None], kernel.g.size, axis=1)
-    return CrossSectionResult(mu1, full, kernel.x2, p, w_prime_q,
-                              poincare_cp, iterations=iters, residual=res)
+        mu_plain = cross_section_ground_state(
+            nx2, _IdentityA22(), p, opts, quad).mu1
+    return CrossSectionResult(mu1, np.concatenate(([0.0], w_free, [0.0])), x2,
+                              p, mu_plain ** (-1.0 / p), iterations=iters,
+                              residual=res)
 
 
 class _IdentityA22:

@@ -247,3 +247,35 @@ def test_tabulated_family_through_cli(tmp_path):
     run = next((tmp_path / "runs").iterdir())
     payload = json.loads((run / "solve.json").read_text())
     assert payload["lambda"] == pytest.approx(np.pi ** 2, rel=5e-3)  # a22 = 1
+
+
+def test_report_flags_broken_mass_split(tmp_path):
+    # d_plus + d_minus = 0.6: the identity |d_plus + d_minus - 1| < 1e-8 fails
+    run = tmp_path / "fake_sweep"
+    run.mkdir()
+    (run / "manifest.json").write_text(json.dumps({"experiment": "sweep"}))
+    row = {name: "1" for name in cli.SWEEP_HEADER.split(",")}
+    row.update(family="identity", iterations="3", converged="true",
+               d_plus="0.3", d_minus="0.3")
+    (run / "sweep.csv").write_text(
+        cli.SWEEP_HEADER + "\n"
+        + ",".join(row[k] for k in cli.SWEEP_HEADER.split(",")) + "\n")
+    cfg = tmp_path / "report.json"
+    cfg.write_text(json.dumps({"experiment": "report", "manifests": [str(run)],
+                               "output_dir": str(tmp_path / "runs")}))
+    assert cli.main(["report", "--config", str(cfg)]) == 0
+    out = next((tmp_path / "runs").iterdir())
+    assert "mass-split identity: FAIL" in (out / "report.txt").read_text()
+    assert "mass_split_identity,fail" in (out / "report.csv").read_text()
+
+
+def test_solver_failure_exits_4_with_manifest(tmp_path):
+    path = write_config(tmp_path, experiment="solve", p=3.0,
+                        shape="cross_section", solver={"max_iters": 1},
+                        output_dir=str(tmp_path / "runs"))
+    assert cli.main(["solve", "--config", path]) == cli.EXIT_SOLVER == 4
+    run = next((tmp_path / "runs").iterdir())
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["converged"] is False
+    assert "did not converge" in manifest["error"]
+    assert manifest["outputs"] == []

@@ -104,6 +104,71 @@ def test_p2_duality(small_mixed_mesh, offdiag_field):
         assert np.allclose(grad, 2.0 * (K @ u.values), rtol=1e-12, atol=1e-14)
 
 
+def test_quadrature_matches_pointwise_loop(linear_field):
+    # reference: textbook bilinear shape functions, summed point by point;
+    # a12 = 0.8 x2 varies across the section, so coefficient placement shows
+    mesh = cs.build_mesh(
+        cs.DomainSpec(cs.Shape.HALF_PLUS, 1, cs.BC.HALF_CYLINDER, 3, 4))
+    u = random_field(mesh, 7)
+    grid, rule = u.grid(), cs.QuadratureRule(3)
+    h1, h2 = mesh.h1, mesh.h2
+    for p in (2.5, 3.0):
+        E = m = 0.0
+        for i in range(mesh.n_cells1):
+            for j in range(mesh.n_cells2):
+                c = grid[i:i + 2, j:j + 2]  # c[a, b] at (x1[i + a], x2[j + b])
+                for xi, wx in zip(rule.nodes, rule.weights):
+                    for eta, wy in zip(rule.nodes, rule.weights):
+                        s = np.array([1 - xi, 1 + xi]) / 2
+                        t = np.array([1 - eta, 1 + eta]) / 2
+                        d1 = np.array([-1.0, 1.0]) / h1 @ c @ t
+                        d2 = s @ c @ np.array([-1.0, 1.0]) / h2
+                        a11, a12, a22 = linear_field.entries(
+                            mesh.x2[j] + (eta + 1) * h2 / 2)
+                        q = a11 * d1 ** 2 + 2 * a12 * d1 * d2 + a22 * d2 ** 2
+                        w = wx * wy * h1 * h2 / 4
+                        E += w * abs(q) ** (p / 2)
+                        m += w * abs(s @ c @ t) ** p
+        assert cs.energy(mesh, linear_field, u, p) == pytest.approx(E, rel=1e-13)
+        assert cs.p_mass(mesh, u, p)[0] == pytest.approx(m, rel=1e-13)
+
+
+def q1_matrices_1d(n_cells, h):
+    """Textbook 1D Q1 stiffness, mass and cross matrix C[i, k] = int phi_i' phi_k."""
+    S, M, C = (np.zeros((n_cells + 1, n_cells + 1)) for _ in range(3))
+    for c in range(n_cells):
+        cell = np.ix_([c, c + 1], [c, c + 1])
+        S[cell] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+        M[cell] += (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        C[cell] += 0.5 * np.array([[-1.0, -1.0], [1.0, 1.0]])
+    return S, M, C
+
+
+@pytest.mark.parametrize("shape,bc", [
+    (cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
+    (cs.Shape.FULL_CYLINDER, cs.BC.DIRICHLET_ALL),
+    (cs.Shape.HALF_PLUS, cs.BC.HALF_CYLINDER),
+    (cs.Shape.HALF_MINUS, cs.BC.HALF_CYLINDER)])
+@pytest.mark.parametrize("c", [0.0, 0.3])
+def test_p2_matrices_closed_form(shape, bc, c):
+    # independent oracle: Kronecker products of the closed-form 1D matrices
+    # for constant A = [[1, c], [c, 1]] (identity and constant_offdiag)
+    family = (cs.CoefficientFamily(cs.FamilyKind.IDENTITY) if c == 0.0 else
+              cs.CoefficientFamily(cs.FamilyKind.CONSTANT_OFFDIAG, c))
+    mesh = cs.build_mesh(cs.DomainSpec(shape, 1, bc, 3, 4))
+    S1, M1, C1 = q1_matrices_1d(mesh.n_cells1, mesh.h1)
+    S2, M2, C2 = q1_matrices_1d(mesh.n_cells2, mesh.h2)
+    K = (np.kron(S1, M2) + np.kron(M1, S2)
+         + c * (np.kron(C1, C2.T) + np.kron(C1.T, C2)))
+    M = np.kron(M1, M2)
+    free = ~mesh.dirichlet_mask.ravel()
+    pair = cs.assemble_p2(mesh, cs.make_coefficients(family))
+    for mine, oracle in ((pair.stiffness, K), (pair.mass, M)):
+        oracle = oracle[np.ix_(free, free)]
+        np.testing.assert_allclose(mine.toarray(), oracle, rtol=1e-13,
+                                   atol=1e-13 * np.abs(oracle).max())
+
+
 def test_mass_matrix_positive_definite(small_mixed_mesh, identity_field):
     pair = cs.assemble_p2(small_mixed_mesh, identity_field)
     import scipy.sparse.linalg as spla
@@ -113,16 +178,20 @@ def test_mass_matrix_positive_definite(small_mixed_mesh, identity_field):
 
 
 def test_lift_rayleigh_is_cross_value(identity_field):
+    # the rules run in a loop, not as parameters, so the test keeps its id
     mesh = cs.build_mesh(
         cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 32))
-    for p in (2.0, 3.0):
-        cross = cs.cross_section_ground_state(32, identity_field, p)
-        lift = cs.lift_cross_section(cross, mesh)
-        assert cs.p_mass(mesh, lift, p)[0] == pytest.approx(1.0, abs=1e-12)
-        assert cs.rayleigh(mesh, identity_field, lift, p) == \
-            pytest.approx(cross.mu1, rel=1e-12)
-        grid = lift.grid()
-        assert np.allclose(grid, grid[0][None, :])  # x1-independent columns
+    for points_per_dir in (2, 3):
+        quad = cs.QuadratureRule(points_per_dir)
+        for p in (2.0, 3.0, 4.0):
+            cross = cs.cross_section_ground_state(32, identity_field, p,
+                                                  quad=quad)
+            lift = cs.lift_cross_section(cross, mesh)
+            assert cs.p_mass(mesh, lift, p)[0] == pytest.approx(1.0, abs=1e-12)
+            assert cs.rayleigh(mesh, identity_field, lift, p, quad) == \
+                pytest.approx(cross.mu1, rel=1e-12)
+            grid = lift.grid()
+            assert np.allclose(grid, grid[0][None, :])  # x1-independent
 
 
 def test_lift_requires_mixed(identity_field):

@@ -279,6 +279,5 @@ class TestFullSymmetry:
         rotated = grid[::-1, ::-1]  # (x1, x2) -> (-x1, -x2)
         if np.sum(grid * rotated) < 0:
             rotated = -rotated
-        from cylspectra.discretization import QuadratureRule, _mass_value
-        diff = _mass_value(mesh, grid - rotated, 3.0, QuadratureRule())
+        diff = cs.p_mass(mesh, grid - rotated, 3.0)[0]
         assert diff ** (1 / 3.0) < 1e-4
