@@ -16,8 +16,8 @@ cylinder, and minus-labelled ones to the right end.  Reflecting the
 coefficients (a12 -> -a12) swaps the two labels exactly.
 
 Every integral here uses the one Q1 core of `discretization`: the
-cross-section integrals (`gap_integral_I2`, `slab_bound`, and both factors
-of `exp_test_upper_bound`) its 1D element, and the Picone residual and
+cross-section integrals (`gap_integral_I2`, `slab_bound` and
+`exp_test_upper_bound`) its 1D element, and the Picone residual and
 `translate_distance` (on the slab's sub-grid) its tensor-product passes.
 """
 
@@ -137,8 +137,10 @@ def sweep_lambda(ells, family_coeffs, p, resolution, opts=None,
         mesh_d = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.DIRICHLET_ALL, cpu, nx2))
         r_m = _first_eigen(mesh_m, family_coeffs, p, opts, quad, cross)
         r_d = _first_eigen(mesh_d, family_coeffs, p, opts, quad, cross)
-        r_p = half_cylinder_eigen(Side.PLUS, ell, resolution, family_coeffs, p, opts, quad)
-        r_mi = half_cylinder_eigen(Side.MINUS, ell, resolution, family_coeffs, p, opts, quad)
+        r_p = half_cylinder_eigen(Side.PLUS, ell, resolution, family_coeffs,
+                                  p, opts, quad, cross)
+        r_mi = half_cylinder_eigen(Side.MINUS, ell, resolution, family_coeffs,
+                                   p, opts, quad, cross)
 
         profile = slab_integrals(mesh_m, family_coeffs, r_m.field, p, quad)
         alpha = _sweep_alpha(profile, ell)
@@ -269,35 +271,24 @@ def _section(cross, coeffs):
             e.slopes(cross.w_nodes))
 
 
-def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs, p,
-                         truncation) -> float:
+def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs, p) -> float:
     """Rayleigh quotient of the exponentially decaying lifted test function.
 
-    The test function exp(-eps x1) W(x2) on (0, truncation) x omega is
-    integrated by tensor quadrature (unit axial panels, 3-point Gauss).
-    The value upper-bounds the semi-infinite infimum and tends to the
-    cross-section value as eps -> 0.
+    On (0, inf) x omega the energy and p-mass of exp(-eps x1) W(x2) share
+    the axial factor integral exp(-p eps x1), so the quotient is a ratio of
+    cross-section integrals.  It upper-bounds the semi-infinite infimum and
+    tends to the cross-section value as eps -> 0.
     """
     if eps <= 0.0:
         raise ConfigurationError("eps must be positive")
-    if truncation < 10.0 / eps:
-        raise ConfigurationError(
-            f"truncation {truncation} too small: the neglected tail would "
-            f"dominate, need at least {10.0 / eps}")
     e, a11q, a12q, a22q, wv, wp = _section(cross, coeffs)
-
-    # cross-section density of |A grad v . grad v| at unit axial factor
+    # density of |A grad v . grad v| at unit axial factor
     q_sec = (eps ** 2 * a11q * wv ** 2
              - 2.0 * eps * a12q * wp * wv
              + a22q * wp ** 2)
     sec_energy = float(np.sum(e.weights @ np.abs(q_sec) ** (p / 2.0)))
     sec_mass = float(np.sum(e.weights @ np.abs(wv) ** p))
-
-    # axial quadrature of exp(-p eps x1) over unit panels
-    panels = disc._Q1(np.linspace(0.0, truncation, int(np.ceil(truncation)) + 1),
-                      QuadratureRule())
-    axial = float(np.sum(panels.weights @ np.exp(-p * eps * panels.points)))
-    return (axial * sec_energy) / (axial * sec_mass)
+    return sec_energy / sec_mass
 
 
 def slab_bound(cross: CrossSectionResult, coeffs, p, variant="squared"):

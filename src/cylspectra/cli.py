@@ -147,14 +147,9 @@ def _parse_solver(raw):
     sch = _Schema(raw, "solver")
     opts = SolveOptions(
         tol_residual=sch.get("tol_residual", float, default=1e-8),
-        tol_stagnation=sch.get("tol_stagnation", float, default=1e-12),
         max_iters=sch.get("max_iters", int, default=50000),
-        armijo_c=sch.get("armijo_c", float, default=1e-4),
-        armijo_shrink=sch.get("armijo_shrink", float, default=0.5),
         init=Init(sch.get("init", str, default="lifted_w",
                           choices={i.value for i in Init})),
-        positivity_projection=sch.get("positivity_projection", bool, default=True),
-        precondition=sch.get("precondition", bool, default=True),
     )
     sch.finish()
     return opts
@@ -356,8 +351,8 @@ def _run_gap_check(plan, outdir):
     printed, printed_clamps = asy.slab_bound(cross, plan.family, plan.p, "as_printed")
     squared, squared_clamps = asy.slab_bound(cross, plan.family, plan.p, "squared")
     exp_tests = [{"eps": e,
-                  "value": asy.exp_test_upper_bound(
-                      e, cross, plan.family, plan.p, np.ceil(10.0 / e))}
+                  "value": asy.exp_test_upper_bound(e, cross, plan.family,
+                                                    plan.p)}
                  for e in plan.eps_list]
     payload = {
         "mu1": cross.mu1,

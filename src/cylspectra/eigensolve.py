@@ -1,7 +1,7 @@
 """Eigenpair solvers.
 
-Four entry points: `minimize_rayleigh` (normalized projected gradient
-descent on the Rayleigh quotient, any p >= 2), `linear_spectrum` (p = 2,
+Four entry points: `minimize_rayleigh` (preconditioned descent on the
+Rayleigh quotient, any p >= 2), `linear_spectrum` (p = 2,
 shift-invert Lanczos on the assembled pencil), `cross_section_ground_state`
 (the 1D problem on the cross section), and `half_cylinder_eigen` (first
 eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
@@ -41,20 +41,13 @@ class Side(enum.Enum):
 @dataclass
 class SolveOptions:
     tol_residual: float = 1e-8
-    tol_stagnation: float = 1e-12
     max_iters: int = 50000
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     init: Init = Init.LIFTED_W
-    positivity_projection: bool = True
     seed: int = 0
-    precondition: bool = True  # Sobolev-gradient steps (stiffness-solved)
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.tol_stagnation <= 0:
-            raise ConfigurationError("tolerances must be positive")
-        if not (0 < self.armijo_c < 1 and 0 < self.armijo_shrink < 1):
-            raise ConfigurationError("Armijo parameters must lie in (0, 1)")
+        if self.tol_residual <= 0:
+            raise ConfigurationError("tol_residual must be positive")
 
 
 @dataclass
@@ -94,16 +87,29 @@ class CrossSectionResult:
 # descent engine
 # ---------------------------------------------------------------------------
 
-def _minimize_quotient(fval, fgrad, u0, p, opts, precond=None):
-    """Projected gradient descent with a BB step seed and Armijo backtracking.
+# Armijo constants; stagnation is a mean drop below _STAGNATION * max(1, |lam|)
+# per step over the last _WINDOW steps (a window: BB drops sawtooth).
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
+_STAGNATION = 1e-12
+_WINDOW = 30
 
-    `fval(u) -> (E, m)`, `fgrad(u) -> (E, gE, m, gM)`.  The iterate is kept
-    p-normalized; the accepted Rayleigh values form a nonincreasing history.
-    The residual and the stopping rule live on the plain quotient gradient
-    d = (gE - lam gM)/m; when `precond` is given the step is taken along the
-    preconditioned direction instead (Sobolev-gradient descent), which keeps
-    iteration counts mesh-independent.  Stops on a small residual, on
-    persistent stagnation of the quotient, or (flagged) at max_iters.
+
+def _minimize_quotient(fval, fgrad, u0, p, opts, precond):
+    """Sobolev-gradient descent on a Rayleigh quotient, Barzilai-Borwein steps.
+
+    `fval(u) -> (E, m)`, `fgrad(u) -> (E, gE, m, gM)`; `precond(d)` applies
+    K^{-1} for the SPD p = 2 stiffness K of the same problem.  The iterate
+    is kept p-normalized; the accepted Rayleigh values form a nonincreasing
+    history.  The residual is the max norm of the quotient gradient
+    d = (gE - lam gM)/m.  Each step goes along s = K^{-1} d (Neuberger
+    1997), which keeps iteration counts mesh-independent; d.s > 0 because K
+    is SPD.  The step length is the BB step (Barzilai & Borwein 1988; 1 on
+    the first step), halved until the Armijo condition holds, at most 80
+    times.  Stops, converged, on a small residual, when no trial step
+    descends, or when the quotient stagnates over the window; returns
+    flagged at max_iters.  The result is sign-fixed and, where that does
+    not raise the quotient, clipped to be nonnegative.
     """
     u = np.array(u0, dtype=float)
     _, m0 = fval(u)
@@ -116,103 +122,59 @@ def _minimize_quotient(fval, fgrad, u0, p, opts, precond=None):
     history = [lam]
     res = np.inf
     converged = False
-    tau = None
-    prev_u = prev_s = None
-    fresh_bb = True
-    iterations = 0
-
+    tau = 1.0
+    prev = None
     it = 0
     while it < opts.max_iters:
         it += 1
-        iterations = it
         d = (gE - lam * gM) / m
         res = float(np.max(np.abs(d))) if d.size else 0.0
         if res <= opts.tol_residual * max(1.0, abs(lam)):
             converged = True
             break
 
-        if precond is not None:
-            s = precond(d)
-            slope = float(d @ s)
-            if not np.isfinite(slope) or slope <= 0.0:
-                s, slope = d, float(d @ d)
-        else:
-            s = d
-            slope = float(d @ d)
-
-        if prev_u is not None:
-            du = u - prev_u
-            ds = s - prev_s
-            num = float(du @ ds)
-            den = float(ds @ ds)
-            tau = num / den if (num > 0 and den > 0) else (tau or 1.0) * 2.0
-            fresh_bb = False
-        elif precond is not None:
-            tau = 1.0
-            fresh_bb = True
-        else:
-            tau = 0.01 / (np.linalg.norm(d) / (np.linalg.norm(u) + 1e-30) + 1e-30)
-            fresh_bb = True
+        s = precond(d)
+        slope = float(d @ s)
+        if prev is not None:
+            du, ds = u - prev[0], s - prev[1]
+            num, den = float(du @ ds), float(ds @ ds)
+            tau = num / den if (num > 0 and den > 0) else tau * 2.0
         tau = min(max(tau, 1e-16), 1e8)
 
-        accepted = False
         for _ in range(80):
             v = u - tau * s
             Ev, mv = fval(v)
-            if mv > 0 and Ev / mv <= lam - opts.armijo_c * tau * slope:
-                accepted = True
+            if mv > 0 and Ev / mv <= lam - _ARMIJO_C * tau * slope:
                 break
-            tau *= opts.armijo_shrink
-            if tau < 1e-18:
-                break
-        if not accepted:
-            if not fresh_bb:
-                # retry the same iterate with a fresh step-size seed
-                prev_u = prev_s = None
-                continue
+            tau *= _ARMIJO_SHRINK
+        else:
             converged = True  # no admissible descent left at this precision
             break
-        prev_u, prev_s = u.copy(), s.copy()
+        prev = u, s
 
         u = v / mv ** (1.0 / p)
         lam = Ev / mv
         history.append(lam)
-
-        # stagnation over a window; robust to the BB sawtooth
-        window = 30
-        if len(history) > window:
-            total_drop = history[-window - 1] - history[-1]
-            if total_drop <= window * opts.tol_stagnation * max(1.0, abs(lam)):
-                converged = True
-                break
-
-        if opts.positivity_projection and it % 50 == 0:
-            if float(np.sum(u)) < 0.0:
-                u = -u
-            w = np.clip(u, 0.0, None)
-            Ew, mw = fval(w)
-            if mw > 0 and Ew / mw <= lam:
-                u = w / mw ** (1.0 / p)
-                lam = Ew / mw
-                history.append(lam)
-                prev_u = prev_s = None
+        if len(history) > _WINDOW and history[-_WINDOW - 1] - lam <= (
+                _WINDOW * _STAGNATION * max(1.0, abs(lam))):
+            converged = True
+            break
 
         E, gE, m, gM = fgrad(u)
         lam = E / m
 
-    if opts.positivity_projection:
-        if float(np.sum(u)) < 0.0:
-            u = -u
-        if np.any(u < 0.0):
-            w = np.clip(u, 0.0, None)
-            Ew, mw = fval(w)
-            if mw > 0 and Ew / mw <= lam * (1.0 + 1e-12):
-                u = w
+    if float(np.sum(u)) < 0.0:
+        u = -u
+    if np.any(u < 0.0):
+        w = np.clip(u, 0.0, None)
+        Ew, mw = fval(w)
+        if mw > 0 and Ew / mw <= lam * (1.0 + 1e-12):
+            u = w
 
     Ef, mf = fval(u)
     u /= mf ** (1.0 / p)
     lam = Ef / mf
-    return u, lam, iterations, res, np.asarray(history), converged
+    return u, lam, it, res, np.asarray(history), converged
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +203,7 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
                       cross=None) -> EigenResult:
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
 
+    Preconditioned by the LU factorization of the p = 2 stiffness matrix.
     Stops when the projected gradient falls below
     ``tol_residual * max(1, |lambda|)`` in the max norm, or when the
     quotient stagnates.  A non-converged run (max_iters reached) is
@@ -266,18 +229,10 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
     def fgrad(u):
         return disc._eval_full(mesh, coeffs, to_grid(u), p, quad)
 
-    precond = None
-    if opts.precondition:
-        pair = disc.assemble_p2(mesh, coeffs, quad)
-        try:
-            lu = spla.splu(pair.stiffness.tocsc())
-        except RuntimeError as exc:  # pragma: no cover
-            raise SolverError(f"preconditioner factorization failed: {exc}") from exc
-        precond = lu.solve
-
+    precond = _factor(disc.assemble_p2(mesh, coeffs, quad).stiffness).solve
     u0 = mesh.restrict(_initial_grid(mesh, cross, opts))
     u, lam, iters, res, history, conv = _minimize_quotient(
-        fval, fgrad, u0, p, opts, precond=precond)
+        fval, fgrad, u0, p, opts, precond)
     return EigenResult(lam, DiscreteField(u, mesh), iters, res, history, conv)
 
 
@@ -305,11 +260,7 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
         raise ConfigurationError(f"need 1 <= k <= {n}, got {k}")
     pair = disc.assemble_p2(mesh, coeffs, quad)
     K, M = pair.stiffness, pair.mass
-    try:
-        lu = spla.splu(K.tocsc())
-    except RuntimeError as exc:  # pragma: no cover - factorization breakdown
-        raise SolverError(f"stiffness factorization failed: {exc}") from exc
-
+    lu = _factor(K)
     solves = 0
 
     def apply_inverse(x):
@@ -346,6 +297,14 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
     return results
 
 
+def _factor(K):
+    """Sparse LU factorization of a stiffness matrix."""
+    try:
+        return spla.splu(K.tocsc())
+    except RuntimeError as exc:  # pragma: no cover - factorization breakdown
+        raise SolverError(f"stiffness factorization failed: {exc}") from exc
+
+
 def _krylov_ritz(K, M, apply_inverse, k):
     """k smallest Ritz pairs of (K, M) on a shift-invert Krylov space of ones.
 
@@ -364,12 +323,13 @@ def _krylov_ritz(K, M, apply_inverse, k):
 
 
 def half_cylinder_eigen(side, ell, resolution, coeffs, p,
-                        opts=None, quad=None) -> EigenResult:
+                        opts=None, quad=None, cross=None) -> EigenResult:
     """First eigenvalue of the half cylinder with a Dirichlet far end.
 
     `side` PLUS is (0, ell) with the natural end at 0; MINUS is (-ell, 0)
     with the natural end at 0.  For p = 2 the assembled pencil is solved;
-    otherwise the descent solver runs with the lifted quarter-wave start.
+    otherwise the descent solver runs with the lifted quarter-wave start,
+    built from `cross` when given (as in `minimize_rayleigh`).
     """
     opts = opts or SolveOptions()
     nx2, cpu = resolution
@@ -377,7 +337,7 @@ def half_cylinder_eigen(side, ell, resolution, coeffs, p,
     mesh = build_mesh(DomainSpec(shape, ell, BC.HALF_CYLINDER, cpu, nx2))
     if p == 2:
         return linear_spectrum(mesh, coeffs, 1, opts, quad)[0]
-    return minimize_rayleigh(mesh, coeffs, p, opts, quad)
+    return minimize_rayleigh(mesh, coeffs, p, opts, quad, cross=cross)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +351,8 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     Solves the 1D analogue of the cylinder problem with coefficient a22 on
     the Q1 element of the cylinder's x2 nodes and quadrature rule: a dense
     generalized eigensolve of the interior band matrices for p = 2,
-    projected gradient descent otherwise.  Also computes the discrete
+    otherwise the descent of `minimize_rayleigh`, preconditioned by the LU
+    factorization of the interior a22 stiffness.  Also computes the discrete
     Poincare constant from the plain (a22 = 1) problem at the same p,
     resolution and rule.
     """
@@ -416,9 +377,12 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
         t = cw * _power_slope(wq, p)
         return E, e.slopes_adjoint(s)[1:-1], m, e.values_adjoint(t)[1:-1]
 
+    def interior(G):
+        return sp.diags([G[0, 2:-1], G[1, 1:-1], G[2, 1:-2]], [-1, 0, 1])
+
+    K = interior(e.band(a22, e.dN, e.dN))
     if p == 2:
-        K, M = (sp.diags([G[0, 2:-1], G[1, 1:-1], G[2, 1:-2]], [-1, 0, 1]).toarray()
-                for G in (e.band(a22, e.dN, e.dN), e.band(1.0, e.N, e.N)))
+        K, M = K.toarray(), interior(e.band(1.0, e.N, e.N)).toarray()
         vals, vecs = scipy.linalg.eigh(K, M)
         mu1, w_free, iters = float(vals[0]), vecs[:, 0], 0
         res = float(np.linalg.norm(K @ w_free - mu1 * (M @ w_free))
@@ -426,7 +390,7 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     else:
         w_free, mu1, iters, res, _, conv = _minimize_quotient(
             quotient_terms, lambda w: quotient_terms(w, grad=True),
-            np.cos(np.pi * x2[1:-1]), p, opts)
+            np.cos(np.pi * x2[1:-1]), p, opts, _factor(K).solve)
         if not conv:
             raise SolverError("cross-section descent did not converge")
 

@@ -117,25 +117,20 @@ class TestGapIntegral:
 class TestExpTest:
     def test_decoupled_closed_form(self, identity_field):
         cross = cs.cross_section_ground_state(32, identity_field, 2)
-        val = asy.exp_test_upper_bound(0.1, cross, identity_field, 2, 120)
+        val = asy.exp_test_upper_bound(0.1, cross, identity_field, 2)
         assert val == pytest.approx(cross.mu1 + 0.01, rel=1e-12)
 
     def test_small_eps_approaches_mu1(self, offdiag_field):
         cross = cs.cross_section_ground_state(32, offdiag_field, 2)
-        val = asy.exp_test_upper_bound(0.01, cross, offdiag_field, 2, 1000)
+        val = asy.exp_test_upper_bound(0.01, cross, offdiag_field, 2)
         assert abs(val - cross.mu1) < 0.1 * cross.mu1 * 0.01 + 0.05
 
     def test_upper_bounds_the_limit(self, offdiag_field):
         cross = cs.cross_section_ground_state(16, offdiag_field, 2)
         est = asy.nu_infinity_estimate(cs.Side.PLUS, offdiag_field, 2,
                                        [4, 8, 12], RES)
-        val = asy.exp_test_upper_bound(0.05, cross, offdiag_field, 2, 200)
+        val = asy.exp_test_upper_bound(0.05, cross, offdiag_field, 2)
         assert val >= est.extrapolated - 1e-8
-
-    def test_truncation_guard(self, identity_field):
-        cross = cs.cross_section_ground_state(16, identity_field, 2)
-        with pytest.raises(ConfigurationError):
-            asy.exp_test_upper_bound(0.1, cross, identity_field, 2, 50)
 
 
 class TestSlabBound:
@@ -187,6 +182,21 @@ class TestEndMassSplit:
 
 
 class TestSweep:
+    def test_p3_sweep_solves_cross_section_once(self, monkeypatch,
+                                                offdiag_field):
+        from cylspectra import eigensolve
+        calls = []
+        solve = eigensolve.cross_section_ground_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        for module in (eigensolve, asy):
+            monkeypatch.setattr(module, "cross_section_ground_state", counted)
+        asy.sweep_lambda([2, 4], offdiag_field, 3, RES)
+        assert len(calls) == 1
+
     def test_identity_rows_have_no_gap(self, identity_field):
         tab = asy.sweep_lambda([2, 3], identity_field, 2, RES)
         for row in tab.rows:

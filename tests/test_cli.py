@@ -221,10 +221,15 @@ def test_solver_options_passthrough(tmp_path):
 
 
 def test_invalid_solver_key_rejected(tmp_path):
-    path = write_config(tmp_path, experiment="solve", ell=2.0,
-                        solver={"tol_residua": 1e-6},
-                        output_dir=str(tmp_path / "runs"))
-    assert cli.main(["solve", "--config", path]) == 2
+    # a misspelling, and the descent knobs that became constants
+    for key, value in (("tol_residua", 1e-6), ("tol_stagnation", 1e-12),
+                       ("armijo_c", 1e-4), ("armijo_shrink", 0.5),
+                       ("positivity_projection", True),
+                       ("precondition", True)):
+        path = write_config(tmp_path, experiment="solve", ell=2.0,
+                            solver={key: value},
+                            output_dir=str(tmp_path / "runs"))
+        assert cli.main(["solve", "--config", path]) == 2
 
 
 def test_decay_window_validated_upfront(tmp_path):

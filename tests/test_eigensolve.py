@@ -98,15 +98,20 @@ class TestLinearSpectrum:
                 assert abs(vecs[i] @ (M @ vecs[j])) < 1e-8
 
     def test_matches_eigsh(self, offdiag_field):
-        # the solver is eigsh itself; the oracle is the dense pencil
+        # the solver is eigsh itself; the oracle is the dense pencil.  The
+        # two longer meshes hold a collapsing cluster: there an eigsh `tol`
+        # of 1e-12 or 1e-10 (ell 8) or 1e-8 (ell 12) skips an eigenvalue,
+        # with residuals ~1e-14 that cannot see it, so `tol` must stay 0
         import scipy.linalg
-        mesh = cs.build_mesh(
-            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 3, cs.BC.MIXED, 4, 16))
-        pair = cs.assemble_p2(mesh, offdiag_field)
-        oracle = scipy.linalg.eigh(pair.stiffness.toarray(),
-                                   pair.mass.toarray(), eigvals_only=True)[:3]
-        mine = [r.lam for r in cs.linear_spectrum(mesh, offdiag_field, 3)]
-        assert np.allclose(mine, oracle, rtol=1e-10, atol=0.0)
+        for ell, cpu, nx2 in ((3, 4, 16), (8, 4, 8), (12, 2, 8)):
+            mesh = cs.build_mesh(
+                cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, cs.BC.MIXED, cpu, nx2))
+            pair = cs.assemble_p2(mesh, offdiag_field)
+            oracle = scipy.linalg.eigh(pair.stiffness.toarray(),
+                                       pair.mass.toarray(),
+                                       eigvals_only=True)[:3]
+            mine = [r.lam for r in cs.linear_spectrum(mesh, offdiag_field, 3)]
+            assert np.allclose(mine, oracle, rtol=1e-10, atol=0.0)
 
     def test_long_cylinder_symmetric_and_certified(self, offdiag_field):
         # lam2 - lam1 is tiny at ell = 20; the point symmetry of the
@@ -204,14 +209,6 @@ class TestMinimizeRayleigh:
             r = cs.minimize_rayleigh(mesh, offdiag_field, 2, opts)
             assert abs(r.lam - base.lam) < 1e-7
 
-    def test_plain_descent_matches_preconditioned(self, offdiag_field):
-        mesh = cs.build_mesh(
-            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
-        fast = cs.minimize_rayleigh(mesh, offdiag_field, 3)
-        plain = cs.minimize_rayleigh(
-            mesh, offdiag_field, 3, cs.SolveOptions(precondition=False))
-        assert abs(fast.lam - plain.lam) < 1e-7
-
     def test_bitwise_determinism(self, offdiag_field):
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
@@ -223,8 +220,7 @@ class TestMinimizeRayleigh:
     def test_nonconverged_flagged(self, offdiag_field):
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 4, cs.BC.MIXED, 4, 16))
-        opts = cs.SolveOptions(max_iters=3, tol_residual=1e-14,
-                               tol_stagnation=1e-30)
+        opts = cs.SolveOptions(max_iters=3, tol_residual=1e-14)
         r = cs.minimize_rayleigh(mesh, offdiag_field, 3, opts)
         assert not r.converged
         assert r.iterations == 3
