@@ -183,9 +183,13 @@ def nu_infinity_estimate(side, family_coeffs, p, ell_ladder, resolution,
     if any(b <= a for a, b in zip(ladder_ells, ladder_ells[1:])):
         raise ConfigurationError("ladder lengths must be strictly increasing")
     opts = opts or SolveOptions()
+    # the descent's start; p = 2 solves the pencil and needs no section
+    cross = None if p == 2 else cross_section_ground_state(
+        resolution[0], family_coeffs, p, quad=quad)
     values = []
     for ell in ladder_ells:
-        r = half_cylinder_eigen(side, ell, resolution, family_coeffs, p, opts, quad)
+        r = half_cylinder_eigen(side, ell, resolution, family_coeffs, p, opts,
+                                quad, cross)
         values.append(r.lam)
     diffs = np.diff(values)
     monotone_ok = bool(np.all(diffs <= monotone_slack))
@@ -322,8 +326,12 @@ def beta2_upper_bound(ell, resolution, coeffs, p, opts=None, quad=None) -> float
     second min-max value of the full cylinder.
     """
     opts = opts or SolveOptions()
-    rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts, quad)
-    rm = half_cylinder_eigen(Side.MINUS, ell, resolution, coeffs, p, opts, quad)
+    cross = None if p == 2 else cross_section_ground_state(
+        resolution[0], coeffs, p, quad=quad)
+    rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts, quad,
+                             cross)
+    rm = half_cylinder_eigen(Side.MINUS, ell, resolution, coeffs, p, opts,
+                             quad, cross)
     return max(rp.lam, rm.lam)
 
 
@@ -352,8 +360,7 @@ def picone_residual_min(u: DiscreteField, cross: CrossSectionResult, mesh,
         w_floor = 1e-3 * float(np.max(cross.w_nodes))
 
     core = disc._core(mesh, quad)
-    qu, gu1, gu2, (_, a12, a22) = disc._form(core, coeffs, grid)
-    uq = core.values(grid)
+    qu, (uq, gu1, gu2), (_, a12, a22) = disc._form(core, coeffs, grid)
     # the lift is x1-independent: values per (x2 point, cross cell)
     vq = core.e2.values(cross.w_nodes)
     gv2 = core.e2.slopes(cross.w_nodes)

@@ -397,11 +397,13 @@ def _run_decay(plan, outdir):
 def _run_beta2(plan, outdir):
     lines = ["ell,beta2_upper,lambda_half_plus,lambda_half_minus"]
     last = None
+    cross = None if plan.p == 2 else cross_section_ground_state(
+        plan.nx2, plan.family, plan.p)
     for ell in plan.ells:
         rp = half_cylinder_eigen(Side.PLUS, ell, plan.resolution,
-                                 plan.family, plan.p, plan.opts)
+                                 plan.family, plan.p, plan.opts, cross=cross)
         rm = half_cylinder_eigen(Side.MINUS, ell, plan.resolution,
-                                 plan.family, plan.p, plan.opts)
+                                 plan.family, plan.p, plan.opts, cross=cross)
         last = max(rp.lam, rm.lam)
         lines.append(f"{_g17(ell)},{_g17(last)},{_g17(rp.lam)},{_g17(rm.lam)}")
     _atomic_write(os.path.join(outdir, "beta2.csv"), "\n".join(lines) + "\n")

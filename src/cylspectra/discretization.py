@@ -104,7 +104,9 @@ class _Q1:
     def values(self, U, axis=0):
         lo, hi = self._ends(U, axis)
         n0, n1 = self.N.reshape((2, -1) + (1,) * (U.ndim - axis))
-        return lo * n0 + hi * n1
+        out = lo * n0
+        out += hi * n1
+        return out
 
     def slopes(self, U, axis=0):
         lo, hi = self._ends(U, axis)
@@ -153,13 +155,23 @@ class _Tensor:
     def __init__(self, x1, x2, quad):
         self.e1, self.e2 = _Q1(x1, quad), _Q1(x2, quad)
         self.w = self.e1.weights[:, None, None, None] * self.e2.weights[:, None]
+        shape = self.e1.points.shape + self.e2.points.shape
+        self._w_flat = np.broadcast_to(self.w, shape).ravel()
 
     def values(self, grid):
         return self.e2.values(self.e1.values(grid), 2)
 
-    def gradient(self, grid):
-        return (self.e2.values(self.e1.slopes(grid), 2),
-                self.e2.slopes(self.e1.values(grid), 2))
+    def state(self, grid):
+        """(u, d1u, d2u) at the Gauss points, in three 1D passes.
+
+        States are linear in the grid, so the state of a combination of
+        grids is the same combination of their states.  Slopes are constant
+        per cell: d1u keeps a unit x1-point axis, d2u a unit x2-point axis.
+        """
+        along1 = self.e1.values(grid)
+        return (self.e2.values(along1, 2),
+                self.e2.values(self.e1.slopes(grid), 2),
+                self.e2.slopes(along1, 2))
 
     def values_adjoint(self, t):
         return self.e1.values_adjoint(self.e2.values_adjoint(t, 2))
@@ -169,10 +181,11 @@ class _Tensor:
                 + self.e1.values_adjoint(self.e2.slopes_adjoint(f2, 2)))
 
     def integrate(self, dens, per_cell=False):
+        if not per_cell:
+            return float(self._w_flat @ dens.ravel())
         nq1, nc1, nq2, nc2 = dens.shape
         rows = self.e1.weights @ dens.reshape(nq1, -1)
-        cells = self.e2.weights @ rows.reshape(nc1, nq2, nc2)
-        return cells if per_cell else float(cells.sum())
+        return self.e2.weights @ rows.reshape(nc1, nq2, nc2)
 
 
 def _core(mesh, quad):
@@ -189,53 +202,89 @@ def _grid(mesh, u):
 
 
 def _power(x, e):
-    """|x|^e pointwise, without pow for the exponents that p = 2, 3 need."""
+    """|x|^e pointwise, without pow for the exponents that p = 2, 3 need.
+
+    Works in place on |x|: at the sizes here a fresh temporary costs more
+    than the arithmetic.
+    """
     ax = np.abs(x)
     if e == 0.5:
-        return np.sqrt(ax)
+        return np.sqrt(ax, out=ax)
     if e == 1.0:
         return ax
     if e == 1.5:
-        return ax * np.sqrt(ax)
+        r = np.sqrt(ax)
+        r *= ax
+        return r
     if e == 2.0:
-        return ax * ax
+        return np.multiply(ax, ax, out=ax)
     if e == 3.0:
-        return ax * ax * ax
-    return ax ** e
+        r = ax * ax
+        r *= ax
+        return r
+    return np.power(ax, e, out=ax)
 
 
 def _power_slope(x, e):
     """d|x|^e / dx; at e = 1 the slope of x itself, since the forms raised
     to p/2 are nonnegative up to roundoff."""
-    return 1.0 if e == 1.0 else e * np.sign(x) * _power(x, e - 1.0)
+    if e == 1.0:
+        return 1.0
+    r = _power(x, e - 1.0)
+    r *= np.sign(x)
+    r *= e
+    return r
+
+
+def _quadratic(A, g1, g2):
+    """q = A grad u . grad u at the Gauss points, from the entries A."""
+    a11, a12, a22 = A
+    q = a22 * g2
+    q += (2.0 * a12) * g1
+    q *= g2
+    q += a11 * (g1 * g1)
+    return q
 
 
 def _form(core, coeffs, grid):
-    """q = A grad u . grad u at the Gauss points, with grad u and A."""
-    g1, g2 = core.gradient(grid)
-    a11, a12, a22 = coeffs.entries(core.e2.points)
-    q = a11 * (g1 * g1) + (2.0 * a12 * g1) * g2 + a22 * (g2 * g2)
-    return q, g1, g2, (a11, a12, a22)
+    """q = A grad u . grad u at the Gauss points, with the state and A."""
+    S = core.state(grid)
+    A = coeffs.entries(core.e2.points)
+    return _quadratic(A, *S[1:]), S, A
 
 
-def _energy_sums(core, coeffs, grid, p, grad):
+def _energy_sums(core, A, g1, g2, p, grad):
     """integral |A grad u . grad u|^{p/2}, and its nodal gradient if `grad`."""
-    q, g1, g2, (a11, a12, a22) = _form(core, coeffs, grid)
+    q = _quadratic(A, g1, g2)
     E = core.integrate(_power(q, p / 2.0))
     if not grad:
         return E
-    s = 2.0 * core.w * _power_slope(q, p / 2.0)
-    return E, core.gradient_adjoint(s * (a11 * g1 + a12 * g2),
-                                    s * (a12 * g1 + a22 * g2))
+    a11, a12, a22 = A
+    s = _power_slope(q, p / 2.0)
+    s *= 2.0 * core.w
+    f1, f2 = a12 * g2, a22 * g2
+    f1 += a11 * g1
+    f2 += a12 * g1
+    f1 *= s
+    f2 *= s
+    return E, core.gradient_adjoint(f1, f2)
 
 
-def _mass_sums(core, grid, p, grad):
-    """integral |u|^p, and its nodal gradient if `grad`."""
-    uq = core.values(grid)
+def _mass_sums(core, uq, p, grad):
+    """integral |u|^p from u at the Gauss points, and its nodal gradient if
+    `grad`."""
     m = core.integrate(_power(uq, p))
     if not grad:
         return m
-    return m, core.values_adjoint(core.w * _power_slope(uq, p))
+    t = _power_slope(uq, p)
+    t *= core.w
+    return m, core.values_adjoint(t)
+
+
+def _energy_of(mesh, coeffs, u, p, quad, grad):
+    core = _core(mesh, quad)
+    _, g1, g2 = core.state(_grid(mesh, u))
+    return _energy_sums(core, coeffs.entries(core.e2.points), g1, g2, p, grad)
 
 
 def energy(mesh, coeffs, u, p, quad=None) -> float:
@@ -246,14 +295,13 @@ def energy(mesh, coeffs, u, p, quad=None) -> float:
     producing tiny negatives at quadrature points.
     """
     _check_p(p)
-    return _energy_sums(_core(mesh, quad), coeffs, _grid(mesh, u), p, False)
+    return _energy_of(mesh, coeffs, u, p, quad, False)
 
 
 def energy_gradient(mesh, coeffs, u, p, quad=None) -> np.ndarray:
     """Exact derivative of the discrete energy w.r.t. each free nodal value."""
     _check_p(p)
-    grad = _energy_sums(_core(mesh, quad), coeffs, _grid(mesh, u), p, True)[1]
-    return grad[~mesh.dirichlet_mask]
+    return _energy_of(mesh, coeffs, u, p, quad, True)[1][~mesh.dirichlet_mask]
 
 
 def p_mass(mesh, u, p, quad=None):
@@ -264,23 +312,28 @@ def p_mass(mesh, u, p, quad=None):
     (value, gradient) : (float, ndarray over free DOFs)
     """
     _check_p(p)
-    value, grad = _mass_sums(_core(mesh, quad), _grid(mesh, u), p, True)
+    core = _core(mesh, quad)
+    value, grad = _mass_sums(core, core.values(_grid(mesh, u)), p, True)
     return value, grad[~mesh.dirichlet_mask]
 
 
-def _eval_value(mesh, coeffs, grid, p, quad):
-    """(energy, p-mass) of a nodal grid."""
+def _eval_value(mesh, A, state, p, quad):
+    """(energy, p-mass) of a Gauss-point state (u, d1u, d2u) of `_Tensor`,
+    with the coefficient entries A at the Gauss points."""
     core = _core(mesh, quad)
-    return (_energy_sums(core, coeffs, grid, p, False),
-            _mass_sums(core, grid, p, False))
+    uq, g1, g2 = state
+    return (_energy_sums(core, A, g1, g2, p, False),
+            _mass_sums(core, uq, p, False))
 
 
-def _eval_full(mesh, coeffs, grid, p, quad):
-    """(energy, its gradient, p-mass, its gradient) over the free DOFs."""
+def _eval_full(mesh, A, state, p, quad):
+    """(energy, its gradient, p-mass, its gradient) of a Gauss-point state,
+    gradients over the free DOFs; only the adjoint passes run."""
     core = _core(mesh, quad)
+    uq, g1, g2 = state
     free = ~mesh.dirichlet_mask
-    E, gE = _energy_sums(core, coeffs, grid, p, True)
-    m, gM = _mass_sums(core, grid, p, True)
+    E, gE = _energy_sums(core, A, g1, g2, p, True)
+    m, gM = _mass_sums(core, uq, p, True)
     return E, gE[free], m, gM[free]
 
 
@@ -296,7 +349,7 @@ def grad_p_norm(mesh, u, p, quad=None) -> float:
     """Plain gradient p-norm  integral |grad u|^p  (no coefficients)."""
     _check_p(p)
     core = _core(mesh, quad)
-    g1, g2 = core.gradient(_grid(mesh, u))
+    _, g1, g2 = core.state(_grid(mesh, u))
     return core.integrate(_power(g1 * g1 + g2 * g2, p / 2.0))
 
 
@@ -308,10 +361,10 @@ def cell_integrals(mesh, coeffs, grid, p, quad=None):
     """
     _check_p(p)
     core = _core(mesh, quad)
-    q, g1, g2, _ = _form(core, coeffs, grid)
+    q, (uq, g1, g2), _ = _form(core, coeffs, grid)
     dens = {"a_energy": _power(q, p / 2.0),
             "grad_p": _power(g1 * g1 + g2 * g2, p / 2.0),
-            "p_mass": _power(core.values(grid), p)}
+            "p_mass": _power(uq, p)}
     return {k: core.integrate(v, per_cell=True) for k, v in dens.items()}
 
 

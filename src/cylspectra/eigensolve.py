@@ -8,6 +8,12 @@ eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
 the discrete problem through the one Q1 core of `discretization`: the
 cylinder solves through its tensor-product quadrature and p = 2 matrices,
 the cross-section solve through the same 1D element on the x2 nodes.
+
+The descent sees its problem as Gauss-point states: the values and slopes
+of a nodal vector at the Gauss points.  They are linear in the vector, so
+along a search line u - tau s every Armijo trial is a combination of the
+states of u and s, and an iteration runs one forward quadrature pass (on
+s) however many trials it makes.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ class EigenResult:
     final_residual: float
     rayleigh_history: np.ndarray
     converged: bool
+    # descent: "residual", "stagnation", "no_descent" or "max_iters";
+    # linear_spectrum: "arpack", "dense" (k = n_free) or "max_iters"
+    stop_reason: str
 
 
 class CrossSectionResult:
@@ -95,33 +104,41 @@ _STAGNATION = 1e-12
 _WINDOW = 30
 
 
-def _minimize_quotient(fval, fgrad, u0, p, opts, precond):
+def _minimize_quotient(problem, u0, p, opts, precond):
     """Sobolev-gradient descent on a Rayleigh quotient, Barzilai-Borwein steps.
 
-    `fval(u) -> (E, m)`, `fgrad(u) -> (E, gE, m, gM)`; `precond(d)` applies
-    K^{-1} for the SPD p = 2 stiffness K of the same problem.  The iterate
-    is kept p-normalized; the accepted Rayleigh values form a nonincreasing
-    history.  The residual is the max norm of the quotient gradient
-    d = (gE - lam gM)/m.  Each step goes along s = K^{-1} d (Neuberger
-    1997), which keeps iteration counts mesh-independent; d.s > 0 because K
-    is SPD.  The step length is the BB step (Barzilai & Borwein 1988; 1 on
-    the first step), halved until the Armijo condition holds, at most 80
-    times.  Stops, converged, on a small residual, when no trial step
-    descends, or when the quotient stagnates over the window; returns
-    flagged at max_iters.  The result is sign-fixed and, where that does
-    not raise the quotient, clipped to be nonnegative.
+    `problem` works on Gauss-point states: `state(u)` is the forward
+    quadrature pass of a nodal vector, `value(S) -> (E, m)` and
+    `gradient(S) -> (E, gE, m, gM)` evaluate a state, the gradient through
+    the adjoint passes only.  A state is a tuple of arrays, linear in u.
+    `precond(d)` applies K^{-1} for the SPD p = 2 stiffness K of the same
+    problem.  The iterate is kept p-normalized; the accepted Rayleigh
+    values form a nonincreasing history.  The residual is the max norm of
+    the quotient gradient d = (gE - lam gM)/m.  Each step goes along
+    s = K^{-1} d (Neuberger 1997), which keeps iteration counts
+    mesh-independent; d.s > 0 because K is SPD.  The step length is the BB
+    step (Barzilai & Borwein 1988; 1 on the first step), halved until the
+    Armijo condition holds, at most 80 times.  An iteration runs one
+    forward pass, on s: each trial's state is state(u) - tau state(s), and
+    the accepted one, scaled to unit p-mass, is the next iterate's state.
+    Returns the stop reason: "residual", "no_descent" (no trial step
+    descends), "stagnation" (the quotient stagnates over the window) or
+    "max_iters".  The result is sign-fixed and, where that does not raise
+    the quotient, clipped to be nonnegative; its value comes from a fresh
+    forward pass, so no rounding of the carried state reaches it.
     """
     u = np.array(u0, dtype=float)
-    _, m0 = fval(u)
+    _, m0 = problem.value(problem.state(u))
     if m0 <= 0:
         raise SolverError("initial field has zero p-mass")
     u /= m0 ** (1.0 / p)
 
-    E, gE, m, gM = fgrad(u)
+    S = problem.state(u)
+    E, gE, m, gM = problem.gradient(S)
     lam = E / m
     history = [lam]
     res = np.inf
-    converged = False
+    reason = "max_iters"
     tau = 1.0
     prev = None
     it = 0
@@ -130,7 +147,7 @@ def _minimize_quotient(fval, fgrad, u0, p, opts, precond):
         d = (gE - lam * gM) / m
         res = float(np.max(np.abs(d))) if d.size else 0.0
         if res <= opts.tol_residual * max(1.0, abs(lam)):
-            converged = True
+            reason = "residual"
             break
 
         s = precond(d)
@@ -141,45 +158,78 @@ def _minimize_quotient(fval, fgrad, u0, p, opts, precond):
             tau = num / den if (num > 0 and den > 0) else tau * 2.0
         tau = min(max(tau, 1e-16), 1e8)
 
+        Ss = problem.state(s)
         for _ in range(80):
-            v = u - tau * s
-            Ev, mv = fval(v)
+            Sv = _along(S, Ss, tau)
+            Ev, mv = problem.value(Sv)
             if mv > 0 and Ev / mv <= lam - _ARMIJO_C * tau * slope:
                 break
             tau *= _ARMIJO_SHRINK
         else:
-            converged = True  # no admissible descent left at this precision
+            reason = "no_descent"  # no admissible descent at this precision
             break
         prev = u, s
 
-        u = v / mv ** (1.0 / p)
+        r = mv ** (1.0 / p)
+        u = (u - tau * s) / r
+        S = tuple(a / r for a in Sv)
         lam = Ev / mv
         history.append(lam)
         if len(history) > _WINDOW and history[-_WINDOW - 1] - lam <= (
                 _WINDOW * _STAGNATION * max(1.0, abs(lam))):
-            converged = True
+            reason = "stagnation"
             break
 
-        E, gE, m, gM = fgrad(u)
+        E, gE, m, gM = problem.gradient(S)
         lam = E / m
 
     if float(np.sum(u)) < 0.0:
         u = -u
     if np.any(u < 0.0):
         w = np.clip(u, 0.0, None)
-        Ew, mw = fval(w)
+        Ew, mw = problem.value(problem.state(w))
         if mw > 0 and Ew / mw <= lam * (1.0 + 1e-12):
             u = w
 
-    Ef, mf = fval(u)
+    Ef, mf = problem.value(problem.state(u))
     u /= mf ** (1.0 / p)
     lam = Ef / mf
-    return u, lam, it, res, np.asarray(history), converged
+    return u, lam, it, res, np.asarray(history), reason
+
+
+def _along(S, Ss, tau):
+    """The state of u - tau s from the states of u and s."""
+    out = tuple(b * -tau for b in Ss)
+    for o, a in zip(out, S):
+        o += a
+    return out
 
 
 # ---------------------------------------------------------------------------
 # cylinder solves
 # ---------------------------------------------------------------------------
+
+class _CylinderQuotient:
+    """The cylinder's quotient over the free DOFs, for `_minimize_quotient`.
+
+    States are (u, d1u, d2u) at the Gauss points of the tensor grid; the
+    coefficient entries there are evaluated once.
+    """
+
+    def __init__(self, mesh, coeffs, p, quad):
+        self.mesh, self.p, self.quad = mesh, p, quad
+        self.core = disc._core(mesh, quad)
+        self.A = coeffs.entries(self.core.e2.points)
+
+    def state(self, u):
+        return self.core.state(self.mesh.expand(u))
+
+    def value(self, S):
+        return disc._eval_value(self.mesh, self.A, S, self.p, self.quad)
+
+    def gradient(self, S):
+        return disc._eval_full(self.mesh, self.A, S, self.p, self.quad)
+
 
 def _initial_grid(mesh, cross, opts):
     if opts.init is Init.ONES:
@@ -206,34 +256,22 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
     Preconditioned by the LU factorization of the p = 2 stiffness matrix.
     Stops when the projected gradient falls below
     ``tol_residual * max(1, |lambda|)`` in the max norm, or when the
-    quotient stagnates.  A non-converged run (max_iters reached) is
-    returned flagged rather than raised, so parameter sweeps can record
-    partial data.
+    quotient stagnates, or when no trial step descends; `stop_reason`
+    says which.  A non-converged run (max_iters reached) is returned
+    flagged rather than raised, so parameter sweeps can record partial
+    data.
     """
     opts = opts or SolveOptions()
     quad = quad or QuadratureRule()
     if cross is None:
         cross = cross_section_ground_state(mesh.n_cells2, coeffs, p, quad=quad)
 
-    mask = ~mesh.dirichlet_mask
-    shape = mesh.dirichlet_mask.shape
-
-    def to_grid(u):
-        grid = np.zeros(shape)
-        grid[mask] = u
-        return grid
-
-    def fval(u):
-        return disc._eval_value(mesh, coeffs, to_grid(u), p, quad)
-
-    def fgrad(u):
-        return disc._eval_full(mesh, coeffs, to_grid(u), p, quad)
-
     precond = _factor(disc.assemble_p2(mesh, coeffs, quad).stiffness).solve
     u0 = mesh.restrict(_initial_grid(mesh, cross, opts))
-    u, lam, iters, res, history, conv = _minimize_quotient(
-        fval, fgrad, u0, p, opts, precond)
-    return EigenResult(lam, DiscreteField(u, mesh), iters, res, history, conv)
+    u, lam, iters, res, history, reason = _minimize_quotient(
+        _CylinderQuotient(mesh, coeffs, p, quad), u0, p, opts, precond)
+    return EigenResult(lam, DiscreteField(u, mesh), iters, res, history,
+                       reason != "max_iters", reason)
 
 
 def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
@@ -248,7 +286,8 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
     converged and that ||K v - lam M v|| / ||v|| <= tol_residual.
     `max_iters` caps the ARPACK restarts; a run that hits it comes back
     flagged, with Ritz pairs from a short shift-invert Krylov space, since
-    ARPACK hands back only the pairs it converged.  `iterations` counts
+    ARPACK hands back only the pairs it converged, and `stop_reason`
+    "max_iters" ("arpack" otherwise, "dense" for k = n_free).  `iterations` counts
     the shift-invert solves of the whole call, shared by all k results.
     Eigenvectors are p-mass normalized; the first has a nonnegative sum,
     the others a positive largest entry.
@@ -268,9 +307,10 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
         solves += 1
         return lu.solve(np.ravel(x))
 
-    certified = True
+    reason = "arpack"
     if k == n:  # ARPACK needs k < n; the pencil is tiny here
         lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
+        reason = "dense"
     else:
         op_inv = spla.LinearOperator((n, n), matvec=apply_inverse,
                                      dtype=float)
@@ -279,7 +319,7 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
                                     v0=np.ones(n), maxiter=opts.max_iters)
         except spla.ArpackNoConvergence:
             lams, vecs = _krylov_ritz(K, M, apply_inverse, k)
-            certified = False
+            reason = "max_iters"
 
     results = []
     for rank, j in enumerate(np.argsort(lams)):
@@ -292,8 +332,9 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
         fld = DiscreteField(v.copy(), mesh)
         m = disc.p_mass(mesh, fld.grid(), 2.0, quad)[0]
         fld.values /= np.sqrt(m)
-        results.append(EigenResult(lam, fld, solves, res, np.array([lam]),
-                                   certified and res <= opts.tol_residual))
+        results.append(EigenResult(
+            lam, fld, solves, res, np.array([lam]),
+            reason != "max_iters" and res <= opts.tol_residual, reason))
     return results
 
 
@@ -363,19 +404,7 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     x2 = np.linspace(-0.5, 0.5, nx2 + 1)
     e = _Q1(x2, quad)
     a22 = coeffs.a22(e.points)
-
-    def quotient_terms(w_free, grad=False):
-        w = np.concatenate(([0.0], w_free, [0.0]))
-        slope, wq = e.slopes(w), e.values(w)
-        q = a22 * slope * slope
-        E = float(np.sum(e.weights @ _power(q, p / 2.0)))
-        m = float(np.sum(e.weights @ _power(wq, p)))
-        if not grad:
-            return E, m
-        cw = e.weights[:, None]
-        s = 2.0 * cw * _power_slope(q, p / 2.0) * a22 * slope
-        t = cw * _power_slope(wq, p)
-        return E, e.slopes_adjoint(s)[1:-1], m, e.values_adjoint(t)[1:-1]
+    problem = _SectionQuotient(e, a22, p)
 
     def interior(G):
         return sp.diags([G[0, 2:-1], G[1, 1:-1], G[2, 1:-2]], [-1, 0, 1])
@@ -388,15 +417,14 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
         res = float(np.linalg.norm(K @ w_free - mu1 * (M @ w_free))
                     / np.linalg.norm(w_free))
     else:
-        w_free, mu1, iters, res, _, conv = _minimize_quotient(
-            quotient_terms, lambda w: quotient_terms(w, grad=True),
-            np.cos(np.pi * x2[1:-1]), p, opts, _factor(K).solve)
-        if not conv:
+        w_free, mu1, iters, res, _, reason = _minimize_quotient(
+            problem, np.cos(np.pi * x2[1:-1]), p, opts, _factor(K).solve)
+        if reason == "max_iters":
             raise SolverError("cross-section descent did not converge")
 
     if np.sum(w_free) < 0:
         w_free = -w_free
-    w_free = w_free / quotient_terms(w_free)[1] ** (1.0 / p)
+    w_free = w_free / problem.value(problem.state(w_free))[1] ** (1.0 / p)
 
     if float(np.max(np.abs(a22 - 1.0))) < 1e-14:
         mu_plain = mu1
@@ -406,6 +434,33 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     return CrossSectionResult(mu1, np.concatenate(([0.0], w_free, [0.0])), x2,
                               p, mu_plain ** (-1.0 / p), iterations=iters,
                               residual=res)
+
+
+class _SectionQuotient:
+    """The cross-section quotient over the interior nodes, for
+    `_minimize_quotient`: states are (w, w') at the Gauss points."""
+
+    def __init__(self, e, a22, p):
+        self.e, self.a22, self.p = e, a22, p
+
+    def state(self, w_free):
+        w = np.concatenate(([0.0], w_free, [0.0]))
+        return self.e.values(w), self.e.slopes(w)
+
+    def value(self, S, grad=False):
+        (wq, slope), e, p = S, self.e, self.p
+        q = self.a22 * slope * slope
+        E = float(np.sum(e.weights @ _power(q, p / 2.0)))
+        m = float(np.sum(e.weights @ _power(wq, p)))
+        if not grad:
+            return E, m
+        cw = e.weights[:, None]
+        s = 2.0 * cw * _power_slope(q, p / 2.0) * self.a22 * slope
+        t = cw * _power_slope(wq, p)
+        return E, e.slopes_adjoint(s)[1:-1], m, e.values_adjoint(t)[1:-1]
+
+    def gradient(self, S):
+        return self.value(S, grad=True)
 
 
 class _IdentityA22:

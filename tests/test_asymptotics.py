@@ -13,6 +13,21 @@ def mixed_mesh(ell, cpu=4, nx2=16):
         cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, cs.BC.MIXED, cpu, nx2))
 
 
+def count_section_solves(monkeypatch):
+    """Records the cross-section solves made through eigensolve and asy."""
+    from cylspectra import eigensolve
+    calls = []
+    solve = eigensolve.cross_section_ground_state
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    for module in (eigensolve, asy):
+        monkeypatch.setattr(module, "cross_section_ground_state", counted)
+    return calls
+
+
 class TestFitDecay:
     def test_exact_geometric(self):
         prof = cs.SlabProfile(np.arange(9), 0.5 ** np.arange(8),
@@ -58,7 +73,8 @@ class TestNuEstimate:
         nu, C, rho = 9.5, 0.8, 0.5
         values = iter([nu + C * rho ** ell for ell in (2, 4, 6)])
 
-        def fake_half(side, ell, resolution, coeffs, p, opts=None, quad=None):
+        def fake_half(side, ell, resolution, coeffs, p, opts=None, quad=None,
+                      cross=None):
             class R:
                 lam = next(values)
             return R()
@@ -70,7 +86,8 @@ class TestNuEstimate:
     def test_non_monotone_falls_back(self, monkeypatch):
         values = iter([9.0, 9.4, 9.2])
 
-        def fake_half(side, ell, resolution, coeffs, p, opts=None, quad=None):
+        def fake_half(side, ell, resolution, coeffs, p, opts=None, quad=None,
+                      cross=None):
             class R:
                 lam = next(values)
             return R()
@@ -79,6 +96,13 @@ class TestNuEstimate:
         est = asy.nu_infinity_estimate(cs.Side.MINUS, None, 2, [2, 4, 6], RES)
         assert not est.monotone_ok
         assert est.extrapolated == est.last_value == 9.2
+
+    def test_p3_ladder_solves_cross_section_once(self, monkeypatch,
+                                                 offdiag_field):
+        calls = count_section_solves(monkeypatch)
+        asy.nu_infinity_estimate(cs.Side.PLUS, offdiag_field, 3, [2, 4, 6],
+                                 RES)
+        assert len(calls) == 1
 
     def test_ladder_validation(self, offdiag_field):
         with pytest.raises(ConfigurationError):
@@ -184,16 +208,7 @@ class TestEndMassSplit:
 class TestSweep:
     def test_p3_sweep_solves_cross_section_once(self, monkeypatch,
                                                 offdiag_field):
-        from cylspectra import eigensolve
-        calls = []
-        solve = eigensolve.cross_section_ground_state
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        for module in (eigensolve, asy):
-            monkeypatch.setattr(module, "cross_section_ground_state", counted)
+        calls = count_section_solves(monkeypatch)
         asy.sweep_lambda([2, 4], offdiag_field, 3, RES)
         assert len(calls) == 1
 
@@ -235,6 +250,11 @@ class TestBeta2:
         val = asy.beta2_upper_bound(3, RES, offdiag_field, 2)
         rp = cs.half_cylinder_eigen(cs.Side.PLUS, 3, RES, offdiag_field, 2)
         assert val == pytest.approx(rp.lam, abs=1e-7)
+
+    def test_p3_solves_cross_section_once(self, monkeypatch, offdiag_field):
+        calls = count_section_solves(monkeypatch)
+        asy.beta2_upper_bound(3, RES, offdiag_field, 3)
+        assert len(calls) == 1
 
     def test_quarter_wave_identity(self, identity_field):
         val = asy.beta2_upper_bound(2, (32, 8), identity_field, 2)

@@ -24,9 +24,12 @@ def write_config(tmp_path, name="cfg.json", **extra):
 
 
 def run_cli(*args):
+    # the child imports the same package as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "cylspectra.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -181,6 +184,25 @@ def test_beta2_outputs(tmp_path):
     lines = (run / "beta2.csv").read_text().splitlines()
     assert lines[0] == "ell,beta2_upper,lambda_half_plus,lambda_half_minus"
     assert len(lines) == 3
+
+
+def test_beta2_p3_solves_cross_section_once(tmp_path, monkeypatch):
+    from cylspectra import eigensolve
+    calls = []
+    solve = eigensolve.cross_section_ground_state
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    for module in (eigensolve, cli):
+        monkeypatch.setattr(module, "cross_section_ground_state", counted)
+    path = write_config(
+        tmp_path, experiment="beta2", p=3.0,
+        family={"kind": "constant_offdiag", "c": 0.3},
+        ells=[2, 3], output_dir=str(tmp_path / "runs"))
+    assert cli.main(["beta2", "--config", path]) == 0
+    assert len(calls) == 1
 
 
 def test_report_empty_and_full(tmp_path):

@@ -5,6 +5,8 @@ from scipy.optimize import brentq
 
 import cylspectra as cs
 from cylspectra import asymptotics as asy
+from cylspectra import discretization as disc
+from cylspectra import eigensolve as es
 
 RES = (16, 4)
 
@@ -48,6 +50,16 @@ class TestCrossSection:
         assert cross.mu1 == pytest.approx(oracle, rel=2e-3)
         fine = cs.cross_section_ground_state(128, identity_field, 3)
         assert abs(fine.mu1 - oracle) < 0.3 * abs(cross.mu1 - oracle)
+
+    def test_other_exponents_match_closed_form(self, identity_field):
+        # the closed form equals the shooting oracle (checked at p = 3 above);
+        # same meshes and bounds as the p = 3 check
+        for p in (2.5, 4.0):
+            exact = closed_form_mu1(p)
+            cross = cs.cross_section_ground_state(64, identity_field, p)
+            assert cross.mu1 == pytest.approx(exact, rel=2e-3)
+            fine = cs.cross_section_ground_state(128, identity_field, p)
+            assert abs(fine.mu1 - exact) < 0.3 * abs(cross.mu1 - exact)
 
     def test_normalized_positive(self, offdiag_field):
         for p in (2.0, 3.0):
@@ -152,6 +164,18 @@ class TestLinearSpectrum:
         dsc = cs.minimize_rayleigh(mesh, offdiag_field, 2)
         assert abs(lin.lam - dsc.lam) < 1e-7
 
+    def test_stop_reasons(self, offdiag_field, small_mixed_mesh):
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 16))
+        assert cs.linear_spectrum(mesh, offdiag_field, 1)[0].stop_reason == (
+            "arpack")
+        rough = cs.linear_spectrum(mesh, offdiag_field, 3,
+                                   cs.SolveOptions(max_iters=1))
+        assert [r.stop_reason for r in rough] == ["max_iters"] * 3
+        n = small_mixed_mesh.n_free
+        dense = cs.linear_spectrum(small_mixed_mesh, offdiag_field, n)
+        assert {r.stop_reason for r in dense} == {"dense"}
+
     def test_k_validation(self, identity_field, small_mixed_mesh):
         from cylspectra.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
@@ -224,6 +248,86 @@ class TestMinimizeRayleigh:
         r = cs.minimize_rayleigh(mesh, offdiag_field, 3, opts)
         assert not r.converged
         assert r.iterations == 3
+
+
+    def test_stop_reasons(self, offdiag_field):
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
+        opts = cs.SolveOptions()
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3, opts)
+        assert r.stop_reason == "residual" and r.converged
+        assert r.final_residual <= opts.tol_residual * max(1.0, abs(r.lam))
+        capped = cs.minimize_rayleigh(mesh, offdiag_field, 3,
+                                      cs.SolveOptions(max_iters=3))
+        assert capped.stop_reason == "max_iters" and not capped.converged
+
+
+class TestGaussPointStates:
+    """The descent evaluates Armijo trials from Gauss-point states."""
+
+    MESH = cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_trial_matches_nodal_quotient(self, linear_field, p):
+        # linear_offdiag: a12 varies with x2
+        mesh = cs.build_mesh(self.MESH)
+        problem = es._CylinderQuotient(mesh, linear_field, p,
+                                       cs.QuadratureRule())
+        rng = np.random.default_rng(1)
+        u = 1.0 + rng.random(mesh.n_free)
+        s = rng.standard_normal(mesh.n_free)
+        Su, Ss = problem.state(u), problem.state(s)
+        for tau in (1e-3, 0.3, 2.0):
+            E, m = problem.value(es._along(Su, Ss, tau))
+            nodal = cs.rayleigh(mesh, linear_field,
+                                cs.DiscreteField(u - tau * s, mesh), p)
+            assert E / m == pytest.approx(nodal, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_carried_state_matches_fresh_pass(self, monkeypatch,
+                                              linear_field, p):
+        # the iterates of a full solve, stopped one iteration early: the
+        # cap exit hands the last iterate's carried state to gradient()
+        mesh = cs.build_mesh(self.MESH)
+        full = cs.minimize_rayleigh(mesh, linear_field, p)
+        carried = []
+
+        class Recording(es._CylinderQuotient):
+            def gradient(self, S):
+                carried.append(S)
+                return super().gradient(S)
+
+        monkeypatch.setattr(es, "_CylinderQuotient", Recording)
+        r = cs.minimize_rayleigh(
+            mesh, linear_field, p,
+            cs.SolveOptions(max_iters=full.iterations - 1))
+        assert r.stop_reason == "max_iters"
+        assert np.min(r.field.values) > 0.0  # not clipped
+        fresh = Recording(mesh, linear_field, p,
+                          cs.QuadratureRule()).state(r.field.values)
+        for a, b in zip(fresh, carried[-1]):
+            assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_section_trial_matches_lifted_quotient(self, linear_field, p):
+        # nx2 = 64 as in the shooting-oracle check; the nodal reference is
+        # the quotient of the axial lift on a mixed cylinder
+        quad = cs.QuadratureRule()
+        x2 = np.linspace(-0.5, 0.5, 65)
+        e = disc._Q1(x2, quad)
+        problem = es._SectionQuotient(e, linear_field.a22(e.points), p)
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 1, cs.BC.MIXED, 2, 64))
+        rng = np.random.default_rng(2)
+        w = np.cos(np.pi * x2[1:-1])
+        s = rng.standard_normal(w.size)
+        Sw, Ss = problem.state(w), problem.state(s)
+        for tau in (1e-3, 0.3, 2.0):
+            E, m = problem.value(es._along(Sw, Ss, tau))
+            lift = np.tile(np.concatenate(([0.0], w - tau * s, [0.0])),
+                           (mesh.x1.size, 1))
+            nodal = cs.rayleigh(mesh, linear_field, lift, p, quad)
+            assert E / m == pytest.approx(nodal, rel=1e-13)
 
 
 class TestHalfCylinder:
