@@ -113,8 +113,13 @@ class _Q1:
         return (hi - lo) / self.h
 
     def values_adjoint(self, F, axis=0):
-        t = np.tensordot(self.N, F, axes=([1], [axis]))
-        return self._nodal(t[0], t[1], axis)
+        # a batched product over the axes before `axis`: contracting the
+        # point axis in place, with no transposed copy of F
+        lead = F.shape[:axis]
+        t = np.matmul(self.N, F.reshape(int(np.prod(lead)), F.shape[axis], -1))
+        t = t.reshape(lead + (2,) + F.shape[axis + 1:])
+        cut = (slice(None),) * axis
+        return self._nodal(t[cut + (0,)], t[cut + (1,)], axis)
 
     def slopes_adjoint(self, F, axis=0):
         s = F.sum(axis=axis) / self.h
@@ -125,10 +130,12 @@ class _Q1:
         """Nodal array with `lo` added at each cell's left node, `hi` at its right."""
         shape = list(lo.shape)
         shape[axis] += 1
-        out = np.zeros(shape)
+        out = np.empty(shape)
         cut = (slice(None),) * axis
-        out[cut + (slice(None, -1),)] = lo
-        out[cut + (slice(1, None),)] += hi
+        out[cut + (0,)] = lo[cut + (0,)]
+        np.add(lo[cut + (slice(1, None),)], hi[cut + (slice(None, -1),)],
+               out=out[cut + (slice(1, -1),)])
+        out[cut + (-1,)] = hi[cut + (-1,)]
         return out
 
     def band(self, coef, A, B):
@@ -254,20 +261,29 @@ def _form(core, coeffs, grid):
 
 
 def _energy_sums(core, A, g1, g2, p, grad):
-    """integral |A grad u . grad u|^{p/2}, and its nodal gradient if `grad`."""
-    q = _quadratic(A, g1, g2)
-    E = core.integrate(_power(q, p / 2.0))
+    """integral |A grad u . grad u|^{p/2}; if `grad`, also its nodal gradient
+    and the pointwise data (q, P = p w q^{p/2-1}) that `_eval_curvature`
+    reads at the same state."""
     if not grad:
-        return E
+        return core.integrate(_power(_quadratic(A, g1, g2), p / 2.0))
+    f1, f2 = _flux(A, g1, g2)
+    q = f1 * g1
+    q += f2 * g2
+    E = core.integrate(_power(q, p / 2.0))
+    P = _power_slope(q, p / 2.0)
+    P *= 2.0 * core.w
+    f1 *= P
+    f2 *= P
+    return E, core.gradient_adjoint(f1, f2), (q, P)
+
+
+def _flux(A, g1, g2):
+    """A grad u at the Gauss points, from the entries A."""
     a11, a12, a22 = A
-    s = _power_slope(q, p / 2.0)
-    s *= 2.0 * core.w
     f1, f2 = a12 * g2, a22 * g2
     f1 += a11 * g1
     f2 += a12 * g1
-    f1 *= s
-    f2 *= s
-    return E, core.gradient_adjoint(f1, f2)
+    return f1, f2
 
 
 def _mass_sums(core, uq, p, grad):
@@ -327,14 +343,48 @@ def _eval_value(mesh, A, state, p, quad):
 
 
 def _eval_full(mesh, A, state, p, quad):
-    """(energy, its gradient, p-mass, its gradient) of a Gauss-point state,
-    gradients over the free DOFs; only the adjoint passes run."""
+    """(energy, its gradient, p-mass, its gradient, pointwise data) of a
+    Gauss-point state, gradients over the free DOFs; only the adjoint
+    passes run.  The pointwise data is what `_eval_curvature` needs of
+    this state."""
     core = _core(mesh, quad)
     uq, g1, g2 = state
     free = ~mesh.dirichlet_mask
-    E, gE = _energy_sums(core, A, g1, g2, p, True)
+    E, gE, point = _energy_sums(core, A, g1, g2, p, True)
     m, gM = _mass_sums(core, uq, p, True)
-    return E, gE[free], m, gM[free]
+    return E, gE[free], m, gM[free], point
+
+
+def _eval_curvature(mesh, A, point, state, direction, p, quad):
+    """(E'', m''): second derivatives of the energy and the p-mass at a
+    Gauss-point state along a direction given by its own state.
+
+    E'' = integral p q^{p/2-1} (A grad z . grad z
+                                + (p-2) (A grad z . grad u)^2 / q),
+    the second term 0 where q = 0, and m'' = p (p-1) integral |u|^{p-2} z^2.
+    `point` is the pointwise data `_eval_full` returned at `state`; the
+    direction's terms are computed in place, in four full-size buffers.
+    """
+    core = _core(mesh, quad)
+    q, P = point
+    uq, g1, g2 = state
+    zq, z1, z2 = direction
+    buf = _power(uq, p - 2.0)
+    buf *= zq
+    buf *= zq
+    m2 = p * (p - 1.0) * core.integrate(buf)
+    h1, h2 = _flux(A, z1, z2)
+    dens = h1 * z1
+    dens += np.multiply(h2, z2, out=buf)
+    if p != 2.0:
+        cross = np.multiply(h1, g1, out=h1)
+        cross += np.multiply(h2, g2, out=h2)
+        cross *= cross
+        np.divide(cross, q, out=cross, where=q > 0.0)  # P = 0 where q = 0
+        cross *= p - 2.0
+        dens += cross
+    dens *= P
+    return float(np.sum(dens)), m2
 
 
 def rayleigh(mesh, coeffs, u, p, quad=None) -> float:

@@ -1,6 +1,6 @@
 """Eigenpair solvers.
 
-Four entry points: `minimize_rayleigh` (preconditioned descent on the
+Four entry points: `minimize_rayleigh` (preconditioned nonlinear CG on the
 Rayleigh quotient, any p >= 2), `linear_spectrum` (p = 2,
 shift-invert Lanczos on the assembled pencil), `cross_section_ground_state`
 (the 1D problem on the cross section), and `half_cylinder_eigen` (first
@@ -11,9 +11,12 @@ the cross-section solve through the same 1D element on the x2 nodes.
 
 The descent sees its problem as Gauss-point states: the values and slopes
 of a nodal vector at the Gauss points.  They are linear in the vector, so
-along a search line u - tau s every Armijo trial is a combination of the
-states of u and s, and an iteration runs one forward quadrature pass (on
-s) however many trials it makes.
+the conjugate direction z = s + beta z_prev, every Armijo trial along
+u - t z and the Newton step's curvature along z are all combinations of
+carried states, and an iteration runs one forward quadrature pass (on the
+preconditioned gradient s) however many trials it makes.  Only the
+residual test certifies a p != 2 eigenpair: `converged` is true for that
+exit alone, and the cross-section solve raises on any other.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ class EigenResult:
     final_residual: float
     rayleigh_history: np.ndarray
     converged: bool
-    # descent: "residual", "stagnation", "no_descent" or "max_iters";
-    # linear_spectrum: "arpack", "dense" (k = n_free) or "max_iters"
+    # descent: "residual" (the only converged exit), "no_descent" or
+    # "max_iters"; linear_spectrum: "arpack", "dense" (k = n_free) or
+    # "max_iters"
     stop_reason: str
 
 
@@ -96,36 +100,42 @@ class CrossSectionResult:
 # descent engine
 # ---------------------------------------------------------------------------
 
-# Armijo constants; stagnation is a mean drop below _STAGNATION * max(1, |lam|)
-# per step over the last _WINDOW steps (a window: BB drops sawtooth).
+# Armijo constants: sufficient-decrease factor and backtracking shrink
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
-_STAGNATION = 1e-12
-_WINDOW = 30
 
 
 def _minimize_quotient(problem, u0, p, opts, precond):
-    """Sobolev-gradient descent on a Rayleigh quotient, Barzilai-Borwein steps.
+    """Preconditioned nonlinear CG on a Rayleigh quotient, Newton steps.
 
     `problem` works on Gauss-point states: `state(u)` is the forward
     quadrature pass of a nodal vector, `value(S) -> (E, m)` and
     `gradient(S) -> (E, gE, m, gM)` evaluate a state, the gradient through
-    the adjoint passes only.  A state is a tuple of arrays, linear in u.
-    `precond(d)` applies K^{-1} for the SPD p = 2 stiffness K of the same
-    problem.  The iterate is kept p-normalized; the accepted Rayleigh
-    values form a nonincreasing history.  The residual is the max norm of
-    the quotient gradient d = (gE - lam gM)/m.  Each step goes along
-    s = K^{-1} d (Neuberger 1997), which keeps iteration counts
-    mesh-independent; d.s > 0 because K is SPD.  The step length is the BB
-    step (Barzilai & Borwein 1988; 1 on the first step), halved until the
+    the adjoint passes only, and `curvature(S, Sz) -> (E'', m'')` gives
+    the second derivatives of E and m at S along the direction of state
+    Sz.  A state is a tuple of arrays, linear in u.  `precond(d)` applies
+    K^{-1} for the SPD p = 2 stiffness K of the same problem.  The
+    iterate is kept p-normalized; the accepted Rayleigh values form a
+    nonincreasing history.  The residual is the max norm of the quotient
+    gradient d = (gE - lam gM)/m.
+
+    Each step goes along z = s + beta z_prev, with s = K^{-1} d (Neuberger
+    1997), which keeps iteration counts mesh-independent, and the
+    Polak-Ribiere+ factor beta = max(0, d.(s - s_prev) / (d_prev.s_prev))
+    (Polak & Ribiere 1969); z = s when d.z <= 0 (d.s > 0, K being SPD).
+    The step length is the Newton step t = d.z / h on the exact second
+    derivative h = (E'' - lam m'')/m - 2 (d.z)(gM.z)/m of the quotient
+    along z (the previous step length where h <= 0), halved until the
     Armijo condition holds, at most 80 times.  An iteration runs one
-    forward pass, on s: each trial's state is state(u) - tau state(s), and
-    the accepted one, scaled to unit p-mass, is the next iterate's state.
-    Returns the stop reason: "residual", "no_descent" (no trial step
-    descends), "stagnation" (the quotient stagnates over the window) or
-    "max_iters".  The result is sign-fixed and, where that does not raise
-    the quotient, clipped to be nonnegative; its value comes from a fresh
-    forward pass, so no rounding of the carried state reaches it.
+    forward pass, on s: z's state is state(s) + beta state(z_prev), each
+    trial's state is state(u) - t state(z), and the accepted one, scaled
+    to unit p-mass, is the next iterate's state.
+    Returns the stop reason: "residual" (the residual test passed: the
+    only certified exit), "no_descent" (no trial step descends, the
+    rounding floor) or "max_iters".  The result is sign-fixed and, where
+    that does not raise the quotient, clipped to be nonnegative; its value
+    comes from a fresh forward pass, so no rounding of the carried state
+    reaches it.
     """
     u = np.array(u0, dtype=float)
     _, m0 = problem.value(problem.state(u))
@@ -139,7 +149,7 @@ def _minimize_quotient(problem, u0, p, opts, precond):
     history = [lam]
     res = np.inf
     reason = "max_iters"
-    tau = 1.0
+    t = 1.0
     prev = None
     it = 0
     while it < opts.max_iters:
@@ -151,34 +161,37 @@ def _minimize_quotient(problem, u0, p, opts, precond):
             break
 
         s = precond(d)
-        slope = float(d @ s)
+        ds = float(d @ s)
+        z, Sz, dz = s, problem.state(s), ds
         if prev is not None:
-            du, ds = u - prev[0], s - prev[1]
-            num, den = float(du @ ds), float(ds @ ds)
-            tau = num / den if (num > 0 and den > 0) else tau * 2.0
-        tau = min(max(tau, 1e-16), 1e8)
+            ds0, s0, z0, Sz0 = prev
+            beta = max(0.0, (ds - float(d @ s0)) / ds0)
+            if beta > 0.0 and ds + beta * float(d @ z0) > 0.0:
+                z = _combine(s, z0, beta)
+                Sz = tuple(_combine(a, b, beta) for a, b in zip(Sz, Sz0))
+                dz = float(d @ z)
 
-        Ss = problem.state(s)
+        E2, m2 = problem.curvature(S, Sz)
+        h = (E2 - lam * m2 - 2.0 * dz * float(gM @ z)) / m
+        if h > 0.0:
+            t = dz / h
         for _ in range(80):
-            Sv = _along(S, Ss, tau)
+            Sv = _along(S, Sz, t)
             Ev, mv = problem.value(Sv)
-            if mv > 0 and Ev / mv <= lam - _ARMIJO_C * tau * slope:
+            if mv > 0 and Ev / mv <= lam - _ARMIJO_C * t * dz:
                 break
-            tau *= _ARMIJO_SHRINK
+            t *= _ARMIJO_SHRINK
         else:
             reason = "no_descent"  # no admissible descent at this precision
             break
-        prev = u, s
+        prev = ds, s, z, Sz
 
         r = mv ** (1.0 / p)
-        u = (u - tau * s) / r
-        S = tuple(a / r for a in Sv)
-        lam = Ev / mv
-        history.append(lam)
-        if len(history) > _WINDOW and history[-_WINDOW - 1] - lam <= (
-                _WINDOW * _STAGNATION * max(1.0, abs(lam))):
-            reason = "stagnation"
-            break
+        u = (u - t * z) / r
+        for a in Sv:
+            a /= r
+        S = Sv
+        history.append(Ev / mv)
 
         E, gE, m, gM = problem.gradient(S)
         lam = E / m
@@ -195,6 +208,13 @@ def _minimize_quotient(problem, u0, p, opts, precond):
     u /= mf ** (1.0 / p)
     lam = Ef / mf
     return u, lam, it, res, np.asarray(history), reason
+
+
+def _combine(a, b, beta):
+    """a + beta b, written over b (the previous direction, no longer needed)."""
+    b *= beta
+    b += a
+    return b
 
 
 def _along(S, Ss, tau):
@@ -220,6 +240,7 @@ class _CylinderQuotient:
         self.mesh, self.p, self.quad = mesh, p, quad
         self.core = disc._core(mesh, quad)
         self.A = coeffs.entries(self.core.e2.points)
+        self._at = None, None
 
     def state(self, u):
         return self.core.state(self.mesh.expand(u))
@@ -228,7 +249,17 @@ class _CylinderQuotient:
         return disc._eval_value(self.mesh, self.A, S, self.p, self.quad)
 
     def gradient(self, S):
-        return disc._eval_full(self.mesh, self.A, S, self.p, self.quad)
+        E, gE, m, gM, point = disc._eval_full(self.mesh, self.A, S, self.p,
+                                              self.quad)
+        self._at = S, point
+        return E, gE, m, gM
+
+    def curvature(self, S, Sz):
+        # the pointwise data of the gradient pass at S, shared
+        if self._at[0] is not S:
+            self.gradient(S)
+        return disc._eval_curvature(self.mesh, self.A, self._at[1], S, Sz,
+                                    self.p, self.quad)
 
 
 def _initial_grid(mesh, cross, opts):
@@ -255,11 +286,11 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
 
     Preconditioned by the LU factorization of the p = 2 stiffness matrix.
     Stops when the projected gradient falls below
-    ``tol_residual * max(1, |lambda|)`` in the max norm, or when the
-    quotient stagnates, or when no trial step descends; `stop_reason`
-    says which.  A non-converged run (max_iters reached) is returned
-    flagged rather than raised, so parameter sweeps can record partial
-    data.
+    ``tol_residual * max(1, |lambda|)`` in the max norm, when no trial
+    step descends, or at `max_iters`; `stop_reason` says which, and
+    `converged` is true only for the residual exit.  A non-converged run
+    is returned flagged rather than raised, so parameter sweeps can record
+    partial data.
     """
     opts = opts or SolveOptions()
     quad = quad or QuadratureRule()
@@ -271,7 +302,7 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
     u, lam, iters, res, history, reason = _minimize_quotient(
         _CylinderQuotient(mesh, coeffs, p, quad), u0, p, opts, precond)
     return EigenResult(lam, DiscreteField(u, mesh), iters, res, history,
-                       reason != "max_iters", reason)
+                       reason == "residual", reason)
 
 
 def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
@@ -419,8 +450,9 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     else:
         w_free, mu1, iters, res, _, reason = _minimize_quotient(
             problem, np.cos(np.pi * x2[1:-1]), p, opts, _factor(K).solve)
-        if reason == "max_iters":
-            raise SolverError("cross-section descent did not converge")
+        if reason != "residual":
+            raise SolverError(
+                f"cross-section descent did not converge ({reason})")
 
     if np.sum(w_free) < 0:
         w_free = -w_free
@@ -461,6 +493,14 @@ class _SectionQuotient:
 
     def gradient(self, S):
         return self.value(S, grad=True)
+
+    def curvature(self, S, Sz):
+        (wq, slope), (zq, zslope), e, p = S, Sz, self.e, self.p
+        q = self.a22 * slope * slope
+        E2 = np.sum(e.weights @ (_power(q, p / 2.0 - 1.0) * self.a22
+                                 * zslope * zslope))
+        m2 = np.sum(e.weights @ (_power(wq, p - 2.0) * zq * zq))
+        return p * (p - 1.0) * float(E2), p * (p - 1.0) * float(m2)
 
 
 class _IdentityA22:

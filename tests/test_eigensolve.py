@@ -261,6 +261,94 @@ class TestMinimizeRayleigh:
                                       cs.SolveOptions(max_iters=3))
         assert capped.stop_reason == "max_iters" and not capped.converged
 
+    def test_rounding_floor_not_converged(self, offdiag_field):
+        # a tolerance below rounding: the descent ends where no trial step
+        # descends, and that exit is not a certificate
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3,
+                                 cs.SolveOptions(tol_residual=1e-30,
+                                                 max_iters=2000))
+        assert r.stop_reason == "no_descent" and not r.converged
+
+    @staticmethod
+    def second_difference(quotient, u, z):
+        # central second difference, Richardson-extrapolated over eps, 2 eps
+        def diff(eps):
+            return (quotient(u + eps * z) - 2.0 * quotient(u)
+                    + quotient(u - eps * z)) / eps ** 2
+        eps = 5e-4
+        return (4.0 * diff(eps) - diff(2.0 * eps)) / 3.0
+
+    @staticmethod
+    def newton_curvature(problem, u, z):
+        # h = (E'' - lam m'')/m - 2 (d.z)(gM.z)/m from the problem's passes
+        S, Sz = problem.state(u), problem.state(z)
+        E, gE, m, gM = problem.gradient(S)
+        lam = E / m
+        dz = float((gE - lam * gM) @ z) / m
+        E2, m2 = problem.curvature(S, Sz)
+        return (E2 - lam * m2) / m - 2.0 * dz * float(gM @ z) / m
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_curvature_matches_second_difference(self, linear_field, p):
+        # linear_offdiag: a12 varies with x2; u stays positive along the line
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
+        problem = es._CylinderQuotient(mesh, linear_field, p,
+                                       cs.QuadratureRule())
+        rng = np.random.default_rng(4)
+        u = 1.0 + rng.random(mesh.n_free)
+        z = rng.standard_normal(mesh.n_free)
+        reference = self.second_difference(
+            lambda v: cs.rayleigh(mesh, linear_field,
+                                  cs.DiscreteField(v, mesh), p), u, z)
+        assert self.newton_curvature(problem, u, z) == pytest.approx(
+            reference, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_section_curvature_matches_second_difference(self, linear_field,
+                                                         p):
+        # the nodal reference is the quotient of the axial lift on a mixed
+        # cylinder, as in TestGaussPointStates; linear_offdiag has a22 = 1,
+        # so a22 is made to vary with x2 here
+        field = cs.CoefficientField(linear_field.a11, linear_field.a12,
+                                    lambda x2: 1.0 + x2 * x2)
+        quad = cs.QuadratureRule()
+        x2 = np.linspace(-0.5, 0.5, 17)
+        e = disc._Q1(x2, quad)
+        problem = es._SectionQuotient(e, field.a22(e.points), p)
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 1, cs.BC.MIXED, 2, 16))
+        rng = np.random.default_rng(5)
+        w = np.cos(np.pi * x2[1:-1])
+        z = rng.standard_normal(w.size)
+
+        def lifted(v):
+            grid = np.tile(np.concatenate(([0.0], v, [0.0])),
+                           (mesh.x1.size, 1))
+            return cs.rayleigh(mesh, field, grid, p, quad)
+
+        reference = self.second_difference(lifted, w, z)
+        assert self.newton_curvature(problem, w, z) == pytest.approx(
+            reference, rel=1e-6)
+
+    def test_p3_solves_certified(self, offdiag_field):
+        # the four solves of one sweep row, each certified by the residual
+        ell, res, opts = 4, (32, 4), cs.SolveOptions()
+        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
+        solves = [cs.minimize_rayleigh(
+            cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, bc, 4,
+                                        32)),
+            offdiag_field, 3, opts, cross=cross)
+            for bc in (cs.BC.MIXED, cs.BC.DIRICHLET_ALL)]
+        solves += [cs.half_cylinder_eigen(side, ell, res, offdiag_field, 3,
+                                          opts, cross=cross)
+                   for side in (cs.Side.PLUS, cs.Side.MINUS)]
+        for r in solves:
+            assert r.stop_reason == "residual" and r.converged
+            assert r.final_residual <= opts.tol_residual * max(1.0, abs(r.lam))
+
 
 class TestGaussPointStates:
     """The descent evaluates Armijo trials from Gauss-point states."""
