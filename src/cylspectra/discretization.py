@@ -14,6 +14,8 @@ line searches see a consistent objective.
 
 from __future__ import annotations
 
+import itertools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +188,32 @@ class _Tensor:
     def gradient_adjoint(self, f1, f2):
         return (self.e2.values_adjoint(self.e1.slopes_adjoint(f1), 1)
                 + self.e1.values_adjoint(self.e2.slopes_adjoint(f2, 2)))
+
+    def cell_matrices(self, dens, pair1, pair2):
+        """sum over each cell's Gauss points of dens pair1[a, a'] pair2[b, b'].
+
+        `pair1` (2, 2, x1 point) and `pair2` (2, 2, x2 point) are products
+        of 1D basis values or slopes, as from `_pairs`; one 1D pass per axis
+        gives the result L[a, a', x1 cell, b, b', x2 cell], coupling the
+        cell's node (a, b) to its node (a', b').
+        """
+        nq1, nc1, nq2, nc2 = dens.shape
+        t = pair1.reshape(4, nq1) @ dens.reshape(nq1, -1)
+        t = np.matmul(pair2.reshape(4, nq2), t.reshape(4 * nc1, nq2, nc2))
+        return t.reshape(2, 2, nc1, 2, 2, nc2)
+
+    @staticmethod
+    def stencil(L, d1, d2):
+        """The nodal array (n1, n2) of the couplings of node (i, j) to
+        (i + d1 - 1, j + d2 - 1) in the cell matrices
+        L[a, a', x1 cell, b, b', x2 cell]; cell c's node a is node c + a."""
+        nc1, nc2 = L.shape[2], L.shape[5]
+        out = np.zeros((nc1 + 1, nc2 + 1))
+        for a, b in itertools.product((0, 1), (0, 1)):
+            a2, b2 = a + d1 - 1, b + d2 - 1
+            if a2 in (0, 1) and b2 in (0, 1):
+                out[a:a + nc1, b:b + nc2] += L[a, a2, :, b, b2, :]
+        return out
 
     def integrate(self, dens, per_cell=False):
         if not per_cell:
@@ -387,6 +415,62 @@ def _eval_curvature(mesh, A, point, state, direction, p, quad):
     return float(np.sum(dens)), m2
 
 
+def _pairs(A, B):
+    """A[a] B[a'] at the Gauss points of one axis, shape (2, 2, point)."""
+    return A[:, None, :] * B[None, :, :]
+
+
+def _eval_hessian(mesh, A, point, state, lam, p, quad, out=None):
+    """E'' - lam m'' at a Gauss-point state, over the free DOFs, in the band
+    storage of `gbsv` (kl = ku = nx2, nx2 rows of fill-in on top), written
+    over `out` if given (see `lapack_band`).
+
+    The energy's pointwise Hessian is P (A + (p-2) f f^T / q), f = A grad u,
+    with `point` = (q, P) of `_eval_full` at `state` and the (p-2) term 0
+    where q = 0, as in `_eval_curvature`; the mass's is
+    p (p-1) w |u|^{p-2}.  Each density is contracted against the basis
+    pairs of every cell, one 1D pass per axis, and the cell matrices go
+    straight into the band, one diagonal at a time.
+    """
+    core = _core(mesh, quad)
+    L = _hessian_cells(core, A, point, state, lam, p)
+    bw = mesh.n_cells2
+    return free_band(mesh, lambda d1, d2: core.stencil(L, d1, d2), bw, bw, bw,
+                     out)
+
+
+def _hessian_cells(core, A, point, state, lam, p):
+    """The cell matrices of `_eval_hessian`, L[a, a', x1 cell, b, b', x2 cell].
+
+    With h = sqrt(P (p-2) / q) f the energy density is P A + h h^T; its
+    entries are formed one at a time in two full-size buffers, which are
+    freed with this frame before the band is allocated.
+    """
+    e1, e2 = core.e1, core.e2
+    q, P = point
+    h1, h2 = _flux(A, *state[1:])
+    c = np.zeros(q.shape)
+    np.divide(p - 2.0, q, out=c, where=q > 0.0)
+    c *= P
+    np.sqrt(c, out=c)
+    h1 *= c
+    h2 *= c
+    N1, dN1 = _pairs(e1.N, e1.N), _pairs(e1.dN, e1.dN)
+    N2, dN2 = _pairs(e2.N, e2.N), _pairs(e2.dN, e2.dN)
+    terms = ((A[0], h1, h1, dN1, N2),
+             (A[1], h1, h2, _pairs(e1.dN, e1.N), _pairs(e2.N, e2.dN)),
+             (A[1], h1, h2, _pairs(e1.N, e1.dN), _pairs(e2.dN, e2.N)),
+             (A[2], h2, h2, N1, dN2))
+    dens = _power(state[0], p - 2.0)
+    dens *= (-lam * p * (p - 1.0)) * core.w
+    L = core.cell_matrices(dens, N1, N2)
+    for a, g, k, pair1, pair2 in terms:
+        np.multiply(P, a, out=dens)
+        dens += np.multiply(g, k, out=c)
+        L += core.cell_matrices(dens, pair1, pair2)
+    return L
+
+
 def rayleigh(mesh, coeffs, u, p, quad=None) -> float:
     """Rayleigh quotient energy / p-mass; scale invariant in u."""
     m = p_mass(mesh, u, p, quad)[0]
@@ -418,6 +502,25 @@ def cell_integrals(mesh, coeffs, grid, p, quad=None):
     return {k: core.integrate(v, per_cell=True) for k, v in dens.items()}
 
 
+def _p2_terms(core, coeffs):
+    """The p = 2 stiffness and mass as sums of products X (x) Y of 1D Gram
+    bands: the entry coupling node (i, j) to (i + d1 - 1, j + d2 - 1) is
+    the sum of X[d1, i] Y[d2, j] over the terms (see `_stencil`)."""
+    e1, e2 = core.e1, core.e2
+    a11, a12, a22 = coeffs.entries(e2.points)
+    mass1 = e1.band(1.0, e1.N, e1.N)
+    stiff = [(e1.band(1.0, e1.dN, e1.dN), e2.band(a11, e2.N, e2.N)),
+             (e1.band(1.0, e1.dN, e1.N), e2.band(a12, e2.N, e2.dN)),
+             (e1.band(1.0, e1.N, e1.dN), e2.band(a12, e2.dN, e2.N)),
+             (mass1, e2.band(a22, e2.dN, e2.dN))]
+    mass = [(mass1, e2.band(1.0, e2.N, e2.N))]
+    return stiff, mass
+
+
+def _stencil(terms, d1, d2):
+    return sum(np.outer(X[d1], Y[d2]) for X, Y in terms)
+
+
 def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
     """Assemble the p=2 stiffness and mass matrices over the free DOFs.
 
@@ -427,16 +530,7 @@ def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
     Each term is a product of 1D Gram matrices, K[(i,j),(k,l)] =
     X[i,k] Y[j,l], so both matrices are 9-point stencils over the nodes.
     """
-    core = _core(mesh, quad)
-    e1, e2 = core.e1, core.e2
-    a11, a12, a22 = coeffs.entries(e2.points)
-    mass1 = e1.band(1.0, e1.N, e1.N)
-    stiff = [(e1.band(1.0, e1.dN, e1.dN), e2.band(a11, e2.N, e2.N)),
-             (e1.band(1.0, e1.dN, e1.N), e2.band(a12, e2.N, e2.dN)),
-             (e1.band(1.0, e1.N, e1.dN), e2.band(a12, e2.dN, e2.N)),
-             (mass1, e2.band(a22, e2.dN, e2.dN))]
-    mass = [(mass1, e2.band(1.0, e2.N, e2.N))]
-
+    stiff, mass = _p2_terms(_core(mesh, quad), coeffs)
     dof = mesh.free_dof_map
     n1, n2 = dof.shape
     neighbour = np.pad(dof, 1, constant_values=-1)
@@ -448,12 +542,73 @@ def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
             rows.append(dof[keep])
             cols.append(col[keep])
             for data, terms in ((kdata, stiff), (mdata, mass)):
-                data.append(sum(np.outer(X[d1], Y[d2]) for X, Y in terms)[keep])
+                data.append(_stencil(terms, d1, d2)[keep])
     ij = (np.concatenate(rows), np.concatenate(cols))
     n = mesh.n_free
     K = sp.coo_matrix((np.concatenate(kdata), ij), shape=(n, n)).tocsr()
     M = sp.coo_matrix((np.concatenate(mdata), ij), shape=(n, n)).tocsr()
     return SparsePair(K, M)
+
+
+def lapack_band(diagonals, kl, ku, top=0, out=None):
+    """An n x n matrix in LAPACK band storage, in Fortran order.
+
+    `diagonals` maps an offset o to the entries (i, i + o) over the rows i;
+    entries whose column falls outside the matrix are dropped, as are
+    offsets outside [-kl, ku].  Entry (i, j) sits at row top + ku + i - j of
+    column j: `top = kl` rows of fill-in give the layout of `gbsv`,
+    `kl = bw, ku = 0` the lower layout of `cholesky_banded`.  `out`, an
+    earlier result of the same layout, is zeroed and reused.
+    """
+    n = len(diagonals[0])
+    shape = (top + kl + ku + 1, n)
+    if out is not None:
+        out.fill(0.0)
+        ab = out
+    else:
+        # zeros from an anonymous mapping, unmapped when the array dies: a
+        # freed malloc chunk of this size (1.5 MB for gbsv at nx2 = 32,
+        # ell = 8) makes glibc keep up to twice that in its heap afterwards
+        ab = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * n),
+                        order="F")
+    for o, v in diagonals.items():
+        if -kl <= o <= ku:
+            row = ab[top + ku - o]
+            if o >= 0:
+                row[o:] = v[:n - o]
+            else:
+                row[:n + o] = v[-o:]
+    return ab
+
+
+def free_band(mesh, stencil, kl, ku, top=0, out=None):
+    """The free-DOF matrix of a nodal 9-point stencil in band storage.
+
+    `stencil(d1, d2)` is the nodal array (n1, n2) coupling node (i, j) to
+    (i + d1 - 1, j + d2 - 1).  The free nodes are whole x1 rows less the
+    two x2 ends, numbered row-major, so that coupling is the diagonal at
+    offset (d1 - 1) (nx2 - 1) + d2 - 1 and the bandwidth is nx2; only the
+    diagonals the layout keeps are asked for (see `lapack_band`).
+    """
+    rows = ~mesh.dirichlet_mask.all(axis=1)
+    nf2 = mesh.n_cells2 - 1
+    diagonals = {}
+    for d1, d2 in itertools.product(range(3), range(3)):
+        o = (d1 - 1) * nf2 + d2 - 1
+        if -kl <= o <= ku:
+            block = stencil(d1, d2)[rows, 1:-1]
+            if d2 != 1:  # the coupling across an x2 end is to a Dirichlet node
+                block[:, 0 if d2 == 0 else -1] = 0.0
+            diagonals[o] = block.ravel()
+    return lapack_band(diagonals, kl, ku, top, out)
+
+
+def stiffness_band(mesh, coeffs, quad=None):
+    """The stiffness of `assemble_p2` in the lower band storage of
+    `cholesky_banded`, built from its stencil with no sparse matrix."""
+    stiff, _ = _p2_terms(_core(mesh, quad), coeffs)
+    return free_band(mesh, lambda d1, d2: _stencil(stiff, d1, d2),
+                     mesh.n_cells2, 0)
 
 
 def lift_cross_section(cross, mesh) -> DiscreteField:

@@ -1,7 +1,8 @@
 """Eigenpair solvers.
 
-Four entry points: `minimize_rayleigh` (preconditioned nonlinear CG on the
-Rayleigh quotient, any p >= 2), `linear_spectrum` (p = 2,
+Four entry points: `minimize_rayleigh` (Newton steps on the Rayleigh
+quotient, globalized by preconditioned nonlinear CG, any p >= 2),
+`linear_spectrum` (p = 2,
 shift-invert Lanczos on the assembled pencil), `cross_section_ground_state`
 (the 1D problem on the cross section), and `half_cylinder_eigen` (first
 eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
@@ -12,20 +13,25 @@ the cross-section solve through the same 1D element on the x2 nodes.
 The descent sees its problem as Gauss-point states: the values and slopes
 of a nodal vector at the Gauss points.  They are linear in the vector, so
 the conjugate direction z = s + beta z_prev, every Armijo trial along
-u - t z and the Newton step's curvature along z are all combinations of
-carried states, and an iteration runs one forward quadrature pass (on the
-preconditioned gradient s) however many trials it makes.  Only the
-residual test certifies a p != 2 eigenpair: `converged` is true for that
-exit alone, and the cross-section solve raises on any other.
+u - t z and the curvature along z are all combinations of carried states.
+An iteration tries up to two candidates, each costing one forward
+quadrature pass however many trials it makes: the CG step, and (unless
+backed off) the Newton step on the unit p-sphere, one banded LU solve of
+the quotient Hessian, whose rate does not follow the collapsing gap
+lam2 - lam1 of long cylinders.  It keeps the one that descends further.
+Only the residual test certifies a p != 2 eigenpair: `converged` is true
+for that exit alone, and the cross-section solve raises on any other.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -71,6 +77,9 @@ class EigenResult:
     # "max_iters"; linear_spectrum: "arpack", "dense" (k = n_free) or
     # "max_iters"
     stop_reason: str
+    # descent iterations that tried a Newton step, and those it won
+    newton_attempts: int = 0
+    newton_steps: int = 0
 
 
 class CrossSectionResult:
@@ -105,37 +114,54 @@ _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 
 
+class _Descent(NamedTuple):
+    u: np.ndarray
+    lam: float
+    iterations: int
+    residual: float
+    history: np.ndarray
+    stop_reason: str
+    newton_attempts: int
+    newton_steps: int
+
+
 def _minimize_quotient(problem, u0, p, opts, precond):
-    """Preconditioned nonlinear CG on a Rayleigh quotient, Newton steps.
+    """Rayleigh-quotient descent: Newton steps on the unit p-sphere,
+    globalized by preconditioned nonlinear CG.
 
     `problem` works on Gauss-point states: `state(u)` is the forward
     quadrature pass of a nodal vector, `value(S) -> (E, m)` and
     `gradient(S) -> (E, gE, m, gM)` evaluate a state, the gradient through
-    the adjoint passes only, and `curvature(S, Sz) -> (E'', m'')` gives
-    the second derivatives of E and m at S along the direction of state
-    Sz.  A state is a tuple of arrays, linear in u.  `precond(d)` applies
-    K^{-1} for the SPD p = 2 stiffness K of the same problem.  The
+    the adjoint passes only, `curvature(S, Sz) -> (E'', m'')` gives the
+    second derivatives of E and m at S along the direction of state Sz, and
+    `hessian(S, lam)` the matrix E'' - lam m'' at S in the band storage of
+    `gbsv`.  A state is a tuple of arrays, linear in u.  `precond(d)`
+    applies K^{-1} for the SPD p = 2 stiffness K of the same problem.  The
     iterate is kept p-normalized; the accepted Rayleigh values form a
     nonincreasing history.  The residual is the max norm of the quotient
     gradient d = (gE - lam gM)/m.
 
-    Each step goes along z = s + beta z_prev, with s = K^{-1} d (Neuberger
-    1997), which keeps iteration counts mesh-independent, and the
-    Polak-Ribiere+ factor beta = max(0, d.(s - s_prev) / (d_prev.s_prev))
-    (Polak & Ribiere 1969); z = s when d.z <= 0 (d.s > 0, K being SPD).
-    The step length is the Newton step t = d.z / h on the exact second
-    derivative h = (E'' - lam m'')/m - 2 (d.z)(gM.z)/m of the quotient
-    along z (the previous step length where h <= 0), halved until the
-    Armijo condition holds, at most 80 times.  An iteration runs one
-    forward pass, on s: z's state is state(s) + beta state(z_prev), each
-    trial's state is state(u) - t state(z), and the accepted one, scaled
-    to unit p-mass, is the next iterate's state.
-    Returns the stop reason: "residual" (the residual test passed: the
-    only certified exit), "no_descent" (no trial step descends, the
-    rounding floor) or "max_iters".  The result is sign-fixed and, where
-    that does not raise the quotient, clipped to be nonnegative; its value
-    comes from a fresh forward pass, so no rounding of the carried state
-    reaches it.
+    Every iteration has a CG candidate z = s + beta z_prev, with
+    s = K^{-1} d (Neuberger 1997) and the Polak-Ribiere+ factor
+    beta = max(0, d.(s - s_prev) / (d_prev.s_prev)) (Polak & Ribiere 1969);
+    z = s when d.z <= 0.  An iteration that attempts Newton adds the
+    candidate of `_newton_direction`, whose rate does not depend on the gap
+    lam2 - lam1 that slows the CG on long cylinders (Absil, Mahony &
+    Sepulchre 2008, ch. 6).  Each candidate gets the exact Newton length
+    along its direction and Armijo halving (`_line_search`), and the one
+    that ends at the lower quotient is taken.  A Newton win resets the CG
+    memory; a CG win, a singular Hessian or a non-descent Newton direction
+    skips the Newton attempts of the next 1, 2, 4, ... iterations.  A
+    candidate's state is a combination of carried states, so it costs one
+    forward pass (on s, or on the Newton direction) however many trials it
+    makes; the accepted trial, scaled to unit p-mass, is the next
+    iterate's state.
+    Stops on "residual" (the residual test passed: the only certified
+    exit), "no_descent" (no trial step descends, the rounding floor) or
+    "max_iters"; `iterations` counts the steps tried.  The iterate with the
+    lowest residual is returned, sign-fixed and, where that does not raise
+    the quotient, clipped to be nonnegative; its value comes from a fresh
+    forward pass, so no rounding of the carried state reaches it.
     """
     u = np.array(u0, dtype=float)
     _, m0 = problem.value(problem.state(u))
@@ -147,18 +173,34 @@ def _minimize_quotient(problem, u0, p, opts, precond):
     E, gE, m, gM = problem.gradient(S)
     lam = E / m
     history = [lam]
-    res = np.inf
+    best = None
     reason = "max_iters"
-    t = 1.0
-    prev = None
-    it = 0
-    while it < opts.max_iters:
-        it += 1
+    t = 1.0             # the last CG step length
+    prev = None         # the CG memory
+    skip, wait = 0, 1   # Newton backoff
+    attempts = wins = it = 0
+    while True:
         d = (gE - lam * gM) / m
         res = float(np.max(np.abs(d))) if d.size else 0.0
+        if best is None or res < best[0]:
+            best = res, u, lam
         if res <= opts.tol_residual * max(1.0, abs(lam)):
             reason = "residual"
             break
+        if it >= opts.max_iters:
+            break
+        it += 1
+
+        newton, tried = None, not skip
+        if tried:
+            attempts += 1
+            zn = _newton_direction(problem, S, u, gM, m, lam, p)
+            dzn = float(d @ zn) if zn is not None else 0.0
+            if dzn > 0.0:
+                newton = _line_search(problem, S, zn, problem.state(zn), dzn,
+                                      gM, lam, m, 1.0)
+        else:
+            skip -= 1
 
         s = precond(d)
         ds = float(d @ s)
@@ -170,32 +212,31 @@ def _minimize_quotient(problem, u0, p, opts, precond):
                 z = _combine(s, z0, beta)
                 Sz = tuple(_combine(a, b, beta) for a, b in zip(Sz, Sz0))
                 dz = float(d @ z)
-
-        E2, m2 = problem.curvature(S, Sz)
-        h = (E2 - lam * m2 - 2.0 * dz * float(gM @ z)) / m
-        if h > 0.0:
-            t = dz / h
-        for _ in range(80):
-            Sv = _along(S, Sz, t)
-            Ev, mv = problem.value(Sv)
-            if mv > 0 and Ev / mv <= lam - _ARMIJO_C * t * dz:
-                break
-            t *= _ARMIJO_SHRINK
-        else:
+        step = _line_search(problem, S, z, Sz, dz, gM, lam, m, t)
+        if step is not None:
+            t = step[1]
+            prev = ds, s, z, Sz
+        if newton is not None and (step is None or newton[-1] < step[-1]):
+            step, prev, wait = newton, None, 1
+            wins += 1
+        elif tried:
+            skip, wait = wait, 2 * wait
+        if step is None:
             reason = "no_descent"  # no admissible descent at this precision
             break
-        prev = ds, s, z, Sz
 
+        z, t_step, Sv, mv, value = step
         r = mv ** (1.0 / p)
-        u = (u - t * z) / r
+        u = (u - t_step * z) / r
         for a in Sv:
             a /= r
         S = Sv
-        history.append(Ev / mv)
+        history.append(value)
 
         E, gE, m, gM = problem.gradient(S)
         lam = E / m
 
+    res, u, lam = best
     if float(np.sum(u)) < 0.0:
         u = -u
     if np.any(u < 0.0):
@@ -205,9 +246,49 @@ def _minimize_quotient(problem, u0, p, opts, precond):
             u = w
 
     Ef, mf = problem.value(problem.state(u))
-    u /= mf ** (1.0 / p)
-    lam = Ef / mf
-    return u, lam, it, res, np.asarray(history), reason
+    u = u / mf ** (1.0 / p)
+    return _Descent(u, Ef / mf, it, res, np.asarray(history), reason,
+                    attempts, wins)
+
+
+def _line_search(problem, S, z, Sz, dz, gM, lam, m, t):
+    """The step along u - t z from the state S of u: the exact Newton
+    length t = d.z / h on the second derivative
+    h = (E'' - lam m'')/m - 2 (d.z)(gM.z)/m of the quotient along z (the
+    given t where h <= 0), halved until the Armijo condition holds, at
+    most 80 times.  Returns (z, t, trial state, its p-mass, its quotient),
+    or None when no trial descends."""
+    E2, m2 = problem.curvature(S, Sz)
+    h = (E2 - lam * m2 - 2.0 * dz * float(gM @ z)) / m
+    if h > 0.0:
+        t = dz / h
+    for _ in range(80):
+        Sv = _along(S, Sz, t)
+        Ev, mv = problem.value(Sv)
+        if mv > 0 and Ev / mv <= lam - _ARMIJO_C * t * dz:
+            return z, t, Sv, mv, Ev / mv
+        t *= _ARMIJO_SHRINK
+    return None
+
+
+def _newton_direction(problem, S, u, gM, m, lam, p):
+    """The Newton step on the unit p-sphere, as a direction z for u - t z.
+
+    The constrained Newton step solves H delta = -d + mu gM with
+    gM.delta = 0, for H = (E'' - lam m'')/m the Hessian of the
+    Lagrangian.  E and m are p-homogeneous, so H u = (p-1) d and
+    gM.u = p m: with x = H^{-1} gM, delta = -u/(p-1) + p m x/((p-1) gM.x),
+    one banded LU solve and no bordered system.  The scale of H cancels,
+    so E'' - lam m'' serves.  Returns None where that matrix is singular.
+    """
+    ab = problem.hessian(S, lam)
+    bw = (ab.shape[0] - 1) // 3
+    x, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, gM, overwrite_ab=1)[2:]
+    gx = float(gM @ x) if info == 0 else 0.0
+    if not (np.isfinite(gx) and gx != 0.0):
+        return None
+    x *= p * m / gx
+    return (u - x) / (p - 1.0)
 
 
 def _combine(a, b, beta):
@@ -241,6 +322,7 @@ class _CylinderQuotient:
         self.core = disc._core(mesh, quad)
         self.A = coeffs.entries(self.core.e2.points)
         self._at = None, None
+        self._band = None
 
     def state(self, u):
         return self.core.state(self.mesh.expand(u))
@@ -254,12 +336,21 @@ class _CylinderQuotient:
         self._at = S, point
         return E, gE, m, gM
 
-    def curvature(self, S, Sz):
+    def _point(self, S):
         # the pointwise data of the gradient pass at S, shared
         if self._at[0] is not S:
             self.gradient(S)
-        return disc._eval_curvature(self.mesh, self.A, self._at[1], S, Sz,
+        return self._at[1]
+
+    def curvature(self, S, Sz):
+        return disc._eval_curvature(self.mesh, self.A, self._point(S), S, Sz,
                                     self.p, self.quad)
+
+    def hessian(self, S, lam):
+        # one band buffer per solve, overwritten by every factorization
+        self._band = disc._eval_hessian(self.mesh, self.A, self._point(S), S,
+                                        lam, self.p, self.quad, self._band)
+        return self._band
 
 
 def _initial_grid(mesh, cross, opts):
@@ -284,8 +375,9 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
                       cross=None) -> EigenResult:
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
 
-    Preconditioned by the LU factorization of the p = 2 stiffness matrix.
-    Stops when the projected gradient falls below
+    Newton steps globalized by nonlinear CG (`_minimize_quotient`), the CG
+    preconditioned by the banded Cholesky factorization of the p = 2
+    stiffness matrix.  Stops when the projected gradient falls below
     ``tol_residual * max(1, |lambda|)`` in the max norm, when no trial
     step descends, or at `max_iters`; `stop_reason` says which, and
     `converged` is true only for the residual exit.  A non-converged run
@@ -297,12 +389,13 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
     if cross is None:
         cross = cross_section_ground_state(mesh.n_cells2, coeffs, p, quad=quad)
 
-    precond = _factor(disc.assemble_p2(mesh, coeffs, quad).stiffness).solve
+    precond = _cholesky(disc.stiffness_band(mesh, coeffs, quad))
     u0 = mesh.restrict(_initial_grid(mesh, cross, opts))
-    u, lam, iters, res, history, reason = _minimize_quotient(
-        _CylinderQuotient(mesh, coeffs, p, quad), u0, p, opts, precond)
-    return EigenResult(lam, DiscreteField(u, mesh), iters, res, history,
-                       reason == "residual", reason)
+    r = _minimize_quotient(_CylinderQuotient(mesh, coeffs, p, quad), u0, p,
+                           opts, precond)
+    return EigenResult(r.lam, DiscreteField(r.u, mesh), r.iterations,
+                       r.residual, r.history, r.stop_reason == "residual",
+                       r.stop_reason, r.newton_attempts, r.newton_steps)
 
 
 def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
@@ -377,6 +470,16 @@ def _factor(K):
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
 
 
+def _cholesky(ab):
+    """K^{-1} for an SPD K in the lower band storage of `cholesky_banded`,
+    factored in place."""
+    try:
+        cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - not SPD
+        raise SolverError(f"stiffness factorization failed: {exc}") from exc
+    return lambda d: scipy.linalg.cho_solve_banded((cb, True), d)
+
+
 def _krylov_ritz(K, M, apply_inverse, k):
     """k smallest Ritz pairs of (K, M) on a shift-invert Krylov space of ones.
 
@@ -423,10 +526,10 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     Solves the 1D analogue of the cylinder problem with coefficient a22 on
     the Q1 element of the cylinder's x2 nodes and quadrature rule: a dense
     generalized eigensolve of the interior band matrices for p = 2,
-    otherwise the descent of `minimize_rayleigh`, preconditioned by the LU
-    factorization of the interior a22 stiffness.  Also computes the discrete
-    Poincare constant from the plain (a22 = 1) problem at the same p,
-    resolution and rule.
+    otherwise the descent of `minimize_rayleigh`, preconditioned by the
+    banded Cholesky factorization of the interior a22 stiffness.  Also
+    computes the discrete Poincare constant from the plain (a22 = 1)
+    problem at the same p, resolution and rule.
     """
     if nx2 < 8:
         raise ConfigurationError(f"nx2 must be >= 8 for the 1D solve, got {nx2}")
@@ -440,19 +543,21 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     def interior(G):
         return sp.diags([G[0, 2:-1], G[1, 1:-1], G[2, 1:-2]], [-1, 0, 1])
 
-    K = interior(e.band(a22, e.dN, e.dN))
+    G = e.band(a22, e.dN, e.dN)
     if p == 2:
-        K, M = K.toarray(), interior(e.band(1.0, e.N, e.N)).toarray()
+        K, M = interior(G).toarray(), interior(e.band(1.0, e.N, e.N)).toarray()
         vals, vecs = scipy.linalg.eigh(K, M)
         mu1, w_free, iters = float(vals[0]), vecs[:, 0], 0
         res = float(np.linalg.norm(K @ w_free - mu1 * (M @ w_free))
                     / np.linalg.norm(w_free))
     else:
-        w_free, mu1, iters, res, _, reason = _minimize_quotient(
-            problem, np.cos(np.pi * x2[1:-1]), p, opts, _factor(K).solve)
-        if reason != "residual":
+        r = _minimize_quotient(
+            problem, np.cos(np.pi * x2[1:-1]), p, opts,
+            _cholesky(_interior_band(G, 1, 0)))
+        if r.stop_reason != "residual":
             raise SolverError(
-                f"cross-section descent did not converge ({reason})")
+                f"cross-section descent did not converge ({r.stop_reason})")
+        w_free, mu1, iters, res = r.u, r.lam, r.iterations, r.residual
 
     if np.sum(w_free) < 0:
         w_free = -w_free
@@ -494,6 +599,14 @@ class _SectionQuotient:
     def gradient(self, S):
         return self.value(S, grad=True)
 
+    def hessian(self, S, lam):
+        (wq, slope), e, p = S, self.e, self.p
+        q = self.a22 * slope * slope
+        H = e.band(p * (p - 1.0) * _power(q, p / 2.0 - 1.0) * self.a22,
+                   e.dN, e.dN)
+        H -= e.band(lam * p * (p - 1.0) * _power(wq, p - 2.0), e.N, e.N)
+        return _interior_band(H, 1, 1, 1)
+
     def curvature(self, S, Sz):
         (wq, slope), (zq, zslope), e, p = S, Sz, self.e, self.p
         q = self.a22 * slope * slope
@@ -501,6 +614,13 @@ class _SectionQuotient:
                                  * zslope * zslope))
         m2 = np.sum(e.weights @ (_power(wq, p - 2.0) * zq * zq))
         return p * (p - 1.0) * float(E2), p * (p - 1.0) * float(m2)
+
+
+def _interior_band(G, kl, ku, top=0):
+    """The interior-node matrix of 1D Gram rows G (`_Q1.band`) in the band
+    storage of `disc.lapack_band`."""
+    return disc.lapack_band({o: G[o + 1, 1:-1] for o in (-1, 0, 1)},
+                            kl, ku, top)
 
 
 class _IdentityA22:

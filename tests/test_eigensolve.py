@@ -271,6 +271,56 @@ class TestMinimizeRayleigh:
                                                  max_iters=2000))
         assert r.stop_reason == "no_descent" and not r.converged
 
+    def test_returns_best_iterate(self, monkeypatch, offdiag_field):
+        # below rounding the residual wanders after it bottoms out; the
+        # exit hands back the iterate with the lowest residual seen
+        residuals, states = [], []
+
+        class Recording(es._CylinderQuotient):
+            def gradient(self, S):
+                E, gE, m, gM = super().gradient(S)
+                lam = E / m
+                residuals.append(float(np.max(np.abs((gE - lam * gM) / m))))
+                states.append(S)
+                return E, gE, m, gM
+
+        monkeypatch.setattr(es, "_CylinderQuotient", Recording)
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3,
+                                 cs.SolveOptions(tol_residual=1e-17))
+        assert r.stop_reason in ("no_descent", "max_iters")
+        assert residuals[-1] > min(residuals)
+        assert r.final_residual == min(residuals)
+        # the returned field is the best iterate, not the last: its fresh
+        # state is far closer to the best carried state (both sit at the
+        # rounding floor, so only the comparison tells them apart)
+        fresh = Recording(mesh, offdiag_field, 3,
+                          cs.QuadratureRule()).state(r.field.values)
+
+        def distance(S):
+            return sum(np.max(np.abs(a - b)) for a, b in zip(fresh, S))
+        best = states[int(np.argmin(residuals))]
+        assert distance(best) < 0.5 * distance(states[-1])
+
+    def test_newton_counts(self, offdiag_field):
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3)
+        assert 1 <= r.newton_steps <= r.newton_attempts <= r.iterations
+        lin = cs.linear_spectrum(mesh, offdiag_field, 2)
+        assert all(x.newton_attempts == x.newton_steps == 0 for x in lin)
+
+    def test_linear_offdiag_long_cylinder(self, linear_field):
+        # the one-sided family at ell = 8, where the p = 2 preconditioner's
+        # uniform weight is furthest from the Hessian's q^{1/2}: nonlinear
+        # CG alone took 943 iterations here
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 32))
+        r = cs.minimize_rayleigh(mesh, linear_field, 3)
+        assert r.stop_reason == "residual"
+        assert r.iterations <= 60
+
     @staticmethod
     def second_difference(quotient, u, z):
         # central second difference, Richardson-extrapolated over eps, 2 eps
@@ -348,6 +398,127 @@ class TestMinimizeRayleigh:
         for r in solves:
             assert r.stop_reason == "residual" and r.converged
             assert r.final_residual <= opts.tol_residual * max(1.0, abs(r.lam))
+
+
+def dense_from_band(ab, kl, ku, top):
+    """The matrix of LAPACK band storage: (i, j) at row top + ku + i - j."""
+    n = ab.shape[1]
+    H = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            H[i, j] = ab[top + ku + i - j, j]
+    return H
+
+
+def section_problem(field, p, nx2):
+    quad = cs.QuadratureRule()
+    e = disc._Q1(np.linspace(-0.5, 0.5, nx2 + 1), quad)
+    return es._SectionQuotient(e, field.a22(e.points), p)
+
+
+def varying_a22(field):
+    # linear_offdiag has a22 = 1; the section sees only a22
+    return cs.CoefficientField(field.a11, field.a12, lambda x2: 1.0 + x2 * x2)
+
+
+class TestNewton:
+    """The Newton candidate: its banded Hessian, its step and the banded
+    p = 2 preconditioner."""
+
+    @staticmethod
+    def hessian(problem, u):
+        S = problem.state(u)
+        E, _, m, _ = problem.gradient(S)
+        ab = problem.hessian(S, E / m)
+        bw = (ab.shape[0] - 1) // 3
+        return dense_from_band(ab, bw, bw, bw), E / m
+
+    @staticmethod
+    def gradient_difference(problem, u, v, lam):
+        # central difference of gE - lam gM, Richardson-extrapolated
+        def g(w):
+            _, gE, _, gM = problem.gradient(problem.state(w))
+            return gE - lam * gM
+
+        def diff(eps):
+            return (g(u + eps * v) - g(u - eps * v)) / (2.0 * eps)
+        eps = 1e-4
+        return (4.0 * diff(eps) - diff(2.0 * eps)) / 3.0
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_cylinder_hessian_matches_gradient_difference(self, linear_field,
+                                                          p):
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
+        problem = es._CylinderQuotient(mesh, linear_field, p,
+                                       cs.QuadratureRule())
+        rng = np.random.default_rng(6)
+        u = 1.0 + rng.random(mesh.n_free)
+        v = rng.standard_normal(mesh.n_free)
+        H, lam = self.hessian(problem, u)
+        reference = self.gradient_difference(problem, u, v, lam)
+        assert np.linalg.norm(H @ v - reference) <= 1e-8 * np.linalg.norm(
+            reference)
+        # the problem reuses its band buffer: the LU factors a Newton step
+        # leaves in it must not leak into the next Hessian
+        S = problem.state(u)
+        _, _, m, gM = problem.gradient(S)
+        es._newton_direction(problem, S, u, gM, m, lam, p)
+        assert np.array_equal(self.hessian(problem, u)[0], H)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_section_hessian_matches_gradient_difference(self, linear_field,
+                                                         p):
+        problem = section_problem(varying_a22(linear_field), p, 16)
+        rng = np.random.default_rng(7)
+        w = np.cos(np.pi * np.linspace(-0.5, 0.5, 17)[1:-1])
+        v = rng.standard_normal(w.size)
+        H, lam = self.hessian(problem, w)
+        reference = self.gradient_difference(problem, w, v, lam)
+        assert np.linalg.norm(H @ v - reference) <= 1e-8 * np.linalg.norm(
+            reference)
+
+    @pytest.mark.parametrize("kind", ["cylinder", "section"])
+    def test_step_matches_bordered_system(self, linear_field, kind):
+        # 8 cells each: 2 x 4 on the cylinder, 8 on the cross section
+        p = 3.0
+        if kind == "cylinder":
+            mesh = cs.build_mesh(
+                cs.DomainSpec(cs.Shape.FULL_CYLINDER, 0.5, cs.BC.MIXED, 2, 4))
+            problem = es._CylinderQuotient(mesh, linear_field, p,
+                                           cs.QuadratureRule())
+            n = mesh.n_free
+        else:
+            problem = section_problem(varying_a22(linear_field), p, 8)
+            n = 7
+        rng = np.random.default_rng(8)
+        u = 1.0 + rng.random(n)
+        S = problem.state(u)
+        E, gE, m, gM = problem.gradient(S)
+        lam = E / m
+        H = self.hessian(problem, u)[0] / m
+        bordered = np.block([[H, gM[:, None]], [gM[None, :], np.zeros((1, 1))]])
+        rhs = np.concatenate([-(gE - lam * gM) / m, [0.0]])
+        delta = np.linalg.solve(bordered, rhs)[:n]
+        z = es._newton_direction(problem, S, u, gM, m, lam, p)
+        assert np.allclose(-z, delta, rtol=1e-9, atol=1e-12 * np.abs(delta).max())
+
+    @pytest.mark.parametrize("shape, bc", [
+        (cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
+        (cs.Shape.FULL_CYLINDER, cs.BC.DIRICHLET_ALL),
+        (cs.Shape.HALF_PLUS, cs.BC.HALF_CYLINDER),
+        (cs.Shape.HALF_MINUS, cs.BC.HALF_CYLINDER)])
+    def test_banded_stiffness_solve_matches_spsolve(self, linear_field,
+                                                    shape, bc):
+        import scipy.sparse.linalg as spla
+        quad = cs.QuadratureRule()
+        mesh = cs.build_mesh(cs.DomainSpec(shape, 2, bc, 4, 8))
+        solve = es._cholesky(disc.stiffness_band(mesh, linear_field, quad))
+        K = cs.assemble_p2(mesh, linear_field, quad).stiffness
+        b = np.random.default_rng(9).standard_normal(mesh.n_free)
+        reference = spla.spsolve(K.tocsc(), b)
+        assert np.allclose(solve(b), reference, rtol=1e-10,
+                           atol=1e-12 * np.abs(reference).max())
 
 
 class TestGaussPointStates:
