@@ -5,8 +5,10 @@ Everything is built from one 1D element, `_Q1`: a uniform node array with a
 Gauss rule per cell.  The grid is a tensor product and A depends on x2
 only, so every 2D quantity factors into 1D passes (sum factorization):
 values and slopes at the Gauss points are one pass per axis over the nodal
-grid, nodal gradients are the adjoint passes, and the p = 2 matrices are
-sums of products of tridiagonal 1D Gram matrices.  All integrals use the
+grid, nodal gradients are the adjoint passes, and every cylinder matrix
+(the p = 2 stiffness and mass, the Newton Hessian) is assembled from cell
+matrices, one pass per axis, into the diagonals of its free-DOF band
+(`_free_diagonals`).  All integrals use the
 same Gauss rule, and gradients are exact derivatives of the quadrature
 sums, so finite-difference checks pass to tight tolerance and optimizer
 line searches see a consistent objective.
@@ -193,27 +195,23 @@ class _Tensor:
         """sum over each cell's Gauss points of dens pair1[a, a'] pair2[b, b'].
 
         `pair1` (2, 2, x1 point) and `pair2` (2, 2, x2 point) are products
-        of 1D basis values or slopes, as from `_pairs`; one 1D pass per axis
-        gives the result L[a, a', x1 cell, b, b', x2 cell], coupling the
-        cell's node (a, b) to its node (a', b').
+        A[a] B[a'] of 1D basis values or slopes, as from `pairs`; one 1D
+        pass per axis gives the result L[a, a', x1 cell, b, b', x2 cell],
+        coupling the cell's node (a, b) to its node (a', b').  A unit cell
+        axis of `dens` (data of x2 alone) gives L a unit cell axis.
         """
         nq1, nc1, nq2, nc2 = dens.shape
         t = pair1.reshape(4, nq1) @ dens.reshape(nq1, -1)
         t = np.matmul(pair2.reshape(4, nq2), t.reshape(4 * nc1, nq2, nc2))
         return t.reshape(2, 2, nc1, 2, 2, nc2)
 
-    @staticmethod
-    def stencil(L, d1, d2):
-        """The nodal array (n1, n2) of the couplings of node (i, j) to
-        (i + d1 - 1, j + d2 - 1) in the cell matrices
-        L[a, a', x1 cell, b, b', x2 cell]; cell c's node a is node c + a."""
-        nc1, nc2 = L.shape[2], L.shape[5]
-        out = np.zeros((nc1 + 1, nc2 + 1))
-        for a, b in itertools.product((0, 1), (0, 1)):
-            a2, b2 = a + d1 - 1, b + d2 - 1
-            if a2 in (0, 1) and b2 in (0, 1):
-                out[a:a + nc1, b:b + nc2] += L[a, a2, :, b, b2, :]
-        return out
+    def pairs(self, i, j):
+        """The basis pairs (x1 pair, x2 pair) that `cell_matrices` takes for
+        the term d_i u d_j v: i, j = 0 or 1 differentiate along x1 or x2,
+        None not at all."""
+        a1, b1 = (self.e1.dN if k == 0 else self.e1.N for k in (i, j))
+        a2, b2 = (self.e2.dN if k == 1 else self.e2.N for k in (i, j))
+        return a1[:, None] * b1, a2[:, None] * b2
 
     def integrate(self, dens, per_cell=False):
         if not per_cell:
@@ -415,9 +413,8 @@ def _eval_curvature(mesh, A, point, state, direction, p, quad):
     return float(np.sum(dens)), m2
 
 
-def _pairs(A, B):
-    """A[a] B[a'] at the Gauss points of one axis, shape (2, 2, point)."""
-    return A[:, None, :] * B[None, :, :]
+# the terms d_i u d_j v of A grad u . grad v, whose coefficient is A[i + j]
+_GRADIENT_TERMS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _eval_hessian(mesh, A, point, state, lam, p, quad, out=None):
@@ -432,11 +429,9 @@ def _eval_hessian(mesh, A, point, state, lam, p, quad, out=None):
     pairs of every cell, one 1D pass per axis, and the cell matrices go
     straight into the band, one diagonal at a time.
     """
-    core = _core(mesh, quad)
-    L = _hessian_cells(core, A, point, state, lam, p)
+    L = _hessian_cells(_core(mesh, quad), A, point, state, lam, p)
     bw = mesh.n_cells2
-    return free_band(mesh, lambda d1, d2: core.stencil(L, d1, d2), bw, bw, bw,
-                     out)
+    return lapack_band(_free_diagonals(mesh, L), bw, bw, bw, out)
 
 
 def _hessian_cells(core, A, point, state, lam, p):
@@ -446,28 +441,21 @@ def _hessian_cells(core, A, point, state, lam, p):
     entries are formed one at a time in two full-size buffers, which are
     freed with this frame before the band is allocated.
     """
-    e1, e2 = core.e1, core.e2
     q, P = point
-    h1, h2 = _flux(A, *state[1:])
+    h = _flux(A, *state[1:])
     c = np.zeros(q.shape)
     np.divide(p - 2.0, q, out=c, where=q > 0.0)
     c *= P
     np.sqrt(c, out=c)
-    h1 *= c
-    h2 *= c
-    N1, dN1 = _pairs(e1.N, e1.N), _pairs(e1.dN, e1.dN)
-    N2, dN2 = _pairs(e2.N, e2.N), _pairs(e2.dN, e2.dN)
-    terms = ((A[0], h1, h1, dN1, N2),
-             (A[1], h1, h2, _pairs(e1.dN, e1.N), _pairs(e2.N, e2.dN)),
-             (A[1], h1, h2, _pairs(e1.N, e1.dN), _pairs(e2.dN, e2.N)),
-             (A[2], h2, h2, N1, dN2))
+    for f in h:
+        f *= c
     dens = _power(state[0], p - 2.0)
     dens *= (-lam * p * (p - 1.0)) * core.w
-    L = core.cell_matrices(dens, N1, N2)
-    for a, g, k, pair1, pair2 in terms:
-        np.multiply(P, a, out=dens)
-        dens += np.multiply(g, k, out=c)
-        L += core.cell_matrices(dens, pair1, pair2)
+    L = core.cell_matrices(dens, *core.pairs(None, None))
+    for i, j in _GRADIENT_TERMS:
+        np.multiply(P, A[i + j], out=dens)
+        dens += np.multiply(h[i], h[j], out=c)
+        L += core.cell_matrices(dens, *core.pairs(i, j))
     return L
 
 
@@ -502,23 +490,21 @@ def cell_integrals(mesh, coeffs, grid, p, quad=None):
     return {k: core.integrate(v, per_cell=True) for k, v in dens.items()}
 
 
-def _p2_terms(core, coeffs):
-    """The p = 2 stiffness and mass as sums of products X (x) Y of 1D Gram
-    bands: the entry coupling node (i, j) to (i + d1 - 1, j + d2 - 1) is
-    the sum of X[d1, i] Y[d2, j] over the terms (see `_stencil`)."""
-    e1, e2 = core.e1, core.e2
-    a11, a12, a22 = coeffs.entries(e2.points)
-    mass1 = e1.band(1.0, e1.N, e1.N)
-    stiff = [(e1.band(1.0, e1.dN, e1.dN), e2.band(a11, e2.N, e2.N)),
-             (e1.band(1.0, e1.dN, e1.N), e2.band(a12, e2.N, e2.dN)),
-             (e1.band(1.0, e1.N, e1.dN), e2.band(a12, e2.dN, e2.N)),
-             (mass1, e2.band(a22, e2.dN, e2.dN))]
-    mass = [(mass1, e2.band(1.0, e2.N, e2.N))]
-    return stiff, mass
+def _p2_diagonals(mesh, coeffs, quad):
+    """The p = 2 stiffness and mass over the free DOFs, as the diagonals of
+    `_free_diagonals`.
 
-
-def _stencil(terms, d1, d2):
-    return sum(np.outer(X[d1], Y[d2]) for X, Y in terms)
+    Both come from the cell matrices of their Gauss-point densities, w A[i + j]
+    for the term d_i u d_j v of the stiffness and w for the mass, as the
+    Hessian's do.  The densities are data of x2 alone, so the cell matrices
+    are one column of cells, the same at every x1 cell.
+    """
+    core = _core(mesh, quad)
+    A = coeffs.entries(core.e2.points)
+    K = sum(core.cell_matrices(A[i + j] * core.w, *core.pairs(i, j))
+            for i, j in _GRADIENT_TERMS)
+    M = core.cell_matrices(core.w, *core.pairs(None, None))
+    return _free_diagonals(mesh, K), _free_diagonals(mesh, M)
 
 
 def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
@@ -527,27 +513,51 @@ def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
     The stiffness includes the a12 cross terms
     a11 d1u d1v + a12 (d1u d2v + d2u d1v) + a22 d2u d2v; the mass matrix is
     the L2 Gram matrix.  u' K u equals energy(u, p=2) by construction.
-    Each term is a product of 1D Gram matrices, K[(i,j),(k,l)] =
-    X[i,k] Y[j,l], so both matrices are 9-point stencils over the nodes.
+    Both are 9-point stencils over the nodes, built from the same cell
+    matrices and diagonals as `stiffness_band` (see `_p2_diagonals`).
     """
-    stiff, mass = _p2_terms(_core(mesh, quad), coeffs)
-    dof = mesh.free_dof_map
-    n1, n2 = dof.shape
-    neighbour = np.pad(dof, 1, constant_values=-1)
-    rows, cols, kdata, mdata = [], [], [], []
-    for d1 in range(3):          # band row d <-> neighbour offset d - 1
-        for d2 in range(3):
-            col = neighbour[d1:d1 + n1, d2:d2 + n2]
-            keep = (dof >= 0) & (col >= 0)
-            rows.append(dof[keep])
-            cols.append(col[keep])
-            for data, terms in ((kdata, stiff), (mdata, mass)):
-                data.append(_stencil(terms, d1, d2)[keep])
-    ij = (np.concatenate(rows), np.concatenate(cols))
-    n = mesh.n_free
-    K = sp.coo_matrix((np.concatenate(kdata), ij), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mdata), ij), shape=(n, n)).tocsr()
-    return SparsePair(K, M)
+    K, M = _p2_diagonals(mesh, coeffs, quad)
+    return SparsePair(_csr(K), _csr(M))
+
+
+def stiffness_band(mesh, coeffs, quad=None):
+    """The stiffness of `assemble_p2` in the lower band storage of
+    `cholesky_banded`, from the same diagonals with no sparse matrix."""
+    return lapack_band(_p2_diagonals(mesh, coeffs, quad)[0], mesh.n_cells2, 0)
+
+
+def _free_diagonals(mesh, L):
+    """The free-DOF matrix of cell matrices L[a, a', x1 cell, b, b', x2 cell]
+    as {offset o: the entries (i, i + o) over the rows i}.
+
+    Cell c's node a is node c + a, and a unit cell axis of L stands for the
+    same matrices at every cell along it.  The free nodes are whole x1 rows
+    less the two x2 ends, numbered row-major, so the coupling of node
+    (i, j) to (i + d1 - 1, j + d2 - 1) is the diagonal at offset
+    (d1 - 1) (nx2 - 1) + d2 - 1 and the bandwidth is nx2.
+    """
+    n1, n2 = mesh.dirichlet_mask.shape
+    rows = ~mesh.dirichlet_mask.all(axis=1)
+    diagonals = {}
+    for d1, d2 in itertools.product(range(3), range(3)):
+        stencil = np.zeros((n1, n2))
+        for a, b in itertools.product((0, 1), (0, 1)):
+            a2, b2 = a + d1 - 1, b + d2 - 1
+            if a2 in (0, 1) and b2 in (0, 1):
+                stencil[a:a + n1 - 1, b:b + n2 - 1] += L[a, a2, :, b, b2, :]
+        block = stencil[rows, 1:-1]
+        if d2 != 1:  # the coupling across an x2 end is to a Dirichlet node
+            block[:, 0 if d2 == 0 else -1] = 0.0
+        diagonals[(d1 - 1) * (n2 - 2) + d2 - 1] = block.ravel()
+    return diagonals
+
+
+def _csr(diagonals):
+    """The CSR matrix of the diagonals of `lapack_band`."""
+    n = len(diagonals[0])
+    return sp.diags([v[:n - o] if o >= 0 else v[-o:]
+                     for o, v in diagonals.items()],
+                    list(diagonals), shape=(n, n), format="csr")
 
 
 def lapack_band(diagonals, kl, ku, top=0, out=None):
@@ -579,36 +589,6 @@ def lapack_band(diagonals, kl, ku, top=0, out=None):
             else:
                 row[:n + o] = v[-o:]
     return ab
-
-
-def free_band(mesh, stencil, kl, ku, top=0, out=None):
-    """The free-DOF matrix of a nodal 9-point stencil in band storage.
-
-    `stencil(d1, d2)` is the nodal array (n1, n2) coupling node (i, j) to
-    (i + d1 - 1, j + d2 - 1).  The free nodes are whole x1 rows less the
-    two x2 ends, numbered row-major, so that coupling is the diagonal at
-    offset (d1 - 1) (nx2 - 1) + d2 - 1 and the bandwidth is nx2; only the
-    diagonals the layout keeps are asked for (see `lapack_band`).
-    """
-    rows = ~mesh.dirichlet_mask.all(axis=1)
-    nf2 = mesh.n_cells2 - 1
-    diagonals = {}
-    for d1, d2 in itertools.product(range(3), range(3)):
-        o = (d1 - 1) * nf2 + d2 - 1
-        if -kl <= o <= ku:
-            block = stencil(d1, d2)[rows, 1:-1]
-            if d2 != 1:  # the coupling across an x2 end is to a Dirichlet node
-                block[:, 0 if d2 == 0 else -1] = 0.0
-            diagonals[o] = block.ravel()
-    return lapack_band(diagonals, kl, ku, top, out)
-
-
-def stiffness_band(mesh, coeffs, quad=None):
-    """The stiffness of `assemble_p2` in the lower band storage of
-    `cholesky_banded`, built from its stencil with no sparse matrix."""
-    stiff, _ = _p2_terms(_core(mesh, quad), coeffs)
-    return free_band(mesh, lambda d1, d2: _stencil(stiff, d1, d2),
-                     mesh.n_cells2, 0)
 
 
 def lift_cross_section(cross, mesh) -> DiscreteField:

@@ -2,8 +2,9 @@
 
 Four entry points: `minimize_rayleigh` (Newton steps on the Rayleigh
 quotient, globalized by preconditioned nonlinear CG, any p >= 2),
-`linear_spectrum` (p = 2,
-shift-invert Lanczos on the assembled pencil), `cross_section_ground_state`
+`linear_spectrum` (p = 2, shift-invert Lanczos on the assembled pencil,
+through the banded Cholesky factor of the stiffness that also
+preconditions the descent), `cross_section_ground_state`
 (the 1D problem on the cross section), and `half_cylinder_eigen` (first
 eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
 the discrete problem through the one Q1 core of `discretization`: the
@@ -32,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import discretization as disc
@@ -402,8 +402,9 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
     """k smallest eigenpairs of the p = 2 pencil (K, M).
 
     Shift-invert Lanczos about sigma = 0 (ARPACK through `eigsh`): every
-    Lanczos step applies K^{-1} M through one sparse LU factorization of
-    the stiffness matrix, so the cost follows the distance of the wanted
+    Lanczos step applies K^{-1} M through one banded Cholesky factorization
+    of the stiffness matrix (`_cholesky`, as in the descent's
+    preconditioner), so the cost follows the distance of the wanted
     eigenvalues from the rest of the shifted spectrum, not the ratio
     lam1/lam2 that collapses on long cylinders.  The fixed start vector of
     ones makes the result deterministic.  `converged` certifies that ARPACK
@@ -421,15 +422,15 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
     n = mesh.n_free
     if k < 1 or k > n:
         raise ConfigurationError(f"need 1 <= k <= {n}, got {k}")
-    pair = disc.assemble_p2(mesh, coeffs, quad)
-    K, M = pair.stiffness, pair.mass
-    lu = _factor(K)
+    stiff, mass = disc._p2_diagonals(mesh, coeffs, quad)
+    K, M = disc._csr(stiff), disc._csr(mass)
+    solve = _cholesky(disc.lapack_band(stiff, mesh.n_cells2, 0))
     solves = 0
 
     def apply_inverse(x):
         nonlocal solves
         solves += 1
-        return lu.solve(np.ravel(x))
+        return solve(np.ravel(x))
 
     reason = "arpack"
     if k == n:  # ARPACK needs k < n; the pencil is tiny here
@@ -460,14 +461,6 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
             lam, fld, solves, res, np.array([lam]),
             reason != "max_iters" and res <= opts.tol_residual, reason))
     return results
-
-
-def _factor(K):
-    """Sparse LU factorization of a stiffness matrix."""
-    try:
-        return spla.splu(K.tocsc())
-    except RuntimeError as exc:  # pragma: no cover - factorization breakdown
-        raise SolverError(f"stiffness factorization failed: {exc}") from exc
 
 
 def _cholesky(ab):
@@ -540,12 +533,10 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     a22 = coeffs.a22(e.points)
     problem = _SectionQuotient(e, a22, p)
 
-    def interior(G):
-        return sp.diags([G[0, 2:-1], G[1, 1:-1], G[2, 1:-2]], [-1, 0, 1])
-
     G = e.band(a22, e.dN, e.dN)
     if p == 2:
-        K, M = interior(G).toarray(), interior(e.band(1.0, e.N, e.N)).toarray()
+        K, M = (disc._csr(_interior(X)).toarray()
+                for X in (G, e.band(1.0, e.N, e.N)))
         vals, vecs = scipy.linalg.eigh(K, M)
         mu1, w_free, iters = float(vals[0]), vecs[:, 0], 0
         res = float(np.linalg.norm(K @ w_free - mu1 * (M @ w_free))
@@ -553,7 +544,7 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     else:
         r = _minimize_quotient(
             problem, np.cos(np.pi * x2[1:-1]), p, opts,
-            _cholesky(_interior_band(G, 1, 0)))
+            _cholesky(disc.lapack_band(_interior(G), 1, 0)))
         if r.stop_reason != "residual":
             raise SolverError(
                 f"cross-section descent did not converge ({r.stop_reason})")
@@ -605,7 +596,7 @@ class _SectionQuotient:
         H = e.band(p * (p - 1.0) * _power(q, p / 2.0 - 1.0) * self.a22,
                    e.dN, e.dN)
         H -= e.band(lam * p * (p - 1.0) * _power(wq, p - 2.0), e.N, e.N)
-        return _interior_band(H, 1, 1, 1)
+        return disc.lapack_band(_interior(H), 1, 1, 1)
 
     def curvature(self, S, Sz):
         (wq, slope), (zq, zslope), e, p = S, Sz, self.e, self.p
@@ -616,11 +607,10 @@ class _SectionQuotient:
         return p * (p - 1.0) * float(E2), p * (p - 1.0) * float(m2)
 
 
-def _interior_band(G, kl, ku, top=0):
-    """The interior-node matrix of 1D Gram rows G (`_Q1.band`) in the band
-    storage of `disc.lapack_band`."""
-    return disc.lapack_band({o: G[o + 1, 1:-1] for o in (-1, 0, 1)},
-                            kl, ku, top)
+def _interior(G):
+    """The interior-node matrix of 1D Gram rows G (`_Q1.band`) as the
+    diagonals of `disc.lapack_band`."""
+    return {o: G[o + 1, 1:-1] for o in (-1, 0, 1)}
 
 
 class _IdentityA22:

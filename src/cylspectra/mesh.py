@@ -82,7 +82,7 @@ class DomainSpec:
 
 
 class CylinderMesh:
-    """Uniform tensor-product grid with boundary tags and free-DOF map.
+    """Uniform tensor-product grid with boundary tags.
 
     Attributes
     ----------
@@ -90,8 +90,6 @@ class CylinderMesh:
         Node coordinates along the axis and across the section.
     dirichlet_mask : ndarray of bool, shape (n1, n2)
         True where the nodal value is constrained to zero.
-    free_dof_map : ndarray of int, shape (n1, n2)
-        Consecutive DOF index for free nodes, -1 where masked.
     slab_edges : ndarray
         Axial breakpoints at unit spacing, anchored at the ends.
     """
@@ -134,20 +132,12 @@ class CylinderMesh:
             mask[far, :] = True
         self.dirichlet_mask = mask
 
-        dof_map = np.full((n1, n2), -1, dtype=np.int64)
-        free = ~mask
-        dof_map[free] = np.arange(free.sum())
-        self.free_dof_map = dof_map
-        self.n_free = int(free.sum())
+        self.n_free = int((~mask).sum())
 
         edges = [x1_lo + k for k in range(int(np.floor(length + 1e-9)) + 1)]
         if x1_hi - edges[-1] > 1e-9:
             edges.append(x1_hi)
         self.slab_edges = np.asarray(edges)
-
-    @property
-    def n_nodes(self):
-        return self.x1.size * self.x2.size
 
     def expand(self, free_values):
         """Free-DOF vector -> full nodal grid with zeros at masked nodes."""
@@ -167,16 +157,6 @@ class CylinderMesh:
                 f"expected grid of shape {self.dirichlet_mask.shape}, "
                 f"got {grid.shape}")
         return grid[~self.dirichlet_mask].copy()
-
-    def cell_connectivity(self):
-        """Quadrilateral connectivity, shape (n_cells, 4), row-major cells."""
-        n2 = self.x2.size
-        i = np.arange(self.n_cells1)[:, None]
-        j = np.arange(self.n_cells2)[None, :]
-        base = i * n2 + j
-        quad = np.stack(
-            [base, base + n2, base + n2 + 1, base + 1], axis=-1)
-        return quad.reshape(-1, 4)
 
     def axial_cell_slab(self):
         """Slab index of each axial cell column (cells never straddle edges)."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cylspectra as cs
+from cylspectra import discretization as disc
 from cylspectra.errors import (AdmissibilityError, QuotientUndefinedError,
                                UnsupportedExponentError)
 
@@ -162,10 +163,17 @@ def test_p2_matrices_closed_form(shape, bc, c):
          + c * (np.kron(C1, C2.T) + np.kron(C1.T, C2)))
     M = np.kron(M1, M2)
     free = ~mesh.dirichlet_mask.ravel()
-    pair = cs.assemble_p2(mesh, cs.make_coefficients(family))
-    for mine, oracle in ((pair.stiffness, K), (pair.mass, M)):
+    coeffs = cs.make_coefficients(family)
+    pair = cs.assemble_p2(mesh, coeffs)
+    # the lower band storage of cholesky_banded: (j + o, j) at ab[o, j]
+    ab = disc.stiffness_band(mesh, coeffs)
+    n = ab.shape[1]
+    lower = sum(np.diag(ab[o, :n - o], -o) for o in range(ab.shape[0]))
+    band = lower + np.tril(lower, -1).T
+    for mine, oracle in ((pair.stiffness.toarray(), K),
+                         (pair.mass.toarray(), M), (band, K)):
         oracle = oracle[np.ix_(free, free)]
-        np.testing.assert_allclose(mine.toarray(), oracle, rtol=1e-13,
+        np.testing.assert_allclose(mine, oracle, rtol=1e-13,
                                    atol=1e-13 * np.abs(oracle).max())
 
 

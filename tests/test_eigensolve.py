@@ -111,13 +111,20 @@ class TestLinearSpectrum:
 
     def test_matches_eigsh(self, offdiag_field):
         # the solver is eigsh itself; the oracle is the dense pencil.  The
-        # two longer meshes hold a collapsing cluster: there an eigsh `tol`
-        # of 1e-12 or 1e-10 (ell 8) or 1e-8 (ell 12) skips an eigenvalue,
-        # with residuals ~1e-14 that cannot see it, so `tol` must stay 0
+        # two longer mixed meshes hold a collapsing cluster: there an eigsh
+        # `tol` of 1e-12 or 1e-10 (ell 8) or 1e-8 (ell 12) skips an
+        # eigenvalue, with residuals ~1e-14 that cannot see it, so `tol`
+        # must stay 0.  The last three meshes drop other x1 rows from the
+        # free DOFs, and so from the band that is factored.
         import scipy.linalg
-        for ell, cpu, nx2 in ((3, 4, 16), (8, 4, 8), (12, 2, 8)):
-            mesh = cs.build_mesh(
-                cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, cs.BC.MIXED, cpu, nx2))
+        full, half = cs.Shape.FULL_CYLINDER, cs.BC.HALF_CYLINDER
+        for spec in (cs.DomainSpec(full, 3, cs.BC.MIXED, 4, 16),
+                     cs.DomainSpec(full, 8, cs.BC.MIXED, 4, 8),
+                     cs.DomainSpec(full, 12, cs.BC.MIXED, 2, 8),
+                     cs.DomainSpec(full, 3, cs.BC.DIRICHLET_ALL, 4, 16),
+                     cs.DomainSpec(cs.Shape.HALF_PLUS, 4, half, 4, 16),
+                     cs.DomainSpec(cs.Shape.HALF_MINUS, 4, half, 4, 16)):
+            mesh = cs.build_mesh(spec)
             pair = cs.assemble_p2(mesh, offdiag_field)
             oracle = scipy.linalg.eigh(pair.stiffness.toarray(),
                                        pair.mass.toarray(),

@@ -64,15 +64,6 @@ def test_slab_edges_unit_spacing():
     assert np.allclose(half.slab_edges, [0, 1, 2])
 
 
-def test_cells_have_four_distinct_nodes():
-    mesh = cs.build_mesh(spec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED))
-    quads = mesh.cell_connectivity()
-    assert quads.shape == (mesh.n_cells1 * mesh.n_cells2, 4)
-    for quad in quads:
-        assert len(set(quad.tolist())) == 4
-    assert quads.max() == mesh.n_nodes - 1
-
-
 def test_expand_restrict_roundtrip():
     mesh = cs.build_mesh(spec(cs.Shape.FULL_CYLINDER, 1, cs.BC.MIXED))
     values = np.arange(mesh.n_free, dtype=float)
