@@ -15,11 +15,11 @@ The descent sees its problem as Gauss-point states: the values and slopes
 of a nodal vector at the Gauss points.  They are linear in the vector, so
 the conjugate direction z = s + beta z_prev, every Armijo trial along
 u - t z and the curvature along z are all combinations of carried states.
-An iteration tries up to two candidates, each costing one forward
-quadrature pass however many trials it makes: the CG step, and (unless
-backed off) the Newton step on the unit p-sphere, one banded LU solve of
-the quotient Hessian, whose rate does not follow the collapsing gap
-lam2 - lam1 of long cylinders.  It keeps the one that descends further.
+An iteration tries (unless backed off) the Newton step on the unit
+p-sphere, one banded LU solve of the quotient Hessian, whose rate does not
+follow the collapsing gap lam2 - lam1 of long cylinders; a full step that
+agrees with its model is taken, otherwise the CG step is tried too and
+the one that descends further kept, each costing one forward pass.
 Only the residual test certifies a p != 2 eigenpair: `converged` is true
 for that exit alone, and the cross-section solve raises on any other.
 """
@@ -80,6 +80,8 @@ class EigenResult:
     # descent iterations that tried a Newton step, and those it won
     newton_attempts: int = 0
     newton_steps: int = 0
+    # descent iterations that evaluated the CG candidate
+    cg_attempts: int = 0
 
 
 class CrossSectionResult:
@@ -112,6 +114,9 @@ class CrossSectionResult:
 # Armijo constants: sufficient-decrease factor and backtracking shrink
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
+# a full Newton step that achieves this share of its quadratic model's
+# decrease d.z/2 is taken without evaluating the CG candidate
+_MODEL_AGREEMENT = 0.5
 
 
 class _Descent(NamedTuple):
@@ -123,6 +128,7 @@ class _Descent(NamedTuple):
     stop_reason: str
     newton_attempts: int
     newton_steps: int
+    cg_attempts: int
 
 
 def _minimize_quotient(problem, u0, p, opts, precond):
@@ -135,27 +141,29 @@ def _minimize_quotient(problem, u0, p, opts, precond):
     the adjoint passes only, `curvature(S, Sz) -> (E'', m'')` gives the
     second derivatives of E and m at S along the direction of state Sz, and
     `hessian(S, lam)` the matrix E'' - lam m'' at S in the band storage of
-    `gbsv`.  A state is a tuple of arrays, linear in u.  `precond(d)`
-    applies K^{-1} for the SPD p = 2 stiffness K of the same problem.  The
+    `gbsv`.  A state is a tuple of arrays, linear in u.  `precond()` returns
+    K^{-1} for the SPD p = 2 stiffness K of the same problem.  The
     iterate is kept p-normalized; the accepted Rayleigh values form a
     nonincreasing history.  The residual is the max norm of the quotient
     gradient d = (gE - lam gM)/m.
 
-    Every iteration has a CG candidate z = s + beta z_prev, with
-    s = K^{-1} d (Neuberger 1997) and the Polak-Ribiere+ factor
-    beta = max(0, d.(s - s_prev) / (d_prev.s_prev)) (Polak & Ribiere 1969);
-    z = s when d.z <= 0.  An iteration that attempts Newton adds the
-    candidate of `_newton_direction`, whose rate does not depend on the gap
-    lam2 - lam1 that slows the CG on long cylinders (Absil, Mahony &
-    Sepulchre 2008, ch. 6).  Each candidate gets the exact Newton length
-    along its direction and Armijo halving (`_line_search`), and the one
-    that ends at the lower quotient is taken.  A Newton win resets the CG
+    An iteration that attempts Newton first tries `_newton_direction`,
+    whose rate does not depend on the gap lam2 - lam1 that slows the CG on
+    long cylinders (Absil, Mahony & Sepulchre 2008, ch. 6).  By
+    homogeneity its exact length is 1, where its Armijo halving
+    (`_line_search`) starts.  A full step whose decrease is at least
+    _MODEL_AGREEMENT of its model's d.z/2 is taken (the ratio test of
+    Nocedal & Wright 2006, 4.1).  Otherwise the CG candidate z = s +
+    beta z_prev runs too, with s = K^{-1} d (Neuberger 1997), the
+    Polak-Ribiere+ factor beta = max(0, d.(s - s_prev) / (d_prev.s_prev))
+    (Polak & Ribiere 1969), z = s when d.z <= 0, and halving from the
+    exact length d.z/h along z (h the quotient's curvature; the last CG
+    length where h <= 0); the lower quotient wins.  K is factored by
+    `precond()` on the first CG candidate.  A Newton win resets the CG
     memory; a CG win, a singular Hessian or a non-descent Newton direction
-    skips the Newton attempts of the next 1, 2, 4, ... iterations.  A
-    candidate's state is a combination of carried states, so it costs one
-    forward pass (on s, or on the Newton direction) however many trials it
-    makes; the accepted trial, scaled to unit p-mass, is the next
-    iterate's state.
+    skips the Newton attempts of the next 1, 2, 4, ... iterations.  Each
+    candidate's state combines carried states, so it costs one forward
+    pass; the accepted trial, scaled to unit p-mass, is the next state.
     Stops on "residual" (the residual test passed: the only certified
     exit), "no_descent" (no trial step descends, the rounding floor) or
     "max_iters"; `iterations` counts the steps tried.  The iterate with the
@@ -178,7 +186,8 @@ def _minimize_quotient(problem, u0, p, opts, precond):
     t = 1.0             # the last CG step length
     prev = None         # the CG memory
     skip, wait = 0, 1   # Newton backoff
-    attempts = wins = it = 0
+    solve = None        # K^{-1}, factored when a CG candidate first needs it
+    attempts = wins = cg_attempts = it = 0
     while True:
         d = (gE - lam * gM) / m
         res = float(np.max(np.abs(d))) if d.size else 0.0
@@ -196,26 +205,34 @@ def _minimize_quotient(problem, u0, p, opts, precond):
             attempts += 1
             zn = _newton_direction(problem, S, u, gM, m, lam, p)
             dzn = float(d @ zn) if zn is not None else 0.0
-            if dzn > 0.0:
+            if dzn > 0.0:  # its exact length is 1: no curvature pass
                 newton = _line_search(problem, S, zn, problem.state(zn), dzn,
-                                      gM, lam, m, 1.0)
+                                      lam, 1.0)
         else:
             skip -= 1
 
-        s = precond(d)
-        ds = float(d @ s)
-        z, Sz, dz = s, problem.state(s), ds
-        if prev is not None:
-            ds0, s0, z0, Sz0 = prev
-            beta = max(0.0, (ds - float(d @ s0)) / ds0)
-            if beta > 0.0 and ds + beta * float(d @ z0) > 0.0:
-                z = _combine(s, z0, beta)
-                Sz = tuple(_combine(a, b, beta) for a, b in zip(Sz, Sz0))
-                dz = float(d @ z)
-        step = _line_search(problem, S, z, Sz, dz, gM, lam, m, t)
-        if step is not None:
-            t = step[1]
-            prev = ds, s, z, Sz
+        step = None
+        if not (newton is not None and newton[1] == 1.0
+                and lam - newton[-1] >= _MODEL_AGREEMENT * dzn / 2.0):
+            cg_attempts += 1
+            solve = solve or precond()
+            s = solve(d)
+            ds = float(d @ s)
+            z, Sz, dz = s, problem.state(s), ds
+            if prev is not None:
+                ds0, s0, z0, Sz0 = prev
+                beta = max(0.0, (ds - float(d @ s0)) / ds0)
+                if beta > 0.0 and ds + beta * float(d @ z0) > 0.0:
+                    z = _combine(s, z0, beta)
+                    Sz = tuple(_combine(a, b, beta) for a, b in zip(Sz, Sz0))
+                    dz = float(d @ z)
+            E2, m2 = problem.curvature(S, Sz)
+            h = (E2 - lam * m2 - 2.0 * dz * float(gM @ z)) / m
+            step = _line_search(problem, S, z, Sz, dz, lam,
+                                dz / h if h > 0.0 else t)
+            if step is not None:
+                t = step[1]
+                prev = ds, s, z, Sz
         if newton is not None and (step is None or newton[-1] < step[-1]):
             step, prev, wait = newton, None, 1
             wins += 1
@@ -248,20 +265,14 @@ def _minimize_quotient(problem, u0, p, opts, precond):
     Ef, mf = problem.value(problem.state(u))
     u = u / mf ** (1.0 / p)
     return _Descent(u, Ef / mf, it, res, np.asarray(history), reason,
-                    attempts, wins)
+                    attempts, wins, cg_attempts)
 
 
-def _line_search(problem, S, z, Sz, dz, gM, lam, m, t):
-    """The step along u - t z from the state S of u: the exact Newton
-    length t = d.z / h on the second derivative
-    h = (E'' - lam m'')/m - 2 (d.z)(gM.z)/m of the quotient along z (the
-    given t where h <= 0), halved until the Armijo condition holds, at
-    most 80 times.  Returns (z, t, trial state, its p-mass, its quotient),
-    or None when no trial descends."""
-    E2, m2 = problem.curvature(S, Sz)
-    h = (E2 - lam * m2 - 2.0 * dz * float(gM @ z)) / m
-    if h > 0.0:
-        t = dz / h
+def _line_search(problem, S, z, Sz, dz, lam, t):
+    """The step along u - t z from the state S of u, dz = d.z its rate of
+    descent: the given t, halved until the Armijo condition holds, at most
+    80 times.  Returns (z, t, trial state, its p-mass, its quotient), or
+    None when no trial descends."""
     for _ in range(80):
         Sv = _along(S, Sz, t)
         Ev, mv = problem.value(Sv)
@@ -389,13 +400,14 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
     if cross is None:
         cross = cross_section_ground_state(mesh.n_cells2, coeffs, p, quad=quad)
 
-    precond = _cholesky(disc.stiffness_band(mesh, coeffs, quad))
     u0 = mesh.restrict(_initial_grid(mesh, cross, opts))
-    r = _minimize_quotient(_CylinderQuotient(mesh, coeffs, p, quad), u0, p,
-                           opts, precond)
+    r = _minimize_quotient(
+        _CylinderQuotient(mesh, coeffs, p, quad), u0, p, opts,
+        lambda: _cholesky(disc.stiffness_band(mesh, coeffs, quad)))
     return EigenResult(r.lam, DiscreteField(r.u, mesh), r.iterations,
                        r.residual, r.history, r.stop_reason == "residual",
-                       r.stop_reason, r.newton_attempts, r.newton_steps)
+                       r.stop_reason, r.newton_attempts, r.newton_steps,
+                       r.cg_attempts)
 
 
 def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
@@ -470,7 +482,9 @@ def _cholesky(ab):
         cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - not SPD
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
-    return lambda d: scipy.linalg.cho_solve_banded((cb, True), d)
+    # the factor is checked once, by `cholesky_banded`; each solve checks d
+    return lambda d: scipy.linalg.cho_solve_banded(
+        (cb, True), np.asarray_chkfinite(d), check_finite=False)
 
 
 def _krylov_ritz(K, M, apply_inverse, k):
@@ -544,7 +558,7 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     else:
         r = _minimize_quotient(
             problem, np.cos(np.pi * x2[1:-1]), p, opts,
-            _cholesky(disc.lapack_band(_interior(G), 1, 0)))
+            lambda: _cholesky(disc.lapack_band(_interior(G), 1, 0)))
         if r.stop_reason != "residual":
             raise SolverError(
                 f"cross-section descent did not converge ({r.stop_reason})")

@@ -315,8 +315,34 @@ class TestMinimizeRayleigh:
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
         r = cs.minimize_rayleigh(mesh, offdiag_field, 3)
         assert 1 <= r.newton_steps <= r.newton_attempts <= r.iterations
+        # an iteration that skips the CG candidate takes a Newton step
+        assert r.iterations - r.newton_steps <= r.cg_attempts <= r.iterations
         lin = cs.linear_spectrum(mesh, offdiag_field, 2)
-        assert all(x.newton_attempts == x.newton_steps == 0 for x in lin)
+        assert all(x.newton_attempts == x.newton_steps == x.cg_attempts == 0
+                   for x in lin)
+
+    @pytest.mark.parametrize("bc, ell, factors", [
+        (cs.BC.DIRICHLET_ALL, 4, 0), (cs.BC.MIXED, 8, 1)])
+    def test_stiffness_factored_on_first_cg_candidate(
+            self, monkeypatch, offdiag_field, bc, ell, factors):
+        # Newton steps that agree with their model skip the CG candidate,
+        # and K is factored only for a CG candidate, at most once a solve
+        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
+        calls, cholesky = [], es._cholesky
+        monkeypatch.setattr(es, "_cholesky",
+                            lambda ab: calls.append(ab) or cholesky(ab))
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, bc, 4, 32))
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3, cross=cross)
+        assert r.stop_reason == "residual"
+        assert len(calls) == factors and (r.cg_attempts == 0) == (factors == 0)
+
+    def test_partial_newton_steps_keep_cg(self, offdiag_field):
+        # taking every full Newton step that passes Armijo, whatever its
+        # model agreement, took 12 iterations here instead of 6
+        r = cs.half_cylinder_eigen(cs.Side.PLUS, 12, (32, 4), offdiag_field,
+                                   2.5)
+        assert r.stop_reason == "residual" and r.iterations <= 8
 
     def test_linear_offdiag_long_cylinder(self, linear_field):
         # the one-sided family at ell = 8, where the p = 2 preconditioner's
@@ -485,6 +511,36 @@ class TestNewton:
         assert np.linalg.norm(H @ v - reference) <= 1e-8 * np.linalg.norm(
             reference)
 
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("kind", ["mixed", "dirichlet", "half_plus",
+                                      "section"])
+    def test_newton_length_is_one(self, linear_field, kind, p):
+        # E and m are p-homogeneous, so gM.z = 0 and z.(E'' - lam m'').z
+        # = m d.z for the Newton step z: the exact length d.z/h along z is
+        # 1, which the descent takes without a curvature pass
+        if kind == "section":
+            problem = section_problem(varying_a22(linear_field), p, 16)
+            n = 15
+        else:
+            shape, bc = {"mixed": (cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
+                         "dirichlet": (cs.Shape.FULL_CYLINDER,
+                                       cs.BC.DIRICHLET_ALL),
+                         "half_plus": (cs.Shape.HALF_PLUS,
+                                       cs.BC.HALF_CYLINDER)}[kind]
+            mesh = cs.build_mesh(cs.DomainSpec(shape, 2, bc, 4, 8))
+            problem = es._CylinderQuotient(mesh, linear_field, p,
+                                           cs.QuadratureRule())
+            n = mesh.n_free
+        u = 1.0 + np.random.default_rng(10).random(n)
+        S = problem.state(u)
+        E, gE, m, gM = problem.gradient(S)
+        lam = E / m
+        z = es._newton_direction(problem, S, u, gM, m, lam, p)
+        assert abs(gM @ z) <= 1e-10 * np.linalg.norm(gM) * np.linalg.norm(z)
+        dz = float((gE - lam * gM) @ z) / m
+        h = TestMinimizeRayleigh.newton_curvature(problem, u, z)
+        assert dz / h == pytest.approx(1.0, abs=1e-8)
+
     @pytest.mark.parametrize("kind", ["cylinder", "section"])
     def test_step_matches_bordered_system(self, linear_field, kind):
         # 8 cells each: 2 x 4 on the cylinder, 8 on the cross section
@@ -526,6 +582,17 @@ class TestNewton:
         reference = spla.spsolve(K.tocsc(), b)
         assert np.allclose(solve(b), reference, rtol=1e-10,
                            atol=1e-12 * np.abs(reference).max())
+
+    def test_stiffness_solve_rejects_non_finite(self, linear_field):
+        # each solve checks its right-hand side; the factor is checked once
+        quad = cs.QuadratureRule()
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
+        solve = es._cholesky(disc.stiffness_band(mesh, linear_field, quad))
+        b = np.ones(mesh.n_free)
+        b[3] = np.nan
+        with pytest.raises(ValueError):
+            solve(b)
 
 
 class TestGaussPointStates:
