@@ -55,6 +55,7 @@ class NuEstimate:
     last_value: float
     extrapolated: float
     monotone_ok: bool
+    converged: bool       # every rung's solve certified
 
 
 @dataclass
@@ -108,10 +109,10 @@ class SweepTable:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def _first_eigen(mesh, coeffs, p, opts, quad, cross=None):
+def _first_eigen(mesh, coeffs, p, opts, quad, cross):
     if p == 2:
-        return linear_spectrum(mesh, coeffs, 1, opts, quad)[0]
-    return minimize_rayleigh(mesh, coeffs, p, opts, quad, cross=cross)
+        return linear_spectrum(mesh, coeffs, 1, opts, quad, cross)[0]
+    return minimize_rayleigh(mesh, coeffs, p, opts, quad, cross)
 
 
 def sweep_lambda(ells, family_coeffs, p, resolution, opts=None,
@@ -183,14 +184,14 @@ def nu_infinity_estimate(side, family_coeffs, p, ell_ladder, resolution,
     if any(b <= a for a, b in zip(ladder_ells, ladder_ells[1:])):
         raise ConfigurationError("ladder lengths must be strictly increasing")
     opts = opts or SolveOptions()
-    # the descent's start; p = 2 solves the pencil and needs no section
-    cross = None if p == 2 else cross_section_ground_state(
-        resolution[0], family_coeffs, p, quad=quad)
-    values = []
+    cross = cross_section_ground_state(resolution[0], family_coeffs, p,
+                                       quad=quad)
+    values, converged = [], True
     for ell in ladder_ells:
         r = half_cylinder_eigen(side, ell, resolution, family_coeffs, p, opts,
                                 quad, cross)
         values.append(r.lam)
+        converged = converged and r.converged
     diffs = np.diff(values)
     monotone_ok = bool(np.all(diffs <= monotone_slack))
     last = values[-1]
@@ -202,7 +203,7 @@ def nu_infinity_estimate(side, family_coeffs, p, ell_ladder, resolution,
         if d1 < 0.0 and d2 < 0.0 and denom > 0.0 and d2 / d1 < 1.0:
             extrapolated = last - d2 * d2 / denom
     return NuEstimate(side, list(zip(ladder_ells, values)), last,
-                      extrapolated, monotone_ok)
+                      extrapolated, monotone_ok, converged)
 
 
 def default_window(ell):
@@ -326,8 +327,7 @@ def beta2_upper_bound(ell, resolution, coeffs, p, opts=None, quad=None) -> float
     second min-max value of the full cylinder.
     """
     opts = opts or SolveOptions()
-    cross = None if p == 2 else cross_section_ground_state(
-        resolution[0], coeffs, p, quad=quad)
+    cross = cross_section_ground_state(resolution[0], coeffs, p, quad=quad)
     rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts, quad,
                              cross)
     rm = half_cylinder_eigen(Side.MINUS, ell, resolution, coeffs, p, opts,

@@ -329,7 +329,7 @@ def _run_ladder(plan, outdir):
     payload = {"side": est.side.value, "last_value": est.last_value,
                "extrapolated": est.extrapolated, "monotone_ok": est.monotone_ok}
     _atomic_write(os.path.join(outdir, "nu_estimate.json"), _dump_json(payload))
-    return ["ladder.csv", "nu_estimate.json"], True, payload
+    return ["ladder.csv", "nu_estimate.json"], est.converged, payload
 
 
 def _run_spectrum(plan, outdir):
@@ -397,17 +397,18 @@ def _run_decay(plan, outdir):
 def _run_beta2(plan, outdir):
     lines = ["ell,beta2_upper,lambda_half_plus,lambda_half_minus"]
     last = None
-    cross = None if plan.p == 2 else cross_section_ground_state(
-        plan.nx2, plan.family, plan.p)
+    converged = True
+    cross = cross_section_ground_state(plan.nx2, plan.family, plan.p)
     for ell in plan.ells:
         rp = half_cylinder_eigen(Side.PLUS, ell, plan.resolution,
                                  plan.family, plan.p, plan.opts, cross=cross)
         rm = half_cylinder_eigen(Side.MINUS, ell, plan.resolution,
                                  plan.family, plan.p, plan.opts, cross=cross)
+        converged = converged and rp.converged and rm.converged
         last = max(rp.lam, rm.lam)
         lines.append(f"{_g17(ell)},{_g17(last)},{_g17(rp.lam)},{_g17(rm.lam)}")
     _atomic_write(os.path.join(outdir, "beta2.csv"), "\n".join(lines) + "\n")
-    return ["beta2.csv"], True, {"beta2_upper_last": last}
+    return ["beta2.csv"], converged, {"beta2_upper_last": last}
 
 
 def _sandwich_fits(rows):

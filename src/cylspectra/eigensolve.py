@@ -2,26 +2,29 @@
 
 Four entry points: `minimize_rayleigh` (Newton steps on the Rayleigh
 quotient, globalized by preconditioned nonlinear CG, any p >= 2),
-`linear_spectrum` (p = 2, shift-invert Lanczos on the assembled pencil,
-through the banded Cholesky factor of the stiffness that also
-preconditions the descent), `cross_section_ground_state`
-(the 1D problem on the cross section), and `half_cylinder_eigen` (first
-eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
-the discrete problem through the one Q1 core of `discretization`: the
-cylinder solves through its tensor-product quadrature and p = 2 matrices,
-the cross-section solve through the same 1D element on the x2 nodes.
+`linear_spectrum` (p = 2 on the assembled pencil: the first eigenpair by
+the same engine, whose full Newton step there is Rayleigh-quotient
+iteration, k >= 2 by shift-invert Lanczos through the banded Cholesky
+factor of the stiffness that also preconditions the descent),
+`cross_section_ground_state` (the 1D problem on the cross section), and
+`half_cylinder_eigen` (first eigenvalue of a half cylinder with a
+Dirichlet far end).  All of them see the discrete problem through the one
+Q1 core of `discretization`: the cylinder solves through its
+tensor-product quadrature and p = 2 matrices, the cross-section solve
+through the same 1D element on the x2 nodes.
 
-The descent sees its problem as Gauss-point states: the values and slopes
-of a nodal vector at the Gauss points.  They are linear in the vector, so
-the conjugate direction z = s + beta z_prev, every Armijo trial along
+The descent sees its problem as states linear in the nodal vector: its
+values and slopes at the Gauss points, or on the p = 2 pencil the vector
+itself.  So the conjugate direction z = s + beta z_prev, every Armijo trial along
 u - t z and the curvature along z are all combinations of carried states.
 An iteration tries (unless backed off) the Newton step on the unit
 p-sphere, one banded LU solve of the quotient Hessian, whose rate does not
 follow the collapsing gap lam2 - lam1 of long cylinders; a full step that
 agrees with its model is taken, otherwise the CG step is tried too and
 the one that descends further kept, each costing one forward pass.
-Only the residual test certifies a p != 2 eigenpair: `converged` is true
-for that exit alone, and the cross-section solve raises on any other.
+Only the residual test certifies an eigenpair of the engine, the first
+p = 2 pair included: `converged` is true for that exit alone, and the
+cross-section solve raises on any other.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.tol_residual <= 0:
             raise ConfigurationError("tol_residual must be positive")
+        if self.max_iters < 1:
+            raise ConfigurationError("max_iters must be at least 1")
 
 
 @dataclass
@@ -73,9 +78,9 @@ class EigenResult:
     final_residual: float
     rayleigh_history: np.ndarray
     converged: bool
-    # descent: "residual" (the only converged exit), "no_descent" or
-    # "max_iters"; linear_spectrum: "arpack", "dense" (k = n_free) or
-    # "max_iters"
+    # descent, and linear_spectrum at k = 1: "residual" (the only
+    # converged exit), "no_descent" or "max_iters"; linear_spectrum at
+    # k >= 2: "arpack", "dense" (k = n_free) or "max_iters"
     stop_reason: str
     # descent iterations that tried a Newton step, and those it won
     newton_attempts: int = 0
@@ -397,35 +402,94 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
     """
     opts = opts or SolveOptions()
     quad = quad or QuadratureRule()
+    u0 = _lifted_start(mesh, coeffs, p, opts, quad, cross)
+    return _eigen_result(mesh, _minimize_quotient(
+        _CylinderQuotient(mesh, coeffs, p, quad), u0, p, opts,
+        lambda: _cholesky(disc.stiffness_band(mesh, coeffs, quad))))
+
+
+def _lifted_start(mesh, coeffs, p, opts, quad, cross):
+    """The free DOFs of `_initial_grid`, lifted from `cross` or, when it is
+    None, from a fresh cross-section solve at p."""
     if cross is None:
         cross = cross_section_ground_state(mesh.n_cells2, coeffs, p, quad=quad)
+    return mesh.restrict(_initial_grid(mesh, cross, opts))
 
-    u0 = mesh.restrict(_initial_grid(mesh, cross, opts))
-    r = _minimize_quotient(
-        _CylinderQuotient(mesh, coeffs, p, quad), u0, p, opts,
-        lambda: _cholesky(disc.stiffness_band(mesh, coeffs, quad)))
+
+def _eigen_result(mesh, r):
     return EigenResult(r.lam, DiscreteField(r.u, mesh), r.iterations,
                        r.residual, r.history, r.stop_reason == "residual",
                        r.stop_reason, r.newton_attempts, r.newton_steps,
                        r.cg_attempts)
 
 
-def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
+class _PencilQuotient:
+    """The p = 2 quotient u.Ku / u.Mu of the assembled pencil, for
+    `_minimize_quotient`: a state is the nodal vector itself, so no
+    quadrature runs.  `stiff` and `mass` are the diagonals of
+    `disc._p2_diagonals`, of bandwidth `bw`."""
+
+    def __init__(self, stiff, mass, bw):
+        self.stiff, self.mass, self.bw = stiff, mass, bw
+        self.K, self.M = disc._csr(stiff), disc._csr(mass)
+        self._band = None
+
+    def state(self, u):
+        # a copy: the descent combines directions in place over their states
+        return (np.array(u, dtype=float),)
+
+    def value(self, S):
+        (u,) = S
+        return float(u @ (self.K @ u)), float(u @ (self.M @ u))
+
+    def gradient(self, S):
+        (u,) = S
+        Ku, Mu = self.K @ u, self.M @ u
+        return float(u @ Ku), 2.0 * Ku, float(u @ Mu), 2.0 * Mu
+
+    def curvature(self, S, Sz):
+        (z,) = Sz
+        return 2.0 * float(z @ (self.K @ z)), 2.0 * float(z @ (self.M @ z))
+
+    def hessian(self, S, lam):
+        # K - lam M, half of E'' - lam m''; one band buffer per solve
+        self._band = disc.lapack_band(
+            {o: v - lam * self.mass[o] for o, v in self.stiff.items()},
+            self.bw, self.bw, self.bw, self._band)
+        return self._band
+
+    def precond(self):
+        return _cholesky(disc.lapack_band(self.stiff, self.bw, 0))
+
+
+def linear_spectrum(mesh, coeffs, k, opts=None, quad=None, cross=None):
     """k smallest eigenpairs of the p = 2 pencil (K, M).
 
-    Shift-invert Lanczos about sigma = 0 (ARPACK through `eigsh`): every
-    Lanczos step applies K^{-1} M through one banded Cholesky factorization
-    of the stiffness matrix (`_cholesky`, as in the descent's
-    preconditioner), so the cost follows the distance of the wanted
-    eigenvalues from the rest of the shifted spectrum, not the ratio
+    k = 1 runs the descent engine (`_minimize_quotient`) on the pencil
+    quotient u.Ku / u.Mu from the lifted start of `minimize_rayleigh`,
+    built from `cross` (the p = 2 cross-section ground state, solved here
+    when not given).  Its full Newton step is Rayleigh-quotient iteration,
+    one banded LU solve of K - lam M; K is factored only if a CG candidate
+    runs.  The result carries the engine's certificate: `stop_reason`
+    "residual" (then `converged`), "no_descent" or "max_iters", the max
+    norm of 2 (K u - lam M u) / u.Mu as `final_residual`, tested against
+    ``tol_residual * max(1, |lambda|)``, and the Newton steps taken as
+    `iterations`.
+
+    k >= 2 runs shift-invert Lanczos about sigma = 0 (ARPACK through
+    `eigsh`): every Lanczos step applies K^{-1} M through one banded
+    Cholesky factorization of the stiffness matrix (`_cholesky`, as in the
+    descent's preconditioner), so the cost follows the distance of the
+    wanted eigenvalues from the rest of the shifted spectrum, not the ratio
     lam1/lam2 that collapses on long cylinders.  The fixed start vector of
     ones makes the result deterministic.  `converged` certifies that ARPACK
     converged and that ||K v - lam M v|| / ||v|| <= tol_residual.
     `max_iters` caps the ARPACK restarts; a run that hits it comes back
     flagged, with Ritz pairs from a short shift-invert Krylov space, since
     ARPACK hands back only the pairs it converged, and `stop_reason`
-    "max_iters" ("arpack" otherwise, "dense" for k = n_free).  `iterations` counts
-    the shift-invert solves of the whole call, shared by all k results.
+    "max_iters" ("arpack" otherwise, "dense" for k = n_free, which solves
+    the dense pencil).  `iterations` counts the shift-invert solves of the
+    whole call, shared by all k results.
     Eigenvectors are p-mass normalized; the first has a nonnegative sum,
     the others a positive largest entry.
     """
@@ -435,6 +499,12 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None):
     if k < 1 or k > n:
         raise ConfigurationError(f"need 1 <= k <= {n}, got {k}")
     stiff, mass = disc._p2_diagonals(mesh, coeffs, quad)
+    if k == 1 < n:
+        problem = _PencilQuotient(stiff, mass, mesh.n_cells2)
+        u0 = _lifted_start(mesh, coeffs, 2.0, opts, quad, cross)
+        return [_eigen_result(mesh, _minimize_quotient(
+            problem, u0, 2.0, opts, problem.precond))]
+
     K, M = disc._csr(stiff), disc._csr(mass)
     solve = _cholesky(disc.lapack_band(stiff, mesh.n_cells2, 0))
     solves = 0
@@ -509,17 +579,18 @@ def half_cylinder_eigen(side, ell, resolution, coeffs, p,
     """First eigenvalue of the half cylinder with a Dirichlet far end.
 
     `side` PLUS is (0, ell) with the natural end at 0; MINUS is (-ell, 0)
-    with the natural end at 0.  For p = 2 the assembled pencil is solved;
-    otherwise the descent solver runs with the lifted quarter-wave start,
-    built from `cross` when given (as in `minimize_rayleigh`).
+    with the natural end at 0.  For p = 2 the assembled pencil is solved
+    (`linear_spectrum`), otherwise the cylinder quotient is descended
+    (`minimize_rayleigh`); both start from the lifted quarter-wave state,
+    built from `cross` when given.
     """
     opts = opts or SolveOptions()
     nx2, cpu = resolution
     shape = Shape.HALF_PLUS if side is Side.PLUS else Shape.HALF_MINUS
     mesh = build_mesh(DomainSpec(shape, ell, BC.HALF_CYLINDER, cpu, nx2))
     if p == 2:
-        return linear_spectrum(mesh, coeffs, 1, opts, quad)[0]
-    return minimize_rayleigh(mesh, coeffs, p, opts, quad, cross=cross)
+        return linear_spectrum(mesh, coeffs, 1, opts, quad, cross)[0]
+    return minimize_rayleigh(mesh, coeffs, p, opts, quad, cross)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,12 @@ class TestNuEstimate:
                       cross=None):
             class R:
                 lam = next(values)
+                converged = True
             return R()
 
         monkeypatch.setattr(asy, "half_cylinder_eigen", fake_half)
+        monkeypatch.setattr(asy, "cross_section_ground_state",
+                            lambda *args, **kwargs: None)
         est = asy.nu_infinity_estimate(cs.Side.PLUS, None, 2, [2, 4, 6], RES)
         assert est.extrapolated == pytest.approx(nu, abs=1e-12)
 
@@ -90,9 +93,12 @@ class TestNuEstimate:
                       cross=None):
             class R:
                 lam = next(values)
+                converged = True
             return R()
 
         monkeypatch.setattr(asy, "half_cylinder_eigen", fake_half)
+        monkeypatch.setattr(asy, "cross_section_ground_state",
+                            lambda *args, **kwargs: None)
         est = asy.nu_infinity_estimate(cs.Side.MINUS, None, 2, [2, 4, 6], RES)
         assert not est.monotone_ok
         assert est.extrapolated == est.last_value == 9.2
@@ -100,9 +106,11 @@ class TestNuEstimate:
     def test_p3_ladder_solves_cross_section_once(self, monkeypatch,
                                                  offdiag_field):
         calls = count_section_solves(monkeypatch)
-        asy.nu_infinity_estimate(cs.Side.PLUS, offdiag_field, 3, [2, 4, 6],
-                                 RES)
-        assert len(calls) == 1
+        for p in (2, 3):
+            calls.clear()
+            asy.nu_infinity_estimate(cs.Side.PLUS, offdiag_field, p,
+                                     [2, 4, 6], RES)
+            assert len(calls) == 1
 
     def test_ladder_validation(self, offdiag_field):
         with pytest.raises(ConfigurationError):
@@ -209,8 +217,10 @@ class TestSweep:
     def test_p3_sweep_solves_cross_section_once(self, monkeypatch,
                                                 offdiag_field):
         calls = count_section_solves(monkeypatch)
-        asy.sweep_lambda([2, 4], offdiag_field, 3, RES)
-        assert len(calls) == 1
+        for p in (2, 3):
+            calls.clear()
+            asy.sweep_lambda([2, 4], offdiag_field, p, RES)
+            assert len(calls) == 1
 
     def test_identity_rows_have_no_gap(self, identity_field):
         tab = asy.sweep_lambda([2, 3], identity_field, 2, RES)
@@ -253,8 +263,10 @@ class TestBeta2:
 
     def test_p3_solves_cross_section_once(self, monkeypatch, offdiag_field):
         calls = count_section_solves(monkeypatch)
-        asy.beta2_upper_bound(3, RES, offdiag_field, 3)
-        assert len(calls) == 1
+        for p in (2, 3):
+            calls.clear()
+            asy.beta2_upper_bound(3, RES, offdiag_field, p)
+            assert len(calls) == 1
 
     def test_quarter_wave_identity(self, identity_field):
         val = asy.beta2_upper_bound(2, (32, 8), identity_field, 2)

@@ -197,12 +197,29 @@ def test_beta2_p3_solves_cross_section_once(tmp_path, monkeypatch):
 
     for module in (eigensolve, cli):
         monkeypatch.setattr(module, "cross_section_ground_state", counted)
+    for p in (2.0, 3.0):
+        calls.clear()
+        path = write_config(
+            tmp_path, experiment="beta2", p=p,
+            family={"kind": "constant_offdiag", "c": 0.3},
+            ells=[2, 3], output_dir=str(tmp_path / "runs"))
+        assert cli.main(["beta2", "--config", path]) == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("beta2", {"ells": [2, 3]}),
+    ("ladder", {"ells": [2, 3, 4], "side": "plus"}),
+])
+def test_uncertified_solves_not_reported_converged(tmp_path, command, extra):
+    # one descent step certifies none of the half-cylinder solves
     path = write_config(
-        tmp_path, experiment="beta2", p=3.0,
+        tmp_path, experiment=command, p=3.0,
         family={"kind": "constant_offdiag", "c": 0.3},
-        ells=[2, 3], output_dir=str(tmp_path / "runs"))
-    assert cli.main(["beta2", "--config", path]) == 0
-    assert len(calls) == 1
+        solver={"max_iters": 1}, output_dir=str(tmp_path / "runs"), **extra)
+    assert cli.main([command, "--config", path]) == 0
+    run = next((tmp_path / "runs").iterdir())
+    assert json.loads((run / "manifest.json").read_text())["converged"] is False
 
 
 def test_report_empty_and_full(tmp_path):
@@ -252,6 +269,15 @@ def test_invalid_solver_key_rejected(tmp_path):
                             solver={key: value},
                             output_dir=str(tmp_path / "runs"))
         assert cli.main(["solve", "--config", path]) == 2
+
+
+def test_max_iters_validated_upfront(tmp_path):
+    for value in (0, -1):
+        path = write_config(tmp_path, experiment="spectrum", ell=2.0, k=2,
+                            solver={"max_iters": value},
+                            output_dir=str(tmp_path / "runs"))
+        assert cli.main(["spectrum", "--config", path]) == 2
+        assert not (tmp_path / "runs").exists()
 
 
 def test_decay_window_validated_upfront(tmp_path):

@@ -78,6 +78,18 @@ class TestCrossSection:
             cs.cross_section_ground_state(4, identity_field, 2)
 
 
+# Small meshes for dense-pencil oracles: the two longer mixed ones hold a
+# collapsing cluster, the last three drop other x1 rows from the free DOFs.
+ORACLE_MESHES = (
+    cs.DomainSpec(cs.Shape.FULL_CYLINDER, 3, cs.BC.MIXED, 4, 16),
+    cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 8),
+    cs.DomainSpec(cs.Shape.FULL_CYLINDER, 12, cs.BC.MIXED, 2, 8),
+    cs.DomainSpec(cs.Shape.FULL_CYLINDER, 3, cs.BC.DIRICHLET_ALL, 4, 16),
+    cs.DomainSpec(cs.Shape.HALF_PLUS, 4, cs.BC.HALF_CYLINDER, 4, 16),
+    cs.DomainSpec(cs.Shape.HALF_MINUS, 4, cs.BC.HALF_CYLINDER, 4, 16),
+)
+
+
 class TestLinearSpectrum:
     def test_cosine_modes(self, identity_field):
         mesh = cs.build_mesh(
@@ -114,16 +126,9 @@ class TestLinearSpectrum:
         # two longer mixed meshes hold a collapsing cluster: there an eigsh
         # `tol` of 1e-12 or 1e-10 (ell 8) or 1e-8 (ell 12) skips an
         # eigenvalue, with residuals ~1e-14 that cannot see it, so `tol`
-        # must stay 0.  The last three meshes drop other x1 rows from the
-        # free DOFs, and so from the band that is factored.
+        # must stay 0.
         import scipy.linalg
-        full, half = cs.Shape.FULL_CYLINDER, cs.BC.HALF_CYLINDER
-        for spec in (cs.DomainSpec(full, 3, cs.BC.MIXED, 4, 16),
-                     cs.DomainSpec(full, 8, cs.BC.MIXED, 4, 8),
-                     cs.DomainSpec(full, 12, cs.BC.MIXED, 2, 8),
-                     cs.DomainSpec(full, 3, cs.BC.DIRICHLET_ALL, 4, 16),
-                     cs.DomainSpec(cs.Shape.HALF_PLUS, 4, half, 4, 16),
-                     cs.DomainSpec(cs.Shape.HALF_MINUS, 4, half, 4, 16)):
+        for spec in ORACLE_MESHES:
             mesh = cs.build_mesh(spec)
             pair = cs.assemble_p2(mesh, offdiag_field)
             oracle = scipy.linalg.eigh(pair.stiffness.toarray(),
@@ -131,6 +136,24 @@ class TestLinearSpectrum:
                                        eigvals_only=True)[:3]
             mine = [r.lam for r in cs.linear_spectrum(mesh, offdiag_field, 3)]
             assert np.allclose(mine, oracle, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("family", ["offdiag_field", "linear_field"])
+    def test_first_pair_matches_dense_eigh(self, family, request):
+        # the k = 1 path is the descent engine on the pencil; the oracle is
+        # the dense pencil
+        import scipy.linalg
+        coeffs = request.getfixturevalue(family)
+        for spec in ORACLE_MESHES:
+            mesh = cs.build_mesh(spec)
+            pair = cs.assemble_p2(mesh, coeffs)
+            oracle = scipy.linalg.eigh(pair.stiffness.toarray(),
+                                       pair.mass.toarray(), eigvals_only=True,
+                                       subset_by_index=[0, 0])[0]
+            r = cs.linear_spectrum(mesh, coeffs, 1)[0]
+            assert r.lam == pytest.approx(oracle, rel=1e-10, abs=0.0)
+            assert r.stop_reason == "residual" and r.converged
+            mass = disc.p_mass(mesh, r.field.grid(), 2.0)[0]
+            assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_long_cylinder_symmetric_and_certified(self, offdiag_field):
         # lam2 - lam1 is tiny at ell = 20; the point symmetry of the
@@ -175,7 +198,7 @@ class TestLinearSpectrum:
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 16))
         assert cs.linear_spectrum(mesh, offdiag_field, 1)[0].stop_reason == (
-            "arpack")
+            "residual")
         rough = cs.linear_spectrum(mesh, offdiag_field, 3,
                                    cs.SolveOptions(max_iters=1))
         assert [r.stop_reason for r in rough] == ["max_iters"] * 3
