@@ -29,5 +29,5 @@ for ell in (2, 4, 8):
     mesh = cs.build_mesh(cs.DomainSpec(
         cs.Shape.FULL_CYLINDER, ell, cs.BC.MIXED, RES[1], RES[0]))
     lam1 = cs.minimize_rayleigh(mesh, family, 3).lam
-    beta2 = asy.beta2_upper_bound(ell, RES, family, 3)
+    beta2 = asy.beta2_upper_bound(ell, RES, family, 3).value
     print(f"{ell:4d} {lam1:12.6f} {beta2:12.6f} {beta2 - lam1:11.6f}")

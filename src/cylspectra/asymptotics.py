@@ -29,9 +29,10 @@ import numpy as np
 
 from . import discretization as disc
 from .discretization import DiscreteField, QuadratureRule
-from .eigensolve import (CrossSectionResult, Side, SolveOptions,
-                         cross_section_ground_state, half_cylinder_eigen,
-                         linear_spectrum, minimize_rayleigh)
+from .eigensolve import (CrossSectionResult, EigenResult, Side,
+                         SolveOptions, cross_section_ground_state,
+                         half_cylinder_eigen, linear_spectrum,
+                         minimize_rayleigh)
 from .errors import ConfigurationError, DimensionMismatchError
 from .mesh import BC, DomainSpec, Shape, SlabProfile, build_mesh, slab_integrals
 
@@ -56,6 +57,16 @@ class NuEstimate:
     extrapolated: float
     monotone_ok: bool
     converged: bool       # every rung's solve certified
+
+
+@dataclass
+class Beta2Bound:
+    """Upper bound for the second min-max eigenvalue, with its two solves."""
+
+    value: float          # the larger of the two half-cylinder eigenvalues
+    plus: EigenResult
+    minus: EigenResult
+    converged: bool       # both half-cylinder solves certified
 
 
 @dataclass
@@ -131,7 +142,7 @@ def sweep_lambda(ells, family_coeffs, p, resolution, opts=None,
     opts = opts or SolveOptions()
     quad = quad or QuadratureRule()
     nx2, cpu = resolution
-    cross = cross_section_ground_state(nx2, family_coeffs, p, quad=quad)
+    cross = cross_section_ground_state(nx2, family_coeffs, p, opts, quad)
     table = SweepTable()
     for ell in ells:
         mesh_m = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.MIXED, cpu, nx2))
@@ -146,7 +157,8 @@ def sweep_lambda(ells, family_coeffs, p, resolution, opts=None,
         profile = slab_integrals(mesh_m, family_coeffs, r_m.field, p, quad)
         alpha = _sweep_alpha(profile, ell)
         split = end_mass_split(r_m.field, mesh_m, family_coeffs, p, quad)
-        conv = all(r.converged for r in (r_m, r_d, r_p, r_mi))
+        conv = cross.converged and all(
+            r.converged for r in (r_m, r_d, r_p, r_mi))
         table.rows.append(SweepRow(
             ell=float(ell), p=float(p), family=family_coeffs.label,
             lambda_mixed=r_m.lam, lambda_dirichlet=r_d.lam,
@@ -184,8 +196,8 @@ def nu_infinity_estimate(side, family_coeffs, p, ell_ladder, resolution,
     if any(b <= a for a, b in zip(ladder_ells, ladder_ells[1:])):
         raise ConfigurationError("ladder lengths must be strictly increasing")
     opts = opts or SolveOptions()
-    cross = cross_section_ground_state(resolution[0], family_coeffs, p,
-                                       quad=quad)
+    cross = cross_section_ground_state(resolution[0], family_coeffs, p, opts,
+                                       quad)
     values, converged = [], True
     for ell in ladder_ells:
         r = half_cylinder_eigen(side, ell, resolution, family_coeffs, p, opts,
@@ -319,20 +331,26 @@ def slab_bound(cross: CrossSectionResult, coeffs, p, variant="squared"):
     return value, clamped
 
 
-def beta2_upper_bound(ell, resolution, coeffs, p, opts=None, quad=None) -> float:
+def beta2_upper_bound(ell, resolution, coeffs, p, opts=None, quad=None,
+                      cross=None) -> Beta2Bound:
     """Upper bound for the second min-max eigenvalue from disjoint supports.
 
-    Two half-cylinder solves; functions supported on the two halves have
-    disjoint support, so the larger of the two first eigenvalues bounds the
-    second min-max value of the full cylinder.
+    Two half-cylinder solves, both started from `cross` (the cross-section
+    ground state, solved here when not given); functions supported on the
+    two halves have disjoint support, so the larger of the two first
+    eigenvalues bounds the second min-max value of the full cylinder.  The
+    bound is certified (`converged`) when both solves are.
     """
     opts = opts or SolveOptions()
-    cross = cross_section_ground_state(resolution[0], coeffs, p, quad=quad)
+    if cross is None:
+        cross = cross_section_ground_state(resolution[0], coeffs, p, opts,
+                                           quad)
     rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts, quad,
                              cross)
     rm = half_cylinder_eigen(Side.MINUS, ell, resolution, coeffs, p, opts,
                              quad, cross)
-    return max(rp.lam, rm.lam)
+    return Beta2Bound(max(rp.lam, rm.lam), rp, rm,
+                      rp.converged and rm.converged)
 
 
 def picone_residual_min(u: DiscreteField, cross: CrossSectionResult, mesh,

@@ -32,8 +32,7 @@ from . import asymptotics as asy
 from .coeffs import (CoefficientFamily, FamilyKind, load_tabulated_csv,
                      make_coefficients, satisfies_symmetry_S)
 from .eigensolve import (Init, Side, SolveOptions, cross_section_ground_state,
-                         half_cylinder_eigen, linear_spectrum,
-                         minimize_rayleigh)
+                         linear_spectrum, minimize_rayleigh)
 from .errors import ConfigurationError, SolverError
 from .mesh import BC, DomainSpec, Shape, build_mesh, slab_integrals
 
@@ -276,10 +275,19 @@ def _csv_bool(b):
     return "true" if b else "false"
 
 
+def _certified_section(plan):
+    """The cross-section ground state of `solve` and `gap_check`, which
+    report nothing else: an uncertified one fails the run."""
+    cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
+                                       plan.opts)
+    if not cross.converged:
+        raise SolverError("cross-section descent did not converge")
+    return cross
+
+
 def _run_solve(plan, outdir):
     if plan.shape is Shape.CROSS_SECTION:
-        cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
-                                           plan.opts)
+        cross = _certified_section(plan)
         payload = {"lambda": cross.mu1, "iterations": cross.iterations,
                    "residual": cross.residual, "converged": True}
     else:
@@ -346,7 +354,7 @@ def _run_spectrum(plan, outdir):
 
 
 def _run_gap_check(plan, outdir):
-    cross = cross_section_ground_state(plan.nx2, plan.family, plan.p, plan.opts)
+    cross = _certified_section(plan)
     gi = asy.gap_integral_I2(cross, plan.family, plan.p)
     printed, printed_clamps = asy.slab_bound(cross, plan.family, plan.p, "as_printed")
     squared, squared_clamps = asy.slab_bound(cross, plan.family, plan.p, "squared")
@@ -398,15 +406,15 @@ def _run_beta2(plan, outdir):
     lines = ["ell,beta2_upper,lambda_half_plus,lambda_half_minus"]
     last = None
     converged = True
-    cross = cross_section_ground_state(plan.nx2, plan.family, plan.p)
+    cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
+                                       plan.opts)
     for ell in plan.ells:
-        rp = half_cylinder_eigen(Side.PLUS, ell, plan.resolution,
-                                 plan.family, plan.p, plan.opts, cross=cross)
-        rm = half_cylinder_eigen(Side.MINUS, ell, plan.resolution,
-                                 plan.family, plan.p, plan.opts, cross=cross)
-        converged = converged and rp.converged and rm.converged
-        last = max(rp.lam, rm.lam)
-        lines.append(f"{_g17(ell)},{_g17(last)},{_g17(rp.lam)},{_g17(rm.lam)}")
+        bound = asy.beta2_upper_bound(ell, plan.resolution, plan.family,
+                                      plan.p, plan.opts, cross=cross)
+        converged = converged and bound.converged
+        last = bound.value
+        lines.append(f"{_g17(ell)},{_g17(last)},{_g17(bound.plus.lam)},"
+                     f"{_g17(bound.minus.lam)}")
     _atomic_write(os.path.join(outdir, "beta2.csv"), "\n".join(lines) + "\n")
     return ["beta2.csv"], converged, {"beta2_upper_last": last}
 

@@ -288,7 +288,7 @@ def _form(core, coeffs, grid):
 
 def _energy_sums(core, A, g1, g2, p, grad):
     """integral |A grad u . grad u|^{p/2}; if `grad`, also its nodal gradient
-    and the pointwise data (q, P = p w q^{p/2-1}) that `_eval_curvature`
+    and the pointwise data (q, P = p w q^{p/2-1}) that `_eval_hessian`
     reads at the same state."""
     if not grad:
         return core.integrate(_power(_quadratic(A, g1, g2), p / 2.0))
@@ -371,7 +371,7 @@ def _eval_value(mesh, A, state, p, quad):
 def _eval_full(mesh, A, state, p, quad):
     """(energy, its gradient, p-mass, its gradient, pointwise data) of a
     Gauss-point state, gradients over the free DOFs; only the adjoint
-    passes run.  The pointwise data is what `_eval_curvature` needs of
+    passes run.  The pointwise data is what `_eval_hessian` needs of
     this state."""
     core = _core(mesh, quad)
     uq, g1, g2 = state
@@ -379,38 +379,6 @@ def _eval_full(mesh, A, state, p, quad):
     E, gE, point = _energy_sums(core, A, g1, g2, p, True)
     m, gM = _mass_sums(core, uq, p, True)
     return E, gE[free], m, gM[free], point
-
-
-def _eval_curvature(mesh, A, point, state, direction, p, quad):
-    """(E'', m''): second derivatives of the energy and the p-mass at a
-    Gauss-point state along a direction given by its own state.
-
-    E'' = integral p q^{p/2-1} (A grad z . grad z
-                                + (p-2) (A grad z . grad u)^2 / q),
-    the second term 0 where q = 0, and m'' = p (p-1) integral |u|^{p-2} z^2.
-    `point` is the pointwise data `_eval_full` returned at `state`; the
-    direction's terms are computed in place, in four full-size buffers.
-    """
-    core = _core(mesh, quad)
-    q, P = point
-    uq, g1, g2 = state
-    zq, z1, z2 = direction
-    buf = _power(uq, p - 2.0)
-    buf *= zq
-    buf *= zq
-    m2 = p * (p - 1.0) * core.integrate(buf)
-    h1, h2 = _flux(A, z1, z2)
-    dens = h1 * z1
-    dens += np.multiply(h2, z2, out=buf)
-    if p != 2.0:
-        cross = np.multiply(h1, g1, out=h1)
-        cross += np.multiply(h2, g2, out=h2)
-        cross *= cross
-        np.divide(cross, q, out=cross, where=q > 0.0)  # P = 0 where q = 0
-        cross *= p - 2.0
-        dens += cross
-    dens *= P
-    return float(np.sum(dens)), m2
 
 
 # the terms d_i u d_j v of A grad u . grad v, whose coefficient is A[i + j]
@@ -424,10 +392,10 @@ def _eval_hessian(mesh, A, point, state, lam, p, quad, out=None):
 
     The energy's pointwise Hessian is P (A + (p-2) f f^T / q), f = A grad u,
     with `point` = (q, P) of `_eval_full` at `state` and the (p-2) term 0
-    where q = 0, as in `_eval_curvature`; the mass's is
-    p (p-1) w |u|^{p-2}.  Each density is contracted against the basis
-    pairs of every cell, one 1D pass per axis, and the cell matrices go
-    straight into the band, one diagonal at a time.
+    where q = 0; the mass's is p (p-1) w |u|^{p-2}.  Each density is
+    contracted against the basis pairs of every cell, one 1D pass per axis,
+    and the cell matrices go straight into the band, one diagonal at a
+    time.
     """
     L = _hessian_cells(_core(mesh, quad), A, point, state, lam, p)
     bw = mesh.n_cells2
@@ -514,16 +482,10 @@ def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
     a11 d1u d1v + a12 (d1u d2v + d2u d1v) + a22 d2u d2v; the mass matrix is
     the L2 Gram matrix.  u' K u equals energy(u, p=2) by construction.
     Both are 9-point stencils over the nodes, built from the same cell
-    matrices and diagonals as `stiffness_band` (see `_p2_diagonals`).
+    matrices and diagonals as the descent's shift (see `_p2_diagonals`).
     """
     K, M = _p2_diagonals(mesh, coeffs, quad)
     return SparsePair(_csr(K), _csr(M))
-
-
-def stiffness_band(mesh, coeffs, quad=None):
-    """The stiffness of `assemble_p2` in the lower band storage of
-    `cholesky_banded`, from the same diagonals with no sparse matrix."""
-    return lapack_band(_p2_diagonals(mesh, coeffs, quad)[0], mesh.n_cells2, 0)
 
 
 def _free_diagonals(mesh, L):
@@ -581,14 +543,21 @@ def lapack_band(diagonals, kl, ku, top=0, out=None):
         # ell = 8) makes glibc keep up to twice that in its heap afterwards
         ab = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * n),
                         order="F")
+    add_to_band(ab, diagonals, 1.0, kl, ku, top)
+    return ab
+
+
+def add_to_band(ab, diagonals, scale, kl, ku, top=0):
+    """Adds `scale` times the matrix of `diagonals` to `ab`, a result of
+    `lapack_band` with the same layout, in place and one diagonal at a time
+    (with no scaled copy at scale 1)."""
+    n = ab.shape[1]
     for o, v in diagonals.items():
         if -kl <= o <= ku:
             row = ab[top + ku - o]
-            if o >= 0:
-                row[o:] = v[:n - o]
-            else:
-                row[:n + o] = v[-o:]
-    return ab
+            part, entries = ((row[o:], v[:n - o]) if o >= 0
+                             else (row[:n + o], v[-o:]))
+            part += entries if scale == 1.0 else scale * entries
 
 
 def lift_cross_section(cross, mesh) -> DiscreteField:

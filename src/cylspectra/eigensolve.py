@@ -1,30 +1,25 @@
 """Eigenpair solvers.
 
-Four entry points: `minimize_rayleigh` (Newton steps on the Rayleigh
-quotient, globalized by preconditioned nonlinear CG, any p >= 2),
-`linear_spectrum` (p = 2 on the assembled pencil: the first eigenpair by
-the same engine, whose full Newton step there is Rayleigh-quotient
-iteration, k >= 2 by shift-invert Lanczos through the banded Cholesky
-factor of the stiffness that also preconditions the descent),
-`cross_section_ground_state` (the 1D problem on the cross section), and
-`half_cylinder_eigen` (first eigenvalue of a half cylinder with a
-Dirichlet far end).  All of them see the discrete problem through the one
-Q1 core of `discretization`: the cylinder solves through its
-tensor-product quadrature and p = 2 matrices, the cross-section solve
-through the same 1D element on the x2 nodes.
+Four entry points: `minimize_rayleigh` (shifted Newton steps on the
+Rayleigh quotient, any p >= 2), `linear_spectrum` (p = 2 on the assembled
+pencil: the first eigenpair by the same engine, whose unshifted step there
+is Rayleigh-quotient iteration, k >= 2 by shift-invert Lanczos through the
+banded Cholesky factor of the stiffness), `cross_section_ground_state`
+(the 1D problem on the cross section), and `half_cylinder_eigen` (first
+eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
+the discrete problem through the one Q1 core of `discretization`: the
+cylinder solves through its tensor-product quadrature and p = 2 matrices,
+the cross-section solve through the same 1D element on the x2 nodes.
 
 The descent sees its problem as states linear in the nodal vector: its
 values and slopes at the Gauss points, or on the p = 2 pencil the vector
-itself.  So the conjugate direction z = s + beta z_prev, every Armijo trial along
-u - t z and the curvature along z are all combinations of carried states.
-An iteration tries (unless backed off) the Newton step on the unit
-p-sphere, one banded LU solve of the quotient Hessian, whose rate does not
-follow the collapsing gap lam2 - lam1 of long cylinders; a full step that
-agrees with its model is taken, otherwise the CG step is tried too and
-the one that descends further kept, each costing one forward pass.
+itself, so the trial u - z is a combination of carried states.  Every
+iteration takes one step rule: the Newton step on the unit p-sphere, one
+banded LU solve of the quotient Hessian shifted by sigma times the p = 2
+stiffness, with sigma set by a trust-region ratio test.  At sigma = 0 its
+rate does not follow the collapsing gap lam2 - lam1 of long cylinders.
 Only the residual test certifies an eigenpair of the engine, the first
-p = 2 pair included: `converged` is true for that exit alone, and the
-cross-section solve raises on any other.
+p = 2 pair included: `converged` is true for that exit alone.
 """
 
 from __future__ import annotations
@@ -82,11 +77,9 @@ class EigenResult:
     # converged exit), "no_descent" or "max_iters"; linear_spectrum at
     # k >= 2: "arpack", "dense" (k = n_free) or "max_iters"
     stop_reason: str
-    # descent iterations that tried a Newton step, and those it won
-    newton_attempts: int = 0
-    newton_steps: int = 0
-    # descent iterations that evaluated the CG candidate
-    cg_attempts: int = 0
+    # banded LU factorizations of the descent's shifted Newton matrix (0
+    # from linear_spectrum at k >= 2)
+    factorizations: int = 0
 
 
 class CrossSectionResult:
@@ -95,11 +88,14 @@ class CrossSectionResult:
     `w_nodes` are the nodal values (zero at the interval ends,
     p-normalized, positive inside); `w_slope` the element slopes;
     `poincare_cp` the discrete Poincare constant, mu1(omega; a22 = 1)^{-1/p}.
+    `converged` is false when a descent (this one or that of the plain
+    problem) stopped without its residual certificate.
     """
 
     def __init__(self, mu1, w_nodes, x2_nodes, p, poincare_cp,
-                 iterations=0, residual=0.0):
+                 iterations=0, residual=0.0, converged=True):
         self.mu1 = float(mu1)
+        self.converged = converged
         self.w_nodes = np.asarray(w_nodes, dtype=float)
         self.x2_nodes = np.asarray(x2_nodes, dtype=float)
         self.p = float(p)
@@ -116,12 +112,19 @@ class CrossSectionResult:
 # descent engine
 # ---------------------------------------------------------------------------
 
-# Armijo constants: sufficient-decrease factor and backtracking shrink
-_ARMIJO_C = 1e-4
-_ARMIJO_SHRINK = 0.5
-# a full Newton step that achieves this share of its quadratic model's
-# decrease d.z/2 is taken without evaluating the CG candidate
-_MODEL_AGREEMENT = 0.5
+# The shift sigma of the Newton system, in units of max|diag H| / max|diag K|:
+# its first nonzero value, and the factor by which it grows after a rejected
+# step and shrinks after a step that agrees with its model
+_SHIFT_FIRST = 1e-2
+_SHIFT_FACTOR = 4.0
+# the ratio test: a step is taken when its decrease reaches _ACCEPT of its
+# model's, and sigma shrinks when it reaches _AGREE
+_ACCEPT, _AGREE = 0.25, 0.75
+# a model decrease at most this share of |lam| is below the rounding of the
+# quotient, where no step can be seen to descend
+_ROUNDING = 1e-13
+# beyond this sigma the shift swamps H in double precision
+_SHIFT_LIMIT = 1.0 / np.finfo(float).eps
 
 
 class _Descent(NamedTuple):
@@ -131,50 +134,50 @@ class _Descent(NamedTuple):
     residual: float
     history: np.ndarray
     stop_reason: str
-    newton_attempts: int
-    newton_steps: int
-    cg_attempts: int
+    factorizations: int
 
 
-def _minimize_quotient(problem, u0, p, opts, precond):
-    """Rayleigh-quotient descent: Newton steps on the unit p-sphere,
-    globalized by preconditioned nonlinear CG.
+def _minimize_quotient(problem, u0, p, opts):
+    """Rayleigh-quotient descent by shifted Newton steps on the unit p-sphere.
 
     `problem` works on Gauss-point states: `state(u)` is the forward
     quadrature pass of a nodal vector, `value(S) -> (E, m)` and
     `gradient(S) -> (E, gE, m, gM)` evaluate a state, the gradient through
-    the adjoint passes only, `curvature(S, Sz) -> (E'', m'')` gives the
-    second derivatives of E and m at S along the direction of state Sz, and
-    `hessian(S, lam)` the matrix E'' - lam m'' at S in the band storage of
-    `gbsv`.  A state is a tuple of arrays, linear in u.  `precond()` returns
-    K^{-1} for the SPD p = 2 stiffness K of the same problem.  The
+    the adjoint passes only, `hessian(S, lam)` gives the matrix
+    E'' - lam m'' at S in the band storage of `gbsv`, and `stiffness()` the
+    SPD p = 2 stiffness K of the same problem as the diagonals of
+    `disc.lapack_band`.  A state is a tuple of arrays, linear in u.  The
     iterate is kept p-normalized; the accepted Rayleigh values form a
     nonincreasing history.  The residual is the max norm of the quotient
     gradient d = (gE - lam gM)/m.
 
-    An iteration that attempts Newton first tries `_newton_direction`,
-    whose rate does not depend on the gap lam2 - lam1 that slows the CG on
-    long cylinders (Absil, Mahony & Sepulchre 2008, ch. 6).  By
-    homogeneity its exact length is 1, where its Armijo halving
-    (`_line_search`) starts.  A full step whose decrease is at least
-    _MODEL_AGREEMENT of its model's d.z/2 is taken (the ratio test of
-    Nocedal & Wright 2006, 4.1).  Otherwise the CG candidate z = s +
-    beta z_prev runs too, with s = K^{-1} d (Neuberger 1997), the
-    Polak-Ribiere+ factor beta = max(0, d.(s - s_prev) / (d_prev.s_prev))
-    (Polak & Ribiere 1969), z = s when d.z <= 0, and halving from the
-    exact length d.z/h along z (h the quotient's curvature; the last CG
-    length where h <= 0); the lower quotient wins.  K is factored by
-    `precond()` on the first CG candidate.  A Newton win resets the CG
-    memory; a CG win, a singular Hessian or a non-descent Newton direction
-    skips the Newton attempts of the next 1, 2, 4, ... iterations.  Each
-    candidate's state combines carried states, so it costs one forward
-    pass; the accepted trial, scaled to unit p-mass, is the next state.
+    Every iteration takes the step u - z of `_shifted_step`, which solves
+    (H + sigma K) z = d - mu gM with gM.z = 0, H = (E'' - lam m'')/m: a
+    Levenberg-Marquardt shift of the constrained Newton step, so a
+    trust-region Newton method on the sphere (Absil, Baker & Gallivan 2007;
+    Nocedal & Wright 2006, ch. 4).  sigma = 0 is the Newton step, whose rate
+    does not follow the gap lam2 - lam1 of long cylinders (on the p = 2
+    pencil it is Rayleigh-quotient iteration); a large sigma gives the
+    K-preconditioned projected gradient.  The step is taken when its
+    decrease is at least _ACCEPT of the model's d.z/2 + sigma z.Kz/2, and
+    sigma then shrinks by _SHIFT_FACTOR if the ratio exceeds _AGREE.
+    Otherwise, or where the matrix is singular, sigma grows by that factor
+    (from 0 to _SHIFT_FIRST) and H is assembled and factored again at the
+    same iterate, with no new gradient pass.  sigma starts at 0, and K is
+    built when sigma first becomes nonzero.  A model decrease at most
+    _ROUNDING |lam| is below the rounding of the quotient: that step is
+    taken untested, and the residual judges it.  A step costs one forward
+    pass, the state of u - z, whose value the ratio test reads; the
+    accepted trial, scaled to unit p-mass, is the next state.
+
     Stops on "residual" (the residual test passed: the only certified
-    exit), "no_descent" (no trial step descends, the rounding floor) or
-    "max_iters"; `iterations` counts the steps tried.  The iterate with the
-    lowest residual is returned, sign-fixed and, where that does not raise
-    the quotient, clipped to be nonnegative; its value comes from a fresh
-    forward pass, so no rounding of the carried state reaches it.
+    exit), "no_descent" (a step below the quotient's rounding did not lower
+    the residual, the rounding floor, or no shift up to _SHIFT_LIMIT gives
+    a step that descends) or "max_iters"; `iterations` counts the steps
+    tried and `factorizations` the banded LU factorizations.  The iterate
+    with the lowest residual is returned, sign-fixed and, where that does
+    not raise the quotient, clipped to be nonnegative; its value comes from
+    a fresh forward pass, so no rounding of the carried state reaches it.
     """
     u = np.array(u0, dtype=float)
     _, m0 = problem.value(problem.state(u))
@@ -188,16 +191,17 @@ def _minimize_quotient(problem, u0, p, opts, precond):
     history = [lam]
     best = None
     reason = "max_iters"
-    t = 1.0             # the last CG step length
-    prev = None         # the CG memory
-    skip, wait = 0, 1   # Newton backoff
-    solve = None        # K^{-1}, factored when a CG candidate first needs it
-    attempts = wins = cg_attempts = it = 0
+    sigma, K = 0.0, None  # K is built when a shift first needs it
+    blind = False         # the last step was below the quotient's rounding
+    it = factorizations = 0
     while True:
-        d = (gE - lam * gM) / m
-        res = float(np.max(np.abs(d))) if d.size else 0.0
+        g = gE - lam * gM  # m d
+        res = float(np.max(np.abs(g))) / m if g.size else 0.0
         if best is None or res < best[0]:
             best = res, u, lam
+        elif blind:
+            reason = "no_descent"  # nor did the residual fall
+            break
         if res <= opts.tol_residual * max(1.0, abs(lam)):
             reason = "residual"
             break
@@ -205,51 +209,33 @@ def _minimize_quotient(problem, u0, p, opts, precond):
             break
         it += 1
 
-        newton, tried = None, not skip
-        if tried:
-            attempts += 1
-            zn = _newton_direction(problem, S, u, gM, m, lam, p)
-            dzn = float(d @ zn) if zn is not None else 0.0
-            if dzn > 0.0:  # its exact length is 1: no curvature pass
-                newton = _line_search(problem, S, zn, problem.state(zn), dzn,
-                                      lam, 1.0)
-        else:
-            skip -= 1
-
-        step = None
-        if not (newton is not None and newton[1] == 1.0
-                and lam - newton[-1] >= _MODEL_AGREEMENT * dzn / 2.0):
-            cg_attempts += 1
-            solve = solve or precond()
-            s = solve(d)
-            ds = float(d @ s)
-            z, Sz, dz = s, problem.state(s), ds
-            if prev is not None:
-                ds0, s0, z0, Sz0 = prev
-                beta = max(0.0, (ds - float(d @ s0)) / ds0)
-                if beta > 0.0 and ds + beta * float(d @ z0) > 0.0:
-                    z = _combine(s, z0, beta)
-                    Sz = tuple(_combine(a, b, beta) for a, b in zip(Sz, Sz0))
-                    dz = float(d @ z)
-            E2, m2 = problem.curvature(S, Sz)
-            h = (E2 - lam * m2 - 2.0 * dz * float(gM @ z)) / m
-            step = _line_search(problem, S, z, Sz, dz, lam,
-                                dz / h if h > 0.0 else t)
-            if step is not None:
-                t = step[1]
-                prev = ds, s, z, Sz
-        if newton is not None and (step is None or newton[-1] < step[-1]):
-            step, prev, wait = newton, None, 1
-            wins += 1
-        elif tried:
-            skip, wait = wait, 2 * wait
-        if step is None:
-            reason = "no_descent"  # no admissible descent at this precision
+        trial = None
+        while trial is None:
+            if sigma and K is None:
+                K = problem.stiffness()
+            factorizations += 1
+            z, model = _shifted_step(problem, S, lam, g, gM, sigma, K)
+            pred = model / (2.0 * m)
+            if pred > 0.0:
+                Sv = _along(S, problem.state(z), 1.0)
+                Ev, mv = problem.value(Sv)
+                blind = pred <= _ROUNDING * abs(lam)
+                ratio = (lam - Ev / mv) / pred if mv > 0 else -1.0
+                if mv > 0 and (blind or ratio >= _ACCEPT):
+                    trial = z, Sv, mv, Ev / mv
+                    if ratio > _AGREE:
+                        sigma /= _SHIFT_FACTOR
+                    continue
+            sigma = sigma * _SHIFT_FACTOR if sigma else _SHIFT_FIRST
+            if sigma > _SHIFT_LIMIT:
+                break
+        if trial is None:
+            reason = "no_descent"  # no shift gives a step that descends
             break
 
-        z, t_step, Sv, mv, value = step
+        z, Sv, mv, value = trial
         r = mv ** (1.0 / p)
-        u = (u - t_step * z) / r
+        u = (u - z) / r
         for a in Sv:
             a /= r
         S = Sv
@@ -270,48 +256,46 @@ def _minimize_quotient(problem, u0, p, opts, precond):
     Ef, mf = problem.value(problem.state(u))
     u = u / mf ** (1.0 / p)
     return _Descent(u, Ef / mf, it, res, np.asarray(history), reason,
-                    attempts, wins, cg_attempts)
+                    factorizations)
 
 
-def _line_search(problem, S, z, Sz, dz, lam, t):
-    """The step along u - t z from the state S of u, dz = d.z its rate of
-    descent: the given t, halved until the Armijo condition holds, at most
-    80 times.  Returns (z, t, trial state, its p-mass, its quotient), or
-    None when no trial descends."""
-    for _ in range(80):
-        Sv = _along(S, Sz, t)
-        Ev, mv = problem.value(Sv)
-        if mv > 0 and Ev / mv <= lam - _ARMIJO_C * t * dz:
-            return z, t, Sv, mv, Ev / mv
-        t *= _ARMIJO_SHRINK
-    return None
+def _shifted_step(problem, S, lam, g, gM, sigma, K):
+    """The step z of u - z at the state S of u, with g = gE - lam gM.
 
-
-def _newton_direction(problem, S, u, gM, m, lam, p):
-    """The Newton step on the unit p-sphere, as a direction z for u - t z.
-
-    The constrained Newton step solves H delta = -d + mu gM with
-    gM.delta = 0, for H = (E'' - lam m'')/m the Hessian of the
-    Lagrangian.  E and m are p-homogeneous, so H u = (p-1) d and
-    gM.u = p m: with x = H^{-1} gM, delta = -u/(p-1) + p m x/((p-1) gM.x),
-    one banded LU solve and no bordered system.  The scale of H cancels,
-    so E'' - lam m'' serves.  Returns None where that matrix is singular.
+    Solves (A + s K) z = g - mu gM with gM.z = 0 for A = E'' - lam m''
+    (`problem.hessian`, m times the quotient's H) and the shift s = sigma
+    max|diag A| / max|diag K|, K the diagonals of `problem.stiffness`
+    (unused at sigma = 0), added to the band of A in place.  One `gbsv`
+    factorization serves both right-hand sides: with x = (A + s K)^{-1} gM
+    and y = (A + s K)^{-1} g, z = y - (gM.y / gM.x) x.  Since z.(A + s K) z
+    = g.z, the quadratic model of the quotient decreases by (g.z + s z.Kz)
+    / (2 m) along the step.  Returns (z, g.z + s z.Kz), or (None, nan)
+    where the matrix is singular or the step is not finite.
     """
     ab = problem.hessian(S, lam)
     bw = (ab.shape[0] - 1) // 3
-    x, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, gM, overwrite_ab=1)[2:]
-    gx = float(gM @ x) if info == 0 else 0.0
-    if not (np.isfinite(gx) and gx != 0.0):
-        return None
-    x *= p * m / gx
-    return (u - x) / (p - 1.0)
-
-
-def _combine(a, b, beta):
-    """a + beta b, written over b (the previous direction, no longer needed)."""
-    b *= beta
-    b += a
-    return b
+    s = 0.0
+    if sigma:
+        s = sigma * np.max(np.abs(ab[2 * bw])) / np.max(np.abs(K[0]))
+        disc.add_to_band(ab, K, s, bw, bw, bw)
+    rhs = np.empty((g.size, 2), order="F")
+    rhs[:, 0], rhs[:, 1] = gM, g
+    xy, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, rhs, overwrite_ab=1,
+                                         overwrite_b=1)[2:]
+    x, y = xy.T
+    gx = float(gM @ x)
+    if info != 0 or gx == 0.0:
+        return None, np.nan
+    z = y - (float(gM @ y) / gx) * x
+    model = float(g @ z)  # not finite where z is not
+    if not np.isfinite(model):
+        return None, np.nan
+    if s:  # z.Kz from the upper diagonals of the symmetric K
+        n = z.size
+        model += s * sum((1.0 if o == 0 else 2.0)
+                         * float(v[:n - o] @ (z[:n - o] * z[o:]))
+                         for o, v in K.items() if o >= 0)
+    return z, model
 
 
 def _along(S, Ss, tau):
@@ -334,7 +318,7 @@ class _CylinderQuotient:
     """
 
     def __init__(self, mesh, coeffs, p, quad):
-        self.mesh, self.p, self.quad = mesh, p, quad
+        self.mesh, self.coeffs, self.p, self.quad = mesh, coeffs, p, quad
         self.core = disc._core(mesh, quad)
         self.A = coeffs.entries(self.core.e2.points)
         self._at = None, None
@@ -358,15 +342,14 @@ class _CylinderQuotient:
             self.gradient(S)
         return self._at[1]
 
-    def curvature(self, S, Sz):
-        return disc._eval_curvature(self.mesh, self.A, self._point(S), S, Sz,
-                                    self.p, self.quad)
-
     def hessian(self, S, lam):
         # one band buffer per solve, overwritten by every factorization
         self._band = disc._eval_hessian(self.mesh, self.A, self._point(S), S,
                                         lam, self.p, self.quad, self._band)
         return self._band
+
+    def stiffness(self):
+        return disc._p2_diagonals(self.mesh, self.coeffs, self.quad)[0]
 
 
 def _initial_grid(mesh, cross, opts):
@@ -391,21 +374,19 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
                       cross=None) -> EigenResult:
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
 
-    Newton steps globalized by nonlinear CG (`_minimize_quotient`), the CG
-    preconditioned by the banded Cholesky factorization of the p = 2
-    stiffness matrix.  Stops when the projected gradient falls below
-    ``tol_residual * max(1, |lambda|)`` in the max norm, when no trial
-    step descends, or at `max_iters`; `stop_reason` says which, and
-    `converged` is true only for the residual exit.  A non-converged run
-    is returned flagged rather than raised, so parameter sweeps can record
-    partial data.
+    Newton steps shifted by the p = 2 stiffness matrix under a trust-region
+    ratio test (`_minimize_quotient`).  Stops when the projected gradient
+    falls below ``tol_residual * max(1, |lambda|)`` in the max norm, when
+    no trial step descends, or at `max_iters`; `stop_reason` says which,
+    and `converged` is true only for the residual exit.  A non-converged
+    run is returned flagged rather than raised, so parameter sweeps can
+    record partial data.
     """
     opts = opts or SolveOptions()
     quad = quad or QuadratureRule()
     u0 = _lifted_start(mesh, coeffs, p, opts, quad, cross)
     return _eigen_result(mesh, _minimize_quotient(
-        _CylinderQuotient(mesh, coeffs, p, quad), u0, p, opts,
-        lambda: _cholesky(disc.stiffness_band(mesh, coeffs, quad))))
+        _CylinderQuotient(mesh, coeffs, p, quad), u0, p, opts))
 
 
 def _lifted_start(mesh, coeffs, p, opts, quad, cross):
@@ -419,8 +400,7 @@ def _lifted_start(mesh, coeffs, p, opts, quad, cross):
 def _eigen_result(mesh, r):
     return EigenResult(r.lam, DiscreteField(r.u, mesh), r.iterations,
                        r.residual, r.history, r.stop_reason == "residual",
-                       r.stop_reason, r.newton_attempts, r.newton_steps,
-                       r.cg_attempts)
+                       r.stop_reason, r.factorizations)
 
 
 class _PencilQuotient:
@@ -435,8 +415,7 @@ class _PencilQuotient:
         self._band = None
 
     def state(self, u):
-        # a copy: the descent combines directions in place over their states
-        return (np.array(u, dtype=float),)
+        return (np.asarray(u, dtype=float),)
 
     def value(self, S):
         (u,) = S
@@ -447,19 +426,15 @@ class _PencilQuotient:
         Ku, Mu = self.K @ u, self.M @ u
         return float(u @ Ku), 2.0 * Ku, float(u @ Mu), 2.0 * Mu
 
-    def curvature(self, S, Sz):
-        (z,) = Sz
-        return 2.0 * float(z @ (self.K @ z)), 2.0 * float(z @ (self.M @ z))
-
     def hessian(self, S, lam):
-        # K - lam M, half of E'' - lam m''; one band buffer per solve
+        # E'' - lam m'' = 2 (K - lam M); one band buffer per solve
         self._band = disc.lapack_band(
-            {o: v - lam * self.mass[o] for o, v in self.stiff.items()},
+            {o: 2.0 * (v - lam * self.mass[o]) for o, v in self.stiff.items()},
             self.bw, self.bw, self.bw, self._band)
         return self._band
 
-    def precond(self):
-        return _cholesky(disc.lapack_band(self.stiff, self.bw, 0))
+    def stiffness(self):
+        return self.stiff
 
 
 def linear_spectrum(mesh, coeffs, k, opts=None, quad=None, cross=None):
@@ -468,22 +443,24 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None, cross=None):
     k = 1 runs the descent engine (`_minimize_quotient`) on the pencil
     quotient u.Ku / u.Mu from the lifted start of `minimize_rayleigh`,
     built from `cross` (the p = 2 cross-section ground state, solved here
-    when not given).  Its full Newton step is Rayleigh-quotient iteration,
-    one banded LU solve of K - lam M; K is factored only if a CG candidate
-    runs.  The result carries the engine's certificate: `stop_reason`
-    "residual" (then `converged`), "no_descent" or "max_iters", the max
-    norm of 2 (K u - lam M u) / u.Mu as `final_residual`, tested against
-    ``tol_residual * max(1, |lambda|)``, and the Newton steps taken as
-    `iterations`.
+    when not given).  Its unshifted step is Rayleigh-quotient iteration,
+    one banded LU solve of K - lam M; the shift sigma K enters only after a
+    rejected step.  The result carries the engine's certificate:
+    `stop_reason` "residual" (then `converged`), "no_descent" or
+    "max_iters", the max norm of 2 (K u - lam M u) / u.Mu as
+    `final_residual`, tested against ``tol_residual * max(1, |lambda|)``,
+    the steps taken as `iterations` and the LU factorizations as
+    `factorizations`.
 
     k >= 2 runs shift-invert Lanczos about sigma = 0 (ARPACK through
     `eigsh`): every Lanczos step applies K^{-1} M through one banded
-    Cholesky factorization of the stiffness matrix (`_cholesky`, as in the
-    descent's preconditioner), so the cost follows the distance of the
-    wanted eigenvalues from the rest of the shifted spectrum, not the ratio
-    lam1/lam2 that collapses on long cylinders.  The fixed start vector of
-    ones makes the result deterministic.  `converged` certifies that ARPACK
-    converged and that ||K v - lam M v|| / ||v|| <= tol_residual.
+    Cholesky factorization of the stiffness matrix (`_cholesky`), so the
+    cost follows the distance of the wanted eigenvalues from the rest of
+    the shifted spectrum, not the ratio lam1/lam2 that collapses on long
+    cylinders.  The fixed start vector of ones makes the result
+    deterministic.  `converged` certifies that ARPACK converged and that
+    the residual of k = 1, the max norm of 2 (K v - lam M v) / v.Mv,
+    passes the same test.
     `max_iters` caps the ARPACK restarts; a run that hits it comes back
     flagged, with Ritz pairs from a short shift-invert Krylov space, since
     ARPACK hands back only the pairs it converged, and `stop_reason`
@@ -502,8 +479,8 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None, cross=None):
     if k == 1 < n:
         problem = _PencilQuotient(stiff, mass, mesh.n_cells2)
         u0 = _lifted_start(mesh, coeffs, 2.0, opts, quad, cross)
-        return [_eigen_result(mesh, _minimize_quotient(
-            problem, u0, 2.0, opts, problem.precond))]
+        return [_eigen_result(mesh, _minimize_quotient(problem, u0, 2.0,
+                                                       opts))]
 
     K, M = disc._csr(stiff), disc._csr(mass)
     solve = _cholesky(disc.lapack_band(stiff, mesh.n_cells2, 0))
@@ -531,17 +508,16 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None, cross=None):
     results = []
     for rank, j in enumerate(np.argsort(lams)):
         lam, v = float(lams[j]), vecs[:, j]
-        res = float(np.linalg.norm(K @ v - lam * (M @ v)) / np.linalg.norm(v))
         if rank == 0 and float(np.sum(v)) < 0.0:
             v = -v
         elif rank > 0 and v[np.argmax(np.abs(v))] < 0.0:
             v = -v
-        fld = DiscreteField(v.copy(), mesh)
-        m = disc.p_mass(mesh, fld.grid(), 2.0, quad)[0]
-        fld.values /= np.sqrt(m)
+        v = v / np.sqrt(float(v @ (M @ v)))
+        res = 2.0 * float(np.max(np.abs(K @ v - lam * (M @ v))))
         results.append(EigenResult(
-            lam, fld, solves, res, np.array([lam]),
-            reason != "max_iters" and res <= opts.tol_residual, reason))
+            lam, DiscreteField(v, mesh), solves, res, np.array([lam]),
+            reason != "max_iters"
+            and res <= opts.tol_residual * max(1.0, abs(lam)), reason))
     return results
 
 
@@ -604,10 +580,11 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     Solves the 1D analogue of the cylinder problem with coefficient a22 on
     the Q1 element of the cylinder's x2 nodes and quadrature rule: a dense
     generalized eigensolve of the interior band matrices for p = 2,
-    otherwise the descent of `minimize_rayleigh`, preconditioned by the
-    banded Cholesky factorization of the interior a22 stiffness.  Also
-    computes the discrete Poincare constant from the plain (a22 = 1)
-    problem at the same p, resolution and rule.
+    otherwise the descent of `minimize_rayleigh`, its steps shifted by the
+    interior a22 stiffness.  Also computes the discrete Poincare constant
+    from the plain (a22 = 1) problem at the same p, resolution and rule.
+    A descent that stops uncertified is returned flagged (`converged`
+    false), as the cylinder solves are.
     """
     if nx2 < 8:
         raise ConfigurationError(f"nx2 must be >= 8 for the 1D solve, got {nx2}")
@@ -626,14 +603,11 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
         mu1, w_free, iters = float(vals[0]), vecs[:, 0], 0
         res = float(np.linalg.norm(K @ w_free - mu1 * (M @ w_free))
                     / np.linalg.norm(w_free))
+        converged = True
     else:
-        r = _minimize_quotient(
-            problem, np.cos(np.pi * x2[1:-1]), p, opts,
-            lambda: _cholesky(disc.lapack_band(_interior(G), 1, 0)))
-        if r.stop_reason != "residual":
-            raise SolverError(
-                f"cross-section descent did not converge ({r.stop_reason})")
+        r = _minimize_quotient(problem, np.cos(np.pi * x2[1:-1]), p, opts)
         w_free, mu1, iters, res = r.u, r.lam, r.iterations, r.residual
+        converged = r.stop_reason == "residual"
 
     if np.sum(w_free) < 0:
         w_free = -w_free
@@ -642,11 +616,11 @@ def cross_section_ground_state(nx2, coeffs, p, opts=None,
     if float(np.max(np.abs(a22 - 1.0))) < 1e-14:
         mu_plain = mu1
     else:
-        mu_plain = cross_section_ground_state(
-            nx2, _IdentityA22(), p, opts, quad).mu1
+        plain = cross_section_ground_state(nx2, _IdentityA22(), p, opts, quad)
+        mu_plain, converged = plain.mu1, converged and plain.converged
     return CrossSectionResult(mu1, np.concatenate(([0.0], w_free, [0.0])), x2,
                               p, mu_plain ** (-1.0 / p), iterations=iters,
-                              residual=res)
+                              residual=res, converged=converged)
 
 
 class _SectionQuotient:
@@ -683,13 +657,8 @@ class _SectionQuotient:
         H -= e.band(lam * p * (p - 1.0) * _power(wq, p - 2.0), e.N, e.N)
         return disc.lapack_band(_interior(H), 1, 1, 1)
 
-    def curvature(self, S, Sz):
-        (wq, slope), (zq, zslope), e, p = S, Sz, self.e, self.p
-        q = self.a22 * slope * slope
-        E2 = np.sum(e.weights @ (_power(q, p / 2.0 - 1.0) * self.a22
-                                 * zslope * zslope))
-        m2 = np.sum(e.weights @ (_power(wq, p - 2.0) * zq * zq))
-        return p * (p - 1.0) * float(E2), p * (p - 1.0) * float(m2)
+    def stiffness(self):
+        return _interior(self.e.band(self.a22, self.e.dN, self.e.dN))
 
 
 def _interior(G):

@@ -28,6 +28,22 @@ def count_section_solves(monkeypatch):
     return calls
 
 
+def section_opts(monkeypatch):
+    """Records the `opts` of every cross-section solve through asy."""
+    import inspect
+    from cylspectra import eigensolve
+    recorded = []
+    solve = eigensolve.cross_section_ground_state
+    signature = inspect.signature(solve)
+
+    def recording(*args, **kwargs):
+        recorded.append(signature.bind(*args, **kwargs).arguments.get("opts"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(asy, "cross_section_ground_state", recording)
+    return recorded
+
+
 class TestFitDecay:
     def test_exact_geometric(self):
         prof = cs.SlabProfile(np.arange(9), 0.5 ** np.arange(8),
@@ -222,6 +238,15 @@ class TestSweep:
             asy.sweep_lambda([2, 4], offdiag_field, p, RES)
             assert len(calls) == 1
 
+    def test_section_solve_takes_the_options(self, monkeypatch,
+                                             offdiag_field):
+        # a config's tolerance reaches the solve behind the mu1 column
+        recorded = section_opts(monkeypatch)
+        opts = cs.SolveOptions(tol_residual=1e-4)
+        tab = asy.sweep_lambda([2], offdiag_field, 3, RES, opts)
+        assert recorded == [opts]
+        assert tab.rows[0].converged
+
     def test_identity_rows_have_no_gap(self, identity_field):
         tab = asy.sweep_lambda([2, 3], identity_field, 2, RES)
         for row in tab.rows:
@@ -257,9 +282,24 @@ class TestSweep:
 
 class TestBeta2:
     def test_symmetric_sides_agree(self, offdiag_field):
-        val = asy.beta2_upper_bound(3, RES, offdiag_field, 2)
+        bound = asy.beta2_upper_bound(3, RES, offdiag_field, 2)
         rp = cs.half_cylinder_eigen(cs.Side.PLUS, 3, RES, offdiag_field, 2)
-        assert val == pytest.approx(rp.lam, abs=1e-7)
+        assert bound.value == pytest.approx(rp.lam, abs=1e-7)
+        assert bound.value == max(bound.plus.lam, bound.minus.lam)
+        assert bound.converged
+
+    def test_uncertified_solves_flagged(self, monkeypatch, offdiag_field):
+        # one step certifies neither half-cylinder solve; the options reach
+        # the cross-section solve too
+        recorded = section_opts(monkeypatch)
+        opts = cs.SolveOptions(max_iters=1)
+        bound = asy.beta2_upper_bound(3, RES, offdiag_field, 3, opts)
+        assert recorded == [opts]
+        assert not bound.converged
+        assert not (bound.plus.converged or bound.minus.converged)
+        assert bound.value == max(bound.plus.lam, bound.minus.lam)
+        certified = asy.beta2_upper_bound(3, RES, offdiag_field, 3)
+        assert certified.converged and certified.value < bound.value
 
     def test_p3_solves_cross_section_once(self, monkeypatch, offdiag_field):
         calls = count_section_solves(monkeypatch)
@@ -269,7 +309,7 @@ class TestBeta2:
             assert len(calls) == 1
 
     def test_quarter_wave_identity(self, identity_field):
-        val = asy.beta2_upper_bound(2, (32, 8), identity_field, 2)
+        val = asy.beta2_upper_bound(2, (32, 8), identity_field, 2).value
         assert val == pytest.approx(np.pi ** 2 + (np.pi / 4) ** 2, rel=2e-3)
 
 

@@ -166,7 +166,8 @@ def test_p2_matrices_closed_form(shape, bc, c):
     coeffs = cs.make_coefficients(family)
     pair = cs.assemble_p2(mesh, coeffs)
     # the lower band storage of cholesky_banded: (j + o, j) at ab[o, j]
-    ab = disc.stiffness_band(mesh, coeffs)
+    ab = disc.lapack_band(disc._p2_diagonals(mesh, coeffs, None)[0],
+                          mesh.n_cells2, 0)
     n = ab.shape[1]
     lower = sum(np.diag(ab[o, :n - o], -o) for o in range(ab.shape[0]))
     band = lower + np.tril(lower, -1).T
