@@ -15,9 +15,9 @@ plus-labelled derived quantities (`d_plus`, `n_plus`, the PLUS side of
 cylinder, and minus-labelled ones to the right end.  Reflecting the
 coefficients (a12 -> -a12) swaps the two labels exactly.
 
-Every integral here uses the one Q1 core of `discretization`: the
-cross-section integrals (`gap_integral_I2`, `slab_bound` and
-`exp_test_upper_bound`) its 1D element, and the Picone residual and
+Every integral here uses the one Q1 core of `discretization` and its one
+Gauss rule: the cross-section integrals (`gap_integral_I2`, `slab_bound`
+and `exp_test_upper_bound`) its 1D element, and the Picone residual and
 `translate_distance` (on the slab's sub-grid) its tensor-product passes.
 """
 
@@ -28,13 +28,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discretization as disc
-from .discretization import DiscreteField, QuadratureRule
+from .discretization import DiscreteField
 from .eigensolve import (CrossSectionResult, EigenResult, Side,
                          SolveOptions, cross_section_ground_state,
                          half_cylinder_eigen, linear_spectrum,
                          minimize_rayleigh)
 from .errors import ConfigurationError, DimensionMismatchError
 from .mesh import BC, DomainSpec, Shape, SlabProfile, build_mesh, slab_integrals
+
+# a half-cylinder ladder is monotone when no step rises by more than this
+MONOTONE_SLACK = 1e-7
+# a12 W' vanishes when its max is at most this share of max|W'| max(1, |a12|)
+ZERO_TOL = 1e-10
+# the Picone residual is read where the lift exceeds this share of max W
+W_FLOOR = 1e-3
 
 
 @dataclass
@@ -116,18 +123,15 @@ class SweepRow:
 class SweepTable:
     rows: list = field(default_factory=list)
 
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.rows])
 
-
-def _first_eigen(mesh, coeffs, p, opts, quad, cross):
+def _first_eigen(mesh, coeffs, p, opts, cross):
     if p == 2:
-        return linear_spectrum(mesh, coeffs, 1, opts, quad, cross)[0]
-    return minimize_rayleigh(mesh, coeffs, p, opts, quad, cross)
+        return linear_spectrum(mesh, coeffs, 1, opts, cross)[0]
+    return minimize_rayleigh(mesh, coeffs, p, opts, cross)
 
 
-def sweep_lambda(ells, family_coeffs, p, resolution, opts=None,
-                 quad=None) -> SweepTable:
+def sweep_lambda(ells, family_coeffs, p, resolution,
+                 opts=None) -> SweepTable:
     """Solve all four problems per length and fill the derived columns.
 
     For each ell: the mixed and all-Dirichlet full-cylinder problems plus
@@ -140,23 +144,22 @@ def sweep_lambda(ells, family_coeffs, p, resolution, opts=None,
     if any(b <= a for a, b in zip(ells, ells[1:])):
         raise ConfigurationError("ells must be strictly increasing")
     opts = opts or SolveOptions()
-    quad = quad or QuadratureRule()
     nx2, cpu = resolution
-    cross = cross_section_ground_state(nx2, family_coeffs, p, opts, quad)
+    cross = cross_section_ground_state(nx2, family_coeffs, p, opts)
     table = SweepTable()
     for ell in ells:
         mesh_m = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.MIXED, cpu, nx2))
         mesh_d = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.DIRICHLET_ALL, cpu, nx2))
-        r_m = _first_eigen(mesh_m, family_coeffs, p, opts, quad, cross)
-        r_d = _first_eigen(mesh_d, family_coeffs, p, opts, quad, cross)
+        r_m = _first_eigen(mesh_m, family_coeffs, p, opts, cross)
+        r_d = _first_eigen(mesh_d, family_coeffs, p, opts, cross)
         r_p = half_cylinder_eigen(Side.PLUS, ell, resolution, family_coeffs,
-                                  p, opts, quad, cross)
+                                  p, opts, cross)
         r_mi = half_cylinder_eigen(Side.MINUS, ell, resolution, family_coeffs,
-                                   p, opts, quad, cross)
+                                   p, opts, cross)
 
-        profile = slab_integrals(mesh_m, family_coeffs, r_m.field, p, quad)
+        profile = slab_integrals(mesh_m, family_coeffs, r_m.field, p)
         alpha = _sweep_alpha(profile, ell)
-        split = end_mass_split(r_m.field, mesh_m, family_coeffs, p, quad)
+        split = end_mass_split(r_m.field, mesh_m, family_coeffs, p)
         conv = cross.converged and all(
             r.converged for r in (r_m, r_d, r_p, r_mi))
         table.rows.append(SweepRow(
@@ -182,12 +185,12 @@ def _sweep_alpha(profile, ell):
 
 
 def nu_infinity_estimate(side, family_coeffs, p, ell_ladder, resolution,
-                         opts=None, quad=None, monotone_slack=1e-7) -> NuEstimate:
+                         opts=None) -> NuEstimate:
     """Half-cylinder ladder along increasing lengths with tail extrapolation.
 
     The limit is estimated by fitting a geometric tail through the last
     three rungs (Aitken delta-squared).  If the ladder fails the expected
-    monotone decrease beyond `monotone_slack`, or the tail is not
+    monotone decrease beyond `MONOTONE_SLACK`, or the tail is not
     geometric-decreasing, the last rung is reported as the estimate.
     """
     ladder_ells = list(ell_ladder)
@@ -196,16 +199,15 @@ def nu_infinity_estimate(side, family_coeffs, p, ell_ladder, resolution,
     if any(b <= a for a, b in zip(ladder_ells, ladder_ells[1:])):
         raise ConfigurationError("ladder lengths must be strictly increasing")
     opts = opts or SolveOptions()
-    cross = cross_section_ground_state(resolution[0], family_coeffs, p, opts,
-                                       quad)
+    cross = cross_section_ground_state(resolution[0], family_coeffs, p, opts)
     values, converged = [], True
     for ell in ladder_ells:
         r = half_cylinder_eigen(side, ell, resolution, family_coeffs, p, opts,
-                                quad, cross)
+                                cross)
         values.append(r.lam)
         converged = converged and r.converged
     diffs = np.diff(values)
-    monotone_ok = bool(np.all(diffs <= monotone_slack))
+    monotone_ok = bool(np.all(diffs <= MONOTONE_SLACK))
     last = values[-1]
     extrapolated = last
     if monotone_ok:
@@ -262,13 +264,12 @@ def fit_decay(profile, window, oriented=False) -> DecayFit:
                     no_decay=alpha > 0.999)
 
 
-def gap_integral_I2(cross: CrossSectionResult, coeffs, p,
-                    zero_tol=1e-10) -> GapIntegral:
+def gap_integral_I2(cross: CrossSectionResult, coeffs, p) -> GapIntegral:
     """Signed cross-section integral deciding the gap side.
 
     Computes  integral |a22 W'^2|^{(p-2)/2} (a12 W') W  over the section by
     the 1D quadrature of the ground state, and reports whether a12 W' is
-    identically zero within tolerance (the trigger separating the gap and
+    identically zero within `ZERO_TOL` (the trigger separating the gap and
     no-gap regimes).
     """
     e, _, a12q, a22q, wv, wp = _section(cross, coeffs)
@@ -277,13 +278,13 @@ def gap_integral_I2(cross: CrossSectionResult, coeffs, p,
     value = float(np.sum(e.weights @ integrand))
     scale = float(np.max(np.abs(a12q * wp))) if a12q.size else 0.0
     ref = float(np.max(np.abs(wp))) * max(1.0, float(np.max(np.abs(a12q))))
-    vanishes = scale <= zero_tol * max(1.0, ref)
+    vanishes = scale <= ZERO_TOL * max(1.0, ref)
     return GapIntegral(value, vanishes)
 
 
 def _section(cross, coeffs):
     """Q1 element of the cross section, A, W and W' at its Gauss points."""
-    e = disc._Q1(cross.x2_nodes, QuadratureRule())
+    e = disc._Q1(cross.x2_nodes)
     return (e, *coeffs.entries(e.points), e.values(cross.w_nodes),
             e.slopes(cross.w_nodes))
 
@@ -331,7 +332,7 @@ def slab_bound(cross: CrossSectionResult, coeffs, p, variant="squared"):
     return value, clamped
 
 
-def beta2_upper_bound(ell, resolution, coeffs, p, opts=None, quad=None,
+def beta2_upper_bound(ell, resolution, coeffs, p, opts=None,
                       cross=None) -> Beta2Bound:
     """Upper bound for the second min-max eigenvalue from disjoint supports.
 
@@ -343,25 +344,24 @@ def beta2_upper_bound(ell, resolution, coeffs, p, opts=None, quad=None,
     """
     opts = opts or SolveOptions()
     if cross is None:
-        cross = cross_section_ground_state(resolution[0], coeffs, p, opts,
-                                           quad)
-    rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts, quad,
+        cross = cross_section_ground_state(resolution[0], coeffs, p, opts)
+    rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts,
                              cross)
     rm = half_cylinder_eigen(Side.MINUS, ell, resolution, coeffs, p, opts,
-                             quad, cross)
+                             cross)
     return Beta2Bound(max(rp.lam, rm.lam), rp, rm,
                       rp.converged and rm.converged)
 
 
 def picone_residual_min(u: DiscreteField, cross: CrossSectionResult, mesh,
-                        coeffs, p, w_floor=None, quad=None) -> float:
+                        coeffs, p) -> float:
     """Minimum of the pointwise Picone residual against the lifted state.
 
     R(u, v) = |A grad u . grad u|^{p/2}
               - |A grad v . grad v|^{(p-2)/2} A grad v . grad(u^p / v^{p-1})
     with v the axial lift of the cross-section ground state, evaluated at
-    quadrature points where v exceeds `w_floor` (default 1e-3 max W; the
-    ratio u^p / v^{p-1} is unstable where v vanishes at the walls).  The
+    quadrature points where v exceeds `W_FLOOR` max W (the ratio
+    u^p / v^{p-1} is unstable where v vanishes at the walls).  The
     returned minimum is normalized by the local energy scale, so the
     theoretical bound reads  min >= -1e-10.  Requires u >= 0.
     """
@@ -374,10 +374,9 @@ def picone_residual_min(u: DiscreteField, cross: CrossSectionResult, mesh,
         raise ConfigurationError(
             "Picone residual requires a nonnegative field")
     grid = np.clip(grid, 0.0, None)
-    if w_floor is None:
-        w_floor = 1e-3 * float(np.max(cross.w_nodes))
+    w_floor = W_FLOOR * float(np.max(cross.w_nodes))
 
-    core = disc._core(mesh, quad)
+    core = disc._core(mesh)
     qu, (uq, gu1, gu2), (_, a12, a22) = disc._form(core, coeffs, grid)
     # the lift is x1-independent: values per (x2 point, cross cell)
     vq = core.e2.values(cross.w_nodes)
@@ -399,7 +398,7 @@ def picone_residual_min(u: DiscreteField, cross: CrossSectionResult, mesh,
     return float(np.min(rel))
 
 
-def end_mass_split(u: DiscreteField, mesh, coeffs, p, quad=None) -> EndMassSplit:
+def end_mass_split(u: DiscreteField, mesh, coeffs, p) -> EndMassSplit:
     """Split the p-mass and energy of a full-cylinder field at x1 = 0.
 
     Plus labels the left end (whose boundary layer the PLUS half-cylinder
@@ -408,9 +407,8 @@ def end_mass_split(u: DiscreteField, mesh, coeffs, p, quad=None) -> EndMassSplit
     """
     if mesh.spec.shape is not Shape.FULL_CYLINDER:
         raise ConfigurationError("end-mass split expects a full cylinder")
-    quad = quad or QuadratureRule()
     grid = mesh.expand(u.values)
-    per_cell = disc.cell_integrals(mesh, coeffs, grid, p, quad)
+    per_cell = disc.cell_integrals(mesh, coeffs, grid, p)
     centers = 0.5 * (mesh.x1[:-1] + mesh.x1[1:])
     left = centers < 0.0
     mass = per_cell["p_mass"]
@@ -421,7 +419,7 @@ def end_mass_split(u: DiscreteField, mesh, coeffs, p, quad=None) -> EndMassSplit
 
 
 def translate_distance(u_full: DiscreteField, u_half: DiscreteField, side,
-                       r, p, quad=None) -> float:
+                       r, p) -> float:
     """L^p distance between an end profile and the half-cylinder minimizer.
 
     Both fields are restricted to the axial slab of width `r` at the end
@@ -429,7 +427,6 @@ def translate_distance(u_full: DiscreteField, u_half: DiscreteField, side,
     edge of each domain; MINUS: the right edge), aligned in sign, and the
     difference integrated in L^p on the common local coordinates.
     """
-    quad = quad or QuadratureRule()
     mesh_f, mesh_h = u_full.mesh, u_half.mesh
     if mesh_f.n_cells2 != mesh_h.n_cells2 or not np.allclose(
             mesh_f.x2, mesh_h.x2, atol=1e-12):
@@ -454,6 +451,6 @@ def translate_distance(u_full: DiscreteField, u_half: DiscreteField, side,
     if float(np.sum(sl_f * sl_h)) < 0.0:
         sl_h = -sl_h
     # the slab's own sub-grid; only its spacing enters the quadrature
-    core = disc._Tensor(mesh_f.x1[:n_cells + 1], mesh_f.x2, quad)
+    core = disc._Tensor(mesh_f.x1[:n_cells + 1], mesh_f.x2)
     dens = disc._power(core.values(sl_f - sl_h), p)
     return core.integrate(dens) ** (1.0 / p)

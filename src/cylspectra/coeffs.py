@@ -52,7 +52,6 @@ class CoefficientField:
         self.a22 = a22
         self.label = label
         self._lambda_margin = None
-        self._sup_norm = None
         margin = ellipticity_margin(self)
         if not margin > 0:
             raise ConfigurationError(
@@ -62,10 +61,6 @@ class CoefficientField:
     @property
     def lambda_margin(self):
         return self._lambda_margin
-
-    @property
-    def sup_norm(self):
-        return self._sup_norm
 
     def entries(self, x2):
         x2 = np.asarray(x2, dtype=float)
@@ -135,25 +130,15 @@ def load_tabulated_csv(path) -> CoefficientField:
     return _tabulated_field(np.asarray(rows))
 
 
-def ellipticity_margin(field: CoefficientField, n_samples=ELLIPTICITY_SAMPLES) -> float:
-    """Smallest eigenvalue of A(x2) over a dense sample of the cross section.
-
-    The result (and the matching sup norm) is cached on the field.
-    """
-    if n_samples < 16:
-        raise ConfigurationError("need at least 16 ellipticity samples")
-    if field._lambda_margin is not None and n_samples == ELLIPTICITY_SAMPLES:
-        return field._lambda_margin
-    x2 = np.linspace(-0.5, 0.5, n_samples)
-    a11, a12, a22 = field.entries(x2)
-    mean = 0.5 * (a11 + a22)
-    radius = np.sqrt(0.25 * (a11 - a22) ** 2 + a12 ** 2)
-    margin = float(np.min(mean - radius))
-    sup = float(np.max(mean + radius))
-    if n_samples == ELLIPTICITY_SAMPLES:
-        field._lambda_margin = margin
-        field._sup_norm = sup
-    return margin
+def ellipticity_margin(field: CoefficientField) -> float:
+    """Smallest eigenvalue of A(x2) over `ELLIPTICITY_SAMPLES` equispaced
+    points of the cross section, cached on the field."""
+    if field._lambda_margin is None:
+        x2 = np.linspace(-0.5, 0.5, ELLIPTICITY_SAMPLES)
+        a11, a12, a22 = field.entries(x2)
+        radius = np.sqrt(0.25 * (a11 - a22) ** 2 + a12 ** 2)
+        field._lambda_margin = float(np.min(0.5 * (a11 + a22) - radius))
+    return field._lambda_margin
 
 
 def satisfies_symmetry_S(field: CoefficientField, tol=1e-12) -> bool:

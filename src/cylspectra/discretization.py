@@ -1,17 +1,17 @@
 """Bilinear (Q1) discretization on the tensor grid: the p-energy, the p-mass,
 their exact nodal gradients, and the p = 2 stiffness and mass matrices.
 
-Everything is built from one 1D element, `_Q1`: a uniform node array with a
-Gauss rule per cell.  The grid is a tensor product and A depends on x2
-only, so every 2D quantity factors into 1D passes (sum factorization):
-values and slopes at the Gauss points are one pass per axis over the nodal
-grid, nodal gradients are the adjoint passes, and every cylinder matrix
-(the p = 2 stiffness and mass, the Newton Hessian) is assembled from cell
-matrices, one pass per axis, into the diagonals of its free-DOF band
-(`_free_diagonals`).  All integrals use the
-same Gauss rule, and gradients are exact derivatives of the quadrature
-sums, so finite-difference checks pass to tight tolerance and optimizer
-line searches see a consistent objective.
+Everything is built from one 1D element, `_Q1`: a uniform node array with
+the 3-point Gauss rule per cell.  The grid is a tensor product and A
+depends on x2 only, so every 2D quantity factors into 1D passes (sum
+factorization): values and slopes at the Gauss points are one pass per
+axis over the nodal grid, nodal gradients are the adjoint passes, and
+every cylinder matrix (the p = 2 stiffness and mass, the Newton Hessian)
+is assembled from cell matrices, one pass per axis, into the diagonals of
+its free-DOF band (`_free_diagonals`).  All integrals use that one rule,
+and gradients are exact derivatives of the quadrature sums, so
+finite-difference checks pass to tight tolerance and optimizer line
+searches see a consistent objective.
 """
 
 from __future__ import annotations
@@ -29,20 +29,18 @@ from .mesh import BC, CylinderMesh
 
 
 class QuadratureRule:
-    """Tensor Gauss rule with 2 or 3 points per direction per cell."""
+    """The tensor Gauss rule of every integral: 3 points per direction per
+    cell, exact for polynomials of degree 5 along each axis."""
 
-    def __init__(self, points_per_dir=3):
-        if points_per_dir not in (2, 3):
-            raise ValueError("points_per_dir must be 2 or 3")
-        self.points_per_dir = points_per_dir
-        if points_per_dir == 2:
-            a = 1.0 / np.sqrt(3.0)
-            self.nodes = np.array([-a, a])
-            self.weights = np.array([1.0, 1.0])
-        else:
-            b = np.sqrt(3.0 / 5.0)
-            self.nodes = np.array([-b, 0.0, b])
-            self.weights = np.array([5.0, 8.0, 5.0]) / 9.0
+    def __init__(self):
+        self.points_per_dir = 3
+        b = np.sqrt(3.0 / 5.0)
+        self.nodes = np.array([-b, 0.0, b])
+        self.weights = np.array([5.0, 8.0, 5.0]) / 9.0
+
+
+# the rule every `_Q1` uses
+_RULE = QuadratureRule()
 
 
 @dataclass
@@ -80,7 +78,7 @@ def _check_p(p):
 
 
 class _Q1:
-    """Piecewise-linear element on a uniform 1D node array.
+    """Piecewise-linear element on a uniform 1D node array, with `_RULE`.
 
     `points` (point, cell) are the Gauss points of each cell and `weights`
     (point) their weights; `N` and `dN`, shape (2, point), are the values
@@ -92,11 +90,11 @@ class _Q1:
     of every Gauss-point array is a long one.
     """
 
-    def __init__(self, nodes, quad):
-        g = quad.nodes
+    def __init__(self, nodes):
+        g = _RULE.nodes
         self.h = float(nodes[1] - nodes[0])
         self.points = nodes[:-1] + (g[:, None] + 1.0) * (self.h / 2.0)
-        self.weights = quad.weights * (self.h / 2.0)
+        self.weights = _RULE.weights * (self.h / 2.0)
         self.N = np.stack([(1.0 - g) / 2.0, (1.0 + g) / 2.0])
         self.dN = np.stack([-np.ones_like(g), np.ones_like(g)]) / self.h
 
@@ -163,8 +161,8 @@ class _Tensor:
     against them; `w` is the product weight in that layout.
     """
 
-    def __init__(self, x1, x2, quad):
-        self.e1, self.e2 = _Q1(x1, quad), _Q1(x2, quad)
+    def __init__(self, x1, x2):
+        self.e1, self.e2 = _Q1(x1), _Q1(x2)
         self.w = self.e1.weights[:, None, None, None] * self.e2.weights[:, None]
         shape = self.e1.points.shape + self.e2.points.shape
         self._w_flat = np.broadcast_to(self.w, shape).ravel()
@@ -221,13 +219,11 @@ class _Tensor:
         return self.e2.weights @ rows.reshape(nc1, nq2, nc2)
 
 
-def _core(mesh, quad):
-    quad = quad or QuadratureRule()
+def _core(mesh):
     # cached on the mesh so lifetimes match (meshes are immutable)
-    cache = mesh.__dict__.setdefault("_tensor_cache", {})
-    if quad.points_per_dir not in cache:
-        cache[quad.points_per_dir] = _Tensor(mesh.x1, mesh.x2, quad)
-    return cache[quad.points_per_dir]
+    if "_tensor" not in mesh.__dict__:
+        mesh._tensor = _Tensor(mesh.x1, mesh.x2)
+    return mesh._tensor
 
 
 def _grid(mesh, u):
@@ -323,13 +319,13 @@ def _mass_sums(core, uq, p, grad):
     return m, core.values_adjoint(t)
 
 
-def _energy_of(mesh, coeffs, u, p, quad, grad):
-    core = _core(mesh, quad)
+def _energy_of(mesh, coeffs, u, p, grad):
+    core = _core(mesh)
     _, g1, g2 = core.state(_grid(mesh, u))
     return _energy_sums(core, coeffs.entries(core.e2.points), g1, g2, p, grad)
 
 
-def energy(mesh, coeffs, u, p, quad=None) -> float:
+def energy(mesh, coeffs, u, p) -> float:
     """Quadrature value of the p-energy  integral |A grad u . grad u|^{p/2}.
 
     Nonnegative; zero only for the zero field.  The quadratic form is taken
@@ -337,16 +333,16 @@ def energy(mesh, coeffs, u, p, quad=None) -> float:
     producing tiny negatives at quadrature points.
     """
     _check_p(p)
-    return _energy_of(mesh, coeffs, u, p, quad, False)
+    return _energy_of(mesh, coeffs, u, p, False)
 
 
-def energy_gradient(mesh, coeffs, u, p, quad=None) -> np.ndarray:
+def energy_gradient(mesh, coeffs, u, p) -> np.ndarray:
     """Exact derivative of the discrete energy w.r.t. each free nodal value."""
     _check_p(p)
-    return _energy_of(mesh, coeffs, u, p, quad, True)[1][~mesh.dirichlet_mask]
+    return _energy_of(mesh, coeffs, u, p, True)[1][~mesh.dirichlet_mask]
 
 
-def p_mass(mesh, u, p, quad=None):
+def p_mass(mesh, u, p):
     """Quadrature value and exact gradient of  integral |u|^p.
 
     Returns
@@ -354,15 +350,17 @@ def p_mass(mesh, u, p, quad=None):
     (value, gradient) : (float, ndarray over free DOFs)
     """
     _check_p(p)
-    core = _core(mesh, quad)
+    core = _core(mesh)
     value, grad = _mass_sums(core, core.values(_grid(mesh, u)), p, True)
     return value, grad[~mesh.dirichlet_mask]
 
 
 def _eval_value(mesh, A, state, p, quad):
     """(energy, p-mass) of a Gauss-point state (u, d1u, d2u) of `_Tensor`,
-    with the coefficient entries A at the Gauss points."""
-    core = _core(mesh, quad)
+    with the coefficient entries A at the Gauss points.  `quad` is `_RULE`,
+    the rule of the state; it names the rule to callers that count the
+    points evaluated."""
+    core = _core(mesh)
     uq, g1, g2 = state
     return (_energy_sums(core, A, g1, g2, p, False),
             _mass_sums(core, uq, p, False))
@@ -372,8 +370,8 @@ def _eval_full(mesh, A, state, p, quad):
     """(energy, its gradient, p-mass, its gradient, pointwise data) of a
     Gauss-point state, gradients over the free DOFs; only the adjoint
     passes run.  The pointwise data is what `_eval_hessian` needs of
-    this state."""
-    core = _core(mesh, quad)
+    this state.  `quad` as in `_eval_value`."""
+    core = _core(mesh)
     uq, g1, g2 = state
     free = ~mesh.dirichlet_mask
     E, gE, point = _energy_sums(core, A, g1, g2, p, True)
@@ -385,7 +383,7 @@ def _eval_full(mesh, A, state, p, quad):
 _GRADIENT_TERMS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _eval_hessian(mesh, A, point, state, lam, p, quad, out=None):
+def _eval_hessian(mesh, A, point, state, lam, p, out=None):
     """E'' - lam m'' at a Gauss-point state, over the free DOFs, in the band
     storage of `gbsv` (kl = ku = nx2, nx2 rows of fill-in on top), written
     over `out` if given (see `lapack_band`).
@@ -397,7 +395,7 @@ def _eval_hessian(mesh, A, point, state, lam, p, quad, out=None):
     and the cell matrices go straight into the band, one diagonal at a
     time.
     """
-    L = _hessian_cells(_core(mesh, quad), A, point, state, lam, p)
+    L = _hessian_cells(_core(mesh), A, point, state, lam, p)
     bw = mesh.n_cells2
     return lapack_band(_free_diagonals(mesh, L), bw, bw, bw, out)
 
@@ -427,30 +425,30 @@ def _hessian_cells(core, A, point, state, lam, p):
     return L
 
 
-def rayleigh(mesh, coeffs, u, p, quad=None) -> float:
+def rayleigh(mesh, coeffs, u, p) -> float:
     """Rayleigh quotient energy / p-mass; scale invariant in u."""
-    m = p_mass(mesh, u, p, quad)[0]
+    m = p_mass(mesh, u, p)[0]
     if m <= 0.0:
         raise QuotientUndefinedError("Rayleigh quotient of the zero field")
-    return energy(mesh, coeffs, u, p, quad) / m
+    return energy(mesh, coeffs, u, p) / m
 
 
-def grad_p_norm(mesh, u, p, quad=None) -> float:
+def grad_p_norm(mesh, u, p) -> float:
     """Plain gradient p-norm  integral |grad u|^p  (no coefficients)."""
     _check_p(p)
-    core = _core(mesh, quad)
+    core = _core(mesh)
     _, g1, g2 = core.state(_grid(mesh, u))
     return core.integrate(_power(g1 * g1 + g2 * g2, p / 2.0))
 
 
-def cell_integrals(mesh, coeffs, grid, p, quad=None):
+def cell_integrals(mesh, coeffs, grid, p):
     """Per-cell integrals used by slab profiles and end-mass splits.
 
     Returns a dict of (n_cells1, n_cells2) arrays: `a_energy` for
     |A grad u . grad u|^{p/2}, `grad_p` for |grad u|^p, `p_mass` for |u|^p.
     """
     _check_p(p)
-    core = _core(mesh, quad)
+    core = _core(mesh)
     q, (uq, g1, g2), _ = _form(core, coeffs, grid)
     dens = {"a_energy": _power(q, p / 2.0),
             "grad_p": _power(g1 * g1 + g2 * g2, p / 2.0),
@@ -458,7 +456,7 @@ def cell_integrals(mesh, coeffs, grid, p, quad=None):
     return {k: core.integrate(v, per_cell=True) for k, v in dens.items()}
 
 
-def _p2_diagonals(mesh, coeffs, quad):
+def _p2_diagonals(mesh, coeffs):
     """The p = 2 stiffness and mass over the free DOFs, as the diagonals of
     `_free_diagonals`.
 
@@ -467,7 +465,7 @@ def _p2_diagonals(mesh, coeffs, quad):
     Hessian's do.  The densities are data of x2 alone, so the cell matrices
     are one column of cells, the same at every x1 cell.
     """
-    core = _core(mesh, quad)
+    core = _core(mesh)
     A = coeffs.entries(core.e2.points)
     K = sum(core.cell_matrices(A[i + j] * core.w, *core.pairs(i, j))
             for i, j in _GRADIENT_TERMS)
@@ -475,7 +473,7 @@ def _p2_diagonals(mesh, coeffs, quad):
     return _free_diagonals(mesh, K), _free_diagonals(mesh, M)
 
 
-def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
+def assemble_p2(mesh, coeffs) -> SparsePair:
     """Assemble the p=2 stiffness and mass matrices over the free DOFs.
 
     The stiffness includes the a12 cross terms
@@ -484,7 +482,7 @@ def assemble_p2(mesh, coeffs, quad=None) -> SparsePair:
     Both are 9-point stencils over the nodes, built from the same cell
     matrices and diagonals as the descent's shift (see `_p2_diagonals`).
     """
-    K, M = _p2_diagonals(mesh, coeffs, quad)
+    K, M = _p2_diagonals(mesh, coeffs)
     return SparsePair(_csr(K), _csr(M))
 
 

@@ -7,9 +7,10 @@ is Rayleigh-quotient iteration, k >= 2 by shift-invert Lanczos through the
 banded Cholesky factor of the stiffness), `cross_section_ground_state`
 (the 1D problem on the cross section), and `half_cylinder_eigen` (first
 eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
-the discrete problem through the one Q1 core of `discretization`: the
-cylinder solves through its tensor-product quadrature and p = 2 matrices,
-the cross-section solve through the same 1D element on the x2 nodes.
+the discrete problem through the one Q1 core of `discretization` and its
+one Gauss rule: the cylinder solves through its tensor-product quadrature
+and p = 2 matrices, the cross-section solve through the same 1D element on
+the x2 nodes.
 
 The descent sees its problem as states linear in the nodal vector: its
 values and slopes at the Gauss points, or on the p = 2 pencil the vector
@@ -34,8 +35,7 @@ import scipy.linalg.lapack
 import scipy.sparse.linalg as spla
 
 from . import discretization as disc
-from .discretization import (DiscreteField, QuadratureRule, _power,
-                             _power_slope, _Q1)
+from .discretization import DiscreteField, _power, _power_slope, _Q1
 from .errors import ConfigurationError, SolverError
 from .mesh import BC, CylinderMesh, DomainSpec, Shape, build_mesh
 
@@ -88,12 +88,13 @@ class CrossSectionResult:
     `w_nodes` are the nodal values (zero at the interval ends,
     p-normalized, positive inside); `w_slope` the element slopes;
     `poincare_cp` the discrete Poincare constant, mu1(omega; a22 = 1)^{-1/p}.
-    `converged` is false when a descent (this one or that of the plain
-    problem) stopped without its residual certificate.
+    `iterations`, `residual` and `converged` are those of the descent
+    engine at every p, as for the cylinder solves; `converged` is also
+    false when the descent of the plain problem stopped uncertified.
     """
 
-    def __init__(self, mu1, w_nodes, x2_nodes, p, poincare_cp,
-                 iterations=0, residual=0.0, converged=True):
+    def __init__(self, mu1, w_nodes, x2_nodes, p, poincare_cp, iterations,
+                 residual, converged):
         self.mu1 = float(mu1)
         self.converged = converged
         self.w_nodes = np.asarray(w_nodes, dtype=float)
@@ -317,9 +318,9 @@ class _CylinderQuotient:
     coefficient entries there are evaluated once.
     """
 
-    def __init__(self, mesh, coeffs, p, quad):
-        self.mesh, self.coeffs, self.p, self.quad = mesh, coeffs, p, quad
-        self.core = disc._core(mesh, quad)
+    def __init__(self, mesh, coeffs, p):
+        self.mesh, self.coeffs, self.p = mesh, coeffs, p
+        self.core = disc._core(mesh)
         self.A = coeffs.entries(self.core.e2.points)
         self._at = None, None
         self._band = None
@@ -328,11 +329,11 @@ class _CylinderQuotient:
         return self.core.state(self.mesh.expand(u))
 
     def value(self, S):
-        return disc._eval_value(self.mesh, self.A, S, self.p, self.quad)
+        return disc._eval_value(self.mesh, self.A, S, self.p, disc._RULE)
 
     def gradient(self, S):
         E, gE, m, gM, point = disc._eval_full(self.mesh, self.A, S, self.p,
-                                              self.quad)
+                                              disc._RULE)
         self._at = S, point
         return E, gE, m, gM
 
@@ -345,11 +346,11 @@ class _CylinderQuotient:
     def hessian(self, S, lam):
         # one band buffer per solve, overwritten by every factorization
         self._band = disc._eval_hessian(self.mesh, self.A, self._point(S), S,
-                                        lam, self.p, self.quad, self._band)
+                                        lam, self.p, self._band)
         return self._band
 
     def stiffness(self):
-        return disc._p2_diagonals(self.mesh, self.coeffs, self.quad)[0]
+        return disc._p2_diagonals(self.mesh, self.coeffs)[0]
 
 
 def _initial_grid(mesh, cross, opts):
@@ -370,8 +371,7 @@ def _initial_grid(mesh, cross, opts):
     return grid
 
 
-def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
-                      cross=None) -> EigenResult:
+def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
 
     Newton steps shifted by the p = 2 stiffness matrix under a trust-region
@@ -383,17 +383,16 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, quad=None,
     record partial data.
     """
     opts = opts or SolveOptions()
-    quad = quad or QuadratureRule()
-    u0 = _lifted_start(mesh, coeffs, p, opts, quad, cross)
+    u0 = _lifted_start(mesh, coeffs, p, opts, cross)
     return _eigen_result(mesh, _minimize_quotient(
-        _CylinderQuotient(mesh, coeffs, p, quad), u0, p, opts))
+        _CylinderQuotient(mesh, coeffs, p), u0, p, opts))
 
 
-def _lifted_start(mesh, coeffs, p, opts, quad, cross):
+def _lifted_start(mesh, coeffs, p, opts, cross):
     """The free DOFs of `_initial_grid`, lifted from `cross` or, when it is
-    None, from a fresh cross-section solve at p."""
+    None, from a fresh cross-section solve at p with the same `opts`."""
     if cross is None:
-        cross = cross_section_ground_state(mesh.n_cells2, coeffs, p, quad=quad)
+        cross = cross_section_ground_state(mesh.n_cells2, coeffs, p, opts)
     return mesh.restrict(_initial_grid(mesh, cross, opts))
 
 
@@ -437,7 +436,7 @@ class _PencilQuotient:
         return self.stiff
 
 
-def linear_spectrum(mesh, coeffs, k, opts=None, quad=None, cross=None):
+def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
     """k smallest eigenpairs of the p = 2 pencil (K, M).
 
     k = 1 runs the descent engine (`_minimize_quotient`) on the pencil
@@ -471,14 +470,13 @@ def linear_spectrum(mesh, coeffs, k, opts=None, quad=None, cross=None):
     the others a positive largest entry.
     """
     opts = opts or SolveOptions()
-    quad = quad or QuadratureRule()
     n = mesh.n_free
     if k < 1 or k > n:
         raise ConfigurationError(f"need 1 <= k <= {n}, got {k}")
-    stiff, mass = disc._p2_diagonals(mesh, coeffs, quad)
+    stiff, mass = disc._p2_diagonals(mesh, coeffs)
     if k == 1 < n:
         problem = _PencilQuotient(stiff, mass, mesh.n_cells2)
-        u0 = _lifted_start(mesh, coeffs, 2.0, opts, quad, cross)
+        u0 = _lifted_start(mesh, coeffs, 2.0, opts, cross)
         return [_eigen_result(mesh, _minimize_quotient(problem, u0, 2.0,
                                                        opts))]
 
@@ -551,7 +549,7 @@ def _krylov_ritz(K, M, apply_inverse, k):
 
 
 def half_cylinder_eigen(side, ell, resolution, coeffs, p,
-                        opts=None, quad=None, cross=None) -> EigenResult:
+                        opts=None, cross=None) -> EigenResult:
     """First eigenvalue of the half cylinder with a Dirichlet far end.
 
     `side` PLUS is (0, ell) with the natural end at 0; MINUS is (-ell, 0)
@@ -565,62 +563,45 @@ def half_cylinder_eigen(side, ell, resolution, coeffs, p,
     shape = Shape.HALF_PLUS if side is Side.PLUS else Shape.HALF_MINUS
     mesh = build_mesh(DomainSpec(shape, ell, BC.HALF_CYLINDER, cpu, nx2))
     if p == 2:
-        return linear_spectrum(mesh, coeffs, 1, opts, quad, cross)[0]
-    return minimize_rayleigh(mesh, coeffs, p, opts, quad, cross)
+        return linear_spectrum(mesh, coeffs, 1, opts, cross)[0]
+    return minimize_rayleigh(mesh, coeffs, p, opts, cross)
 
 
 # ---------------------------------------------------------------------------
 # cross-section (1D) problem
 # ---------------------------------------------------------------------------
 
-def cross_section_ground_state(nx2, coeffs, p, opts=None,
-                               quad=None) -> CrossSectionResult:
+def cross_section_ground_state(nx2, coeffs, p,
+                               opts=None) -> CrossSectionResult:
     """Ground state of the cross-section problem with Dirichlet ends.
 
     Solves the 1D analogue of the cylinder problem with coefficient a22 on
-    the Q1 element of the cylinder's x2 nodes and quadrature rule: a dense
-    generalized eigensolve of the interior band matrices for p = 2,
-    otherwise the descent of `minimize_rayleigh`, its steps shifted by the
-    interior a22 stiffness.  Also computes the discrete Poincare constant
-    from the plain (a22 = 1) problem at the same p, resolution and rule.
-    A descent that stops uncertified is returned flagged (`converged`
-    false), as the cylinder solves are.
+    the Q1 element of the cylinder's x2 nodes by the descent of
+    `minimize_rayleigh` at every p, from the sampled cosine, its steps
+    shifted by the interior a22 stiffness.  Also computes the discrete
+    Poincare constant from the plain (a22 = 1) problem at the same p and
+    resolution.  A descent that stops uncertified is returned flagged
+    (`converged` false), as the cylinder solves are.
     """
     if nx2 < 8:
         raise ConfigurationError(f"nx2 must be >= 8 for the 1D solve, got {nx2}")
     opts = opts or SolveOptions()
-    quad = quad or QuadratureRule()
     x2 = np.linspace(-0.5, 0.5, nx2 + 1)
-    e = _Q1(x2, quad)
+    e = _Q1(x2)
     a22 = coeffs.a22(e.points)
     problem = _SectionQuotient(e, a22, p)
 
-    G = e.band(a22, e.dN, e.dN)
-    if p == 2:
-        K, M = (disc._csr(_interior(X)).toarray()
-                for X in (G, e.band(1.0, e.N, e.N)))
-        vals, vecs = scipy.linalg.eigh(K, M)
-        mu1, w_free, iters = float(vals[0]), vecs[:, 0], 0
-        res = float(np.linalg.norm(K @ w_free - mu1 * (M @ w_free))
-                    / np.linalg.norm(w_free))
-        converged = True
-    else:
-        r = _minimize_quotient(problem, np.cos(np.pi * x2[1:-1]), p, opts)
-        w_free, mu1, iters, res = r.u, r.lam, r.iterations, r.residual
-        converged = r.stop_reason == "residual"
-
-    if np.sum(w_free) < 0:
-        w_free = -w_free
-    w_free = w_free / problem.value(problem.state(w_free))[1] ** (1.0 / p)
-
+    # p-normalized with a nonnegative sum, as the engine returns it
+    r = _minimize_quotient(problem, np.cos(np.pi * x2[1:-1]), p, opts)
+    converged = r.stop_reason == "residual"
     if float(np.max(np.abs(a22 - 1.0))) < 1e-14:
-        mu_plain = mu1
+        mu_plain = r.lam
     else:
-        plain = cross_section_ground_state(nx2, _IdentityA22(), p, opts, quad)
+        plain = cross_section_ground_state(nx2, _IdentityA22(), p, opts)
         mu_plain, converged = plain.mu1, converged and plain.converged
-    return CrossSectionResult(mu1, np.concatenate(([0.0], w_free, [0.0])), x2,
-                              p, mu_plain ** (-1.0 / p), iterations=iters,
-                              residual=res, converged=converged)
+    return CrossSectionResult(r.lam, np.concatenate(([0.0], r.u, [0.0])), x2,
+                              p, mu_plain ** (-1.0 / p), r.iterations,
+                              r.residual, converged)
 
 
 class _SectionQuotient:

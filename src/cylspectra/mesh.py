@@ -178,7 +178,6 @@ class SlabProfile:
         self.grad_energy = np.asarray(grad_energy, dtype=float)
         self.p_mass = np.asarray(p_mass, dtype=float)
         self.a_energy = np.asarray(a_energy, dtype=float)
-        self.index = np.arange(len(self.grad_energy))
 
     def __len__(self):
         return len(self.grad_energy)
@@ -195,7 +194,7 @@ def build_mesh(spec: DomainSpec) -> CylinderMesh:
     return CylinderMesh(spec)
 
 
-def slab_integrals(mesh, coeffs, u, p, quad=None) -> SlabProfile:
+def slab_integrals(mesh, coeffs, u, p) -> SlabProfile:
     """Integrate |grad u|^p, |u|^p and the A-weighted energy per unit slab.
 
     `u` may be a DiscreteField on `mesh` or a full nodal grid (test mode,
@@ -204,10 +203,8 @@ def slab_integrals(mesh, coeffs, u, p, quad=None) -> SlabProfile:
     """
     from . import discretization as disc
 
-    if quad is None:
-        quad = disc.QuadratureRule()
     grid = u if isinstance(u, np.ndarray) else mesh.expand(u.values)
-    per_cell = disc.cell_integrals(mesh, coeffs, grid, p, quad)
+    per_cell = disc.cell_integrals(mesh, coeffs, grid, p)
     slab_of = mesh.axial_cell_slab()
     n_slabs = len(mesh.slab_edges) - 1
     grad_e = np.zeros(n_slabs)

@@ -89,7 +89,7 @@ class TestNuEstimate:
         nu, C, rho = 9.5, 0.8, 0.5
         values = iter([nu + C * rho ** ell for ell in (2, 4, 6)])
 
-        def fake_half(side, ell, resolution, coeffs, p, opts=None, quad=None,
+        def fake_half(side, ell, resolution, coeffs, p, opts=None,
                       cross=None):
             class R:
                 lam = next(values)
@@ -105,7 +105,7 @@ class TestNuEstimate:
     def test_non_monotone_falls_back(self, monkeypatch):
         values = iter([9.0, 9.4, 9.2])
 
-        def fake_half(side, ell, resolution, coeffs, p, opts=None, quad=None,
+        def fake_half(side, ell, resolution, coeffs, p, opts=None,
                       cross=None):
             class R:
                 lam = next(values)

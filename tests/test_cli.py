@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -257,6 +258,26 @@ def test_solver_options_passthrough(tmp_path):
         solver={"tol_residual": 1e-6, "max_iters": 500},
         output_dir=str(tmp_path / "runs"))
     assert cli.main(["solve", "--config", path]) == 0
+
+
+def test_solver_options_reach_the_lifted_start(tmp_path, monkeypatch):
+    # a p = 3 solve lifts its start from a section solve, which runs with
+    # the options of the config
+    from cylspectra import eigensolve
+    solve = eigensolve.cross_section_ground_state
+    seen = []
+
+    def recorded(*args, **kwargs):
+        bound = inspect.signature(solve).bind(*args, **kwargs)
+        seen.append(bound.arguments.get("opts"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "cross_section_ground_state", recorded)
+    path = write_config(
+        tmp_path, experiment="solve", ell=2.0, p=3.0,
+        solver={"tol_residual": 1e-4}, output_dir=str(tmp_path / "runs"))
+    assert cli.main(["solve", "--config", path]) == 0
+    assert [getattr(o, "tol_residual", None) for o in seen] == [1e-4]
 
 
 def test_invalid_solver_key_rejected(tmp_path):

@@ -105,8 +105,3 @@ def test_tabulated_partial_cover_rejected():
     with pytest.raises(ConfigurationError):
         cs.make_coefficients(
             cs.CoefficientFamily(cs.FamilyKind.TABULATED, samples=samples))
-
-
-def test_margin_needs_enough_samples(identity_field):
-    with pytest.raises(ConfigurationError):
-        cs.ellipticity_margin(identity_field, n_samples=8)

@@ -111,7 +111,7 @@ def test_quadrature_matches_pointwise_loop(linear_field):
     mesh = cs.build_mesh(
         cs.DomainSpec(cs.Shape.HALF_PLUS, 1, cs.BC.HALF_CYLINDER, 3, 4))
     u = random_field(mesh, 7)
-    grid, rule = u.grid(), cs.QuadratureRule(3)
+    grid, rule = u.grid(), cs.QuadratureRule()
     h1, h2 = mesh.h1, mesh.h2
     for p in (2.5, 3.0):
         E = m = 0.0
@@ -166,7 +166,7 @@ def test_p2_matrices_closed_form(shape, bc, c):
     coeffs = cs.make_coefficients(family)
     pair = cs.assemble_p2(mesh, coeffs)
     # the lower band storage of cholesky_banded: (j + o, j) at ab[o, j]
-    ab = disc.lapack_band(disc._p2_diagonals(mesh, coeffs, None)[0],
+    ab = disc.lapack_band(disc._p2_diagonals(mesh, coeffs)[0],
                           mesh.n_cells2, 0)
     n = ab.shape[1]
     lower = sum(np.diag(ab[o, :n - o], -o) for o in range(ab.shape[0]))
@@ -187,20 +187,16 @@ def test_mass_matrix_positive_definite(small_mixed_mesh, identity_field):
 
 
 def test_lift_rayleigh_is_cross_value(identity_field):
-    # the rules run in a loop, not as parameters, so the test keeps its id
     mesh = cs.build_mesh(
         cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 32))
-    for points_per_dir in (2, 3):
-        quad = cs.QuadratureRule(points_per_dir)
-        for p in (2.0, 3.0, 4.0):
-            cross = cs.cross_section_ground_state(32, identity_field, p,
-                                                  quad=quad)
-            lift = cs.lift_cross_section(cross, mesh)
-            assert cs.p_mass(mesh, lift, p)[0] == pytest.approx(1.0, abs=1e-12)
-            assert cs.rayleigh(mesh, identity_field, lift, p, quad) == \
-                pytest.approx(cross.mu1, rel=1e-12)
-            grid = lift.grid()
-            assert np.allclose(grid, grid[0][None, :])  # x1-independent
+    for p in (2.0, 3.0, 4.0):
+        cross = cs.cross_section_ground_state(32, identity_field, p)
+        lift = cs.lift_cross_section(cross, mesh)
+        assert cs.p_mass(mesh, lift, p)[0] == pytest.approx(1.0, abs=1e-12)
+        assert cs.rayleigh(mesh, identity_field, lift, p) == \
+            pytest.approx(cross.mu1, rel=1e-12)
+        grid = lift.grid()
+        assert np.allclose(grid, grid[0][None, :])  # x1-independent
 
 
 def test_lift_requires_mixed(identity_field):
@@ -250,16 +246,15 @@ def test_rayleigh_poincare_lower_bound(offdiag_field):
 
 
 def test_quadrature_rule_validation():
-    with pytest.raises(ValueError):
-        cs.QuadratureRule(points_per_dir=4)
-    rule = cs.QuadratureRule(points_per_dir=2)
+    rule = cs.QuadratureRule()
+    assert rule.points_per_dir == rule.nodes.size == rule.weights.size == 3
     assert rule.weights.sum() == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_quadrature_polynomial_exactness(n):
+def test_quadrature_polynomial_exactness():
     # exact up to degree 2n-1 on [-1, 1]
-    rule = cs.QuadratureRule(points_per_dir=n)
+    rule = cs.QuadratureRule()
+    n = rule.points_per_dir
     for degree in range(2 * n):
         exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
         approx = float(np.sum(rule.weights * rule.nodes ** degree))

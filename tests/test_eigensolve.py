@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -71,6 +72,27 @@ class TestCrossSection:
                 cs.DomainSpec(cs.Shape.FULL_CYLINDER, 1, cs.BC.MIXED, 2, 32))
             lift = cs.lift_cross_section(cross, mesh)
             assert cs.p_mass(mesh, lift, p)[0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_p2_certified_by_the_engine(self):
+        # a tabulated a22 that varies, so the sampled cosine start is not
+        # the discrete eigenvector: one step does not certify it, and the
+        # uncapped descent matches a dense solve of the interior pencil
+        samples = ((-0.5, 1.0, 0.0, 2.0), (0.0, 1.0, 0.0, 1.0),
+                   (0.5, 1.0, 0.0, 1.5))
+        field = cs.make_coefficients(
+            cs.CoefficientFamily(cs.FamilyKind.TABULATED, samples=samples))
+        capped = cs.cross_section_ground_state(32, field, 2,
+                                               cs.SolveOptions(max_iters=1))
+        assert not capped.converged and capped.iterations == 1
+        cross = cs.cross_section_ground_state(32, field, 2)
+        assert cross.converged and 1 <= cross.iterations
+        assert cross.residual <= 1e-8 * cross.mu1
+        e = disc._Q1(cross.x2_nodes)
+        K, M = (disc._csr(es._interior(G)).toarray()
+                for G in (e.band(field.a22(e.points), e.dN, e.dN),
+                          e.band(1.0, e.N, e.N)))
+        lam = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
+        assert cross.mu1 == pytest.approx(lam, rel=1e-12)
 
     def test_min_resolution_enforced(self, identity_field):
         from cylspectra.errors import ConfigurationError
@@ -334,16 +356,19 @@ class TestMinimizeRayleigh:
         monkeypatch.setattr(es, "_CylinderQuotient", Recording)
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 4, cs.BC.MIXED, 4, 16))
+        # the start lifts the section state of the default options: the
+        # subject here is the returned iterate, not the start
+        cross = cs.cross_section_ground_state(16, offdiag_field, 3)
         r = cs.minimize_rayleigh(mesh, offdiag_field, 3,
-                                 cs.SolveOptions(tol_residual=1e-17))
+                                 cs.SolveOptions(tol_residual=1e-17),
+                                 cross=cross)
         assert r.stop_reason in ("no_descent", "max_iters")
         assert residuals[-1] > min(residuals)
         assert r.final_residual == min(residuals)
         # the returned field is the best iterate, not the last: its fresh
         # state is far closer to the best carried state (both sit at the
         # rounding floor, so only the comparison tells them apart)
-        fresh = Recording(mesh, offdiag_field, 3,
-                          cs.QuadratureRule()).state(r.field.values)
+        fresh = Recording(mesh, offdiag_field, 3).state(r.field.values)
 
         def distance(S):
             return sum(np.max(np.abs(a - b)) for a, b in zip(fresh, S))
@@ -430,8 +455,7 @@ class TestMinimizeRayleigh:
         # linear_offdiag: a12 varies with x2; u stays positive along the line
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
-        problem = es._CylinderQuotient(mesh, linear_field, p,
-                                       cs.QuadratureRule())
+        problem = es._CylinderQuotient(mesh, linear_field, p)
         rng = np.random.default_rng(4)
         u = 1.0 + rng.random(mesh.n_free)
         z = rng.standard_normal(mesh.n_free)
@@ -449,9 +473,8 @@ class TestMinimizeRayleigh:
         # so a22 is made to vary with x2 here
         field = cs.CoefficientField(linear_field.a11, linear_field.a12,
                                     lambda x2: 1.0 + x2 * x2)
-        quad = cs.QuadratureRule()
         x2 = np.linspace(-0.5, 0.5, 17)
-        e = disc._Q1(x2, quad)
+        e = disc._Q1(x2)
         problem = es._SectionQuotient(e, field.a22(e.points), p)
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 1, cs.BC.MIXED, 2, 16))
@@ -462,7 +485,7 @@ class TestMinimizeRayleigh:
         def lifted(v):
             grid = np.tile(np.concatenate(([0.0], v, [0.0])),
                            (mesh.x1.size, 1))
-            return cs.rayleigh(mesh, field, grid, p, quad)
+            return cs.rayleigh(mesh, field, grid, p)
 
         reference = self.second_difference(lifted, w, z)
         assert self.newton_curvature(problem, w, z) == pytest.approx(
@@ -496,15 +519,14 @@ def dense_from_band(ab, kl, ku, top):
 
 
 def section_problem(field, p, nx2):
-    quad = cs.QuadratureRule()
-    e = disc._Q1(np.linspace(-0.5, 0.5, nx2 + 1), quad)
+    e = disc._Q1(np.linspace(-0.5, 0.5, nx2 + 1))
     return es._SectionQuotient(e, field.a22(e.points), p)
 
 
-def stiffness_cholesky(mesh, field, quad):
+def stiffness_cholesky(mesh, field):
     # the factor that `linear_spectrum` takes at k >= 2
     return es._cholesky(disc.lapack_band(
-        disc._p2_diagonals(mesh, field, quad)[0], mesh.n_cells2, 0))
+        disc._p2_diagonals(mesh, field)[0], mesh.n_cells2, 0))
 
 
 def varying_a22(field):
@@ -541,8 +563,7 @@ class TestNewton:
                                                           p):
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
-        problem = es._CylinderQuotient(mesh, linear_field, p,
-                                       cs.QuadratureRule())
+        problem = es._CylinderQuotient(mesh, linear_field, p)
         rng = np.random.default_rng(6)
         u = 1.0 + rng.random(mesh.n_free)
         v = rng.standard_normal(mesh.n_free)
@@ -588,8 +609,7 @@ class TestNewton:
                          "half_plus": (cs.Shape.HALF_PLUS,
                                        cs.BC.HALF_CYLINDER)}[kind]
             mesh = cs.build_mesh(cs.DomainSpec(shape, 2, bc, 4, 8))
-            problem = es._CylinderQuotient(mesh, linear_field, p,
-                                           cs.QuadratureRule())
+            problem = es._CylinderQuotient(mesh, linear_field, p)
             n = mesh.n_free
         u = 1.0 + np.random.default_rng(10).random(n)
         S = problem.state(u)
@@ -611,8 +631,7 @@ class TestNewton:
         if kind == "cylinder":
             mesh = cs.build_mesh(
                 cs.DomainSpec(cs.Shape.FULL_CYLINDER, 0.5, cs.BC.MIXED, 2, 4))
-            problem = es._CylinderQuotient(mesh, linear_field, p,
-                                           cs.QuadratureRule())
+            problem = es._CylinderQuotient(mesh, linear_field, p)
             n = mesh.n_free
         else:
             problem = section_problem(varying_a22(linear_field), p, 8)
@@ -645,10 +664,9 @@ class TestNewton:
     def test_banded_stiffness_solve_matches_spsolve(self, linear_field,
                                                     shape, bc):
         import scipy.sparse.linalg as spla
-        quad = cs.QuadratureRule()
         mesh = cs.build_mesh(cs.DomainSpec(shape, 2, bc, 4, 8))
-        solve = stiffness_cholesky(mesh, linear_field, quad)
-        K = cs.assemble_p2(mesh, linear_field, quad).stiffness
+        solve = stiffness_cholesky(mesh, linear_field)
+        K = cs.assemble_p2(mesh, linear_field).stiffness
         b = np.random.default_rng(9).standard_normal(mesh.n_free)
         reference = spla.spsolve(K.tocsc(), b)
         assert np.allclose(solve(b), reference, rtol=1e-10,
@@ -656,10 +674,9 @@ class TestNewton:
 
     def test_stiffness_solve_rejects_non_finite(self, linear_field):
         # each solve checks its right-hand side; the factor is checked once
-        quad = cs.QuadratureRule()
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
-        solve = stiffness_cholesky(mesh, linear_field, quad)
+        solve = stiffness_cholesky(mesh, linear_field)
         b = np.ones(mesh.n_free)
         b[3] = np.nan
         with pytest.raises(ValueError):
@@ -675,8 +692,7 @@ class TestGaussPointStates:
     def test_trial_matches_nodal_quotient(self, linear_field, p):
         # linear_offdiag: a12 varies with x2
         mesh = cs.build_mesh(self.MESH)
-        problem = es._CylinderQuotient(mesh, linear_field, p,
-                                       cs.QuadratureRule())
+        problem = es._CylinderQuotient(mesh, linear_field, p)
         rng = np.random.default_rng(1)
         u = 1.0 + rng.random(mesh.n_free)
         s = rng.standard_normal(mesh.n_free)
@@ -707,8 +723,7 @@ class TestGaussPointStates:
             cs.SolveOptions(max_iters=full.iterations - 1))
         assert r.stop_reason == "max_iters"
         assert np.min(r.field.values) > 0.0  # not clipped
-        fresh = Recording(mesh, linear_field, p,
-                          cs.QuadratureRule()).state(r.field.values)
+        fresh = Recording(mesh, linear_field, p).state(r.field.values)
         for a, b in zip(fresh, carried[-1]):
             assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(a))
 
@@ -716,9 +731,8 @@ class TestGaussPointStates:
     def test_section_trial_matches_lifted_quotient(self, linear_field, p):
         # nx2 = 64 as in the shooting-oracle check; the nodal reference is
         # the quotient of the axial lift on a mixed cylinder
-        quad = cs.QuadratureRule()
         x2 = np.linspace(-0.5, 0.5, 65)
-        e = disc._Q1(x2, quad)
+        e = disc._Q1(x2)
         problem = es._SectionQuotient(e, linear_field.a22(e.points), p)
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 1, cs.BC.MIXED, 2, 64))
@@ -730,7 +744,7 @@ class TestGaussPointStates:
             E, m = problem.value(es._along(Sw, Ss, tau))
             lift = np.tile(np.concatenate(([0.0], w - tau * s, [0.0])),
                            (mesh.x1.size, 1))
-            nodal = cs.rayleigh(mesh, linear_field, lift, p, quad)
+            nodal = cs.rayleigh(mesh, linear_field, lift, p)
             assert E / m == pytest.approx(nodal, rel=1e-13)
 
 
