@@ -3,8 +3,9 @@
 Four entry points: `minimize_rayleigh` (shifted Newton steps on the
 Rayleigh quotient, any p >= 2), `linear_spectrum` (p = 2 on the assembled
 pencil: the first eigenpair by the same engine, whose unshifted step there
-is Rayleigh-quotient iteration, k >= 2 by shift-invert Lanczos through the
-banded Cholesky factor of the stiffness), `cross_section_ground_state`
+is Rayleigh-quotient iteration, k >= 2 by shift-invert Lanczos about a
+shift just below that certified first eigenvalue, through the banded
+Cholesky factor of K - sigma M), `cross_section_ground_state`
 (the 1D problem on the cross section), and `half_cylinder_eigen` (first
 eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
 the discrete problem through the one Q1 core of `discretization` and its
@@ -77,8 +78,9 @@ class EigenResult:
     # converged exit), "no_descent" or "max_iters"; linear_spectrum at
     # k >= 2: "arpack", "dense" (k = n_free) or "max_iters"
     stop_reason: str
-    # banded LU factorizations of the descent's shifted Newton matrix (0
-    # from linear_spectrum at k >= 2)
+    # banded LU factorizations of the descent's shifted Newton matrix; from
+    # linear_spectrum at k >= 2 those of its k = 1 engine plus its banded
+    # Cholesky factorizations (one, or two after a failed shifted one)
     factorizations: int = 0
 
 
@@ -436,6 +438,10 @@ class _PencilQuotient:
         return self.stiff
 
 
+# the k >= 2 Lanczos shift lies this share of the certified lam1 below it
+_SHIFT_MARGIN = 1e-3
+
+
 def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
     """k smallest eigenpairs of the p = 2 pencil (K, M).
 
@@ -451,21 +457,28 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
     the steps taken as `iterations` and the LU factorizations as
     `factorizations`.
 
-    k >= 2 runs shift-invert Lanczos about sigma = 0 (ARPACK through
-    `eigsh`): every Lanczos step applies K^{-1} M through one banded
-    Cholesky factorization of the stiffness matrix (`_cholesky`), so the
-    cost follows the distance of the wanted eigenvalues from the rest of
-    the shifted spectrum, not the ratio lam1/lam2 that collapses on long
-    cylinders.  The fixed start vector of ones makes the result
+    k >= 2 (below n_free) first runs that k = 1 engine, then shift-invert
+    Lanczos (ARPACK through `eigsh`) about sigma = lam1 (1 - _SHIFT_MARGIN)
+    when the engine certified lam1: every Lanczos step applies
+    (K - sigma M)^{-1} M through one banded Cholesky factorization
+    (`_cholesky`).  The rate then follows (lam_k - sigma) / (lam_{k+1} -
+    sigma), not lam_k / lam_{k+1}, which tends to 1 in the collapsing
+    cluster of long cylinders (Ericsson & Ruhe 1980).  By Sylvester's law
+    of inertia the factorization succeeds only if every eigenvalue lies
+    above sigma, so the wanted ones are those nearest it.  Where the engine
+    is not certified or that factorization fails, the shift is 0 and the
+    factor that of K.  The fixed start vector of ones makes the result
     deterministic.  `converged` certifies that ARPACK converged and that
     the residual of k = 1, the max norm of 2 (K v - lam M v) / v.Mv,
     passes the same test.
-    `max_iters` caps the ARPACK restarts; a run that hits it comes back
-    flagged, with Ritz pairs from a short shift-invert Krylov space, since
-    ARPACK hands back only the pairs it converged, and `stop_reason`
-    "max_iters" ("arpack" otherwise, "dense" for k = n_free, which solves
-    the dense pencil).  `iterations` counts the shift-invert solves of the
-    whole call, shared by all k results.
+    `max_iters` caps the engine's steps and the ARPACK restarts; a run that
+    hits the latter comes back flagged, with Ritz pairs from a short
+    shift-invert Krylov space, since ARPACK hands back only the pairs it
+    converged, and `stop_reason` "max_iters" ("arpack" otherwise, "dense"
+    for k = n_free, which solves the dense pencil and counts nothing).
+    `iterations` counts the engine's steps plus the shift-invert solves of
+    the whole call, and `factorizations` the engine's LU factorizations
+    plus the Cholesky ones, both shared by all k results.
     Eigenvectors are p-mass normalized; the first has a nonnegative sum,
     the others a positive largest entry.
     """
@@ -474,30 +487,43 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
     if k < 1 or k > n:
         raise ConfigurationError(f"need 1 <= k <= {n}, got {k}")
     stiff, mass = disc._p2_diagonals(mesh, coeffs)
-    if k == 1 < n:
-        problem = _PencilQuotient(stiff, mass, mesh.n_cells2)
-        u0 = _lifted_start(mesh, coeffs, 2.0, opts, cross)
-        return [_eigen_result(mesh, _minimize_quotient(problem, u0, 2.0,
-                                                       opts))]
-
-    K, M = disc._csr(stiff), disc._csr(mass)
-    solve = _cholesky(disc.lapack_band(stiff, mesh.n_cells2, 0))
-    solves = 0
-
-    def apply_inverse(x):
-        nonlocal solves
-        solves += 1
-        return solve(np.ravel(x))
-
+    bw = mesh.n_cells2
+    problem = _PencilQuotient(stiff, mass, bw)
+    K, M = problem.K, problem.M
+    steps = factorizations = 0
     reason = "arpack"
     if k == n:  # ARPACK needs k < n; the pencil is tiny here
         lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         reason = "dense"
     else:
+        u0 = _lifted_start(mesh, coeffs, 2.0, opts, cross)
+        first = _minimize_quotient(problem, u0, 2.0, opts)
+        if k == 1:
+            return [_eigen_result(mesh, first)]
+        steps, factorizations = first.iterations, first.factorizations
+        sigma, solve = 0.0, None
+        if first.stop_reason == "residual":
+            sigma = first.lam * (1.0 - _SHIFT_MARGIN)
+            ab = disc.lapack_band(stiff, bw, 0)
+            disc.add_to_band(ab, mass, -sigma, bw, 0)
+            factorizations += 1
+            try:
+                solve = _cholesky(ab)
+            except SolverError:  # an eigenvalue lies below sigma
+                sigma = 0.0
+        if solve is None:
+            factorizations += 1
+            solve = _cholesky(disc.lapack_band(stiff, bw, 0))
+
+        def apply_inverse(x):
+            nonlocal steps
+            steps += 1
+            return solve(np.ravel(x))
+
         op_inv = spla.LinearOperator((n, n), matvec=apply_inverse,
                                      dtype=float)
         try:
-            lams, vecs = spla.eigsh(K, k, M=M, sigma=0, OPinv=op_inv,
+            lams, vecs = spla.eigsh(K, k, M=M, sigma=sigma, OPinv=op_inv,
                                     v0=np.ones(n), maxiter=opts.max_iters)
         except spla.ArpackNoConvergence:
             lams, vecs = _krylov_ritz(K, M, apply_inverse, k)
@@ -513,19 +539,21 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
         v = v / np.sqrt(float(v @ (M @ v)))
         res = 2.0 * float(np.max(np.abs(K @ v - lam * (M @ v))))
         results.append(EigenResult(
-            lam, DiscreteField(v, mesh), solves, res, np.array([lam]),
+            lam, DiscreteField(v, mesh), steps, res, np.array([lam]),
             reason != "max_iters"
-            and res <= opts.tol_residual * max(1.0, abs(lam)), reason))
+            and res <= opts.tol_residual * max(1.0, abs(lam)), reason,
+            factorizations))
     return results
 
 
 def _cholesky(ab):
-    """K^{-1} for an SPD K in the lower band storage of `cholesky_banded`,
-    factored in place."""
+    """A^{-1} for a symmetric A in the lower band storage of
+    `cholesky_banded`, factored in place; `SolverError` where A is not
+    positive definite."""
     try:
         cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - not SPD
-        raise SolverError(f"stiffness factorization failed: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"band factorization failed: {exc}") from exc
     # the factor is checked once, by `cholesky_banded`; each solve checks d
     return lambda d: scipy.linalg.cho_solve_banded(
         (cb, True), np.asarray_chkfinite(d), check_finite=False)

@@ -147,6 +147,22 @@ def test_spectrum_outputs(tmp_path):
     assert np.allclose(lams, oracle, rtol=2e-2)
 
 
+def test_spectrum_deterministic(tmp_path):
+    # a collapsing cluster (COD 0.3, ell 8) on the shifted Lanczos path
+    path = write_config(
+        tmp_path, experiment="spectrum",
+        family={"kind": "constant_offdiag", "c": 0.3},
+        ell=8.0, k=3, output_dir=str(tmp_path / "runs"))
+    assert cli.main(["spectrum", "--config", path]) == 0
+    assert cli.main(["spectrum", "--config", path]) == 0
+    runs = sorted((tmp_path / "runs").iterdir())
+    assert len(runs) == 2
+    first = (runs[0] / "spectrum.csv").read_bytes()
+    assert first == (runs[1] / "spectrum.csv").read_bytes()
+    rows = first.decode().splitlines()[1:]
+    assert len(rows) == 3 and all(r.endswith(",true") for r in rows)
+
+
 def test_gap_check_outputs(tmp_path):
     path = write_config(
         tmp_path, experiment="gap_check",

@@ -148,11 +148,12 @@ class TestLinearSpectrum:
                 assert abs(vecs[i] @ (M @ vecs[j])) < 1e-8
 
     def test_matches_eigsh(self, offdiag_field):
-        # the solver is eigsh itself; the oracle is the dense pencil.  The
-        # two longer mixed meshes hold a collapsing cluster: there an eigsh
-        # `tol` of 1e-12 or 1e-10 (ell 8) or 1e-8 (ell 12) skips an
-        # eigenvalue, with residuals ~1e-14 that cannot see it, so `tol`
-        # must stay 0.
+        # the solver is eigsh itself, shift-inverted about 1e-3 below the
+        # engine's certified lam1 (about 0 where that fails); the oracle is
+        # the dense pencil.  The two longer mixed meshes hold a collapsing
+        # cluster: there an eigsh `tol` of 1e-12 or 1e-10 (ell 8) or 1e-8
+        # (ell 12) skipped an eigenvalue about 0, with residuals ~1e-14
+        # that cannot see it, so `tol` stays 0.
         import scipy.linalg
         for spec in ORACLE_MESHES:
             mesh = cs.build_mesh(spec)
@@ -231,6 +232,61 @@ class TestLinearSpectrum:
         n = small_mixed_mesh.n_free
         dense = cs.linear_spectrum(small_mixed_mesh, offdiag_field, n)
         assert {r.stop_reason for r in dense} == {"dense"}
+
+    def test_shifted_factorization_fallback(self, monkeypatch, offdiag_field):
+        # an engine lam1 above lam2 puts the shift above two eigenvalues: the
+        # shifted Cholesky factorization fails, and the Lanczos falls back
+        # to the shift 0 and the factor of K
+        engine = es._minimize_quotient
+
+        def above_lam2(problem, u0, p, opts):
+            r = engine(problem, u0, p, opts)
+            if isinstance(problem, es._PencilQuotient):
+                r = r._replace(lam=1.01 * lam2)
+            return r
+
+        monkeypatch.setattr(es, "_minimize_quotient", above_lam2)
+        for spec in ORACLE_MESHES:
+            mesh = cs.build_mesh(spec)
+            pair = cs.assemble_p2(mesh, offdiag_field)
+            oracle = scipy.linalg.eigh(pair.stiffness.toarray(),
+                                       pair.mass.toarray(),
+                                       eigvals_only=True)[:3]
+            lam2 = oracle[1]
+            one = cs.linear_spectrum(mesh, offdiag_field, 1)[0]
+            results = cs.linear_spectrum(mesh, offdiag_field, 3)
+            assert np.allclose([r.lam for r in results], oracle, rtol=1e-10,
+                               atol=0.0)
+            assert all(r.converged for r in results)
+            # the failed shifted factorization and the factor of K
+            assert all(r.factorizations == one.factorizations + 2
+                       for r in results)
+
+    def test_shift_invert_solves_in_cluster(self, monkeypatch,
+                                            offdiag_field):
+        # lam1..lam4 = 9.857, 9.878, 9.990, 10.166: about sigma = 0 the
+        # Lanczos rate follows lam3 / lam4, just below the certified lam1 it
+        # does not (85 shift-invert solves about 0, 21 below lam1)
+        cholesky, solves = es._cholesky, []
+
+        def counted(ab):
+            solve = cholesky(ab)
+
+            def counted_solve(d):
+                solves.append(1)
+                return solve(d)
+            return counted_solve
+
+        monkeypatch.setattr(es, "_cholesky", counted)
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 32))
+        one = cs.linear_spectrum(mesh, offdiag_field, 1)[0]
+        results = cs.linear_spectrum(mesh, offdiag_field, 3)
+        assert all(r.converged for r in results)
+        assert len(solves) <= 30
+        # iterations: the engine's steps and the shift-invert solves
+        assert all(r.iterations == one.iterations + len(solves)
+                   for r in results)
 
     def test_k_validation(self, identity_field, small_mixed_mesh):
         from cylspectra.errors import ConfigurationError
@@ -382,8 +438,12 @@ class TestMinimizeRayleigh:
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
         r = cs.minimize_rayleigh(mesh, offdiag_field, 3)
         assert 1 <= r.iterations <= r.factorizations
+        # k >= 2 adds to the k = 1 engine's counts one Cholesky factorization
+        # of the shifted pencil and the shift-invert solves
+        one = cs.linear_spectrum(mesh, offdiag_field, 1)[0]
         lin = cs.linear_spectrum(mesh, offdiag_field, 2)
-        assert all(x.factorizations == 0 for x in lin)
+        assert all(x.factorizations == one.factorizations + 1 for x in lin)
+        assert all(x.iterations > one.iterations for x in lin)
 
     @pytest.mark.parametrize("bc, ell, builds", [
         (cs.BC.DIRICHLET_ALL, 4, 0), (cs.BC.MIXED, 8, 1)])
@@ -524,7 +584,7 @@ def section_problem(field, p, nx2):
 
 
 def stiffness_cholesky(mesh, field):
-    # the factor that `linear_spectrum` takes at k >= 2
+    # the factor that `linear_spectrum` falls back to at k >= 2
     return es._cholesky(disc.lapack_band(
         disc._p2_diagonals(mesh, field)[0], mesh.n_cells2, 0))
 
