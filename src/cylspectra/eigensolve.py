@@ -4,7 +4,7 @@ Four entry points: `minimize_rayleigh` (shifted Newton steps on the
 Rayleigh quotient, any p >= 2), `linear_spectrum` (p = 2 on the assembled
 pencil: the first eigenpair by the same engine, whose unshifted step there
 is Rayleigh-quotient iteration, k >= 2 by shift-invert Lanczos about a
-shift just below that certified first eigenvalue, through the banded
+shift just below that first eigenvalue, through the banded
 Cholesky factor of K - sigma M), `cross_section_ground_state`
 (the 1D problem on the cross section), and `half_cylinder_eigen` (first
 eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
@@ -438,7 +438,7 @@ class _PencilQuotient:
         return self.stiff
 
 
-# the k >= 2 Lanczos shift lies this share of the certified lam1 below it
+# the k >= 2 Lanczos shift lies this share of the engine's lam1 below it
 _SHIFT_MARGIN = 1e-3
 
 
@@ -458,19 +458,20 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
     `factorizations`.
 
     k >= 2 (below n_free) first runs that k = 1 engine, then shift-invert
-    Lanczos (ARPACK through `eigsh`) about sigma = lam1 (1 - _SHIFT_MARGIN)
-    when the engine certified lam1: every Lanczos step applies
+    Lanczos (ARPACK through `eigsh`) about sigma = lam1 (1 - _SHIFT_MARGIN),
+    lam1 the engine's Rayleigh quotient: every Lanczos step applies
     (K - sigma M)^{-1} M through one banded Cholesky factorization
     (`_cholesky`).  The rate then follows (lam_k - sigma) / (lam_{k+1} -
     sigma), not lam_k / lam_{k+1}, which tends to 1 in the collapsing
     cluster of long cylinders (Ericsson & Ruhe 1980).  By Sylvester's law
     of inertia the factorization succeeds only if every eigenvalue lies
-    above sigma, so the wanted ones are those nearest it.  Where the engine
-    is not certified or that factorization fails, the shift is 0 and the
-    factor that of K.  The fixed start vector of ones makes the result
-    deterministic.  `converged` certifies that ARPACK converged and that
-    the residual of k = 1, the max norm of 2 (K v - lam M v) / v.Mv,
-    passes the same test.
+    above sigma; as a Rayleigh quotient is at least the true lam1, sigma
+    then lies within _SHIFT_MARGIN below it.  Where that factorization
+    fails, the engine stopped at max_iters, or there is no lifted start
+    (nx2 < 8 and no `cross`), the shift is 0 and the factor that of K.  The
+    fixed start vector of ones makes the result deterministic.  `converged`
+    certifies that ARPACK converged and that the residual of k = 1, the max
+    norm of 2 (K v - lam M v) / v.Mv, passes the same test.
     `max_iters` caps the engine's steps and the ARPACK restarts; a run that
     hits the latter comes back flagged, with Ritz pairs from a short
     shift-invert Krylov space, since ARPACK hands back only the pairs it
@@ -496,13 +497,22 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
         lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         reason = "dense"
     else:
-        u0 = _lifted_start(mesh, coeffs, 2.0, opts, cross)
-        first = _minimize_quotient(problem, u0, 2.0, opts)
-        if k == 1:
-            return [_eigen_result(mesh, first)]
-        steps, factorizations = first.iterations, first.factorizations
-        sigma, solve = 0.0, None
-        if first.stop_reason == "residual":
+        sigma, solve, first = 0.0, None, None
+        try:
+            u0 = _lifted_start(mesh, coeffs, 2.0, opts, cross)
+        except ConfigurationError:  # no section solve below nx2 = 8
+            if k == 1:
+                raise
+        else:
+            first = _minimize_quotient(problem, u0, 2.0, opts)
+            if k == 1:
+                return [_eigen_result(mesh, first)]
+            steps, factorizations = first.iterations, first.factorizations
+        # an engine cut by max_iters leaves sigma = 0, so a capped call stays
+        # on the Lanczos about 0.  Otherwise the factorization decides: the
+        # engine's Rayleigh quotient is >= lam1, so sigma lies in
+        # [lam1 (1 - _SHIFT_MARGIN), lam1) or the factorization fails
+        if first is not None and first.stop_reason != "max_iters":
             sigma = first.lam * (1.0 - _SHIFT_MARGIN)
             ab = disc.lapack_band(stiff, bw, 0)
             disc.add_to_band(ab, mass, -sigma, bw, 0)

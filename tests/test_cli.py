@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import cylspectra as cs
 from cylspectra import cli
 
 BASE = {
@@ -136,31 +137,29 @@ def test_ladder_outputs(tmp_path):
 
 
 def test_spectrum_outputs(tmp_path):
-    path = write_config(tmp_path, experiment="spectrum", ell=2.0, k=3,
-                        output_dir=str(tmp_path / "runs"))
-    assert cli.main(["spectrum", "--config", path]) == 0
-    run = next((tmp_path / "runs").iterdir())
-    lines = (run / "spectrum.csv").read_text().splitlines()
-    assert lines[0] == "k,lambda,iterations,residual,converged"
-    lams = [float(l.split(",")[1]) for l in lines[1:]]
-    oracle = [np.pi ** 2 + (k * np.pi / 4) ** 2 for k in range(3)]
-    assert np.allclose(lams, oracle, rtol=2e-2)
-
-
-def test_spectrum_deterministic(tmp_path):
-    # a collapsing cluster (COD 0.3, ell 8) on the shifted Lanczos path
-    path = write_config(
-        tmp_path, experiment="spectrum",
-        family={"kind": "constant_offdiag", "c": 0.3},
-        ell=8.0, k=3, output_dir=str(tmp_path / "runs"))
+    # a collapsing cluster (COD 0.3, ell 8) on the shifted Lanczos path;
+    # a rerun writes the same bytes
+    import scipy.linalg
+    family = {"kind": "constant_offdiag", "c": 0.3}
+    path = write_config(tmp_path, experiment="spectrum", family=family,
+                        ell=8.0, k=3, output_dir=str(tmp_path / "runs"))
     assert cli.main(["spectrum", "--config", path]) == 0
     assert cli.main(["spectrum", "--config", path]) == 0
     runs = sorted((tmp_path / "runs").iterdir())
     assert len(runs) == 2
     first = (runs[0] / "spectrum.csv").read_bytes()
     assert first == (runs[1] / "spectrum.csv").read_bytes()
-    rows = first.decode().splitlines()[1:]
-    assert len(rows) == 3 and all(r.endswith(",true") for r in rows)
+    lines = first.decode().splitlines()
+    assert lines[0] == "k,lambda,iterations,residual,converged"
+    assert len(lines) == 4 and all(l.endswith(",true") for l in lines[1:])
+    lams = [float(l.split(",")[1]) for l in lines[1:]]
+    mesh = cs.build_mesh(
+        cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 16))
+    pair = cs.assemble_p2(mesh, cs.make_coefficients(
+        cs.CoefficientFamily(cs.FamilyKind.CONSTANT_OFFDIAG, 0.3)))
+    oracle = scipy.linalg.eigh(pair.stiffness.toarray(), pair.mass.toarray(),
+                               eigvals_only=True)[:3]
+    assert np.allclose(lams, oracle, rtol=1e-10, atol=0.0)
 
 
 def test_gap_check_outputs(tmp_path):

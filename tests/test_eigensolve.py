@@ -149,7 +149,7 @@ class TestLinearSpectrum:
 
     def test_matches_eigsh(self, offdiag_field):
         # the solver is eigsh itself, shift-inverted about 1e-3 below the
-        # engine's certified lam1 (about 0 where that fails); the oracle is
+        # engine's lam1 (about 0 where that shift fails); the oracle is
         # the dense pencil.  The two longer mixed meshes hold a collapsing
         # cluster: there an eigsh `tol` of 1e-12 or 1e-10 (ell 8) or 1e-8
         # (ell 12) skipped an eigenvalue about 0, with residuals ~1e-14
@@ -261,6 +261,20 @@ class TestLinearSpectrum:
             # the failed shifted factorization and the factor of K
             assert all(r.factorizations == one.factorizations + 2
                        for r in results)
+
+    def test_no_lifted_start_below_nx2_8(self, offdiag_field,
+                                         small_mixed_mesh):
+        # nx2 = 6 has no cross-section solve, hence no engine and no shift:
+        # k >= 2 runs the Lanczos about 0 through the factor of K
+        import scipy.linalg
+        pair = cs.assemble_p2(small_mixed_mesh, offdiag_field)
+        oracle = scipy.linalg.eigh(pair.stiffness.toarray(),
+                                   pair.mass.toarray(), eigvals_only=True)
+        for k in (2, 3):
+            results = cs.linear_spectrum(small_mixed_mesh, offdiag_field, k)
+            assert np.allclose([r.lam for r in results], oracle[:k],
+                               rtol=1e-10, atol=0.0)
+            assert all(r.converged for r in results)
 
     def test_shift_invert_solves_in_cluster(self, monkeypatch,
                                             offdiag_field):
