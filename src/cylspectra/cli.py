@@ -34,7 +34,7 @@ from .coeffs import (CoefficientFamily, FamilyKind, load_tabulated_csv,
 from .eigensolve import (Init, Side, SolveOptions, cross_section_ground_state,
                          linear_spectrum, minimize_rayleigh)
 from .errors import ConfigurationError, SolverError
-from .mesh import BC, DomainSpec, Shape, build_mesh, slab_integrals
+from .mesh import MIN_NX2, BC, DomainSpec, Shape, build_mesh, slab_integrals
 
 SWEEP_HEADER = ("ell,p,family,lambda_mixed,lambda_dirichlet,lambda_half_plus,"
                 "lambda_half_minus,mu1,gap,alpha_hat,d_plus,d_minus,n_plus,"
@@ -155,9 +155,10 @@ def _parse_solver(raw):
 
 
 class RunPlan:
-    """Validated experiment configuration (everything checked up front)."""
+    """Validated experiment configuration: all that the config alone can
+    tell is checked up front, before any run directory exists."""
 
-    def __init__(self, cfg, experiment, cli_output_dir=None, seed=None):
+    def __init__(self, cfg, experiment, cli_output_dir=None):
         sch = _Schema(cfg)
         declared = sch.get("experiment", str, default=None, choices=set(EXPERIMENTS))
         if declared is not None and declared != experiment:
@@ -166,7 +167,7 @@ class RunPlan:
         self.experiment = experiment
         self.config_echo = cfg
         self.output_dir = cli_output_dir or sch.get("output_dir", str, default="runs")
-        self.seed = sch.get("seed", int, default=0) if seed is None else seed
+        sch.get("seed", int)  # accepted and unused: no start is random
 
         if experiment == "report":
             self.manifests = sch.get("manifests", list, required=True)
@@ -180,14 +181,14 @@ class RunPlan:
         self.nx2 = resolution.get("nx2", int, required=True)
         self.cells_per_unit = resolution.get("cells_per_unit", int, required=True)
         resolution.finish()
-        if self.nx2 < 4 or self.cells_per_unit < 2:
-            raise ConfigurationError("resolution too coarse: nx2 >= 4, cells_per_unit >= 2")
+        if self.nx2 < MIN_NX2 or self.cells_per_unit < 2:
+            raise ConfigurationError("resolution too coarse: "
+                                     f"nx2 >= {MIN_NX2}, cells_per_unit >= 2")
 
         self.p = sch.get("p", float, required=True)
         if self.p < 2:
             raise ConfigurationError(f"p must be >= 2, got {self.p}")
         self.opts = _parse_solver(sch.get("solver", dict, default=None))
-        self.opts.seed = self.seed
         self.family = _parse_family(sch.get("family", dict, required=True),
                                     self.p, self.nx2)
 
@@ -196,16 +197,12 @@ class RunPlan:
                                          choices=set(_SHAPES))]
             default_bc = {"full": "mixed", "half_plus": "half",
                           "half_minus": "half", "cross_section": "dirichlet"}
-            raw_bc = sch.get("bc", str,
-                             default=default_bc[self.shape.value
-                                                if self.shape.value in default_bc
-                                                else "full"],
+            raw_bc = sch.get("bc", str, default=default_bc[self.shape.value],
                              choices=set(_BCS))
             self.bc = _BCS[raw_bc]
             self.ell = sch.get("ell", float, default=1.0)
-            if self.shape is not Shape.CROSS_SECTION:
-                DomainSpec(self.shape, self.ell, self.bc,
-                           self.cells_per_unit, self.nx2)
+            DomainSpec(self.shape, self.ell, self.bc, self.cells_per_unit,
+                       self.nx2)
         elif experiment in ("sweep", "beta2", "ladder"):
             self.ells = sch.get("ells", list, required=True)
             if (not self.ells or
@@ -544,20 +541,22 @@ def run_config(path, experiment, output_dir=None, threads=None):
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return None, EXIT_IO
 
-    error = None
+    # a run that fails once its directory exists still gets a manifest,
+    # recording the error
+    error, code = None, EXIT_OK
     try:
         outputs, converged, results = _RUNNERS[experiment](plan, outdir)
     except OSError as exc:
-        print(f"error: I/O failure during run: {exc}", file=sys.stderr)
-        return None, EXIT_IO
+        error, code = f"I/O failure during run: {exc}", EXIT_IO
     except ConfigurationError as exc:
-        # configuration problems only detectable against computed data
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return None, EXIT_CONFIG
+        # configuration problems only detectable against the mesh or
+        # computed data
+        error, code = f"invalid config: {exc}", EXIT_CONFIG
     except SolverError as exc:
-        # the run directory still gets a manifest recording the failure
-        print(f"error: solver failure: {exc}", file=sys.stderr)
-        outputs, converged, results, error = [], False, {}, str(exc)
+        error, code = f"solver failure: {exc}", EXIT_SOLVER
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        outputs, converged, results = [], False, {}
 
     manifest = {
         "tool": "cylspectra",
@@ -580,7 +579,7 @@ def run_config(path, experiment, output_dir=None, threads=None):
         print(f"error: cannot write manifest: {exc}", file=sys.stderr)
         return None, EXIT_IO
     print(outdir)
-    return manifest, EXIT_OK if error is None else EXIT_SOLVER
+    return manifest, code
 
 
 def _threads_from(args):

@@ -38,12 +38,11 @@ import scipy.sparse.linalg as spla
 from . import discretization as disc
 from .discretization import DiscreteField, _power, _power_slope, _Q1
 from .errors import ConfigurationError, SolverError
-from .mesh import BC, CylinderMesh, DomainSpec, Shape, build_mesh
+from .mesh import BC, MIN_NX2, CylinderMesh, DomainSpec, Shape, build_mesh
 
 
 class Init(enum.Enum):
     LIFTED_W = "lifted_w"
-    PERTURBED_LIFT = "perturbed_lift"
     ONES = "ones"
 
 
@@ -57,7 +56,6 @@ class SolveOptions:
     tol_residual: float = 1e-8
     max_iters: int = 50000
     init: Init = Init.LIFTED_W
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol_residual <= 0:
@@ -358,19 +356,11 @@ class _CylinderQuotient:
 def _initial_grid(mesh, cross, opts):
     if opts.init is Init.ONES:
         return np.ones((mesh.x1.size, mesh.x2.size))
-    ell = mesh.spec.ell
     if mesh.spec.bc is BC.MIXED:
         axial = np.ones_like(mesh.x1)
     else:
-        axial = np.cos(np.pi * mesh.x1 / (2.0 * ell))
-    grid = axial[:, None] * cross.w_nodes[None, :]
-    if opts.init is Init.PERTURBED_LIFT:
-        length = mesh.x1[-1] - mesh.x1[0]
-        phase = 2.0 * np.pi * ((opts.seed * 0.6180339887498949) % 1.0)
-        wobble = 1.0 + 0.01 * np.sin(
-            np.pi * (mesh.x1 - mesh.x1[0]) / length + phase)
-        grid = grid * wobble[:, None]
-    return grid
+        axial = np.cos(np.pi * mesh.x1 / (2.0 * mesh.spec.ell))
+    return axial[:, None] * cross.w_nodes[None, :]
 
 
 def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
@@ -467,11 +457,11 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
     of inertia the factorization succeeds only if every eigenvalue lies
     above sigma; as a Rayleigh quotient is at least the true lam1, sigma
     then lies within _SHIFT_MARGIN below it.  Where that factorization
-    fails, the engine stopped at max_iters, or there is no lifted start
-    (nx2 < 8 and no `cross`), the shift is 0 and the factor that of K.  The
-    fixed start vector of ones makes the result deterministic.  `converged`
-    certifies that ARPACK converged and that the residual of k = 1, the max
-    norm of 2 (K v - lam M v) / v.Mv, passes the same test.
+    fails or the engine stopped at max_iters, the shift is 0 and the factor
+    that of K.  The fixed start vector of ones makes the result
+    deterministic.  `converged` certifies that ARPACK converged and that
+    the residual of k = 1, the max norm of 2 (K v - lam M v) / v.Mv, passes
+    the same test.
     `max_iters` caps the engine's steps and the ARPACK restarts; a run that
     hits the latter comes back flagged, with Ritz pairs from a short
     shift-invert Krylov space, since ARPACK hands back only the pairs it
@@ -497,31 +487,24 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
         lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         reason = "dense"
     else:
-        sigma, solve, first = 0.0, None, None
-        try:
-            u0 = _lifted_start(mesh, coeffs, 2.0, opts, cross)
-        except ConfigurationError:  # no section solve below nx2 = 8
-            if k == 1:
-                raise
-        else:
-            first = _minimize_quotient(problem, u0, 2.0, opts)
-            if k == 1:
-                return [_eigen_result(mesh, first)]
-            steps, factorizations = first.iterations, first.factorizations
+        first = _minimize_quotient(
+            problem, _lifted_start(mesh, coeffs, 2.0, opts, cross), 2.0, opts)
+        if k == 1:
+            return [_eigen_result(mesh, first)]
+        steps, factorizations = first.iterations, first.factorizations + 1
         # an engine cut by max_iters leaves sigma = 0, so a capped call stays
         # on the Lanczos about 0.  Otherwise the factorization decides: the
         # engine's Rayleigh quotient is >= lam1, so sigma lies in
         # [lam1 (1 - _SHIFT_MARGIN), lam1) or the factorization fails
-        if first is not None and first.stop_reason != "max_iters":
+        sigma = 0.0
+        if first.stop_reason != "max_iters":
             sigma = first.lam * (1.0 - _SHIFT_MARGIN)
-            ab = disc.lapack_band(stiff, bw, 0)
-            disc.add_to_band(ab, mass, -sigma, bw, 0)
-            factorizations += 1
-            try:
-                solve = _cholesky(ab)
-            except SolverError:  # an eigenvalue lies below sigma
-                sigma = 0.0
-        if solve is None:
+        ab = disc.lapack_band(stiff, bw, 0)
+        disc.add_to_band(ab, mass, -sigma, bw, 0)
+        try:
+            solve = _cholesky(ab)
+        except SolverError:  # an eigenvalue lies below sigma
+            sigma = 0.0
             factorizations += 1
             solve = _cholesky(disc.lapack_band(stiff, bw, 0))
 
@@ -614,29 +597,30 @@ def cross_section_ground_state(nx2, coeffs, p,
     """Ground state of the cross-section problem with Dirichlet ends.
 
     Solves the 1D analogue of the cylinder problem with coefficient a22 on
-    the Q1 element of the cylinder's x2 nodes by the descent of
-    `minimize_rayleigh` at every p, from the sampled cosine, its steps
-    shifted by the interior a22 stiffness.  Also computes the discrete
-    Poincare constant from the plain (a22 = 1) problem at the same p and
-    resolution.  A descent that stops uncertified is returned flagged
-    (`converged` false), as the cylinder solves are.
+    the Q1 element of the cylinder's x2 nodes (nx2 >= MIN_NX2 cells) by the
+    descent of `minimize_rayleigh` at every p, from the sampled cosine, its
+    steps shifted by the interior a22 stiffness.  The discrete Poincare
+    constant comes from a second descent, of the plain (a22 = 1) problem on
+    the same element, where a22 is not 1.  A descent that stops uncertified
+    is returned flagged (`converged` false), as the cylinder solves are.
     """
-    if nx2 < 8:
-        raise ConfigurationError(f"nx2 must be >= 8 for the 1D solve, got {nx2}")
+    if nx2 < MIN_NX2:
+        raise ConfigurationError(f"nx2 must be >= {MIN_NX2}, got {nx2}")
     opts = opts or SolveOptions()
     x2 = np.linspace(-0.5, 0.5, nx2 + 1)
     e = _Q1(x2)
     a22 = coeffs.a22(e.points)
-    problem = _SectionQuotient(e, a22, p)
+    start = np.cos(np.pi * x2[1:-1])
 
     # p-normalized with a nonnegative sum, as the engine returns it
-    r = _minimize_quotient(problem, np.cos(np.pi * x2[1:-1]), p, opts)
+    r = _minimize_quotient(_SectionQuotient(e, a22, p), start, p, opts)
     converged = r.stop_reason == "residual"
-    if float(np.max(np.abs(a22 - 1.0))) < 1e-14:
-        mu_plain = r.lam
-    else:
-        plain = cross_section_ground_state(nx2, _IdentityA22(), p, opts)
-        mu_plain, converged = plain.mu1, converged and plain.converged
+    mu_plain = r.lam
+    if float(np.max(np.abs(a22 - 1.0))) >= 1e-14:
+        plain = _minimize_quotient(_SectionQuotient(e, np.ones_like(a22), p),
+                                   start, p, opts)
+        mu_plain = plain.lam
+        converged = converged and plain.stop_reason == "residual"
     return CrossSectionResult(r.lam, np.concatenate(([0.0], r.u, [0.0])), x2,
                               p, mu_plain ** (-1.0 / p), r.iterations,
                               r.residual, converged)
@@ -684,10 +668,3 @@ def _interior(G):
     """The interior-node matrix of 1D Gram rows G (`_Q1.band`) as the
     diagonals of `disc.lapack_band`."""
     return {o: G[o + 1, 1:-1] for o in (-1, 0, 1)}
-
-
-class _IdentityA22:
-    """Minimal stand-in coefficient object for the plain 1D problem."""
-
-    def a22(self, x2):
-        return np.ones_like(np.asarray(x2, dtype=float))

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ConfigurationError, DimensionMismatchError
 
 OMEGA_HALF_WIDTH = 0.5
+# the fewest cross-section cells of any mesh, config or cross-section solve
+MIN_NX2 = 4
 
 
 class Shape(enum.Enum):
@@ -41,14 +43,14 @@ class DomainSpec:
     shape : Shape
         Full cylinder, one of the half cylinders, or the bare cross section.
     ell : float
-        Half-length of the full cylinder, or length of a half cylinder.
-        Ignored for the cross section.
+        Half-length of the full cylinder, or length of a half cylinder;
+        positive for every shape, though the cross section does not use it.
     bc : BC
         Boundary-condition tag; must be compatible with `shape`.
     cells_per_unit : int
         Axial cells per unit length (>= 2).
     nx2 : int
-        Cross-section cells (>= 4).
+        Cross-section cells (>= MIN_NX2).
     """
 
     shape: Shape
@@ -58,13 +60,14 @@ class DomainSpec:
     nx2: int
 
     def __post_init__(self):
-        if self.shape is not Shape.CROSS_SECTION and not self.ell > 0:
+        if not self.ell > 0:
             raise ConfigurationError(f"ell must be positive, got {self.ell}")
         if self.cells_per_unit < 2:
             raise ConfigurationError(
                 f"cells_per_unit must be >= 2, got {self.cells_per_unit}")
-        if self.nx2 < 4:
-            raise ConfigurationError(f"nx2 must be >= 4, got {self.nx2}")
+        if self.nx2 < MIN_NX2:
+            raise ConfigurationError(
+                f"nx2 must be >= {MIN_NX2}, got {self.nx2}")
         if self.shape is Shape.FULL_CYLINDER:
             if self.bc not in (BC.MIXED, BC.DIRICHLET_ALL):
                 raise ConfigurationError(

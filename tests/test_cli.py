@@ -368,3 +368,98 @@ def test_solver_failure_exits_4_with_manifest(tmp_path):
     assert manifest["converged"] is False
     assert "did not converge" in manifest["error"]
     assert manifest["outputs"] == []
+
+
+@pytest.mark.parametrize("extra", [
+    {"bc": "mixed", "ell": -3.0}, {"bc": "mixed"}, {"ell": -3.0}])
+def test_cross_section_config_validated_upfront(tmp_path, extra):
+    # the cross section goes through the same DomainSpec as the cylinders
+    path = write_config(tmp_path, experiment="solve", shape="cross_section",
+                        output_dir=str(tmp_path / "runs"), **extra)
+    assert cli.main(["solve", "--config", path]) == cli.EXIT_CONFIG == 2
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    # k above the 35 free DOFs of the 6 x 6 mixed mesh
+    ("spectrum", {"ell": 1.0, "k": 100,
+                  "resolution": {"nx2": 6, "cells_per_unit": 3}},
+     "1 <= k <= 35"),
+    ("solve", {"ell": 1.3, "resolution": {"nx2": 8, "cells_per_unit": 2}},
+     "whole number of cells"),
+])
+def test_late_config_error_exits_2_with_manifest(tmp_path, command, extra,
+                                                 message):
+    path = write_config(tmp_path, experiment=command,
+                        output_dir=str(tmp_path / "runs"), **extra)
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    run = next((tmp_path / "runs").iterdir())
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["converged"] is False and manifest["outputs"] == []
+    assert message in manifest["error"]
+
+
+def test_io_failure_exits_3_with_manifest(tmp_path, monkeypatch):
+    def broken(plan, outdir):
+        raise OSError("disk gone")
+
+    monkeypatch.setitem(cli._RUNNERS, "solve", broken)
+    path = write_config(tmp_path, experiment="solve", ell=2.0,
+                        output_dir=str(tmp_path / "runs"))
+    assert cli.main(["solve", "--config", path]) == cli.EXIT_IO == 3
+    run = next((tmp_path / "runs").iterdir())
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert "disk gone" in manifest["error"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", {"ell": 2.0}),
+    ("sweep", {"ells": [2, 3]}),
+    ("ladder", {"ells": [2, 3, 4]}),
+    ("decay", {"ell": 3.0, "window": [0, 3]}),
+    ("beta2", {"ells": [2]}),
+    ("spectrum", {"ell": 2.0, "k": 3}),
+])
+def test_coarse_sections_run(tmp_path, command, extra):
+    # every nx2 from the floor up gets the lifted start
+    for nx2 in (4, 5, 6, 7):
+        path = write_config(
+            tmp_path, experiment=command,
+            family={"kind": "constant_offdiag", "c": 0.3},
+            resolution={"nx2": nx2, "cells_per_unit": 2},
+            output_dir=str(tmp_path / f"runs{nx2}"), **extra)
+        assert cli.main([command, "--config", path]) == 0
+        run = next((tmp_path / f"runs{nx2}").iterdir())
+        assert json.loads((run / "manifest.json").read_text())["converged"]
+
+
+def test_spectrum_first_pair_at_nx2_6(tmp_path):
+    import scipy.linalg
+    family = {"kind": "constant_offdiag", "c": 0.3}
+    path = write_config(tmp_path, experiment="spectrum", family=family,
+                        ell=2.0, k=1,
+                        resolution={"nx2": 6, "cells_per_unit": 4},
+                        output_dir=str(tmp_path / "runs"))
+    assert cli.main(["spectrum", "--config", path]) == 0
+    run = next((tmp_path / "runs").iterdir())
+    lines = (run / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].endswith(",true")
+    mesh = cs.build_mesh(
+        cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 6))
+    pair = cs.assemble_p2(mesh, cs.make_coefficients(
+        cs.CoefficientFamily(cs.FamilyKind.CONSTANT_OFFDIAG, 0.3)))
+    oracle = scipy.linalg.eigh(pair.stiffness.toarray(), pair.mass.toarray(),
+                               eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert float(lines[1].split(",")[1]) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_sweep_p3_at_nx2_4(tmp_path):
+    path = write_config(tmp_path, experiment="sweep", p=3.0,
+                        family={"kind": "constant_offdiag", "c": 0.3},
+                        ells=[2, 4], resolution={"nx2": 4, "cells_per_unit": 4},
+                        output_dir=str(tmp_path / "runs"))
+    assert cli.main(["sweep", "--config", path]) == 0
+    run = next((tmp_path / "runs").iterdir())
+    rows = cli._read_sweep_csv(run / "sweep.csv")
+    assert len(rows) == 2 and all(r["converged"] for r in rows)
+    assert all(r["lambda_mixed"] <= r["lambda_dirichlet"] for r in rows)

@@ -76,7 +76,8 @@ class TestCrossSection:
     def test_p2_certified_by_the_engine(self):
         # a tabulated a22 that varies, so the sampled cosine start is not
         # the discrete eigenvector: one step does not certify it, and the
-        # uncapped descent matches a dense solve of the interior pencil
+        # uncapped descent matches a dense solve of the interior pencil,
+        # down to the coarsest section (MIN_NX2 = 4 cells, 3 interior nodes)
         samples = ((-0.5, 1.0, 0.0, 2.0), (0.0, 1.0, 0.0, 1.0),
                    (0.5, 1.0, 0.0, 1.5))
         field = cs.make_coefficients(
@@ -84,20 +85,35 @@ class TestCrossSection:
         capped = cs.cross_section_ground_state(32, field, 2,
                                                cs.SolveOptions(max_iters=1))
         assert not capped.converged and capped.iterations == 1
-        cross = cs.cross_section_ground_state(32, field, 2)
-        assert cross.converged and 1 <= cross.iterations
-        assert cross.residual <= 1e-8 * cross.mu1
-        e = disc._Q1(cross.x2_nodes)
-        K, M = (disc._csr(es._interior(G)).toarray()
-                for G in (e.band(field.a22(e.points), e.dN, e.dN),
-                          e.band(1.0, e.N, e.N)))
-        lam = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
-        assert cross.mu1 == pytest.approx(lam, rel=1e-12)
+        for nx2 in (4, 5, 6, 7, 32):
+            cross = cs.cross_section_ground_state(nx2, field, 2)
+            assert cross.converged and 1 <= cross.iterations
+            assert cross.residual <= 1e-8 * cross.mu1
+            e = disc._Q1(cross.x2_nodes)
+            K, M = (disc._csr(es._interior(G)).toarray()
+                    for G in (e.band(field.a22(e.points), e.dN, e.dN),
+                              e.band(1.0, e.N, e.N)))
+            lam = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
+            assert cross.mu1 == pytest.approx(lam, rel=1e-12)
 
     def test_min_resolution_enforced(self, identity_field):
+        # one floor, MIN_NX2 = 4, for the section solve, the domain and
+        # the CLI config
+        from cylspectra import cli
         from cylspectra.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            cs.cross_section_ground_state(4, identity_field, 2)
+        from cylspectra.mesh import MIN_NX2
+        assert MIN_NX2 == 4
+        cfg = {"family": {"kind": "identity"}, "p": 2.0, "ell": 2.0,
+               "resolution": {"nx2": 3, "cells_per_unit": 4}}
+        for build in (
+                lambda: cs.cross_section_ground_state(3, identity_field, 2),
+                lambda: cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2,
+                                      cs.BC.MIXED, 4, 3),
+                lambda: cli.RunPlan(cfg, "solve")):
+            with pytest.raises(ConfigurationError, match=">= 4"):
+                build()
+        cross = cs.cross_section_ground_state(4, identity_field, 2)
+        assert cross.converged
 
 
 # Small meshes for dense-pencil oracles: the two longer mixed ones hold a
@@ -262,19 +278,22 @@ class TestLinearSpectrum:
             assert all(r.factorizations == one.factorizations + 2
                        for r in results)
 
-    def test_no_lifted_start_below_nx2_8(self, offdiag_field,
-                                         small_mixed_mesh):
-        # nx2 = 6 has no cross-section solve, hence no engine and no shift:
-        # k >= 2 runs the Lanczos about 0 through the factor of K
+    def test_shift_at_nx2_6(self, offdiag_field, small_mixed_mesh):
+        # nx2 = 6 gets the lifted start like any mesh: the engine runs and
+        # k >= 2 takes the shift, one Cholesky factorization beyond k = 1
         import scipy.linalg
         pair = cs.assemble_p2(small_mixed_mesh, offdiag_field)
         oracle = scipy.linalg.eigh(pair.stiffness.toarray(),
                                    pair.mass.toarray(), eigvals_only=True)
+        one = cs.linear_spectrum(small_mixed_mesh, offdiag_field, 1)[0]
+        assert one.converged
         for k in (2, 3):
             results = cs.linear_spectrum(small_mixed_mesh, offdiag_field, k)
             assert np.allclose([r.lam for r in results], oracle[:k],
                                rtol=1e-10, atol=0.0)
             assert all(r.converged for r in results)
+            assert all(r.factorizations == one.factorizations + 1
+                       for r in results)
 
     def test_shift_invert_solves_in_cluster(self, monkeypatch,
                                             offdiag_field):
@@ -350,14 +369,13 @@ class TestMinimizeRayleigh:
         r = cs.minimize_rayleigh(mesh, offdiag_field, 2)
         assert r.lam <= cross.mu1 + 1e-10
 
-    def test_perturbed_and_ones_inits_agree(self, offdiag_field):
+    def test_ones_init_agrees(self, offdiag_field):
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
         base = cs.minimize_rayleigh(mesh, offdiag_field, 2)
-        for init in (cs.Init.PERTURBED_LIFT, cs.Init.ONES):
-            opts = cs.SolveOptions(init=init, seed=3)
-            r = cs.minimize_rayleigh(mesh, offdiag_field, 2, opts)
-            assert abs(r.lam - base.lam) < 1e-7
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 2,
+                                 cs.SolveOptions(init=cs.Init.ONES))
+        assert abs(r.lam - base.lam) < 1e-7
 
     def test_bitwise_determinism(self, offdiag_field):
         mesh = cs.build_mesh(
