@@ -124,7 +124,10 @@ class SweepTable:
     rows: list = field(default_factory=list)
 
 
-def _first_eigen(mesh, coeffs, p, opts, cross):
+def first_eigen(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
+    """First eigenpair on `mesh`: the assembled pencil at p = 2
+    (`linear_spectrum`), the quotient descent otherwise
+    (`minimize_rayleigh`), started from `cross` when given."""
     if p == 2:
         return linear_spectrum(mesh, coeffs, 1, opts, cross)[0]
     return minimize_rayleigh(mesh, coeffs, p, opts, cross)
@@ -150,8 +153,8 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
     for ell in ells:
         mesh_m = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.MIXED, cpu, nx2))
         mesh_d = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.DIRICHLET_ALL, cpu, nx2))
-        r_m = _first_eigen(mesh_m, family_coeffs, p, opts, cross)
-        r_d = _first_eigen(mesh_d, family_coeffs, p, opts, cross)
+        r_m = first_eigen(mesh_m, family_coeffs, p, opts, cross)
+        r_d = first_eigen(mesh_d, family_coeffs, p, opts, cross)
         r_p = half_cylinder_eigen(Side.PLUS, ell, resolution, family_coeffs,
                                   p, opts, cross)
         r_mi = half_cylinder_eigen(Side.MINUS, ell, resolution, family_coeffs,

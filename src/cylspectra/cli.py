@@ -4,7 +4,10 @@ One JSON config per run; every experiment writes into a fresh timestamped
 subdirectory of the output directory: the data files listed below plus a
 `manifest.json` echoing the config and recording outputs and convergence.
 Numeric output is serialized with 17 significant digits, so repeated runs
-of the same config produce byte-identical CSV files.
+of the same config produce byte-identical CSV files.  An uncertified solve
+is recorded, not raised: `converged` is false in the manifest (and in
+`solve.json`), also where the uncertified solve is the cross section's,
+and the run exits 0.
 
 Commands and their artifacts:
   solve      solve.json   {lambda, iterations, residual, converged}
@@ -20,6 +23,8 @@ Commands and their artifacts:
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import datetime
 import json
 import os
@@ -32,7 +37,7 @@ from . import asymptotics as asy
 from .coeffs import (CoefficientFamily, FamilyKind, load_tabulated_csv,
                      make_coefficients, satisfies_symmetry_S)
 from .eigensolve import (Init, Side, SolveOptions, cross_section_ground_state,
-                         linear_spectrum, minimize_rayleigh)
+                         linear_spectrum)
 from .errors import ConfigurationError, SolverError
 from .mesh import MIN_NX2, BC, DomainSpec, Shape, build_mesh, slab_integrals
 
@@ -48,6 +53,19 @@ EXIT_SOLVER = 4
 
 def _g17(x):
     return format(float(x), ".17g")
+
+
+def _csv_cell(x):
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, str)):
+        return str(x)
+    return _g17(x)
+
+
+def _write_csv(outdir, name, header, rows):
+    lines = [header] + [",".join(map(_csv_cell, row)) for row in rows]
+    _atomic_write(os.path.join(outdir, name), "\n".join(lines) + "\n")
 
 
 def _json_value(obj):
@@ -79,6 +97,12 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
+def _is_json(val, kind):
+    """isinstance for JSON values: true and false are not numbers, though
+    bool is a subclass of int."""
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
 class _Schema:
     """Strict key/type checking; unknown keys are rejected."""
 
@@ -96,9 +120,9 @@ class _Schema:
                 raise ConfigurationError(f"{self.context}: missing key {key!r}")
             return default
         val = self.cfg[key]
-        if kind is float and isinstance(val, int):
+        if kind is float and _is_json(val, int):
             val = float(val)
-        if kind is not None and not isinstance(val, kind):
+        if not _is_json(val, kind):
             raise ConfigurationError(
                 f"{self.context}: key {key!r} must be {kind}, got {type(val)}")
         if choices is not None and val not in choices:
@@ -112,9 +136,6 @@ class _Schema:
             raise ConfigurationError(
                 f"{self.context}: unknown keys {sorted(unknown)}")
 
-
-EXPERIMENTS = ("solve", "sweep", "ladder", "spectrum", "gap_check",
-               "decay", "beta2", "report")
 
 _FAMILY_KINDS = {k.value: k for k in FamilyKind}
 _SHAPES = {"full": Shape.FULL_CYLINDER, "half_plus": Shape.HALF_PLUS,
@@ -160,7 +181,7 @@ class RunPlan:
 
     def __init__(self, cfg, experiment, cli_output_dir=None):
         sch = _Schema(cfg)
-        declared = sch.get("experiment", str, default=None, choices=set(EXPERIMENTS))
+        declared = sch.get("experiment", str, default=None, choices=set(_RUNNERS))
         if declared is not None and declared != experiment:
             raise ConfigurationError(
                 f"config declares experiment {declared!r}, command is {experiment!r}")
@@ -206,7 +227,7 @@ class RunPlan:
         elif experiment in ("sweep", "beta2", "ladder"):
             self.ells = sch.get("ells", list, required=True)
             if (not self.ells or
-                    not all(isinstance(e, (int, float)) for e in self.ells)):
+                    not all(_is_json(e, (int, float)) for e in self.ells)):
                 raise ConfigurationError("ells must be a nonempty numeric list")
             self.ells = [float(e) for e in self.ells]
             if any(b <= a for a, b in zip(self.ells, self.ells[1:])):
@@ -227,7 +248,7 @@ class RunPlan:
             self.ell = sch.get("ell", float, required=True)
             window = sch.get("window", list, default=None)
             if window is not None:
-                if (len(window) != 2 or not all(isinstance(w, int) for w in window)):
+                if len(window) != 2 or not all(_is_json(w, int) for w in window):
                     raise ConfigurationError("window must be [first, last]")
                 self.window = (window[0], window[1])
             else:
@@ -240,7 +261,7 @@ class RunPlan:
                     f"{n_slabs}-slab profile")
         elif experiment == "gap_check":
             self.eps_list = sch.get("eps", list, default=[0.1, 0.01])
-            if not all(isinstance(e, (int, float)) and e > 0 for e in self.eps_list):
+            if not all(_is_json(e, (int, float)) and e > 0 for e in self.eps_list):
                 raise ConfigurationError("eps must be a list of positive reals")
             self.eps_list = [float(e) for e in self.eps_list]
         sch.finish()
@@ -268,51 +289,32 @@ def _make_run_dir(base, experiment):
     raise OSError(f"could not create a fresh run directory under {base}")
 
 
-def _csv_bool(b):
-    return "true" if b else "false"
-
-
-def _certified_section(plan):
-    """The cross-section ground state of `solve` and `gap_check`, which
-    report nothing else: an uncertified one fails the run."""
-    cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
-                                       plan.opts)
-    if not cross.converged:
-        raise SolverError("cross-section descent did not converge")
-    return cross
+def _first_pair(plan, shape, bc):
+    """The first eigenpair on the plan's cylinder of `shape` and `bc`."""
+    mesh = build_mesh(DomainSpec(shape, plan.ell, bc, plan.cells_per_unit,
+                                 plan.nx2))
+    return asy.first_eigen(mesh, plan.family, plan.p, plan.opts)
 
 
 def _run_solve(plan, outdir):
     if plan.shape is Shape.CROSS_SECTION:
-        cross = _certified_section(plan)
+        cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
+                                           plan.opts)
         payload = {"lambda": cross.mu1, "iterations": cross.iterations,
-                   "residual": cross.residual, "converged": True}
+                   "residual": cross.residual, "converged": cross.converged}
     else:
-        mesh = build_mesh(DomainSpec(plan.shape, plan.ell, plan.bc,
-                                     plan.cells_per_unit, plan.nx2))
-        if plan.p == 2:
-            r = linear_spectrum(mesh, plan.family, 1, plan.opts)[0]
-        else:
-            r = minimize_rayleigh(mesh, plan.family, plan.p, plan.opts)
+        r = _first_pair(plan, plan.shape, plan.bc)
         payload = {"lambda": r.lam, "iterations": r.iterations,
                    "residual": r.final_residual, "converged": r.converged}
     _atomic_write(os.path.join(outdir, "solve.json"), _dump_json(payload))
-    return ["solve.json"], payload.get("converged", True), payload
+    return ["solve.json"], payload["converged"], payload
 
 
 def _run_sweep(plan, outdir):
     table = asy.sweep_lambda(plan.ells, plan.family, plan.p,
                              plan.resolution, plan.opts)
-    lines = [SWEEP_HEADER]
-    for r in table.rows:
-        lines.append(",".join([
-            _g17(r.ell), _g17(r.p), r.family,
-            _g17(r.lambda_mixed), _g17(r.lambda_dirichlet),
-            _g17(r.lambda_half_plus), _g17(r.lambda_half_minus),
-            _g17(r.mu1), _g17(r.gap), _g17(r.alpha_hat),
-            _g17(r.d_plus), _g17(r.d_minus), _g17(r.n_plus), _g17(r.n_minus),
-            str(r.iterations), _g17(r.residual), _csv_bool(r.converged)]))
-    _atomic_write(os.path.join(outdir, "sweep.csv"), "\n".join(lines) + "\n")
+    _write_csv(outdir, "sweep.csv", SWEEP_HEADER,
+               map(dataclasses.astuple, table.rows))
     converged = all(r.converged for r in table.rows)
     summary = {
         "rows": len(table.rows),
@@ -327,10 +329,8 @@ def _run_sweep(plan, outdir):
 def _run_ladder(plan, outdir):
     est = asy.nu_infinity_estimate(plan.side, plan.family, plan.p,
                                    plan.ells, plan.resolution, plan.opts)
-    lines = ["ell,lambda_tilde,monotone_ok"]
-    for ell, lam in est.ladder:
-        lines.append(f"{_g17(ell)},{_g17(lam)},{_csv_bool(est.monotone_ok)}")
-    _atomic_write(os.path.join(outdir, "ladder.csv"), "\n".join(lines) + "\n")
+    _write_csv(outdir, "ladder.csv", "ell,lambda_tilde,monotone_ok",
+               [(ell, lam, est.monotone_ok) for ell, lam in est.ladder])
     payload = {"side": est.side.value, "last_value": est.last_value,
                "extrapolated": est.extrapolated, "monotone_ok": est.monotone_ok}
     _atomic_write(os.path.join(outdir, "nu_estimate.json"), _dump_json(payload))
@@ -341,17 +341,16 @@ def _run_spectrum(plan, outdir):
     mesh = build_mesh(DomainSpec(Shape.FULL_CYLINDER, plan.ell, BC.MIXED,
                                  plan.cells_per_unit, plan.nx2))
     results = linear_spectrum(mesh, plan.family, plan.k, plan.opts)
-    lines = ["k,lambda,iterations,residual,converged"]
-    for i, r in enumerate(results, start=1):
-        lines.append(f"{i},{_g17(r.lam)},{r.iterations},"
-                     f"{_g17(r.final_residual)},{_csv_bool(r.converged)}")
-    _atomic_write(os.path.join(outdir, "spectrum.csv"), "\n".join(lines) + "\n")
+    _write_csv(outdir, "spectrum.csv", "k,lambda,iterations,residual,converged",
+               [(i, r.lam, r.iterations, r.final_residual, r.converged)
+                for i, r in enumerate(results, start=1)])
     converged = all(r.converged for r in results)
     return ["spectrum.csv"], converged, {"eigenvalues": [r.lam for r in results]}
 
 
 def _run_gap_check(plan, outdir):
-    cross = _certified_section(plan)
+    cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
+                                       plan.opts)
     gi = asy.gap_integral_I2(cross, plan.family, plan.p)
     printed, printed_clamps = asy.slab_bound(cross, plan.family, plan.p, "as_printed")
     squared, squared_clamps = asy.slab_bound(cross, plan.family, plan.p, "squared")
@@ -373,23 +372,16 @@ def _run_gap_check(plan, outdir):
         "exp_test": exp_tests,
     }
     _atomic_write(os.path.join(outdir, "gapcheck.json"), _dump_json(payload))
-    return ["gapcheck.json"], True, payload
+    return ["gapcheck.json"], cross.converged, payload
 
 
 def _run_decay(plan, outdir):
-    mesh = build_mesh(DomainSpec(Shape.FULL_CYLINDER, plan.ell, BC.MIXED,
-                                 plan.cells_per_unit, plan.nx2))
-    if plan.p == 2:
-        r = linear_spectrum(mesh, plan.family, 1, plan.opts)[0]
-    else:
-        r = minimize_rayleigh(mesh, plan.family, plan.p, plan.opts)
-    profile = slab_integrals(mesh, plan.family, r.field, plan.p)
+    r = _first_pair(plan, Shape.FULL_CYLINDER, BC.MIXED)
+    profile = slab_integrals(r.field.mesh, plan.family, r.field, plan.p)
     oriented = asy.orient_profile(profile)
-    lines = ["slab,grad_energy,p_mass,a_energy"]
-    for i in range(len(oriented)):
-        lines.append(f"{i},{_g17(oriented.grad_energy[i])},"
-                     f"{_g17(oriented.p_mass[i])},{_g17(oriented.a_energy[i])}")
-    _atomic_write(os.path.join(outdir, "decay.csv"), "\n".join(lines) + "\n")
+    _write_csv(outdir, "decay.csv", "slab,grad_energy,p_mass,a_energy",
+               zip(range(len(oriented)), oriented.grad_energy,
+                   oriented.p_mass, oriented.a_energy))
     fit = asy.fit_decay(oriented, plan.window)
     payload = {"lambda": r.lam, "alpha_hat": fit.alpha_hat,
                "r_squared": fit.r_squared,
@@ -400,20 +392,17 @@ def _run_decay(plan, outdir):
 
 
 def _run_beta2(plan, outdir):
-    lines = ["ell,beta2_upper,lambda_half_plus,lambda_half_minus"]
-    last = None
-    converged = True
     cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
                                        plan.opts)
-    for ell in plan.ells:
-        bound = asy.beta2_upper_bound(ell, plan.resolution, plan.family,
-                                      plan.p, plan.opts, cross=cross)
-        converged = converged and bound.converged
-        last = bound.value
-        lines.append(f"{_g17(ell)},{_g17(last)},{_g17(bound.plus.lam)},"
-                     f"{_g17(bound.minus.lam)}")
-    _atomic_write(os.path.join(outdir, "beta2.csv"), "\n".join(lines) + "\n")
-    return ["beta2.csv"], converged, {"beta2_upper_last": last}
+    bounds = [asy.beta2_upper_bound(ell, plan.resolution, plan.family,
+                                    plan.p, plan.opts, cross=cross)
+              for ell in plan.ells]
+    _write_csv(outdir, "beta2.csv",
+               "ell,beta2_upper,lambda_half_plus,lambda_half_minus",
+               [(ell, b.value, b.plus.lam, b.minus.lam)
+                for ell, b in zip(plan.ells, bounds)])
+    converged = all(b.converged for b in bounds)
+    return ["beta2.csv"], converged, {"beta2_upper_last": bounds[-1].value}
 
 
 def _sandwich_fits(rows):
@@ -493,26 +482,19 @@ def _run_report(plan, outdir):
     return ["report.txt", "report.csv"], True, {"sections": n_section}
 
 
+_SWEEP_CELLS = {"family": str, "iterations": int,
+                "converged": lambda v: v == "true"}
+
+
 def _read_sweep_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            parts = line.strip().split(",")
-            row = {}
-            for key, val in zip(header, parts):
-                if key == "family":
-                    row[key] = val
-                elif key == "converged":
-                    row[key] = val == "true"
-                elif key == "iterations":
-                    row[key] = int(val)
-                else:
-                    row[key] = float(val)
-            rows.append(row)
-    return rows
+    with open(path, newline="") as fh:
+        return [{key: _SWEEP_CELLS.get(key, float)(val)
+                 for key, val in row.items()}
+                for row in csv.DictReader(fh)]
 
 
+# the one list of commands: `RunPlan` checks a declared experiment against
+# it and `main` names a subcommand after each key, "_" written as "-"
 _RUNNERS = {
     "solve": _run_solve, "sweep": _run_sweep, "ladder": _run_ladder,
     "spectrum": _run_spectrum, "gap_check": _run_gap_check,
@@ -600,9 +582,8 @@ def main(argv=None):
         prog="cylspectra",
         description="Eigenvalue experiments on long cylinders")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "sweep", "ladder", "spectrum", "gap-check",
-                 "decay", "beta2", "report"):
-        cmd = sub.add_parser(name)
+    for name in _RUNNERS:
+        cmd = sub.add_parser(name.replace("_", "-"))
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--output-dir", default=None)
         cmd.add_argument("--threads", type=int, default=None)

@@ -353,16 +353,6 @@ class _CylinderQuotient:
         return disc._p2_diagonals(self.mesh, self.coeffs)[0]
 
 
-def _initial_grid(mesh, cross, opts):
-    if opts.init is Init.ONES:
-        return np.ones((mesh.x1.size, mesh.x2.size))
-    if mesh.spec.bc is BC.MIXED:
-        axial = np.ones_like(mesh.x1)
-    else:
-        axial = np.cos(np.pi * mesh.x1 / (2.0 * mesh.spec.ell))
-    return axial[:, None] * cross.w_nodes[None, :]
-
-
 def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
 
@@ -381,11 +371,19 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
 
 
 def _lifted_start(mesh, coeffs, p, opts, cross):
-    """The free DOFs of `_initial_grid`, lifted from `cross` or, when it is
-    None, from a fresh cross-section solve at p with the same `opts`."""
+    """The free DOFs of the start: all ones under `Init.ONES`, else the
+    section state `cross` (solved here at p with the same `opts` when it is
+    None) lifted along the axis: flat on a mixed cylinder, else times the
+    cosine cos(pi x1 / (2 ell)), which vanishes at the Dirichlet ends."""
+    if opts.init is Init.ONES:
+        return np.ones(mesh.n_free)
     if cross is None:
         cross = cross_section_ground_state(mesh.n_cells2, coeffs, p, opts)
-    return mesh.restrict(_initial_grid(mesh, cross, opts))
+    if mesh.spec.bc is BC.MIXED:
+        axial = np.ones_like(mesh.x1)
+    else:
+        axial = np.cos(np.pi * mesh.x1 / (2.0 * mesh.spec.ell))
+    return mesh.restrict(axial[:, None] * cross.w_nodes[None, :])
 
 
 def _eigen_result(mesh, r):

@@ -102,6 +102,13 @@ def test_sweep_schema_and_determinism(tmp_path):
     assert format(lam, ".17g") == row[3]
 
 
+def test_sweep_header_follows_sweep_row():
+    # sweep.csv rows are the SweepRow fields in order, under this header
+    from dataclasses import fields
+    from cylspectra.asymptotics import SweepRow
+    assert cli.SWEEP_HEADER.split(",") == [f.name for f in fields(SweepRow)]
+
+
 def test_threads_flag_and_env(tmp_path, monkeypatch):
     path = write_config(tmp_path, experiment="solve", ell=1.0,
                         output_dir=str(tmp_path / "runs"))
@@ -226,16 +233,24 @@ def test_beta2_p3_solves_cross_section_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command, extra", [
     ("beta2", {"ells": [2, 3]}),
     ("ladder", {"ells": [2, 3, 4], "side": "plus"}),
+    ("solve", {"shape": "cross_section"}),
+    ("gap-check", {}),
 ])
 def test_uncertified_solves_not_reported_converged(tmp_path, command, extra):
-    # one descent step certifies none of the half-cylinder solves
+    # one descent step certifies neither the half-cylinder solves nor the
+    # cross section: the run records that and exits 0
     path = write_config(
-        tmp_path, experiment=command, p=3.0,
+        tmp_path, experiment=command.replace("-", "_"), p=3.0,
         family={"kind": "constant_offdiag", "c": 0.3},
         solver={"max_iters": 1}, output_dir=str(tmp_path / "runs"), **extra)
     assert cli.main([command, "--config", path]) == 0
     run = next((tmp_path / "runs").iterdir())
-    assert json.loads((run / "manifest.json").read_text())["converged"] is False
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["converged"] is False
+    assert all((run / name).exists() for name in manifest["outputs"])
+    if command == "solve":
+        solve = json.loads((run / "solve.json").read_text())
+        assert solve["converged"] is False
 
 
 def test_report_empty_and_full(tmp_path):
@@ -316,6 +331,22 @@ def test_max_iters_validated_upfront(tmp_path):
         assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("spectrum", {"ell": True, "k": 3}),
+    ("spectrum", {"ell": 2.0, "k": True}),
+    ("spectrum", {"ell": 2.0, "solver": {"tol_residual": True}}),
+    ("spectrum", {"ell": 2.0, "solver": {"max_iters": True}}),
+    ("sweep", {"ells": [True, 2, 3]}),
+    ("decay", {"ell": 6.0, "window": [True, 4]}),
+    ("gap_check", {"eps": [True]}),
+])
+def test_json_booleans_are_not_numbers(tmp_path, command, extra):
+    path = write_config(tmp_path, experiment=command,
+                        output_dir=str(tmp_path / "runs"), **extra)
+    assert cli.main([command.replace("_", "-"), "--config", path]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
 def test_decay_window_validated_upfront(tmp_path):
     path = write_config(tmp_path, experiment="decay", ell=2.0,
                         window=[2, 10], output_dir=str(tmp_path / "runs"))
@@ -358,15 +389,21 @@ def test_report_flags_broken_mass_split(tmp_path):
     assert "mass_split_identity,fail" in (out / "report.csv").read_text()
 
 
-def test_solver_failure_exits_4_with_manifest(tmp_path):
+def test_solver_failure_exits_4_with_manifest(tmp_path, monkeypatch):
+    from cylspectra.errors import SolverError
+
+    def failing(*args, **kwargs):
+        raise SolverError("section solve broke down")
+
+    monkeypatch.setattr(cli, "cross_section_ground_state", failing)
     path = write_config(tmp_path, experiment="solve", p=3.0,
-                        shape="cross_section", solver={"max_iters": 1},
+                        shape="cross_section",
                         output_dir=str(tmp_path / "runs"))
     assert cli.main(["solve", "--config", path]) == cli.EXIT_SOLVER == 4
     run = next((tmp_path / "runs").iterdir())
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["converged"] is False
-    assert "did not converge" in manifest["error"]
+    assert "section solve broke down" in manifest["error"]
     assert manifest["outputs"] == []
 
 

@@ -369,13 +369,23 @@ class TestMinimizeRayleigh:
         r = cs.minimize_rayleigh(mesh, offdiag_field, 2)
         assert r.lam <= cross.mu1 + 1e-10
 
-    def test_ones_init_agrees(self, offdiag_field):
+    def test_ones_init_agrees(self, offdiag_field, monkeypatch):
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
         base = cs.minimize_rayleigh(mesh, offdiag_field, 2)
+        # the ones start ignores the cross section, so none is solved
+        calls = []
+        solve = es.cross_section_ground_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(es, "cross_section_ground_state", counted)
         r = cs.minimize_rayleigh(mesh, offdiag_field, 2,
                                  cs.SolveOptions(init=cs.Init.ONES))
         assert abs(r.lam - base.lam) < 1e-7
+        assert calls == []
 
     def test_bitwise_determinism(self, offdiag_field):
         mesh = cs.build_mesh(
