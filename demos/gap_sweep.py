@@ -17,11 +17,11 @@ for label, family in [
         ("constant_offdiag(0.3)",
          cs.CoefficientFamily(cs.FamilyKind.CONSTANT_OFFDIAG, 0.3))]:
     coeffs = cs.make_coefficients(family)
-    table = asy.sweep_lambda(ELLS, coeffs, 2.0, RES)
-    print(f"== {label}, p = 2, mu1 = {table.rows[0].mu1:.6f}")
+    rows = asy.sweep_lambda(ELLS, coeffs, 2.0, RES)
+    print(f"== {label}, p = 2, mu1 = {rows[0].mu1:.6f}")
     print(f"{'ell':>4} {'lam_mixed':>11} {'lam_dirichlet':>13} "
           f"{'lam_half':>11} {'gap':>9} {'d_plus':>7}")
-    for row in table.rows:
+    for row in rows:
         print(f"{row.ell:4.0f} {row.lambda_mixed:11.6f} "
               f"{row.lambda_dirichlet:13.6f} {row.lambda_half_plus:11.6f} "
               f"{row.gap:9.6f} {row.d_plus:7.4f}")

@@ -23,7 +23,7 @@ and `exp_test_upper_bound`) its 1D element, and the Picone residual and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,11 +119,6 @@ class SweepRow:
     converged: bool
 
 
-@dataclass
-class SweepTable:
-    rows: list = field(default_factory=list)
-
-
 def first_eigen(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
     """First eigenpair on `mesh`: the assembled pencil at p = 2
     (`linear_spectrum`), the quotient descent otherwise
@@ -134,8 +129,8 @@ def first_eigen(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
 
 
 def sweep_lambda(ells, family_coeffs, p, resolution,
-                 opts=None) -> SweepTable:
-    """Solve all four problems per length and fill the derived columns.
+                 opts=None) -> list[SweepRow]:
+    """Solve all four problems per length: one `SweepRow` per ell, in order.
 
     For each ell: the mixed and all-Dirichlet full-cylinder problems plus
     both half-cylinder problems, all at the same cross resolution, together
@@ -149,7 +144,7 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
     opts = opts or SolveOptions()
     nx2, cpu = resolution
     cross = cross_section_ground_state(nx2, family_coeffs, p, opts)
-    table = SweepTable()
+    rows = []
     for ell in ells:
         mesh_m = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.MIXED, cpu, nx2))
         mesh_d = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.DIRICHLET_ALL, cpu, nx2))
@@ -165,7 +160,7 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
         split = end_mass_split(r_m.field, mesh_m, family_coeffs, p)
         conv = cross.converged and all(
             r.converged for r in (r_m, r_d, r_p, r_mi))
-        table.rows.append(SweepRow(
+        rows.append(SweepRow(
             ell=float(ell), p=float(p), family=family_coeffs.label,
             lambda_mixed=r_m.lam, lambda_dirichlet=r_d.lam,
             lambda_half_plus=r_p.lam, lambda_half_minus=r_mi.lam,
@@ -174,7 +169,7 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
             n_plus=split.n_plus, n_minus=split.n_minus,
             iterations=r_m.iterations, residual=r_m.final_residual,
             converged=conv))
-    return table
+    return rows
 
 
 def _sweep_alpha(profile, ell):

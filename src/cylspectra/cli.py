@@ -311,16 +311,15 @@ def _run_solve(plan, outdir):
 
 
 def _run_sweep(plan, outdir):
-    table = asy.sweep_lambda(plan.ells, plan.family, plan.p,
-                             plan.resolution, plan.opts)
-    _write_csv(outdir, "sweep.csv", SWEEP_HEADER,
-               map(dataclasses.astuple, table.rows))
-    converged = all(r.converged for r in table.rows)
+    rows = asy.sweep_lambda(plan.ells, plan.family, plan.p,
+                            plan.resolution, plan.opts)
+    _write_csv(outdir, "sweep.csv", SWEEP_HEADER, map(dataclasses.astuple, rows))
+    converged = all(r.converged for r in rows)
     summary = {
-        "rows": len(table.rows),
-        "mu1": table.rows[-1].mu1,
-        "gap_last": table.rows[-1].gap,
-        "lambda_mixed_last": table.rows[-1].lambda_mixed,
+        "rows": len(rows),
+        "mu1": rows[-1].mu1,
+        "gap_last": rows[-1].gap,
+        "lambda_mixed_last": rows[-1].lambda_mixed,
         "symmetry_S": satisfies_symmetry_S(plan.family, 1e-9),
     }
     return ["sweep.csv"], converged, summary
@@ -405,18 +404,9 @@ def _run_beta2(plan, outdir):
     return ["beta2.csv"], converged, {"beta2_upper_last": bounds[-1].value}
 
 
-def _sandwich_fits(rows):
-    fits = []
-    for r in rows:
-        excess = r["lambda_dirichlet"] - r["mu1"]
-        fits.append({"ell": r["ell"], "c_ell": excess * r["ell"],
-                     "c_ell2": excess * r["ell"] ** 2})
-    return fits
-
-
 def _run_report(plan, outdir):
     txt = [f"cylspectra report ({__version__})", ""]
-    csv_rows = ["section,key,value"]
+    csv_rows = []  # (section, key, value)
     n_section = 0
     for path in plan.manifests:
         mpath = path
@@ -424,7 +414,7 @@ def _run_report(plan, outdir):
             mpath = os.path.join(path, "manifest.json")
         if not os.path.exists(mpath):
             txt.append(f"[absent] {path}")
-            csv_rows.append(f"{path},status,absent")
+            csv_rows.append((path, "status", "absent"))
             continue
         with open(mpath) as fh:
             manifest = json.load(fh)
@@ -432,7 +422,7 @@ def _run_report(plan, outdir):
         exp = manifest.get("experiment", "?")
         section = f"{exp}#{n_section}"
         txt.append(f"== {section}: {mpath}")
-        csv_rows.append(f"{section},manifest,{mpath}")
+        csv_rows.append((section, "manifest", mpath))
         rundir = os.path.dirname(mpath)
         if exp == "sweep" and os.path.exists(os.path.join(rundir, "sweep.csv")):
             rows = _read_sweep_csv(os.path.join(rundir, "sweep.csv"))
@@ -445,40 +435,42 @@ def _run_report(plan, outdir):
             if len(gaps) >= 2 and abs(gaps[-1]) > 0:
                 plateau = abs(gaps[-1] - gaps[-2]) / max(abs(gaps[-1]), 1e-300)
                 txt.append(f"  gap plateau (last step rel change): {plateau:.3g}")
-                csv_rows.append(f"{section},gap_plateau_rel_change,{_g17(plateau)}")
+                csv_rows.append((section, "gap_plateau_rel_change", plateau))
             if abs(gaps[-1]) <= 1e-6 * mu1:
                 txt.append("  no gap detected "
                            f"(max |gap| = {max(abs(g) for g in gaps):.3g})")
-                csv_rows.append(f"{section},no_gap,true")
-            for fit in _sandwich_fits(rows):
-                csv_rows.append(f"{section},sandwich_c_ell_{fit['ell']:g},"
-                                f"{_g17(fit['c_ell'])}")
+                csv_rows.append((section, "no_gap", True))
+            sandwich = [(r["ell"], (r["lambda_dirichlet"] - r["mu1"]) * r["ell"])
+                        for r in rows]
+            csv_rows += [(section, f"sandwich_c_ell_{ell:g}", c_ell)
+                         for ell, c_ell in sandwich]
             txt.append("  dirichlet sandwich (lamD-mu1)*ell: " + ", ".join(
-                f"{f['ell']:g}:{f['c_ell']:.4g}" for f in _sandwich_fits(rows)))
+                f"{ell:g}:{c_ell:.4g}" for ell, c_ell in sandwich))
             alpha = rows[-1]["alpha_hat"]
             txt.append(f"  decay alpha_hat (last row): {alpha:.6g}")
-            csv_rows.append(f"{section},alpha_hat_last,{_g17(alpha)}")
+            csv_rows.append((section, "alpha_hat_last", alpha))
             ok = all(abs(r["d_plus"] + r["d_minus"] - 1) < 1e-8 for r in rows)
             txt.append(f"  mass-split identity: {'pass' if ok else 'FAIL'}")
-            csv_rows.append(f"{section},mass_split_identity,"
-                            f"{'pass' if ok else 'fail'}")
+            csv_rows.append((section, "mass_split_identity",
+                             "pass" if ok else "fail"))
         elif exp == "ladder":
             results = manifest.get("results", {})
             txt.append(f"  side {results.get('side')}: last "
                        f"{results.get('last_value')}, extrapolated "
                        f"{results.get('extrapolated')}, monotone "
                        f"{results.get('monotone_ok')}")
-            csv_rows.append(f"{section},nu_extrapolated,"
-                            f"{_json_value(results.get('extrapolated'))}")
+            # as nu_estimate.json writes it: null where it is not finite
+            csv_rows.append((section, "nu_extrapolated",
+                             _json_value(results.get("extrapolated"))))
         else:
             for key, val in sorted(manifest.get("results", {}).items()):
                 if isinstance(val, (int, float, bool, str)):
                     txt.append(f"  {key}: {val}")
-                    csv_rows.append(f"{section},{key},{val}")
+                    csv_rows.append((section, key, val))
     if n_section == 0:
         txt.append("(no sections)")
     _atomic_write(os.path.join(outdir, "report.txt"), "\n".join(txt) + "\n")
-    _atomic_write(os.path.join(outdir, "report.csv"), "\n".join(csv_rows) + "\n")
+    _write_csv(outdir, "report.csv", "section,key,value", csv_rows)
     return ["report.txt", "report.csv"], True, {"sections": n_section}
 
 
@@ -502,7 +494,7 @@ _RUNNERS = {
 }
 
 
-def run_config(path, experiment, output_dir=None, threads=None):
+def run_config(path, experiment, output_dir=None, threads=1):
     """Validate and execute one experiment config; returns (manifest, exit code)."""
     try:
         with open(path) as fh:
@@ -545,7 +537,7 @@ def run_config(path, experiment, output_dir=None, threads=None):
         "version": __version__,
         "experiment": experiment,
         "config": plan.config_echo,
-        "threads": threads if threads is not None else 1,
+        "threads": threads,
         "started_utc": started,
         "finished_utc": _utc_now(),
         "outputs": outputs,
@@ -564,19 +556,6 @@ def run_config(path, experiment, output_dir=None, threads=None):
     return manifest, code
 
 
-def _threads_from(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CYLSPECTRA_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"CYLSPECTRA_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="cylspectra",
@@ -586,19 +565,13 @@ def main(argv=None):
         cmd = sub.add_parser(name.replace("_", "-"))
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--output-dir", default=None)
-        cmd.add_argument("--threads", type=int, default=None)
+        cmd.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
-    experiment = args.command.replace("-", "_")
-    try:
-        threads = _threads_from(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if threads < 1:
+    if args.threads < 1:
         print("error: threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    _, code = run_config(args.config, experiment,
-                         output_dir=args.output_dir, threads=threads)
+    _, code = run_config(args.config, args.command.replace("-", "_"),
+                         output_dir=args.output_dir, threads=args.threads)
     return code
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,23 +44,19 @@ class CoefficientFamily:
 
 
 class CoefficientField:
-    """Sampled-on-demand entries of A(x2) with cached ellipticity data."""
+    """Sampled-on-demand entries of A(x2) and their ellipticity margin,
+    `lambda_margin`, computed once at construction."""
 
     def __init__(self, a11, a12, a22, label="custom"):
         self.a11 = a11
         self.a12 = a12
         self.a22 = a22
         self.label = label
-        self._lambda_margin = None
-        margin = ellipticity_margin(self)
-        if not margin > 0:
+        self.lambda_margin = ellipticity_margin(self)
+        if not self.lambda_margin > 0:
             raise ConfigurationError(
                 f"coefficients are not uniformly elliptic "
-                f"(margin {margin:.6g} <= 0)")
-
-    @property
-    def lambda_margin(self):
-        return self._lambda_margin
+                f"(margin {self.lambda_margin:.6g} <= 0)")
 
     def entries(self, x2):
         x2 = np.asarray(x2, dtype=float)
@@ -132,13 +128,11 @@ def load_tabulated_csv(path) -> CoefficientField:
 
 def ellipticity_margin(field: CoefficientField) -> float:
     """Smallest eigenvalue of A(x2) over `ELLIPTICITY_SAMPLES` equispaced
-    points of the cross section, cached on the field."""
-    if field._lambda_margin is None:
-        x2 = np.linspace(-0.5, 0.5, ELLIPTICITY_SAMPLES)
-        a11, a12, a22 = field.entries(x2)
-        radius = np.sqrt(0.25 * (a11 - a22) ** 2 + a12 ** 2)
-        field._lambda_margin = float(np.min(0.5 * (a11 + a22) - radius))
-    return field._lambda_margin
+    points of the cross section."""
+    x2 = np.linspace(-0.5, 0.5, ELLIPTICITY_SAMPLES)
+    a11, a12, a22 = field.entries(x2)
+    radius = np.sqrt(0.25 * (a11 - a22) ** 2 + a12 ** 2)
+    return float(np.min(0.5 * (a11 + a22) - radius))
 
 
 def satisfies_symmetry_S(field: CoefficientField, tol=1e-12) -> bool:

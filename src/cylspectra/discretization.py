@@ -60,9 +60,6 @@ class DiscreteField:
     def grid(self):
         return self.mesh.expand(self.values)
 
-    def copy(self):
-        return DiscreteField(self.values.copy(), self.mesh)
-
 
 @dataclass
 class SparsePair:

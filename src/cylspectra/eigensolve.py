@@ -176,8 +176,9 @@ def _minimize_quotient(problem, u0, p, opts):
     the residual, the rounding floor, or no shift up to _SHIFT_LIMIT gives
     a step that descends) or "max_iters"; `iterations` counts the steps
     tried and `factorizations` the banded LU factorizations.  The iterate
-    with the lowest residual is returned, sign-fixed and, where that does
-    not raise the quotient, clipped to be nonnegative; its value comes from
+    with the lowest residual is returned as it was certified, only its sign
+    fixed to a positive sum: on stretched cells with a strong a12 the
+    discrete first eigenvector can have negative entries.  Its value comes from
     a fresh forward pass, so no rounding of the carried state reaches it.
     """
     u = np.array(u0, dtype=float)
@@ -199,7 +200,7 @@ def _minimize_quotient(problem, u0, p, opts):
         g = gE - lam * gM  # m d
         res = float(np.max(np.abs(g))) / m if g.size else 0.0
         if best is None or res < best[0]:
-            best = res, u, lam
+            best = res, u
         elif blind:
             reason = "no_descent"  # nor did the residual fall
             break
@@ -245,15 +246,9 @@ def _minimize_quotient(problem, u0, p, opts):
         E, gE, m, gM = problem.gradient(S)
         lam = E / m
 
-    res, u, lam = best
+    res, u = best
     if float(np.sum(u)) < 0.0:
         u = -u
-    if np.any(u < 0.0):
-        w = np.clip(u, 0.0, None)
-        Ew, mw = problem.value(problem.state(w))
-        if mw > 0 and Ew / mw <= lam * (1.0 + 1e-12):
-            u = w
-
     Ef, mf = problem.value(problem.state(u))
     u = u / mf ** (1.0 / p)
     return _Descent(u, Ef / mf, it, res, np.asarray(history), reason,

@@ -169,6 +169,7 @@ class CylinderMesh:
             0, len(self.slab_edges) - 2)
 
 
+@dataclass
 class SlabProfile:
     """Per-unit-slab integrals of a discrete field, ordered from the left end.
 
@@ -176,20 +177,13 @@ class SlabProfile:
     `a_energy` the coefficient-weighted energy, `p_mass` the p-th power mass.
     """
 
-    def __init__(self, edges, grad_energy, p_mass, a_energy):
-        self.edges = np.asarray(edges, dtype=float)
-        self.grad_energy = np.asarray(grad_energy, dtype=float)
-        self.p_mass = np.asarray(p_mass, dtype=float)
-        self.a_energy = np.asarray(a_energy, dtype=float)
+    edges: np.ndarray
+    grad_energy: np.ndarray
+    p_mass: np.ndarray
+    a_energy: np.ndarray
 
     def __len__(self):
         return len(self.grad_energy)
-
-    def total_p_mass(self):
-        return float(self.p_mass.sum())
-
-    def total_grad_energy(self):
-        return float(self.grad_energy.sum())
 
 
 def build_mesh(spec: DomainSpec) -> CylinderMesh:

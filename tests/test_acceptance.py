@@ -193,15 +193,15 @@ def test_04_gap_phenomenon(p):
     # these are 20 and 24 (LONG_TAIL): the gap still falls 7.6% from 12 to
     # 16 while the two end layers overlap, then 3.0%, 1.1%, 0.5% per step.
     tab = sweep(*COD, p)
-    mu1 = tab.rows[-1].mu1
-    gaps = {r.ell: r.gap for r in tab.rows}
+    mu1 = tab[-1].mu1
+    gaps = {r.ell: r.gap for r in tab}
     long_ells = [e for e in gaps if e >= 4.0]
     prev, last = long_ells[-2], long_ells[-1]
     positive = all(gaps[e] > 0 for e in long_ells)
     plateau = abs(gaps[last] - gaps[prev]) / abs(gaps[prev])
     nu_p = ladder(*COD, p, cs.Side.PLUS).extrapolated
     nu_m = ladder(*COD, p, cs.Side.MINUS).extrapolated
-    agree = abs(tab.rows[-1].lambda_mixed - min(nu_p, nu_m)) / mu1
+    agree = abs(tab[-1].lambda_mixed - min(nu_p, nu_m)) / mu1
     detail = (f"gaps {'/'.join(f'{gaps[e]:.5f}' for e in long_ells)} at ell "
               f"{'/'.join(f'{e:g}' for e in long_ells)}, "
               f"plateau rel change {plateau:.3%} (vs mu1: "
@@ -221,7 +221,7 @@ def test_05_no_gap_branch():
     no_gap_side = abs(nu_p.extrapolated - mu1) / mu1
     delta = (mu1 - nu_m.extrapolated) / mu1
     tab = sweep(*LOD, 2.0)
-    d_plus_12 = tab.rows[-1].d_plus
+    d_plus_12 = tab[-1].d_plus
     ok = no_gap_side < 0.01 and delta > 0.005 and d_plus_12 < 0.05
     check("5 no-gap branch (p=2)", ok,
           f"|nu+ - mu1|/mu1 = {no_gap_side:.3%}, gap delta- = {delta:.3%}, "
@@ -289,7 +289,7 @@ def test_08_dirichlet_sandwich(p):
     # i.e. [phi^p / p] between the ends, which vanishes; the excess is
     # second order in 1/ell.  A 1/ell excess would fail the ell^2 ratio.
     tab = sweep(*COD, p)
-    rows = {r.ell: r for r in tab.rows}
+    rows = {r.ell: r for r in tab}
     prods_l = []
     prods_l2 = []
     for ell in (4.0, 8.0, 12.0):
@@ -332,7 +332,7 @@ def test_10_beta2_bound():
     plus = dict(ladder(*COD, 3.0, cs.Side.PLUS).ladder)
     minus = dict(ladder(*COD, 3.0, cs.Side.MINUS).ladder)
     tab = sweep(*COD, 3.0)
-    rows = {r.ell: r for r in tab.rows}
+    rows = {r.ell: r for r in tab}
     diffs = []
     sym_gap = 0.0
     for ell in (4.0, 8.0, 12.0):

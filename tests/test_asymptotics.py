@@ -245,17 +245,17 @@ class TestSweep:
         opts = cs.SolveOptions(tol_residual=1e-4)
         tab = asy.sweep_lambda([2], offdiag_field, 3, RES, opts)
         assert recorded == [opts]
-        assert tab.rows[0].converged
+        assert tab[0].converged
 
     def test_identity_rows_have_no_gap(self, identity_field):
         tab = asy.sweep_lambda([2, 3], identity_field, 2, RES)
-        for row in tab.rows:
+        for row in tab:
             assert abs(row.gap) < 1e-6 * row.mu1
             assert row.converged
 
     def test_row_identities_and_bracketing(self, offdiag_field):
         tab = asy.sweep_lambda([2, 4], offdiag_field, 2, RES)
-        for row in tab.rows:
+        for row in tab:
             assert row.d_plus + row.d_minus == pytest.approx(1.0, abs=1e-8)
             assert row.n_plus + row.n_minus == pytest.approx(
                 row.lambda_mixed, abs=1e-8)
@@ -268,7 +268,7 @@ class TestSweep:
         refl = cs.reflect_axis(linear_field)
         tab = asy.sweep_lambda([3], linear_field, 2, RES)
         tab_r = asy.sweep_lambda([3], refl, 2, RES)
-        a, b = tab.rows[0], tab_r.rows[0]
+        a, b = tab[0], tab_r[0]
         assert a.lambda_half_plus == pytest.approx(b.lambda_half_minus, abs=1e-8)
         assert a.lambda_half_minus == pytest.approx(b.lambda_half_plus, abs=1e-8)
         # eigenvalues converge quadratically, mass fractions only linearly

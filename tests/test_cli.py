@@ -113,14 +113,15 @@ def test_threads_flag_and_env(tmp_path, monkeypatch):
     path = write_config(tmp_path, experiment="solve", ell=1.0,
                         output_dir=str(tmp_path / "runs"))
     assert cli.main(["solve", "--config", path, "--threads", "2"]) == 0
+    # the environment sets no thread count: without the flag it is 1
     monkeypatch.setenv("CYLSPECTRA_THREADS", "4")
     assert cli.main(["solve", "--config", path]) == 0
-    monkeypatch.setenv("CYLSPECTRA_THREADS", "nope")
-    assert cli.main(["solve", "--config", path]) == 2
+    assert cli.main(["solve", "--config", path, "--threads", "0"]) == 2
     runs = sorted((tmp_path / "runs").iterdir())
+    assert len(runs) == 2  # threads 0 exits before a run directory exists
     manifests = [json.loads((r / "manifest.json").read_text()) for r in runs]
     assert manifests[0]["threads"] == 2
-    assert manifests[1]["threads"] == 4
+    assert manifests[1]["threads"] == 1
     a = json.loads((runs[0] / "solve.json").read_text())
     b = json.loads((runs[1] / "solve.json").read_text())
     assert a["lambda"] == b["lambda"]  # thread count never changes values
@@ -280,6 +281,72 @@ def test_report_empty_and_full(tmp_path):
     text = (run2 / "report.txt").read_text()
     assert "no gap detected" in text
     assert "[absent]" in text
+
+
+def test_report_generic_and_ladder_rows(tmp_path):
+    # every manifest value is written as the manifest's own JSON text
+    def json_text(path):
+        return json.loads(path.read_text(), parse_float=str, parse_int=str)
+
+    runs = []
+    for command, extra in [
+            ("solve", {"family": {"kind": "constant_offdiag", "c": 0.3},
+                       "ell": 2.0}),
+            ("gap-check", {"family": {"kind": "linear_offdiag", "c": 0.8},
+                           "eps": [0.1]}),
+            ("decay", {"family": {"kind": "linear_offdiag", "c": 0.8},
+                       "ell": 3.0, "window": [0, 3]}),
+            ("ladder", {"family": {"kind": "constant_offdiag", "c": 0.3},
+                        "ells": [2, 3, 4], "side": "plus"})]:
+        out = tmp_path / command
+        path = write_config(tmp_path, f"{command}.json",
+                            experiment=command.replace("-", "_"),
+                            output_dir=str(out), **extra)
+        assert cli.main([command, "--config", path]) == 0
+        runs.append((command.replace("-", "_"), next(out.iterdir())))
+    cfg = tmp_path / "report.json"
+    cfg.write_text(json.dumps({"manifests": [str(r) for _, r in runs],
+                               "output_dir": str(tmp_path / "report")}))
+    assert cli.main(["report", "--config", str(cfg)]) == 0
+    out = next((tmp_path / "report").iterdir())
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines[0] == "section,key,value"
+    rows = [line.split(",", 2) for line in lines[1:]]
+
+    for n, (experiment, run) in enumerate(runs, start=1):
+        got = [(key, val) for sec, key, val in rows
+               if sec == f"{experiment}#{n}"]
+        assert got[0] == ("manifest", str(run / "manifest.json"))
+        if experiment == "ladder":
+            est = json_text(run / "nu_estimate.json")
+            assert got[1:] == [("nu_extrapolated", est["extrapolated"])]
+            continue
+        results = json_text(run / "manifest.json")["results"]
+        want = [(key, ("true" if val else "false")
+                 if isinstance(val, bool) else val)
+                for key, val in sorted(results.items())
+                if isinstance(val, (bool, str))]
+        assert got[1:] == want
+        assert {"true", "false"} & {val for _, val in want}  # booleans seen
+
+
+def test_grad_aligned_family_through_cli(tmp_path):
+    # the CLI builds grad_aligned from the identity section at the run's p
+    from cylspectra import asymptotics as asy
+    path = write_config(
+        tmp_path, experiment="gap_check", p=3.0,
+        family={"kind": "grad_aligned", "c": 0.05},
+        output_dir=str(tmp_path / "runs"))
+    assert cli.main(["gap-check", "--config", path]) == 0
+    run = next((tmp_path / "runs").iterdir())
+    payload = json.loads((run / "gapcheck.json").read_text())
+    assert payload["a12_gradw_vanishes"] is False
+    ident = cs.make_coefficients(cs.CoefficientFamily(cs.FamilyKind.IDENTITY))
+    field = cs.make_coefficients(
+        cs.CoefficientFamily(cs.FamilyKind.GRAD_ALIGNED, 0.05),
+        cross=cs.cross_section_ground_state(16, ident, 3))
+    cross = cs.cross_section_ground_state(16, field, 3)
+    assert payload["gap_integral"] == asy.gap_integral_I2(cross, field, 3).value
 
 
 def test_solver_options_passthrough(tmp_path):

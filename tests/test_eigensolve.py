@@ -609,6 +609,25 @@ class TestMinimizeRayleigh:
             assert r.stop_reason == "residual" and r.converged
             assert r.final_residual <= opts.tol_residual * max(1.0, abs(r.lam))
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_negative_entries_certified_as_returned(self, p):
+        # stretched cells with a strong a12: the discrete first eigenvector
+        # dips below zero, and the field returned is the one certified
+        field = cs.make_coefficients(
+            cs.CoefficientFamily(cs.FamilyKind.CONSTANT_OFFDIAG, 0.9))
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2,
+                                           cs.BC.MIXED, 4, 16))
+        opts = cs.SolveOptions()
+        r = asy.first_eigen(mesh, field, p, opts)
+        u = r.field.values
+        assert r.converged
+        assert u.min() < -1e-3 * u.max()
+        problem = es._CylinderQuotient(mesh, field, p)
+        E, gE, m, gM = problem.gradient(problem.state(u))
+        res = float(np.max(np.abs(gE - r.lam * gM))) / m
+        assert res == pytest.approx(r.final_residual, rel=1e-6)
+        assert res <= opts.tol_residual * max(1.0, r.lam)
+
 
 def dense_from_band(ab, kl, ku, top):
     """The matrix of LAPACK band storage: (i, j) at row top + ku + i - j."""
