@@ -7,11 +7,13 @@ depends on x2 only, so every 2D quantity factors into 1D passes (sum
 factorization): values and slopes at the Gauss points are one pass per
 axis over the nodal grid, nodal gradients are the adjoint passes, and
 every cylinder matrix (the p = 2 stiffness and mass, the Newton Hessian)
-is assembled from cell matrices, one pass per axis, into the diagonals of
-its free-DOF band (`_free_diagonals`).  All integrals use that one rule,
-and gradients are exact derivatives of the quadrature sums, so
-finite-difference checks pass to tight tolerance and optimizer line
-searches see a consistent objective.
+is assembled from cell matrices, one pass per axis, into the nine
+diagonals of its free-DOF band (`_free_diagonals`).  The solvers keep the
+matrices as those diagonals: they fill LAPACK bands (`lapack_band`) and
+give products (`_apply_diagonals`); only the public `assemble_p2` builds
+CSR matrices.  All integrals use that one rule, and gradients are exact
+derivatives of the quadrature sums, so finite-difference checks pass to
+tight tolerance and optimizer line searches see a consistent objective.
 """
 
 from __future__ import annotations
@@ -491,22 +493,20 @@ def _free_diagonals(mesh, L):
     same matrices at every cell along it.  The free nodes are whole x1 rows
     less the two x2 ends, numbered row-major, so the coupling of node
     (i, j) to (i + d1 - 1, j + d2 - 1) is the diagonal at offset
-    (d1 - 1) (nx2 - 1) + d2 - 1 and the bandwidth is nx2.
+    (d1 - 1) (nx2 - 1) + d2 - 1 and the bandwidth is nx2.  All nine are
+    summed in one (d1, d2, node) stencil, one slice-add per cell corner.
     """
     n1, n2 = mesh.dirichlet_mask.shape
     rows = ~mesh.dirichlet_mask.all(axis=1)
-    diagonals = {}
-    for d1, d2 in itertools.product(range(3), range(3)):
-        stencil = np.zeros((n1, n2))
-        for a, b in itertools.product((0, 1), (0, 1)):
-            a2, b2 = a + d1 - 1, b + d2 - 1
-            if a2 in (0, 1) and b2 in (0, 1):
-                stencil[a:a + n1 - 1, b:b + n2 - 1] += L[a, a2, :, b, b2, :]
-        block = stencil[rows, 1:-1]
-        if d2 != 1:  # the coupling across an x2 end is to a Dirichlet node
-            block[:, 0 if d2 == 0 else -1] = 0.0
-        diagonals[(d1 - 1) * (n2 - 2) + d2 - 1] = block.ravel()
-    return diagonals
+    stencil = np.zeros((3, 3, n1, n2))
+    for a, b in itertools.product((0, 1), (0, 1)):
+        stencil[1 - a:3 - a, 1 - b:3 - b, a:a + n1 - 1, b:b + n2 - 1] += (
+            L[a, :, :, b].transpose(0, 2, 1, 3))
+    block = stencil[:, :, rows, 1:-1]
+    # the coupling across an x2 end is to a Dirichlet node
+    block[:, 0, :, 0] = block[:, 2, :, -1] = 0.0
+    return {(d1 - 1) * (n2 - 2) + d2 - 1: block[d1, d2].ravel()
+            for d1, d2 in itertools.product(range(3), range(3))}
 
 
 def _csr(diagonals):
@@ -515,6 +515,16 @@ def _csr(diagonals):
     return sp.diags([v[:n - o] if o >= 0 else v[-o:]
                      for o, v in diagonals.items()],
                     list(diagonals), shape=(n, n), format="csr")
+
+
+def _apply_diagonals(diagonals, u):
+    """The matrix of the diagonals of `lapack_band` times the vector u, each
+    row summed from zero in ascending offset order, as a CSR product is."""
+    n, out = len(u), np.zeros(len(u))
+    for o in sorted(diagonals):
+        rows = slice(0, n - o) if o >= 0 else slice(-o, n)
+        out[rows] += diagonals[o][rows] * u[rows.start + o:rows.stop + o]
+    return out
 
 
 def lapack_band(diagonals, kl, ku, top=0, out=None):
@@ -535,9 +545,12 @@ def lapack_band(diagonals, kl, ku, top=0, out=None):
     else:
         # zeros from an anonymous mapping, unmapped when the array dies: a
         # freed malloc chunk of this size (1.5 MB for gbsv at nx2 = 32,
-        # ell = 8) makes glibc keep up to twice that in its heap afterwards
-        ab = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * n),
-                        order="F")
+        # ell = 8) makes glibc keep up to twice that in its heap afterwards.
+        # Populated up front, since the fill writes every page anyway: one
+        # call in place of a page fault per page
+        ab = np.ndarray(shape, order="F", buffer=mmap.mmap(
+            -1, 8 * shape[0] * n, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+            | getattr(mmap, "MAP_POPULATE", 0)))
     add_to_band(ab, diagonals, 1.0, kl, ku, top)
     return ab
 

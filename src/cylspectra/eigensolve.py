@@ -15,13 +15,13 @@ the x2 nodes.
 
 The descent sees its problem as states linear in the nodal vector: its
 values and slopes at the Gauss points, or on the p = 2 pencil the vector
-itself, so the trial u - z is a combination of carried states.  Every
-iteration takes one step rule: the Newton step on the unit p-sphere, one
-banded LU solve of the quotient Hessian shifted by sigma times the p = 2
-stiffness, with sigma set by a trust-region ratio test.  At sigma = 0 its
-rate does not follow the collapsing gap lam2 - lam1 of long cylinders.
-Only the residual test certifies an eigenpair of the engine, the first
-p = 2 pair included: `converged` is true for that exit alone.
+with its products Ku and Mu, so the trial u - z is a combination of carried
+states.  Every iteration takes one step rule: the Newton step on the unit
+p-sphere, one banded LU solve of the quotient Hessian shifted by sigma
+times the p = 2 stiffness, with sigma set by a trust-region ratio test.  At
+sigma = 0 its rate does not follow the collapsing gap lam2 - lam1 of long
+cylinders.  Only the residual test certifies an eigenpair of the engine,
+the first p = 2 pair included: `converged` is true for that exit alone.
 """
 
 from __future__ import annotations
@@ -389,25 +389,26 @@ def _eigen_result(mesh, r):
 
 class _PencilQuotient:
     """The p = 2 quotient u.Ku / u.Mu of the assembled pencil, for
-    `_minimize_quotient`: a state is the nodal vector itself, so no
-    quadrature runs.  `stiff` and `mass` are the diagonals of
-    `disc._p2_diagonals`, of bandwidth `bw`."""
+    `_minimize_quotient`: a state is (u, Ku, Mu), linear in u like the
+    cylinder's, so a trial's products come from those of u and the step
+    and the value and gradient take none.  `stiff` and `mass` are the
+    diagonals of `disc._p2_diagonals`, of bandwidth `bw`."""
 
     def __init__(self, stiff, mass, bw):
         self.stiff, self.mass, self.bw = stiff, mass, bw
-        self.K, self.M = disc._csr(stiff), disc._csr(mass)
         self._band = None
 
     def state(self, u):
-        return (np.asarray(u, dtype=float),)
+        u = np.asarray(u, dtype=float)
+        return (u, disc._apply_diagonals(self.stiff, u),
+                disc._apply_diagonals(self.mass, u))
 
     def value(self, S):
-        (u,) = S
-        return float(u @ (self.K @ u)), float(u @ (self.M @ u))
+        u, Ku, Mu = S
+        return float(u @ Ku), float(u @ Mu)
 
     def gradient(self, S):
-        (u,) = S
-        Ku, Mu = self.K @ u, self.M @ u
+        u, Ku, Mu = S
         return float(u @ Ku), 2.0 * Ku, float(u @ Mu), 2.0 * Mu
 
     def hessian(self, S, lam):
@@ -462,7 +463,9 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
     for k = n_free, which solves the dense pencil and counts nothing).
     `iterations` counts the engine's steps plus the shift-invert solves of
     the whole call, and `factorizations` the engine's LU factorizations
-    plus the Cholesky ones, both shared by all k results.
+    plus the Cholesky ones, both shared by all k results.  K and M stay
+    diagonals: `eigsh`, the Ritz fallback, the residuals and the dense
+    path apply them as `LinearOperator`s over `disc._apply_diagonals`.
     Eigenvectors are p-mass normalized; the first has a nonnegative sum,
     the others a positive largest entry.
     """
@@ -472,16 +475,18 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
         raise ConfigurationError(f"need 1 <= k <= {n}, got {k}")
     stiff, mass = disc._p2_diagonals(mesh, coeffs)
     bw = mesh.n_cells2
-    problem = _PencilQuotient(stiff, mass, bw)
-    K, M = problem.K, problem.M
+    K, M = (spla.LinearOperator(
+        (n, n), lambda x, d=d: disc._apply_diagonals(d, np.ravel(x)),
+        dtype=float) for d in (stiff, mass))
     steps = factorizations = 0
     reason = "arpack"
     if k == n:  # ARPACK needs k < n; the pencil is tiny here
-        lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
+        lams, vecs = scipy.linalg.eigh(K @ np.eye(n), M @ np.eye(n))
         reason = "dense"
     else:
         first = _minimize_quotient(
-            problem, _lifted_start(mesh, coeffs, 2.0, opts, cross), 2.0, opts)
+            _PencilQuotient(stiff, mass, bw),
+            _lifted_start(mesh, coeffs, 2.0, opts, cross), 2.0, opts)
         if k == 1:
             return [_eigen_result(mesh, first)]
         steps, factorizations = first.iterations, first.factorizations + 1

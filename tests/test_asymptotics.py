@@ -238,6 +238,22 @@ class TestSweep:
             asy.sweep_lambda([2, 4], offdiag_field, p, RES)
             assert len(calls) == 1
 
+    def test_p2_sweep_builds_no_csr(self, monkeypatch, offdiag_field):
+        # the p = 2 solves apply K and M from their diagonals; only the
+        # public assemble_p2 builds CSR matrices
+        from cylspectra import discretization as disc
+        calls = []
+        csr = disc._csr
+
+        def counted(diagonals):
+            calls.append(len(diagonals[0]))
+            return csr(diagonals)
+
+        monkeypatch.setattr(disc, "_csr", counted)
+        tab = asy.sweep_lambda([2, 4], offdiag_field, 2, RES)
+        assert all(row.converged for row in tab)
+        assert calls == []
+
     def test_section_solve_takes_the_options(self, monkeypatch,
                                              offdiag_field):
         # a config's tolerance reaches the solve behind the mu1 column

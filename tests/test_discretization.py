@@ -178,6 +178,27 @@ def test_p2_matrices_closed_form(shape, bc, c):
                                    atol=1e-13 * np.abs(oracle).max())
 
 
+@pytest.mark.parametrize("shape,bc", [
+    (cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
+    (cs.Shape.FULL_CYLINDER, cs.BC.DIRICHLET_ALL),
+    (cs.Shape.HALF_PLUS, cs.BC.HALF_CYLINDER),
+    (cs.Shape.HALF_MINUS, cs.BC.HALF_CYLINDER)])
+@pytest.mark.parametrize("nx2", [4, 32])
+@pytest.mark.parametrize("family", ["offdiag_field", "linear_field"])
+def test_diagonal_product_is_csr_product(shape, bc, nx2, family, request):
+    # the p = 2 solves apply K and M from their diagonals; each row sums in
+    # the order of a CSR product, so the results agree bit for bit
+    coeffs = request.getfixturevalue(family)
+    mesh = cs.build_mesh(cs.DomainSpec(shape, 2, bc, 4, nx2))
+    pair = cs.assemble_p2(mesh, coeffs)
+    stiff, mass = disc._p2_diagonals(mesh, coeffs)
+    u = np.random.default_rng(nx2).standard_normal(mesh.n_free)
+    np.testing.assert_array_equal(disc._apply_diagonals(stiff, u),
+                                  pair.stiffness @ u)
+    np.testing.assert_array_equal(disc._apply_diagonals(mass, u),
+                                  pair.mass @ u)
+
+
 def test_mass_matrix_positive_definite(small_mixed_mesh, identity_field):
     pair = cs.assemble_p2(small_mixed_mesh, identity_field)
     import scipy.sparse.linalg as spla

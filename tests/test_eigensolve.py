@@ -278,6 +278,31 @@ class TestLinearSpectrum:
             assert all(r.factorizations == one.factorizations + 2
                        for r in results)
 
+    @pytest.mark.parametrize("family", ["offdiag_field", "linear_field"])
+    def test_carried_pencil_state_matches_fresh_pass(self, monkeypatch,
+                                                     family, request):
+        # the pencil state (u, Ku, Mu) reaches each gradient pass after a
+        # step through _along and the engine's in-place scaling, with no
+        # product of its own; the first pass is a fresh one
+        coeffs = request.getfixturevalue(family)
+        carried = []
+
+        class Recording(es._PencilQuotient):
+            def gradient(self, S):
+                carried.append((self, S))
+                return super().gradient(S)
+
+        monkeypatch.setattr(es, "_PencilQuotient", Recording)
+        for spec in ORACLE_MESHES:
+            carried.clear()
+            r = cs.linear_spectrum(cs.build_mesh(spec), coeffs, 1)[0]
+            assert r.iterations >= 1 and len(carried) == r.iterations + 1
+            for problem, S in carried[1:]:
+                assert len(S) == 3
+                fresh = problem.state(S[0])
+                for a, b in zip(fresh[1:], S[1:]):
+                    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+
     def test_shift_at_nx2_6(self, offdiag_field, small_mixed_mesh):
         # nx2 = 6 gets the lifted start like any mesh: the engine runs and
         # k >= 2 takes the shift, one Cholesky factorization beyond k = 1
