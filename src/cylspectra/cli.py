@@ -486,7 +486,7 @@ def _read_sweep_csv(path):
 
 
 # the one list of commands: `RunPlan` checks a declared experiment against
-# it and `main` names a subcommand after each key, "_" written as "-"
+# it and `_parser` takes a command named after each key, "_" written as "-"
 _RUNNERS = {
     "solve": _run_solve, "sweep": _run_sweep, "ladder": _run_ladder,
     "spectrum": _run_spectrum, "gap_check": _run_gap_check,
@@ -556,17 +556,22 @@ def run_config(path, experiment, output_dir=None, threads=1):
     return manifest, code
 
 
-def main(argv=None):
+def _parser():
+    """One parser for every command: the command is a positional choice,
+    and all commands take the same options."""
     parser = argparse.ArgumentParser(
         prog="cylspectra",
         description="Eigenvalue experiments on long cylinders")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        cmd = sub.add_parser(name.replace("_", "-"))
-        cmd.add_argument("--config", required=True)
-        cmd.add_argument("--output-dir", default=None)
-        cmd.add_argument("--threads", type=int, default=1)
-    args = parser.parse_args(argv)
+    parser.add_argument("command",
+                        choices=[name.replace("_", "-") for name in _RUNNERS])
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--output-dir", default=None)
+    parser.add_argument("--threads", type=int, default=1)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     if args.threads < 1:
         print("error: threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,12 +8,14 @@ factorization): values and slopes at the Gauss points are one pass per
 axis over the nodal grid, nodal gradients are the adjoint passes, and
 every cylinder matrix (the p = 2 stiffness and mass, the Newton Hessian)
 is assembled from cell matrices, one pass per axis, into the nine
-diagonals of its free-DOF band (`_free_diagonals`).  The solvers keep the
-matrices as those diagonals: they fill LAPACK bands (`lapack_band`) and
-give products (`_apply_diagonals`); only the public `assemble_p2` builds
-CSR matrices.  All integrals use that one rule, and gradients are exact
-derivatives of the quadrature sums, so finite-difference checks pass to
-tight tolerance and optimizer line searches see a consistent objective.
+diagonals of its free-DOF band (`_free_diagonals`), held as a
+`scipy.sparse.dia_array`.  Its column-aligned diagonals are also the rows
+of LAPACK band storage, so one array is both the operator of scipy's
+compiled products and the band that `lapack_band` fills, a whole row per
+diagonal; only the public `assemble_p2` builds CSR matrices.  All
+integrals use that one rule, and gradients are exact derivatives of the
+quadrature sums, so finite-difference checks pass to tight tolerance and
+optimizer line searches see a consistent objective.
 """
 
 from __future__ import annotations
@@ -383,20 +385,16 @@ _GRADIENT_TERMS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _eval_hessian(mesh, A, point, state, lam, p, out=None):
-    """E'' - lam m'' at a Gauss-point state, over the free DOFs, in the band
-    storage of `gbsv` (kl = ku = nx2, nx2 rows of fill-in on top), written
-    over `out` if given (see `lapack_band`).
+    """E'' - lam m'' at a Gauss-point state, over the free DOFs, as the
+    `dia_array` of `_free_diagonals`, written over `out` if given.
 
     The energy's pointwise Hessian is P (A + (p-2) f f^T / q), f = A grad u,
     with `point` = (q, P) of `_eval_full` at `state` and the (p-2) term 0
     where q = 0; the mass's is p (p-1) w |u|^{p-2}.  Each density is
-    contracted against the basis pairs of every cell, one 1D pass per axis,
-    and the cell matrices go straight into the band, one diagonal at a
-    time.
+    contracted against the basis pairs of every cell, one 1D pass per axis.
     """
     L = _hessian_cells(_core(mesh), A, point, state, lam, p)
-    bw = mesh.n_cells2
-    return lapack_band(_free_diagonals(mesh, L), bw, bw, bw, out)
+    return _free_diagonals(mesh, L, out)
 
 
 def _hessian_cells(core, A, point, state, lam, p):
@@ -456,8 +454,8 @@ def cell_integrals(mesh, coeffs, grid, p):
 
 
 def _p2_diagonals(mesh, coeffs):
-    """The p = 2 stiffness and mass over the free DOFs, as the diagonals of
-    `_free_diagonals`.
+    """The p = 2 stiffness and mass over the free DOFs, as the `dia_array`s
+    of `_free_diagonals`.
 
     Both come from the cell matrices of their Gauss-point densities, w A[i + j]
     for the term d_i u d_j v of the stiffness and w for the mass, as the
@@ -482,62 +480,55 @@ def assemble_p2(mesh, coeffs) -> SparsePair:
     matrices and diagonals as the descent's shift (see `_p2_diagonals`).
     """
     K, M = _p2_diagonals(mesh, coeffs)
-    return SparsePair(_csr(K), _csr(M))
+    return SparsePair(sp.csr_matrix(K), sp.csr_matrix(M))
 
 
-def _free_diagonals(mesh, L):
+def _free_diagonals(mesh, L, out=None):
     """The free-DOF matrix of cell matrices L[a, a', x1 cell, b, b', x2 cell]
-    as {offset o: the entries (i, i + o) over the rows i}.
+    as a `dia_array`: ascending offsets o, with `data[k, j]` the entry
+    (j - o_k, j), which is row top + ku - o_k of LAPACK band storage
+    (`lapack_band`); written over `out`, an earlier result, if given.
 
     Cell c's node a is node c + a, and a unit cell axis of L stands for the
-    same matrices at every cell along it.  The free nodes are whole x1 rows
-    less the two x2 ends, numbered row-major, so the coupling of node
-    (i, j) to (i + d1 - 1, j + d2 - 1) is the diagonal at offset
+    same matrices at every cell along it.  The free nodes are the x1 rows
+    r0..r1-1 less the two x2 ends, numbered row-major, so the coupling of
+    node (i, j) to (i + d1 - 1, j + d2 - 1) is the diagonal at offset
     (d1 - 1) (nx2 - 1) + d2 - 1 and the bandwidth is nx2.  All nine are
-    summed in one (d1, d2, node) stencil, one slice-add per cell corner.
+    summed in one (d1, d2, node) stencil indexed by the row's node, one
+    slice-add per cell corner, then each is copied out at the column's node.
     """
     n1, n2 = mesh.dirichlet_mask.shape
-    rows = ~mesh.dirichlet_mask.all(axis=1)
-    stencil = np.zeros((3, 3, n1, n2))
+    free = ~mesh.dirichlet_mask.all(axis=1)
+    r0, r1 = int(free.argmax()), int(free.argmax() + free.sum())
+    stencil = np.zeros((3, 3, n1 + 2, n2 + 2))  # one node of zeros around
     for a, b in itertools.product((0, 1), (0, 1)):
-        stencil[1 - a:3 - a, 1 - b:3 - b, a:a + n1 - 1, b:b + n2 - 1] += (
+        stencil[1 - a:3 - a, 1 - b:3 - b, 1 + a:a + n1, 1 + b:b + n2] += (
             L[a, :, :, b].transpose(0, 2, 1, 3))
-    block = stencil[:, :, rows, 1:-1]
-    # the coupling across an x2 end is to a Dirichlet node
-    block[:, 0, :, 0] = block[:, 2, :, -1] = 0.0
-    return {(d1 - 1) * (n2 - 2) + d2 - 1: block[d1, d2].ravel()
-            for d1, d2 in itertools.product(range(3), range(3))}
-
-
-def _csr(diagonals):
-    """The CSR matrix of the diagonals of `lapack_band`."""
-    n = len(diagonals[0])
-    return sp.diags([v[:n - o] if o >= 0 else v[-o:]
-                     for o, v in diagonals.items()],
-                    list(diagonals), shape=(n, n), format="csr")
-
-
-def _apply_diagonals(diagonals, u):
-    """The matrix of the diagonals of `lapack_band` times the vector u, each
-    row summed from zero in ascending offset order, as a CSR product is."""
-    n, out = len(u), np.zeros(len(u))
-    for o in sorted(diagonals):
-        rows = slice(0, n - o) if o >= 0 else slice(-o, n)
-        out[rows] += diagonals[o][rows] * u[rows.start + o:rows.stop + o]
+    if out is None:
+        n, o = (r1 - r0) * (n2 - 2), np.arange(-1, 2)
+        offsets = ((n2 - 2) * o[:, None] + o).ravel()
+        out = sp.dia_array((np.empty((9, n)), offsets), shape=(n, n))
+    block = out.data.reshape(3, 3, r1 - r0, n2 - 2)
+    for d1, d2 in itertools.product(range(3), range(3)):
+        # the column's node is the row's node moved by (d1 - 1, d2 - 1)
+        block[d1, d2] = stencil[d1, d2, r0 + 2 - d1:r1 + 2 - d1,
+                                3 - d2:n2 + 1 - d2]
+    # no coupling from a Dirichlet node (an x2 end, an x1 row not free)
+    block[:, 0, :, -1] = block[:, 2, :, 0] = 0.0
+    block[0, :, -1] = block[2, :, 0] = 0.0
     return out
 
 
-def lapack_band(diagonals, kl, ku, top=0, out=None):
-    """An n x n matrix in LAPACK band storage, in Fortran order.
+def lapack_band(A, kl, ku, top=0, out=None):
+    """The n x n `dia_array` A in LAPACK band storage, in Fortran order.
 
-    `diagonals` maps an offset o to the entries (i, i + o) over the rows i;
-    entries whose column falls outside the matrix are dropped, as are
-    offsets outside [-kl, ku].  Entry (i, j) sits at row top + ku + i - j of
-    column j: `top = kl` rows of fill-in give the layout of `gbsv`,
-    `kl = bw, ku = 0` the lower layout of `cholesky_banded`.  `out`, an
-    earlier result of the same layout, is zeroed and reused.
+    Entry (i, j) sits at row top + ku + i - j of column j, so A's `data` at
+    offset o (zero outside the matrix) is row top + ku - o as it stands;
+    offsets outside [-kl, ku] are dropped.  `top = kl` rows of fill-in give
+    the layout of `gbsv`, `kl = bw, ku = 0` the lower one of
+    `cholesky_banded`.  `out`, an earlier result, is zeroed and reused.
     """
-    n = len(diagonals[0])
+    n = A.shape[1]
     shape = (top + kl + ku + 1, n)
     if out is not None:
         out.fill(0.0)
@@ -551,21 +542,17 @@ def lapack_band(diagonals, kl, ku, top=0, out=None):
         ab = np.ndarray(shape, order="F", buffer=mmap.mmap(
             -1, 8 * shape[0] * n, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
             | getattr(mmap, "MAP_POPULATE", 0)))
-    add_to_band(ab, diagonals, 1.0, kl, ku, top)
+    add_to_band(ab, A, 1.0, kl, ku, top)
     return ab
 
 
-def add_to_band(ab, diagonals, scale, kl, ku, top=0):
-    """Adds `scale` times the matrix of `diagonals` to `ab`, a result of
-    `lapack_band` with the same layout, in place and one diagonal at a time
-    (with no scaled copy at scale 1)."""
-    n = ab.shape[1]
-    for o, v in diagonals.items():
+def add_to_band(ab, A, scale, kl, ku, top=0):
+    """Adds `scale` times the `dia_array` A to `ab`, a result of
+    `lapack_band` with the same layout, in place: each diagonal is a whole
+    band row (with no scaled copy at scale 1)."""
+    for o, v in zip(A.offsets, A.data):
         if -kl <= o <= ku:
-            row = ab[top + ku - o]
-            part, entries = ((row[o:], v[:n - o]) if o >= 0
-                             else (row[:n + o], v[-o:]))
-            part += entries if scale == 1.0 else scale * entries
+            ab[top + ku - o] += v if scale == 1.0 else scale * v
 
 
 def lift_cross_section(cross, mesh) -> DiscreteField:

@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import discretization as disc
@@ -138,16 +139,16 @@ class _Descent(NamedTuple):
     factorizations: int
 
 
-def _minimize_quotient(problem, u0, p, opts):
+def _minimize_quotient(problem, u0, opts):
     """Rayleigh-quotient descent by shifted Newton steps on the unit p-sphere.
 
     `problem` works on Gauss-point states: `state(u)` is the forward
     quadrature pass of a nodal vector, `value(S) -> (E, m)` and
     `gradient(S) -> (E, gE, m, gM)` evaluate a state, the gradient through
     the adjoint passes only, `hessian(S, lam)` gives the matrix
-    E'' - lam m'' at S in the band storage of `gbsv`, and `stiffness()` the
-    SPD p = 2 stiffness K of the same problem as the diagonals of
-    `disc.lapack_band`.  A state is a tuple of arrays, linear in u.  The
+    E'' - lam m'' at S in the band storage of `gbsv`, `stiffness()` the
+    SPD p = 2 stiffness K of the same problem as a `dia_array`, and `p` is
+    the exponent.  A state is a tuple of arrays, linear in u.  The
     iterate is kept p-normalized; the accepted Rayleigh values form a
     nonincreasing history.  The residual is the max norm of the quotient
     gradient d = (gE - lam gM)/m.
@@ -181,13 +182,16 @@ def _minimize_quotient(problem, u0, p, opts):
     discrete first eigenvector can have negative entries.  Its value comes from
     a fresh forward pass, so no rounding of the carried state reaches it.
     """
+    p = problem.p
     u = np.array(u0, dtype=float)
-    _, m0 = problem.value(problem.state(u))
+    S = problem.state(u)
+    _, m0 = problem.value(S)
     if m0 <= 0:
         raise SolverError("initial field has zero p-mass")
-    u /= m0 ** (1.0 / p)
-
-    S = problem.state(u)
+    r = m0 ** (1.0 / p)
+    u = u / r
+    for a in S:  # in place: one state alive at a time
+        a /= r
     E, gE, m, gM = problem.gradient(S)
     lam = E / m
     history = [lam]
@@ -216,7 +220,7 @@ def _minimize_quotient(problem, u0, p, opts):
             if sigma and K is None:
                 K = problem.stiffness()
             factorizations += 1
-            z, model = _shifted_step(problem, S, lam, g, gM, sigma, K)
+            z, model = _shifted_step(problem, u, S, lam, g, gM, sigma, K)
             pred = model / (2.0 * m)
             if pred > 0.0:
                 Sv = _along(S, problem.state(z), 1.0)
@@ -255,30 +259,31 @@ def _minimize_quotient(problem, u0, p, opts):
                     factorizations)
 
 
-def _shifted_step(problem, S, lam, g, gM, sigma, K):
+def _shifted_step(problem, u, S, lam, g, gM, sigma, K):
     """The step z of u - z at the state S of u, with g = gE - lam gM.
 
     Solves (A + s K) z = g - mu gM with gM.z = 0 for A = E'' - lam m''
     (`problem.hessian`, m times the quotient's H) and the shift s = sigma
-    max|diag A| / max|diag K|, K the diagonals of `problem.stiffness`
-    (unused at sigma = 0), added to the band of A in place.  One `gbsv`
-    factorization serves both right-hand sides: with x = (A + s K)^{-1} gM
-    and y = (A + s K)^{-1} g, z = y - (gM.y / gM.x) x.  Since z.(A + s K) z
-    = g.z, the quadratic model of the quotient decreases by (g.z + s z.Kz)
-    / (2 m) along the step.  Returns (z, g.z + s z.Kz), or (None, nan)
-    where the matrix is singular or the step is not finite.
+    max|diag A| / max|diag K|, K the `dia_array` of `problem.stiffness`
+    (unused at sigma = 0), added to the band of A in place.  With
+    x = (A + s K)^{-1} gM and y = (A + s K)^{-1} g, z = y - (gM.y / gM.x) x;
+    one `gbsv` factorization gives x and, at s > 0, y.  At s = 0, y = u /
+    (p - 1), since E and m are homogeneous of degree p.  As z.(A + s K) z =
+    g.z, the quadratic model of the quotient decreases by (g.z + s z.Kz) /
+    (2 m) along the step.  Returns (z, g.z + s z.Kz), or (None, nan) where
+    the matrix is singular or the step is not finite.
     """
     ab = problem.hessian(S, lam)
     bw = (ab.shape[0] - 1) // 3
     s = 0.0
     if sigma:
-        s = sigma * np.max(np.abs(ab[2 * bw])) / np.max(np.abs(K[0]))
+        s = sigma * np.max(np.abs(ab[2 * bw])) / np.max(np.abs(K.diagonal()))
         disc.add_to_band(ab, K, s, bw, bw, bw)
-    rhs = np.empty((g.size, 2), order="F")
-    rhs[:, 0], rhs[:, 1] = gM, g
+    rhs = np.array((gM, g) if s else (gM,)).T  # in Fortran order
     xy, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, rhs, overwrite_ab=1,
                                          overwrite_b=1)[2:]
-    x, y = xy.T
+    x = xy[:, 0]
+    y = xy[:, 1] if s else u / (problem.p - 1.0)
     gx = float(gM @ x)
     if info != 0 or gx == 0.0:
         return None, np.nan
@@ -286,11 +291,8 @@ def _shifted_step(problem, S, lam, g, gM, sigma, K):
     model = float(g @ z)  # not finite where z is not
     if not np.isfinite(model):
         return None, np.nan
-    if s:  # z.Kz from the upper diagonals of the symmetric K
-        n = z.size
-        model += s * sum((1.0 if o == 0 else 2.0)
-                         * float(v[:n - o] @ (z[:n - o] * z[o:]))
-                         for o, v in K.items() if o >= 0)
+    if s:
+        model += s * float(z @ (K @ z))
     return z, model
 
 
@@ -318,7 +320,7 @@ class _CylinderQuotient:
         self.core = disc._core(mesh)
         self.A = coeffs.entries(self.core.e2.points)
         self._at = None, None
-        self._band = None
+        self._hessian = self._band = None
 
     def state(self, u):
         return self.core.state(self.mesh.expand(u))
@@ -339,9 +341,11 @@ class _CylinderQuotient:
         return self._at[1]
 
     def hessian(self, S, lam):
-        # one band buffer per solve, overwritten by every factorization
-        self._band = disc._eval_hessian(self.mesh, self.A, self._point(S), S,
-                                        lam, self.p, self._band)
+        # one DIA array and one band per solve, overwritten by each factoring
+        self._hessian = disc._eval_hessian(self.mesh, self.A, self._point(S),
+                                           S, lam, self.p, self._hessian)
+        bw = self.mesh.n_cells2
+        self._band = disc.lapack_band(self._hessian, bw, bw, bw, self._band)
         return self._band
 
     def stiffness(self):
@@ -362,7 +366,7 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
     opts = opts or SolveOptions()
     u0 = _lifted_start(mesh, coeffs, p, opts, cross)
     return _eigen_result(mesh, _minimize_quotient(
-        _CylinderQuotient(mesh, coeffs, p), u0, p, opts))
+        _CylinderQuotient(mesh, coeffs, p), u0, opts))
 
 
 def _lifted_start(mesh, coeffs, p, opts, cross):
@@ -392,7 +396,9 @@ class _PencilQuotient:
     `_minimize_quotient`: a state is (u, Ku, Mu), linear in u like the
     cylinder's, so a trial's products come from those of u and the step
     and the value and gradient take none.  `stiff` and `mass` are the
-    diagonals of `disc._p2_diagonals`, of bandwidth `bw`."""
+    `dia_array`s of `disc._p2_diagonals`, of bandwidth `bw`."""
+
+    p = 2.0
 
     def __init__(self, stiff, mass, bw):
         self.stiff, self.mass, self.bw = stiff, mass, bw
@@ -400,8 +406,7 @@ class _PencilQuotient:
 
     def state(self, u):
         u = np.asarray(u, dtype=float)
-        return (u, disc._apply_diagonals(self.stiff, u),
-                disc._apply_diagonals(self.mass, u))
+        return u, self.stiff @ u, self.mass @ u
 
     def value(self, S):
         u, Ku, Mu = S
@@ -412,11 +417,12 @@ class _PencilQuotient:
         return float(u @ Ku), 2.0 * Ku, float(u @ Mu), 2.0 * Mu
 
     def hessian(self, S, lam):
-        # E'' - lam m'' = 2 (K - lam M); one band buffer per solve
-        self._band = disc.lapack_band(
-            {o: 2.0 * (v - lam * self.mass[o]) for o, v in self.stiff.items()},
-            self.bw, self.bw, self.bw, self._band)
-        return self._band
+        # E'' - lam m'' = 2 K - 2 lam M, bit for bit 2 (K - lam M)
+        bw, K = self.bw, self.stiff
+        ab = self._band = disc.lapack_band(K, bw, bw, bw, self._band)
+        disc.add_to_band(ab, K, 1.0, bw, bw, bw)
+        disc.add_to_band(ab, self.mass, -2.0 * lam, bw, bw, bw)
+        return ab
 
     def stiffness(self):
         return self.stiff
@@ -463,9 +469,9 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
     for k = n_free, which solves the dense pencil and counts nothing).
     `iterations` counts the engine's steps plus the shift-invert solves of
     the whole call, and `factorizations` the engine's LU factorizations
-    plus the Cholesky ones, both shared by all k results.  K and M stay
-    diagonals: `eigsh`, the Ritz fallback, the residuals and the dense
-    path apply them as `LinearOperator`s over `disc._apply_diagonals`.
+    plus the Cholesky ones, both shared by all k results.  K and M stay the
+    `dia_array`s of `disc._p2_diagonals`: every product is scipy's compiled
+    DIA one, and no CSR matrix is built.
     Eigenvectors are p-mass normalized; the first has a nonnegative sum,
     the others a positive largest entry.
     """
@@ -473,20 +479,17 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
     n = mesh.n_free
     if k < 1 or k > n:
         raise ConfigurationError(f"need 1 <= k <= {n}, got {k}")
-    stiff, mass = disc._p2_diagonals(mesh, coeffs)
+    K, M = disc._p2_diagonals(mesh, coeffs)
     bw = mesh.n_cells2
-    K, M = (spla.LinearOperator(
-        (n, n), lambda x, d=d: disc._apply_diagonals(d, np.ravel(x)),
-        dtype=float) for d in (stiff, mass))
     steps = factorizations = 0
     reason = "arpack"
     if k == n:  # ARPACK needs k < n; the pencil is tiny here
-        lams, vecs = scipy.linalg.eigh(K @ np.eye(n), M @ np.eye(n))
+        lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         reason = "dense"
     else:
         first = _minimize_quotient(
-            _PencilQuotient(stiff, mass, bw),
-            _lifted_start(mesh, coeffs, 2.0, opts, cross), 2.0, opts)
+            _PencilQuotient(K, M, bw),
+            _lifted_start(mesh, coeffs, 2.0, opts, cross), opts)
         if k == 1:
             return [_eigen_result(mesh, first)]
         steps, factorizations = first.iterations, first.factorizations + 1
@@ -497,14 +500,14 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
         sigma = 0.0
         if first.stop_reason != "max_iters":
             sigma = first.lam * (1.0 - _SHIFT_MARGIN)
-        ab = disc.lapack_band(stiff, bw, 0)
-        disc.add_to_band(ab, mass, -sigma, bw, 0)
+        ab = disc.lapack_band(K, bw, 0)
+        disc.add_to_band(ab, M, -sigma, bw, 0)
         try:
             solve = _cholesky(ab)
         except SolverError:  # an eigenvalue lies below sigma
             sigma = 0.0
             factorizations += 1
-            solve = _cholesky(disc.lapack_band(stiff, bw, 0))
+            solve = _cholesky(disc.lapack_band(K, bw, 0))
 
         def apply_inverse(x):
             nonlocal steps
@@ -611,12 +614,12 @@ def cross_section_ground_state(nx2, coeffs, p,
     start = np.cos(np.pi * x2[1:-1])
 
     # p-normalized with a nonnegative sum, as the engine returns it
-    r = _minimize_quotient(_SectionQuotient(e, a22, p), start, p, opts)
+    r = _minimize_quotient(_SectionQuotient(e, a22, p), start, opts)
     converged = r.stop_reason == "residual"
     mu_plain = r.lam
     if float(np.max(np.abs(a22 - 1.0))) >= 1e-14:
         plain = _minimize_quotient(_SectionQuotient(e, np.ones_like(a22), p),
-                                   start, p, opts)
+                                   start, opts)
         mu_plain = plain.lam
         converged = converged and plain.stop_reason == "residual"
     return CrossSectionResult(r.lam, np.concatenate(([0.0], r.u, [0.0])), x2,
@@ -663,6 +666,9 @@ class _SectionQuotient:
 
 
 def _interior(G):
-    """The interior-node matrix of 1D Gram rows G (`_Q1.band`) as the
-    diagonals of `disc.lapack_band`."""
-    return {o: G[o + 1, 1:-1] for o in (-1, 0, 1)}
+    """The interior-node matrix of 1D Gram rows G (`_Q1.band`) as a
+    `dia_array`, zero where a column's entry lies in an end node's row."""
+    data = np.stack([G[0, 2:], G[1, 1:-1], G[2, :-2]])
+    data[0, -1] = data[2, 0] = 0.0
+    n = data.shape[1]
+    return sp.dia_array((data, (-1, 0, 1)), shape=(n, n))

@@ -30,3 +30,13 @@ def small_mixed_mesh():
 def random_field(mesh, seed):
     rng = np.random.default_rng(seed)
     return cs.DiscreteField(rng.standard_normal(mesh.n_free), mesh)
+
+
+def dense_from_band(ab, kl, ku, top):
+    """The matrix of LAPACK band storage: (i, j) at row top + ku + i - j."""
+    n = ab.shape[1]
+    H = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            H[i, j] = ab[top + ku + i - j, j]
+    return H

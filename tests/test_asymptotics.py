@@ -239,20 +239,26 @@ class TestSweep:
             assert len(calls) == 1
 
     def test_p2_sweep_builds_no_csr(self, monkeypatch, offdiag_field):
-        # the p = 2 solves apply K and M from their diagonals; only the
-        # public assemble_p2 builds CSR matrices
-        from cylspectra import discretization as disc
+        # the p = 2 solves apply K and M as DIA arrays; only the public
+        # assemble_p2 builds CSR matrices.  Every CSR or CSC matrix or
+        # array is built by the one compressed-storage constructor
+        from scipy.sparse import _compressed
         calls = []
-        csr = disc._csr
+        init = _compressed._cs_matrix.__init__
 
-        def counted(diagonals):
-            calls.append(len(diagonals[0]))
-            return csr(diagonals)
+        def counted(self, *args, **kwargs):
+            calls.append(type(self).__name__)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(disc, "_csr", counted)
+        monkeypatch.setattr(_compressed._cs_matrix, "__init__", counted)
         tab = asy.sweep_lambda([2, 4], offdiag_field, 2, RES)
         assert all(row.converged for row in tab)
         assert calls == []
+        # the counter sees a CSR build
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2,
+                                           cs.BC.MIXED, 2, 8))
+        cs.assemble_p2(mesh, offdiag_field)
+        assert calls
 
     def test_section_solve_takes_the_options(self, monkeypatch,
                                              offdiag_field):

@@ -127,6 +127,23 @@ def test_threads_flag_and_env(tmp_path, monkeypatch):
     assert a["lambda"] == b["lambda"]  # thread count never changes values
 
 
+@pytest.mark.parametrize("name", sorted(cli._RUNNERS))
+def test_every_command_parses(name):
+    # one parser: each command of the table, named with "-" for "_", takes
+    # the same options
+    args = cli._parser().parse_args(
+        [name.replace("_", "-"), "--config", "x", "--threads", "2"])
+    assert (args.command, args.config, args.threads) == (
+        name.replace("_", "-"), "x", 2)
+    assert args.output_dir is None
+
+
+def test_unknown_command_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus", "--config", "x"])
+    assert exc.value.code == 2
+
+
 def test_ladder_outputs(tmp_path):
     path = write_config(
         tmp_path, experiment="ladder",

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import cylspectra as cs
 from cylspectra import discretization as disc
 from cylspectra.errors import (AdmissibilityError, QuotientUndefinedError,
                                UnsupportedExponentError)
 
-from conftest import random_field
+from conftest import dense_from_band, random_field
 
 
 def fd_gradient(func, values, step=1e-6):
@@ -186,17 +187,38 @@ def test_p2_matrices_closed_form(shape, bc, c):
 @pytest.mark.parametrize("nx2", [4, 32])
 @pytest.mark.parametrize("family", ["offdiag_field", "linear_field"])
 def test_diagonal_product_is_csr_product(shape, bc, nx2, family, request):
-    # the p = 2 solves apply K and M from their diagonals; each row sums in
-    # the order of a CSR product, so the results agree bit for bit
+    # the p = 2 solves apply K and M as DIA arrays; each row sums from zero
+    # in ascending offset order, the column order of a CSR product, so the
+    # results agree bit for bit
     coeffs = request.getfixturevalue(family)
     mesh = cs.build_mesh(cs.DomainSpec(shape, 2, bc, 4, nx2))
-    pair = cs.assemble_p2(mesh, coeffs)
-    stiff, mass = disc._p2_diagonals(mesh, coeffs)
     u = np.random.default_rng(nx2).standard_normal(mesh.n_free)
-    np.testing.assert_array_equal(disc._apply_diagonals(stiff, u),
-                                  pair.stiffness @ u)
-    np.testing.assert_array_equal(disc._apply_diagonals(mass, u),
-                                  pair.mass @ u)
+    for A in disc._p2_diagonals(mesh, coeffs):
+        assert isinstance(A, sp.dia_array)
+        np.testing.assert_array_equal(A @ u, sp.csr_array(A.toarray()) @ u)
+
+
+@pytest.mark.parametrize("shape,bc", [
+    (cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
+    (cs.Shape.FULL_CYLINDER, cs.BC.DIRICHLET_ALL),
+    (cs.Shape.HALF_PLUS, cs.BC.HALF_CYLINDER),
+    (cs.Shape.HALF_MINUS, cs.BC.HALF_CYLINDER)])
+@pytest.mark.parametrize("nx2", [4, 8])
+def test_band_is_the_dia_matrix(shape, bc, nx2, linear_field):
+    # the bands are copied from the DIA diagonals: every entry of the
+    # matrix in its place, in the layouts of gbsv and cholesky_banded, and
+    # nothing else (no entry from outside the matrix or across an x2 end)
+    mesh = cs.build_mesh(cs.DomainSpec(shape, 2, bc, 4, nx2))
+    bw = mesh.n_cells2
+    for A in disc._p2_diagonals(mesh, linear_field):
+        dense = A.toarray()
+        for kl, ku, top, oracle in ((bw, bw, bw, dense),
+                                    (bw, 0, 0, np.tril(dense))):
+            ab = disc.lapack_band(A, kl, ku, top)
+            assert ab.shape == (top + kl + ku + 1, mesh.n_free)
+            np.testing.assert_array_equal(
+                dense_from_band(ab, kl, ku, top), oracle)
+            assert np.count_nonzero(ab) == np.count_nonzero(oracle)
 
 
 def test_mass_matrix_positive_definite(small_mixed_mesh, identity_field):

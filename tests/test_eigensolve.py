@@ -9,6 +9,8 @@ from cylspectra import asymptotics as asy
 from cylspectra import discretization as disc
 from cylspectra import eigensolve as es
 
+from conftest import dense_from_band
+
 RES = (16, 4)
 
 
@@ -90,7 +92,7 @@ class TestCrossSection:
             assert cross.converged and 1 <= cross.iterations
             assert cross.residual <= 1e-8 * cross.mu1
             e = disc._Q1(cross.x2_nodes)
-            K, M = (disc._csr(es._interior(G)).toarray()
+            K, M = (es._interior(G).toarray()
                     for G in (e.band(field.a22(e.points), e.dN, e.dN),
                               e.band(1.0, e.N, e.N)))
             lam = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
@@ -255,8 +257,8 @@ class TestLinearSpectrum:
         # to the shift 0 and the factor of K
         engine = es._minimize_quotient
 
-        def above_lam2(problem, u0, p, opts):
-            r = engine(problem, u0, p, opts)
+        def above_lam2(problem, u0, opts):
+            r = engine(problem, u0, opts)
             if isinstance(problem, es._PencilQuotient):
                 r = r._replace(lam=1.01 * lam2)
             return r
@@ -458,7 +460,7 @@ class TestMinimizeRayleigh:
         problem = section_problem(varying_a22(linear_field), 3.0, 16)
         w = np.cos(np.pi * np.linspace(-0.5, 0.5, 17)[1:-1])
         w[3] = np.nan
-        r = es._minimize_quotient(problem, w, 3.0, cs.SolveOptions())
+        r = es._minimize_quotient(problem, w, cs.SolveOptions())
         assert r.stop_reason == "no_descent" and r.iterations == 1
 
     def test_returns_best_iterate(self, monkeypatch, offdiag_field):
@@ -654,16 +656,6 @@ class TestMinimizeRayleigh:
         assert res <= opts.tol_residual * max(1.0, r.lam)
 
 
-def dense_from_band(ab, kl, ku, top):
-    """The matrix of LAPACK band storage: (i, j) at row top + ku + i - j."""
-    n = ab.shape[1]
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(max(0, i - kl), min(n, i + ku + 1)):
-            H[i, j] = ab[top + ku + i - j, j]
-    return H
-
-
 def section_problem(field, p, nx2):
     e = disc._Q1(np.linspace(-0.5, 0.5, nx2 + 1))
     return es._SectionQuotient(e, field.a22(e.points), p)
@@ -722,7 +714,7 @@ class TestNewton:
         S = problem.state(u)
         _, gE, _, gM = problem.gradient(S)
         for sigma in (0.0, 0.5):
-            es._shifted_step(problem, S, lam, gE - lam * gM, gM, sigma,
+            es._shifted_step(problem, u, S, lam, gE - lam * gM, gM, sigma,
                              problem.stiffness())
             assert np.array_equal(self.hessian(problem, u)[0], H)
 
@@ -762,26 +754,32 @@ class TestNewton:
         E, gE, m, gM = problem.gradient(S)
         lam = E / m
         H = self.hessian(problem, u)[0]
-        z, model = es._shifted_step(problem, S, lam, gE - lam * gM, gM, 0.0,
-                                    None)
+        z, model = es._shifted_step(problem, u, S, lam, gE - lam * gM, gM,
+                                    0.0, None)
         assert abs(gM @ z) <= 1e-10 * np.linalg.norm(gM) * np.linalg.norm(z)
         dz = float((gE - lam * gM) @ z) / m
         assert float(z @ H @ z) == pytest.approx(m * dz, rel=1e-8)
         assert model == pytest.approx(m * dz, rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["cylinder", "section"])
+    @pytest.mark.parametrize("kind", ["cylinder", "pencil", "section"])
     def test_step_matches_bordered_system(self, linear_field, kind):
-        # 8 cells each: 2 x 4 on the cylinder, 8 on the cross section; the
-        # oracle is the dense bordered system of E'' - lam m'' + s K
+        # 8 cells each: 2 x 4 on the cylinder and its p = 2 pencil, 8 on the
+        # cross section; the oracle is the dense bordered system of
+        # E'' - lam m'' + s K.  At sigma = 0 the step takes y = u / (p - 1)
+        # from homogeneity in place of a second solve
         p = 3.0
-        if kind == "cylinder":
-            mesh = cs.build_mesh(
-                cs.DomainSpec(cs.Shape.FULL_CYLINDER, 0.5, cs.BC.MIXED, 2, 4))
-            problem = es._CylinderQuotient(mesh, linear_field, p)
-            n = mesh.n_free
-        else:
+        if kind == "section":
             problem = section_problem(varying_a22(linear_field), p, 8)
             n = 7
+        else:
+            mesh = cs.build_mesh(
+                cs.DomainSpec(cs.Shape.FULL_CYLINDER, 0.5, cs.BC.MIXED, 2, 4))
+            n = mesh.n_free
+            if kind == "cylinder":
+                problem = es._CylinderQuotient(mesh, linear_field, p)
+            else:
+                problem = es._PencilQuotient(
+                    *disc._p2_diagonals(mesh, linear_field), mesh.n_cells2)
         rng = np.random.default_rng(8)
         u = 1.0 + rng.random(n)
         S = problem.state(u)
@@ -790,13 +788,18 @@ class TestNewton:
         g = gE - lam * gM
         A = self.hessian(problem, u)[0]
         Kd = problem.stiffness()
-        K = disc._csr(Kd).toarray()
+        K = Kd.toarray()
+        if kind == "pencil":
+            pair = cs.assemble_p2(mesh, linear_field)
+            np.testing.assert_allclose(
+                A, 2.0 * (pair.stiffness - lam * pair.mass).toarray(),
+                rtol=0, atol=1e-13 * np.abs(A).max())
         for sigma in (0.0, 0.3, 40.0):
             s = sigma * np.abs(np.diag(A)).max() / np.abs(np.diag(K)).max()
             bordered = np.block([[A + s * K, gM[:, None]],
                                  [gM[None, :], np.zeros((1, 1))]])
             z_ref = np.linalg.solve(bordered, np.concatenate([g, [0.0]]))[:n]
-            z, model = es._shifted_step(problem, S, lam, g, gM, sigma, Kd)
+            z, model = es._shifted_step(problem, u, S, lam, g, gM, sigma, Kd)
             assert np.allclose(z, z_ref, rtol=1e-9,
                                atol=1e-12 * np.abs(z_ref).max())
             assert model == pytest.approx(g @ z_ref + s * z_ref @ K @ z_ref,
