@@ -37,6 +37,6 @@ print(f"p-mass of the central slab block: {interior:.2e}")
 ident = cs.make_coefficients(cs.CoefficientFamily(cs.FamilyKind.IDENTITY))
 r0 = cs.linear_spectrum(mesh, ident, 1)[0]
 flat = cs.slab_integrals(mesh, ident, r0.field, 2.0)
-flat_fit = asy.fit_decay(flat, asy.default_window(ELL), oriented=True)
+flat_fit = asy.fit_decay(asy.orient_profile(flat), asy.default_window(ELL))
 print(f"\nidentity family: alpha = {flat_fit.alpha_hat:.6f}, "
       f"no_decay flag = {flat_fit.no_decay}")

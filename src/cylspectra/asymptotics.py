@@ -174,9 +174,10 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
 
 def _sweep_alpha(profile, ell):
     """Decay ratio for a sweep row; nan when the cylinder is too short."""
+    profile = orient_profile(profile)
     for window in (default_window(ell), (1, len(profile) // 2 - 1)):
         try:
-            return fit_decay(profile, window, oriented=True).alpha_hat
+            return fit_decay(profile, window).alpha_hat
         except ConfigurationError:
             continue
     return float("nan")
@@ -229,20 +230,19 @@ def orient_profile(profile: SlabProfile) -> SlabProfile:
     left = profile.p_mass[:k].sum()
     right = profile.p_mass[-k:].sum()
     if right > left:
-        return SlabProfile(profile.edges, profile.grad_energy[::-1],
-                           profile.p_mass[::-1], profile.a_energy[::-1])
+        return SlabProfile(profile.grad_energy[::-1], profile.p_mass[::-1],
+                           profile.a_energy[::-1])
     return profile
 
 
-def fit_decay(profile, window, oriented=False) -> DecayFit:
+def fit_decay(profile, window) -> DecayFit:
     """Least-squares geometric fit of the slab gradient energies.
 
-    Fits log(grad_energy) against the slab index from the dominant end over
-    `window` = (first, last) inclusive; `alpha_hat` is exp(slope).  A flat
-    profile comes back with alpha_hat = 1 and the `no_decay` flag.
+    Fits log(grad_energy) against the slab index (from the dominant end
+    after `orient_profile`) over `window` = (first, last) inclusive;
+    `alpha_hat` is exp(slope).  A flat profile comes back with alpha_hat = 1
+    and the `no_decay` flag.
     """
-    if oriented:
-        profile = orient_profile(profile)
     lo, hi = window
     hi = min(hi, len(profile) - 1)
     idx = np.arange(lo, hi + 1)
@@ -416,8 +416,8 @@ def end_mass_split(u: DiscreteField, mesh, coeffs, p) -> EndMassSplit:
         n_plus=float(ener[left].sum()), n_minus=float(ener[~left].sum()))
 
 
-def translate_distance(u_full: DiscreteField, u_half: DiscreteField, side,
-                       r, p) -> float:
+def translate_distance(u_full: DiscreteField, u_half: DiscreteField,
+                       side: Side, r, p) -> float:
     """L^p distance between an end profile and the half-cylinder minimizer.
 
     Both fields are restricted to the axial slab of width `r` at the end
@@ -437,7 +437,6 @@ def translate_distance(u_full: DiscreteField, u_half: DiscreteField, side,
     if n_cells > mesh_f.n_cells1 or n_cells > mesh_h.n_cells1:
         raise DimensionMismatchError("r exceeds a domain length")
 
-    side = side if isinstance(side, Side) else Side(side)
     grid_f = mesh_f.expand(u_full.values)
     grid_h = mesh_h.expand(u_half.values)
     if side is Side.PLUS:

@@ -36,7 +36,7 @@ from . import __version__
 from . import asymptotics as asy
 from .coeffs import (CoefficientFamily, FamilyKind, load_tabulated_csv,
                      make_coefficients, satisfies_symmetry_S)
-from .eigensolve import (Init, Side, SolveOptions, cross_section_ground_state,
+from .eigensolve import (Side, SolveOptions, cross_section_ground_state,
                          linear_spectrum)
 from .errors import ConfigurationError, SolverError
 from .mesh import MIN_NX2, BC, DomainSpec, Shape, build_mesh, slab_integrals
@@ -168,8 +168,6 @@ def _parse_solver(raw):
     opts = SolveOptions(
         tol_residual=sch.get("tol_residual", float, default=1e-8),
         max_iters=sch.get("max_iters", int, default=50000),
-        init=Init(sch.get("init", str, default="lifted_w",
-                          choices={i.value for i in Init})),
     )
     sch.finish()
     return opts
@@ -320,7 +318,7 @@ def _run_sweep(plan, outdir):
         "mu1": rows[-1].mu1,
         "gap_last": rows[-1].gap,
         "lambda_mixed_last": rows[-1].lambda_mixed,
-        "symmetry_S": satisfies_symmetry_S(plan.family, 1e-9),
+        "symmetry_S": satisfies_symmetry_S(plan.family),
     }
     return ["sweep.csv"], converged, summary
 
@@ -361,7 +359,7 @@ def _run_gap_check(plan, outdir):
         "mu1": cross.mu1,
         "poincare_cp": cross.poincare_cp,
         "ellipticity_margin": plan.family.lambda_margin,
-        "symmetry_S": satisfies_symmetry_S(plan.family, 1e-9),
+        "symmetry_S": satisfies_symmetry_S(plan.family),
         "gap_integral": gi.value,
         "a12_gradw_vanishes": gi.a12_gradw_vanishes,
         "slab_bound_as_printed": printed,
@@ -496,16 +494,13 @@ _RUNNERS = {
 
 def run_config(path, experiment, output_dir=None, threads=1):
     """Validate and execute one experiment config; returns (manifest, exit code)."""
+    # the config and the CSV it may name are read before any run directory
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
-        return None, EXIT_CONFIG
-    try:
         plan = RunPlan(cfg, experiment, cli_output_dir=output_dir)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: invalid config {path}: {exc}", file=sys.stderr)
         return None, EXIT_CONFIG
 
     started = _utc_now()

@@ -5,7 +5,8 @@ Built-in families realize the regimes of interest: `identity` (decoupled),
 `constant_offdiag` (two-sided gap, reflection symmetric), `linear_offdiag`
 (one-sided gap), `grad_aligned` (off-diagonal entry proportional to the
 derivative of the cross-section ground state), and `tabulated` (piecewise
-linear through user samples).
+linear through user samples).  `satisfies_symmetry_S` tests A(-x2) = A(x2)
+to the constant `SYMMETRY_TOL`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionMismatchError
 
 ELLIPTICITY_SAMPLES = 1024
+SYMMETRY_TOL = 1e-9
 
 
 class FamilyKind(enum.Enum):
@@ -115,15 +117,17 @@ def _tabulated_field(samples):
 
 
 def load_tabulated_csv(path) -> CoefficientField:
-    """Read a `x2,a11,a12,a22` CSV (sorted by x2 covering [-1/2, 1/2])."""
+    """Read a `x2,a11,a12,a22` CSV (sorted by x2 covering [-1/2, 1/2]); a
+    malformed one raises `ConfigurationError` naming `path`."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["x2", "a11", "a12", "a22"]:
-            raise ConfigurationError(
-                f"expected header x2,a11,a12,a22 in {path}, got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    return _tabulated_field(np.asarray(rows))
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows or [h.strip() for h in rows[0]] != ["x2", "a11", "a12", "a22"]:
+        raise ConfigurationError(
+            f"expected header x2,a11,a12,a22 in {path}, got {rows[:1]}")
+    try:
+        return _tabulated_field(np.array(rows[1:], dtype=float))
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def ellipticity_margin(field: CoefficientField) -> float:
@@ -135,13 +139,12 @@ def ellipticity_margin(field: CoefficientField) -> float:
     return float(np.min(0.5 * (a11 + a22) - radius))
 
 
-def satisfies_symmetry_S(field: CoefficientField, tol=1e-12) -> bool:
-    """True iff A(-x2) = A(x2) entrywise within `tol` on a symmetric sample."""
-    if not tol > 0:
-        raise ConfigurationError("tol must be positive")
+def satisfies_symmetry_S(field: CoefficientField) -> bool:
+    """True iff A(-x2) = A(x2) entrywise within `SYMMETRY_TOL` on a
+    symmetric sample."""
     x2 = np.linspace(0.0, 0.5, 257)
     for entry in (field.a11, field.a12, field.a22):
-        if np.max(np.abs(entry(-x2) - entry(x2))) > tol:
+        if np.max(np.abs(entry(-x2) - entry(x2))) > SYMMETRY_TOL:
             return False
     return True
 

@@ -530,8 +530,10 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
             v = -v
         elif rank > 0 and v[np.argmax(np.abs(v))] < 0.0:
             v = -v
-        v = v / np.sqrt(float(v @ (M @ v)))
-        res = 2.0 * float(np.max(np.abs(K @ v - lam * (M @ v))))
+        Mv = M @ v
+        norm = np.sqrt(float(v @ Mv))
+        v, Mv = v / norm, Mv / norm
+        res = 2.0 * float(np.max(np.abs(K @ v - lam * Mv)))
         results.append(EigenResult(
             lam, DiscreteField(v, mesh), steps, res, np.array([lam]),
             reason != "max_iters"

@@ -177,7 +177,6 @@ class SlabProfile:
     `a_energy` the coefficient-weighted energy, `p_mass` the p-th power mass.
     """
 
-    edges: np.ndarray
     grad_energy: np.ndarray
     p_mass: np.ndarray
     a_energy: np.ndarray
@@ -210,4 +209,4 @@ def slab_integrals(mesh, coeffs, u, p) -> SlabProfile:
     np.add.at(grad_e, slab_of, per_cell["grad_p"].sum(axis=1))
     np.add.at(mass, slab_of, per_cell["p_mass"].sum(axis=1))
     np.add.at(a_e, slab_of, per_cell["a_energy"].sum(axis=1))
-    return SlabProfile(mesh.slab_edges, grad_e, mass, a_e)
+    return SlabProfile(grad_e, mass, a_e)

@@ -269,7 +269,7 @@ def test_07_decay(fam, p):
     mesh, r = mixed_solve(*fam, p, ell)
     coef = coeffs(*fam)
     prof = cs.slab_integrals(mesh, coef, r.field, p)
-    fit = asy.fit_decay(prof, asy.default_window(ell), oriented=True)
+    fit = asy.fit_decay(asy.orient_profile(prof), asy.default_window(ell))
     mid = int(ell)  # unit slabs from -ell: slabs mid-2 .. mid+1 cover (-2, 2)
     central = float(prof.p_mass[mid - 2:mid + 2].sum())
     ok = 0.0 < fit.alpha_hat < 0.95 and fit.r_squared >= 0.98 and central < 0.05

@@ -46,30 +46,30 @@ def section_opts(monkeypatch):
 
 class TestFitDecay:
     def test_exact_geometric(self):
-        prof = cs.SlabProfile(np.arange(9), 0.5 ** np.arange(8),
-                              np.ones(8) / 8, 0.5 ** np.arange(8))
+        prof = cs.SlabProfile(0.5 ** np.arange(8), np.ones(8) / 8,
+                              0.5 ** np.arange(8))
         fit = asy.fit_decay(prof, (1, 6))
         assert fit.alpha_hat == pytest.approx(0.5, rel=1e-12)
         assert fit.r_squared == pytest.approx(1.0)
         assert not fit.no_decay
 
     def test_constant_profile_flagged(self):
-        prof = cs.SlabProfile(np.arange(7), np.ones(6), np.ones(6), np.ones(6))
+        prof = cs.SlabProfile(np.ones(6), np.ones(6), np.ones(6))
         fit = asy.fit_decay(prof, (0, 5))
         assert fit.alpha_hat == pytest.approx(1.0)
         assert fit.no_decay
 
     def test_orientation_picks_heavier_end(self):
         grad = 0.25 ** np.arange(8)
-        prof = cs.SlabProfile(np.arange(9), grad[::-1], grad[::-1], grad[::-1])
-        fit = asy.fit_decay(prof, (1, 6), oriented=True)
+        prof = cs.SlabProfile(grad[::-1], grad[::-1], grad[::-1])
+        fit = asy.fit_decay(asy.orient_profile(prof), (1, 6))
         assert fit.alpha_hat == pytest.approx(0.25, rel=1e-12)
 
     def test_window_validation(self):
-        prof = cs.SlabProfile(np.arange(5), np.ones(4), np.ones(4), np.ones(4))
+        prof = cs.SlabProfile(np.ones(4), np.ones(4), np.ones(4))
         with pytest.raises(ConfigurationError):
             asy.fit_decay(prof, (1, 2))
-        bad = cs.SlabProfile(np.arange(7), np.zeros(6), np.ones(6), np.ones(6))
+        bad = cs.SlabProfile(np.zeros(6), np.ones(6), np.ones(6))
         with pytest.raises(ConfigurationError):
             asy.fit_decay(bad, (0, 5))
 
@@ -131,6 +131,9 @@ class TestNuEstimate:
     def test_ladder_validation(self, offdiag_field):
         with pytest.raises(ConfigurationError):
             asy.nu_infinity_estimate(cs.Side.PLUS, offdiag_field, 2, [2, 4], RES)
+        with pytest.raises(ConfigurationError):
+            asy.nu_infinity_estimate(cs.Side.PLUS, offdiag_field, 2,
+                                     [2, 4, 4], RES)
 
 
 class TestGapIntegral:
@@ -179,6 +182,12 @@ class TestExpTest:
                                        [4, 8, 12], RES)
         val = asy.exp_test_upper_bound(0.05, cross, offdiag_field, 2)
         assert val >= est.extrapolated - 1e-8
+
+    def test_eps_must_be_positive(self, identity_field):
+        cross = cs.cross_section_ground_state(16, identity_field, 2)
+        for eps in (0.0, -0.1):
+            with pytest.raises(ConfigurationError):
+                asy.exp_test_upper_bound(eps, cross, identity_field, 2)
 
 
 class TestSlabBound:
@@ -361,6 +370,13 @@ class TestPicone:
         with pytest.raises(ConfigurationError):
             asy.picone_residual_min(u, cross, mesh, identity_field, 2)
 
+    def test_section_resolution_checked(self, identity_field):
+        mesh = mixed_mesh(2)
+        cross = cs.cross_section_ground_state(8, identity_field, 2)
+        u = cs.DiscreteField(np.ones(mesh.n_free), mesh)
+        with pytest.raises(DimensionMismatchError):
+            asy.picone_residual_min(u, cross, mesh, identity_field, 2)
+
 
 class TestTranslateDistance:
     def test_identical_fields_zero(self, offdiag_field):
@@ -395,3 +411,11 @@ class TestTranslateDistance:
             asy.translate_distance(r.field, other.field, cs.Side.PLUS, 2, 2)
         with pytest.raises(DimensionMismatchError):
             asy.translate_distance(r.field, r.field, cs.Side.PLUS, 10, 2)
+        # r = 1.1 is 4.4 cells of 1/4
+        with pytest.raises(DimensionMismatchError):
+            asy.translate_distance(r.field, r.field, cs.Side.PLUS, 1.1, 2)
+        narrow = cs.build_mesh(cs.DomainSpec(
+            cs.Shape.HALF_PLUS, 3, cs.BC.HALF_CYLINDER, 4, 8))
+        ones = cs.DiscreteField(np.ones(narrow.n_free), narrow)
+        with pytest.raises(DimensionMismatchError):
+            asy.translate_distance(r.field, ones, cs.Side.PLUS, 2, 2)

@@ -399,7 +399,7 @@ def test_invalid_solver_key_rejected(tmp_path):
     for key, value in (("tol_residua", 1e-6), ("tol_stagnation", 1e-12),
                        ("armijo_c", 1e-4), ("armijo_shrink", 0.5),
                        ("positivity_projection", True),
-                       ("precondition", True)):
+                       ("precondition", True), ("init", "lifted_w")):
         path = write_config(tmp_path, experiment="solve", ell=2.0,
                             solver={key: value},
                             output_dir=str(tmp_path / "runs"))
@@ -451,6 +451,49 @@ def test_tabulated_family_through_cli(tmp_path):
     run = next((tmp_path / "runs").iterdir())
     payload = json.loads((run / "solve.json").read_text())
     assert payload["lambda"] == pytest.approx(np.pi ** 2, rel=5e-3)  # a22 = 1
+
+
+@pytest.mark.parametrize("text", [
+    None, "", "x2,a11,a12,a22\n-0.5,1,0,1\n0.5,one,0,1\n",
+    "x2,a11,a12,a22\n-0.5,1,0,1\n0.5,1,0\n",
+], ids=["missing", "empty", "non_numeric", "ragged"])
+def test_bad_tabulated_csv_exits_2(tmp_path, capsys, text):
+    csv_path = tmp_path / "aniso.csv"
+    if text is not None:
+        csv_path.write_text(text)
+    path = write_config(
+        tmp_path, experiment="solve", shape="cross_section", bc="dirichlet",
+        family={"kind": "tabulated", "csv": str(csv_path)},
+        output_dir=str(tmp_path / "runs"))
+    assert cli.main(["solve", "--config", path]) == cli.EXIT_CONFIG
+    assert "aniso.csv" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("solve", [BASE], "must be a JSON object"),
+    ("solve", {"family": BASE["family"], "p": 2.0},
+     "missing key 'resolution'"),
+    ("ladder", dict(BASE, ells=[2, 3, 4], side="left"),
+     "'side' must be one of"),
+    ("solve", dict(BASE, p=1.5), "p must be >= 2"),
+    ("sweep", dict(BASE, ells=[2, 4, 4]), "strictly increasing"),
+    ("ladder", dict(BASE, ells=[2, 4]), "at least 3 lengths"),
+    ("spectrum", dict(BASE, ell=2.0, k=0), "k must be >= 1"),
+    ("spectrum", dict(BASE, ell=2.0, p=3.0), "requires p = 2"),
+    ("report", {"manifests": ["runs/a", 7]}, "list of paths"),
+    ("solve", dict(BASE, family={"kind": "tabulated"}), "'csv' path"),
+    ("solve", dict(BASE, solver={"tol_residual": 0}),
+     "tol_residual must be positive"),
+])
+def test_config_rejected_upfront(tmp_path, monkeypatch, capsys, command, cfg,
+                                 message):
+    # the default output directory "runs" lands in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", "cfg.json"]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_report_flags_broken_mass_split(tmp_path):

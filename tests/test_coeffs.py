@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cylspectra as cs
-from cylspectra.errors import ConfigurationError
+from cylspectra.errors import ConfigurationError, DimensionMismatchError
 
 
 def family(kind, c=0.0):
@@ -98,6 +98,23 @@ def test_tabulated_csv_bad_header(tmp_path):
     path.write_text("x,a,b,c\n-0.5,1,0,1\n0.5,1,0,1\n")
     with pytest.raises(ConfigurationError):
         cs.load_tabulated_csv(path)
+
+
+def test_tabulated_csv_empty(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ConfigurationError, match="empty.csv"):
+        cs.load_tabulated_csv(path)
+
+
+@pytest.mark.parametrize("samples, error", [
+    (((-0.5, 1, 0, 1), (0.5, 1, 0, 1), (0.5, 1, 0, 1)), ConfigurationError),
+    (((-0.5, 1, 0), (0.5, 1, 0)), DimensionMismatchError),
+], ids=["x2_not_increasing", "three_columns"])
+def test_tabulated_samples_validated(samples, error):
+    with pytest.raises(error):
+        cs.make_coefficients(
+            cs.CoefficientFamily(cs.FamilyKind.TABULATED, samples=samples))
 
 
 def test_tabulated_partial_cover_rejected():

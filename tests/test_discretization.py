@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 import cylspectra as cs
 from cylspectra import discretization as disc
-from cylspectra.errors import (AdmissibilityError, QuotientUndefinedError,
+from cylspectra.errors import (AdmissibilityError, DimensionMismatchError,
+                               QuotientUndefinedError,
                                UnsupportedExponentError)
 
 from conftest import dense_from_band, random_field
@@ -247,6 +248,16 @@ def test_lift_requires_mixed(identity_field):
     mesh = cs.build_mesh(
         cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.DIRICHLET_ALL, 4, 16))
     with pytest.raises(AdmissibilityError):
+        cs.lift_cross_section(cross, mesh)
+
+
+def test_field_and_section_sizes_checked(identity_field):
+    mesh = cs.build_mesh(
+        cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 16))
+    with pytest.raises(DimensionMismatchError):
+        cs.DiscreteField(np.ones(mesh.n_free + 1), mesh)
+    cross = cs.cross_section_ground_state(8, identity_field, 2)
+    with pytest.raises(DimensionMismatchError):
         cs.lift_cross_section(cross, mesh)
 
 

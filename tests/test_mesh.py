@@ -82,12 +82,15 @@ def test_refinement_keeps_boundary_semantics():
         assert not np.any(mesh.dirichlet_mask[0, 1:-1])
 
 
-def test_slab_sums_match_totals(identity_field):
-    mesh = cs.build_mesh(spec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
+# ell 2.25: 4.5 units long, so the last of the 5 slabs is half wide
+@pytest.mark.parametrize("ell, n_slabs", [(2, 4), (2.25, 5)])
+def test_slab_sums_match_totals(identity_field, ell, n_slabs):
+    mesh = cs.build_mesh(spec(cs.Shape.FULL_CYLINDER, ell, cs.BC.MIXED, 4, 8))
     rng = np.random.default_rng(3)
     u = cs.DiscreteField(rng.standard_normal(mesh.n_free), mesh)
     for p in (2.0, 3.0):
         prof = cs.slab_integrals(mesh, identity_field, u, p)
+        assert len(prof) == n_slabs
         total_mass = cs.p_mass(mesh, u, p)[0]
         total_grad = cs.grad_p_norm(mesh, u, p)
         assert prof.p_mass.sum() == pytest.approx(total_mass, rel=1e-12)
