@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discretization as disc
+from .coeffs import satisfies_symmetry_S
 from .discretization import DiscreteField
 from .eigensolve import (CrossSectionResult, EigenResult, Side,
                          SolveOptions, cross_section_ground_state,
@@ -128,15 +129,38 @@ def first_eigen(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
     return minimize_rayleigh(mesh, coeffs, p, opts, cross)
 
 
+def _half_pair(ell, resolution, coeffs, p, opts, cross):
+    """The PLUS and MINUS half-cylinder solves of one length.
+
+    Under symmetry S, A(-x2) = A(x2), the point reflection (x1, x2) ->
+    (-x1, -x2) maps the PLUS half cylinder onto the MINUS one and reverses
+    the order of the free DOFs, so a certified PLUS eigenvector, reversed,
+    is the MINUS start: the engine tests its residual on the MINUS problem
+    and steps on only where that test fails.  Otherwise, or where the PLUS
+    solve is uncertified, the MINUS solve starts from the lifted state as
+    the PLUS one does.  Both go through `half_cylinder_eigen`.
+    """
+    rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts,
+                             cross)
+    start = None
+    if rp.converged and satisfies_symmetry_S(coeffs):
+        start = rp.field.values[::-1]
+    rm = half_cylinder_eigen(Side.MINUS, ell, resolution, coeffs, p, opts,
+                             cross, start)
+    return rp, rm
+
+
 def sweep_lambda(ells, family_coeffs, p, resolution,
                  opts=None) -> list[SweepRow]:
     """Solve all four problems per length: one `SweepRow` per ell, in order.
 
     For each ell: the mixed and all-Dirichlet full-cylinder problems plus
-    both half-cylinder problems, all at the same cross resolution, together
-    with the cross-section value, the gap, the decay fit of the mixed
-    minimizer and its end-mass split.  Rows are independent; non-converged
-    solves are flagged in the row and the sweep continues.
+    both half-cylinder problems (`_half_pair`, so under symmetry S the
+    MINUS one starts from the reflected PLUS eigenvector), all at the same
+    cross resolution, together with the cross-section value, the gap, the
+    decay fit of the mixed minimizer and its end-mass split.  Rows are
+    independent; non-converged solves are flagged in the row and the sweep
+    continues.
     """
     ells = list(ells)
     if any(b <= a for a, b in zip(ells, ells[1:])):
@@ -150,10 +174,8 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
         mesh_d = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.DIRICHLET_ALL, cpu, nx2))
         r_m = first_eigen(mesh_m, family_coeffs, p, opts, cross)
         r_d = first_eigen(mesh_d, family_coeffs, p, opts, cross)
-        r_p = half_cylinder_eigen(Side.PLUS, ell, resolution, family_coeffs,
-                                  p, opts, cross)
-        r_mi = half_cylinder_eigen(Side.MINUS, ell, resolution, family_coeffs,
-                                   p, opts, cross)
+        r_p, r_mi = _half_pair(ell, resolution, family_coeffs, p, opts,
+                               cross)
 
         profile = slab_integrals(mesh_m, family_coeffs, r_m.field, p)
         alpha = _sweep_alpha(profile, ell)
@@ -334,19 +356,18 @@ def beta2_upper_bound(ell, resolution, coeffs, p, opts=None,
                       cross=None) -> Beta2Bound:
     """Upper bound for the second min-max eigenvalue from disjoint supports.
 
-    Two half-cylinder solves, both started from `cross` (the cross-section
-    ground state, solved here when not given); functions supported on the
-    two halves have disjoint support, so the larger of the two first
-    eigenvalues bounds the second min-max value of the full cylinder.  The
-    bound is certified (`converged`) when both solves are.
+    The two half-cylinder solves of `_half_pair`, from `cross` (the
+    cross-section ground state, solved here when not given) or, for MINUS
+    under symmetry S, from the reflected PLUS eigenvector; functions
+    supported on the two halves have disjoint support, so the larger of
+    the two first eigenvalues bounds the second min-max value of the full
+    cylinder.  The bound is certified (`converged`) when both solves are,
+    each on its own residual.
     """
     opts = opts or SolveOptions()
     if cross is None:
         cross = cross_section_ground_state(resolution[0], coeffs, p, opts)
-    rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts,
-                             cross)
-    rm = half_cylinder_eigen(Side.MINUS, ell, resolution, coeffs, p, opts,
-                             cross)
+    rp, rm = _half_pair(ell, resolution, coeffs, p, opts, cross)
     return Beta2Bound(max(rp.lam, rm.lam), rp, rm,
                       rp.converged and rm.converged)
 

@@ -414,8 +414,7 @@ def _run_report(plan, outdir):
             txt.append(f"[absent] {path}")
             csv_rows.append((path, "status", "absent"))
             continue
-        with open(mpath) as fh:
-            manifest = json.load(fh)
+        manifest = _read_manifest(mpath)
         n_section += 1
         exp = manifest.get("experiment", "?")
         section = f"{exp}#{n_section}"
@@ -476,11 +475,34 @@ _SWEEP_CELLS = {"family": str, "iterations": int,
                 "converged": lambda v: v == "true"}
 
 
+def _read_manifest(path):
+    """A run manifest as a dict; `ConfigurationError` naming `path` where it
+    is not a JSON object whose `results`, if any, are one too."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"manifest {path}: {exc}") from exc
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("results", {}), dict)):
+        raise ConfigurationError(f"manifest {path} is not a run manifest")
+    return manifest
+
+
 def _read_sweep_csv(path):
+    """The rows of a `sweep.csv`; `ConfigurationError` naming `path` where
+    it has no rows or they do not fit the sweep schema."""
     with open(path, newline="") as fh:
+        lines = [line for line in csv.reader(fh) if line]
+    header = SWEEP_HEADER.split(",")
+    if (len(lines) < 2 or lines[0] != header
+            or any(len(line) != len(header) for line in lines[1:])):
+        raise ConfigurationError(f"{path} is not a sweep table with rows")
+    try:
         return [{key: _SWEEP_CELLS.get(key, float)(val)
-                 for key, val in row.items()}
-                for row in csv.DictReader(fh)]
+                 for key, val in zip(header, line)} for line in lines[1:]]
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 # the one list of commands: `RunPlan` checks a declared experiment against

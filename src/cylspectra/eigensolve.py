@@ -321,6 +321,7 @@ class _CylinderQuotient:
         self.A = coeffs.entries(self.core.e2.points)
         self._at = None, None
         self._hessian = self._band = None
+        self._hessian_lam = None  # lam of `_hessian`, None once S moves on
 
     def state(self, u):
         return self.core.state(self.mesh.expand(u))
@@ -332,6 +333,7 @@ class _CylinderQuotient:
         E, gE, m, gM, point = disc._eval_full(self.mesh, self.A, S, self.p,
                                               disc._RULE)
         self._at = S, point
+        self._hessian_lam = None
         return E, gE, m, gM
 
     def _point(self, S):
@@ -341,9 +343,14 @@ class _CylinderQuotient:
         return self._at[1]
 
     def hessian(self, S, lam):
-        # one DIA array and one band per solve, overwritten by each factoring
-        self._hessian = disc._eval_hessian(self.mesh, self.A, self._point(S),
-                                           S, lam, self.p, self._hessian)
+        # one DIA array and one band per solve: each factoring overwrites
+        # the band, refilled here, and a retry at the same S and lam
+        # reuses the array
+        point = self._point(S)
+        if lam != self._hessian_lam:
+            self._hessian = disc._eval_hessian(self.mesh, self.A, point, S,
+                                               lam, self.p, self._hessian)
+            self._hessian_lam = lam
         bw = self.mesh.n_cells2
         self._band = disc.lapack_band(self._hessian, bw, bw, bw, self._band)
         return self._band
@@ -352,21 +359,25 @@ class _CylinderQuotient:
         return disc._p2_diagonals(self.mesh, self.coeffs)[0]
 
 
-def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
+def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
+                      start=None) -> EigenResult:
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
 
     Newton steps shifted by the p = 2 stiffness matrix under a trust-region
-    ratio test (`_minimize_quotient`).  Stops when the projected gradient
-    falls below ``tol_residual * max(1, |lambda|)`` in the max norm, when
-    no trial step descends, or at `max_iters`; `stop_reason` says which,
-    and `converged` is true only for the residual exit.  A non-converged
-    run is returned flagged rather than raised, so parameter sweeps can
-    record partial data.
+    ratio test (`_minimize_quotient`), from `start` (free DOFs, any scale)
+    when given, else from `_lifted_start`.  Stops when the projected
+    gradient falls below ``tol_residual * max(1, |lambda|)`` in the max
+    norm, when no trial step descends, or at `max_iters`; `stop_reason`
+    says which, and `converged` is true only for the residual exit, tested
+    on this problem whatever the start.  A non-converged run is returned
+    flagged rather than raised, so parameter sweeps can record partial
+    data.
     """
     opts = opts or SolveOptions()
-    u0 = _lifted_start(mesh, coeffs, p, opts, cross)
+    if start is None:
+        start = _lifted_start(mesh, coeffs, p, opts, cross)
     return _eigen_result(mesh, _minimize_quotient(
-        _CylinderQuotient(mesh, coeffs, p), u0, opts))
+        _CylinderQuotient(mesh, coeffs, p), start, opts))
 
 
 def _lifted_start(mesh, coeffs, p, opts, cross):
@@ -432,15 +443,15 @@ class _PencilQuotient:
 _SHIFT_MARGIN = 1e-3
 
 
-def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
+def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     """k smallest eigenpairs of the p = 2 pencil (K, M).
 
     k = 1 runs the descent engine (`_minimize_quotient`) on the pencil
-    quotient u.Ku / u.Mu from the lifted start of `minimize_rayleigh`,
-    built from `cross` (the p = 2 cross-section ground state, solved here
-    when not given).  Its unshifted step is Rayleigh-quotient iteration,
-    one banded LU solve of K - lam M; the shift sigma K enters only after a
-    rejected step.  The result carries the engine's certificate:
+    quotient u.Ku / u.Mu from `start` (free DOFs, any scale) when given,
+    else from the lifted start of `minimize_rayleigh`, built from `cross`
+    (the p = 2 cross-section ground state, solved here when not given).
+    Its unshifted step is Rayleigh-quotient iteration, one banded LU solve
+    of K - lam M; the shift sigma K enters only after a rejected step.  The result carries the engine's certificate:
     `stop_reason` "residual" (then `converged`), "no_descent" or
     "max_iters", the max norm of 2 (K u - lam M u) / u.Mu as
     `final_residual`, tested against ``tol_residual * max(1, |lambda|)``,
@@ -487,9 +498,9 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None):
         lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         reason = "dense"
     else:
-        first = _minimize_quotient(
-            _PencilQuotient(K, M, bw),
-            _lifted_start(mesh, coeffs, 2.0, opts, cross), opts)
+        if start is None:
+            start = _lifted_start(mesh, coeffs, 2.0, opts, cross)
+        first = _minimize_quotient(_PencilQuotient(K, M, bw), start, opts)
         if k == 1:
             return [_eigen_result(mesh, first)]
         steps, factorizations = first.iterations, first.factorizations + 1
@@ -573,22 +584,24 @@ def _krylov_ritz(K, M, apply_inverse, k):
 
 
 def half_cylinder_eigen(side, ell, resolution, coeffs, p,
-                        opts=None, cross=None) -> EigenResult:
+                        opts=None, cross=None, start=None) -> EigenResult:
     """First eigenvalue of the half cylinder with a Dirichlet far end.
 
     `side` PLUS is (0, ell) with the natural end at 0; MINUS is (-ell, 0)
     with the natural end at 0.  For p = 2 the assembled pencil is solved
     (`linear_spectrum`), otherwise the cylinder quotient is descended
-    (`minimize_rayleigh`); both start from the lifted quarter-wave state,
-    built from `cross` when given.
+    (`minimize_rayleigh`); both start from `start`, a vector over the free
+    DOFs of that half cylinder, when given, else from the lifted
+    quarter-wave state, built from `cross` when given.  The residual test
+    certifies the result on this half cylinder either way.
     """
     opts = opts or SolveOptions()
     nx2, cpu = resolution
     shape = Shape.HALF_PLUS if side is Side.PLUS else Shape.HALF_MINUS
     mesh = build_mesh(DomainSpec(shape, ell, BC.HALF_CYLINDER, cpu, nx2))
     if p == 2:
-        return linear_spectrum(mesh, coeffs, 1, opts, cross)[0]
-    return minimize_rayleigh(mesh, coeffs, p, opts, cross)
+        return linear_spectrum(mesh, coeffs, 1, opts, cross, start)[0]
+    return minimize_rayleigh(mesh, coeffs, p, opts, cross, start)
 
 
 # ---------------------------------------------------------------------------

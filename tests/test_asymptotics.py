@@ -3,6 +3,8 @@ import pytest
 
 import cylspectra as cs
 from cylspectra import asymptotics as asy
+from cylspectra import discretization as disc
+from cylspectra import eigensolve as es
 from cylspectra.errors import ConfigurationError, DimensionMismatchError
 
 RES = (16, 4)
@@ -342,6 +344,104 @@ class TestBeta2:
     def test_quarter_wave_identity(self, identity_field):
         val = asy.beta2_upper_bound(2, (32, 8), identity_field, 2).value
         assert val == pytest.approx(np.pi ** 2 + (np.pi / 4) ** 2, rel=2e-3)
+
+
+def record_half_solves(monkeypatch):
+    """Records (side, start given, result) of every half-cylinder solve
+    that `asy` makes through its `half_cylinder_eigen`."""
+    solves = []
+    solve = asy.half_cylinder_eigen
+
+    def recording(side, *args, **kwargs):
+        r = solve(side, *args, **kwargs)
+        start = args[6] if len(args) > 6 else kwargs.get("start")
+        solves.append((side, start is not None, r))
+        return r
+
+    monkeypatch.setattr(asy, "half_cylinder_eigen", recording)
+    return solves
+
+
+def fresh_residual(r, coeffs, p):
+    """The residual of a half-cylinder result, recomputed by a quotient
+    built afresh on the MINUS mesh: max|gE - lam gM| / m and its lam."""
+    mesh = r.field.mesh
+    if p == 2:
+        K, M = disc._p2_diagonals(mesh, coeffs)
+        problem = es._PencilQuotient(K, M, mesh.n_cells2)
+    else:
+        problem = es._CylinderQuotient(mesh, coeffs, p)
+    E, gE, m, gM = problem.gradient(problem.state(r.field.values))
+    lam = E / m
+    return float(np.max(np.abs(gE - lam * gM))) / m, lam
+
+
+def near_symmetric_tabulated():
+    """COD 0.3 as a table whose a12 is odd-perturbed by 4e-10 at the
+    section ends: symmetric only to within `SYMMETRY_TOL`."""
+    x2 = np.linspace(-0.5, 0.5, 9)
+    rows = [(x, 1.0, 0.3 + 4e-10 * x, 1.0) for x in x2]
+    return cs.make_coefficients(cs.CoefficientFamily(
+        cs.FamilyKind.TABULATED, samples=tuple(rows)))
+
+
+class TestMirroredMinus:
+    """Under symmetry S the MINUS half cylinder starts from the reflected
+    PLUS eigenvector; its certificate is its own residual."""
+
+    @pytest.mark.parametrize("family", ["offdiag_field", "identity_field"])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_symmetric_minus_from_the_mirror(self, monkeypatch, request,
+                                             family, p):
+        coeffs = request.getfixturevalue(family)
+        opts = cs.SolveOptions()
+        solves = record_half_solves(monkeypatch)
+        row = asy.sweep_lambda([3], coeffs, p, RES)[0]
+        bound = asy.beta2_upper_bound(3, RES, coeffs, p)
+        assert [(side, given) for side, given, _ in solves] == [
+            (cs.Side.PLUS, False), (cs.Side.MINUS, True)] * 2
+        lifted = cs.half_cylinder_eigen(cs.Side.MINUS, 3, RES, coeffs, p)
+        for minus in (solves[1][2], bound.minus):
+            assert minus.converged and minus.stop_reason == "residual"
+            assert minus.iterations == minus.factorizations == 0
+            assert minus.lam == pytest.approx(lifted.lam, rel=1e-12)
+            res, lam = fresh_residual(minus, coeffs, p)
+            assert lam == pytest.approx(minus.lam, rel=1e-14)
+            assert res <= opts.tol_residual * max(1.0, abs(lam))
+        assert row.lambda_half_minus == solves[1][2].lam
+        assert bound.minus is solves[3][2]
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_asymmetric_family_solves_from_the_lift(self, monkeypatch,
+                                                    linear_field, p):
+        solves = record_half_solves(monkeypatch)
+        asy.sweep_lambda([3], linear_field, p, RES)
+        asy.beta2_upper_bound(3, RES, linear_field, p)
+        lifted = cs.half_cylinder_eigen(cs.Side.MINUS, 3, RES, linear_field, p)
+        assert [given for _, given, _ in solves] == [False] * 4
+        for _, _, minus in solves[1::2]:
+            assert minus.lam == lifted.lam
+            assert np.array_equal(minus.field.values, lifted.field.values)
+            assert minus.iterations == lifted.iterations > 0
+            assert minus.factorizations == lifted.factorizations
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_near_symmetric_table_certified(self, p):
+        coeffs = near_symmetric_tabulated()
+        assert cs.satisfies_symmetry_S(coeffs)
+        opts = cs.SolveOptions()
+        bound = asy.beta2_upper_bound(3, RES, coeffs, p, opts)
+        lifted = cs.half_cylinder_eigen(cs.Side.MINUS, 3, RES, coeffs, p)
+        assert bound.converged and bound.minus.converged
+        res, lam = fresh_residual(bound.minus, coeffs, p)
+        assert res <= opts.tol_residual * max(1.0, abs(lam))
+        assert bound.minus.lam == pytest.approx(lifted.lam, rel=1e-9)
+
+    def test_uncertified_plus_not_mirrored(self, monkeypatch, offdiag_field):
+        solves = record_half_solves(monkeypatch)
+        asy.beta2_upper_bound(3, RES, offdiag_field, 3,
+                              cs.SolveOptions(max_iters=1))
+        assert [given for _, given, _ in solves] == [False, False]
 
 
 class TestPicone:

@@ -516,6 +516,50 @@ def test_report_flags_broken_mass_split(tmp_path):
     assert "mass_split_identity,fail" in (out / "report.csv").read_text()
 
 
+def _sweep_table(**cells):
+    row = {name: "1" for name in cli.SWEEP_HEADER.split(",")}
+    row.update(family="identity", iterations="3", converged="true", **cells)
+    return (cli.SWEEP_HEADER + "\n"
+            + ",".join(row[k] for k in cli.SWEEP_HEADER.split(",")) + "\n")
+
+
+@pytest.mark.parametrize("manifest, table, bad", [
+    ("{not json", None, "manifest.json"),
+    ("[1, 2]", None, "manifest.json"),
+    ('{"experiment": "solve", "results": [1]}', None, "manifest.json"),
+    ('{"experiment": "sweep"}', "", "sweep.csv"),
+    ('{"experiment": "sweep"}', "ell,p\n2,3\n", "sweep.csv"),
+    ('{"experiment": "sweep"}', cli.SWEEP_HEADER + "\n", "sweep.csv"),
+    ('{"experiment": "sweep"}', _sweep_table(mu1="x"), "sweep.csv"),
+    ('{"experiment": "sweep"}', _sweep_table().rsplit(",", 1)[0] + "\n",
+     "sweep.csv"),
+], ids=["not-json", "array", "results-array", "empty-table", "other-header",
+        "no-rows", "non-numeric", "short-row"])
+def test_report_on_bad_manifest_exits_2_with_manifest(tmp_path, manifest,
+                                                      table, bad):
+    # a malformed input of the report is a config error naming the file,
+    # recorded in the report's own manifest; a good run listed first
+    # changes nothing
+    good = tmp_path / "good"
+    good.mkdir()
+    (good / "manifest.json").write_text(json.dumps({"experiment": "sweep"}))
+    (good / "sweep.csv").write_text(_sweep_table(d_plus="0.5", d_minus="0.5"))
+    run = tmp_path / "broken"
+    run.mkdir()
+    (run / "manifest.json").write_text(manifest)
+    if table is not None:
+        (run / "sweep.csv").write_text(table)
+    cfg = tmp_path / "report.json"
+    cfg.write_text(json.dumps({"experiment": "report",
+                               "manifests": [str(good), str(run)],
+                               "output_dir": str(tmp_path / "runs")}))
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    out = next((tmp_path / "runs").iterdir())
+    record = json.loads((out / "manifest.json").read_text())
+    assert record["converged"] is False and record["outputs"] == []
+    assert str(run / bad) in record["error"]
+
+
 def test_solver_failure_exits_4_with_manifest(tmp_path, monkeypatch):
     from cylspectra.errors import SolverError
 

@@ -532,6 +532,40 @@ class TestMinimizeRayleigh:
         assert len(calls) == builds
         assert (r.factorizations == r.iterations) == (builds == 0)
 
+    def test_retry_reuses_the_hessian(self, monkeypatch, offdiag_field):
+        # a rejected step refills the band from the Hessian of its iterate,
+        # built once per iterate, and the solve is bit for bit the one that
+        # rebuilds it for every factorization
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 32))
+        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
+        builds, cells = [], disc._hessian_cells
+
+        def counted(core, A, point, state, lam, p):
+            builds.append((state[0][:4].copy(), lam))
+            return cells(core, A, point, state, lam, p)
+
+        monkeypatch.setattr(disc, "_hessian_cells", counted)
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3, cross=cross)
+        assert r.stop_reason == "residual"
+        assert r.factorizations > r.iterations == len(builds)
+        distinct = {(state.tobytes(), lam) for state, lam in builds}
+        assert len(distinct) == len(builds)
+
+        hessian = es._CylinderQuotient.hessian
+
+        def rebuilt(self, S, lam):
+            self._hessian_lam = None
+            return hessian(self, S, lam)
+
+        builds.clear()
+        monkeypatch.setattr(es._CylinderQuotient, "hessian", rebuilt)
+        again = cs.minimize_rayleigh(mesh, offdiag_field, 3, cross=cross)
+        assert len(builds) == again.factorizations == r.factorizations
+        assert again.lam == r.lam and again.iterations == r.iterations
+        assert np.array_equal(again.field.values, r.field.values)
+        assert np.array_equal(again.rayleigh_history, r.rayleigh_history)
+
     @pytest.mark.parametrize("family, p, ell, kind, bound", [
         ("offdiag_field", 3.0, 12, "mixed", 25),
         ("linear_field", 4.0, 8, "mixed", 25),
@@ -920,6 +954,30 @@ class TestHalfCylinder:
         plus = cs.half_cylinder_eigen(cs.Side.PLUS, 3, RES, offdiag_field, p)
         minus = cs.half_cylinder_eigen(cs.Side.MINUS, 3, RES, offdiag_field, p)
         assert abs(plus.lam - minus.lam) < 1e-8
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_start_is_certified_on_its_own_side(self, linear_field, p):
+        # the reflected PLUS eigenvector of the one-sided family is no
+        # MINUS eigenvector: from it the engine steps on to the lifted
+        # start's eigenvalue and certifies only there
+        plus = cs.half_cylinder_eigen(cs.Side.PLUS, 3, RES, linear_field, p)
+        lifted = cs.half_cylinder_eigen(cs.Side.MINUS, 3, RES, linear_field, p)
+        minus = cs.half_cylinder_eigen(cs.Side.MINUS, 3, RES, linear_field, p,
+                                       start=plus.field.values[::-1])
+        assert minus.iterations > 0 and minus.factorizations > 0
+        assert minus.converged
+        assert minus.lam == pytest.approx(lifted.lam, rel=1e-9)
+        assert abs(plus.lam - lifted.lam) > 1e-3 * lifted.lam
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_start_replaces_the_lift(self, monkeypatch, offdiag_field, p):
+        # a given start builds no cross-section state or lift
+        monkeypatch.setattr(es, "_lifted_start", None)
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.HALF_PLUS, 2,
+                                           cs.BC.HALF_CYLINDER, 4, 16))
+        r = cs.half_cylinder_eigen(cs.Side.PLUS, 2, RES, offdiag_field, p,
+                                   start=np.ones(mesh.n_free))
+        assert r.converged and r.field.mesh.n_free == mesh.n_free
 
     def test_positive_minimizer(self, offdiag_field):
         r = cs.half_cylinder_eigen(cs.Side.PLUS, 2, RES, offdiag_field, 3)
