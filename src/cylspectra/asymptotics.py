@@ -266,6 +266,8 @@ def fit_decay(profile, window) -> DecayFit:
     and the `no_decay` flag.
     """
     lo, hi = window
+    if lo < 0:  # numpy would wrap it around from the far end
+        raise ConfigurationError(f"decay window {window} starts below slab 0")
     hi = min(hi, len(profile) - 1)
     idx = np.arange(lo, hi + 1)
     if idx.size < 3:

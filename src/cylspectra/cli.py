@@ -7,7 +7,7 @@ Numeric output is serialized with 17 significant digits, so repeated runs
 of the same config produce byte-identical CSV files.  An uncertified solve
 is recorded, not raised: `converged` is false in the manifest (and in
 `solve.json`), also where the uncertified solve is the cross section's,
-and the run exits 0.
+that of the `grad_aligned` family included, and the run exits 0.
 
 Commands and their artifacts:
   solve      solve.json   {lambda, iterations, residual, converged}
@@ -143,7 +143,9 @@ _SHAPES = {"full": Shape.FULL_CYLINDER, "half_plus": Shape.HALF_PLUS,
 _BCS = {"mixed": BC.MIXED, "dirichlet": BC.DIRICHLET_ALL, "half": BC.HALF_CYLINDER}
 
 
-def _parse_family(raw, p, nx2):
+def _parse_family(raw, p, nx2, opts):
+    """The coefficient field, and whether the section solve it is built
+    from (`grad_aligned`'s identity section, run with `opts`) is certified."""
     sch = _Schema(raw, "family")
     kind = sch.get("kind", str, required=True, choices=set(_FAMILY_KINDS))
     c = sch.get("c", float, default=0.0)
@@ -153,12 +155,13 @@ def _parse_family(raw, p, nx2):
     if kind is FamilyKind.TABULATED:
         if csv_path is None:
             raise ConfigurationError("tabulated family needs a 'csv' path")
-        return load_tabulated_csv(csv_path)
+        return load_tabulated_csv(csv_path), True
     if kind is FamilyKind.GRAD_ALIGNED:
         ident = make_coefficients(CoefficientFamily(FamilyKind.IDENTITY))
-        cross = cross_section_ground_state(nx2, ident, p)
-        return make_coefficients(CoefficientFamily(kind, c), cross=cross)
-    return make_coefficients(CoefficientFamily(kind, c))
+        cross = cross_section_ground_state(nx2, ident, p, opts)
+        return (make_coefficients(CoefficientFamily(kind, c), cross=cross),
+                cross.converged)
+    return make_coefficients(CoefficientFamily(kind, c)), True
 
 
 def _parse_solver(raw):
@@ -185,6 +188,7 @@ class RunPlan:
                 f"config declares experiment {declared!r}, command is {experiment!r}")
         self.experiment = experiment
         self.config_echo = cfg
+        self.family_converged = True  # a report reads no family
         self.output_dir = cli_output_dir or sch.get("output_dir", str, default="runs")
         sch.get("seed", int)  # accepted and unused: no start is random
 
@@ -208,8 +212,9 @@ class RunPlan:
         if self.p < 2:
             raise ConfigurationError(f"p must be >= 2, got {self.p}")
         self.opts = _parse_solver(sch.get("solver", dict, default=None))
-        self.family = _parse_family(sch.get("family", dict, required=True),
-                                    self.p, self.nx2)
+        self.family, self.family_converged = _parse_family(
+            sch.get("family", dict, required=True), self.p, self.nx2,
+            self.opts)
 
         if experiment == "solve":
             self.shape = _SHAPES[sch.get("shape", str, default="full",
@@ -537,6 +542,7 @@ def run_config(path, experiment, output_dir=None, threads=1):
     error, code = None, EXIT_OK
     try:
         outputs, converged, results = _RUNNERS[experiment](plan, outdir)
+        converged = converged and plan.family_converged
     except OSError as exc:
         error, code = f"I/O failure during run: {exc}", EXIT_IO
     except ConfigurationError as exc:

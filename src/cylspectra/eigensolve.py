@@ -146,8 +146,8 @@ def _minimize_quotient(problem, u0, opts):
     quadrature pass of a nodal vector, `value(S) -> (E, m)` and
     `gradient(S) -> (E, gE, m, gM)` evaluate a state, the gradient through
     the adjoint passes only, `hessian(S, lam)` gives the matrix
-    E'' - lam m'' at S in the band storage of `gbsv`, `stiffness()` the
-    SPD p = 2 stiffness K of the same problem as a `dia_array`, and `p` is
+    E'' - lam m'' at S and `stiffness()` the SPD p = 2 stiffness K of the
+    same problem, both as `dia_array`s with the same offsets, and `p` is
     the exponent.  A state is a tuple of arrays, linear in u.  The
     iterate is kept p-normalized; the accepted Rayleigh values form a
     nonincreasing history.  The residual is the max norm of the quotient
@@ -164,13 +164,13 @@ def _minimize_quotient(problem, u0, opts):
     decrease is at least _ACCEPT of the model's d.z/2 + sigma z.Kz/2, and
     sigma then shrinks by _SHIFT_FACTOR if the ratio exceeds _AGREE.
     Otherwise, or where the matrix is singular, sigma grows by that factor
-    (from 0 to _SHIFT_FIRST) and H is assembled and factored again at the
-    same iterate, with no new gradient pass.  sigma starts at 0, and K is
-    built when sigma first becomes nonzero.  A model decrease at most
-    _ROUNDING |lam| is below the rounding of the quotient: that step is
-    taken untested, and the residual judges it.  A step costs one forward
-    pass, the state of u - z, whose value the ratio test reads; the
-    accepted trial, scaled to unit p-mass, is the next state.
+    (from 0 to _SHIFT_FIRST) and the solve's one band is refilled from the
+    iterate's H, built once per iterate, and factored again.  sigma starts
+    at 0, and K is built when sigma first becomes nonzero.  A model
+    decrease at most _ROUNDING |lam| is below the rounding of the quotient:
+    that step is taken untested, and the residual judges it.  A step costs
+    one forward pass, the state of u - z, whose value the ratio test reads;
+    the accepted trial, scaled to unit p-mass, is the next state.
 
     Stops on "residual" (the residual test passed: the only certified
     exit), "no_descent" (a step below the quotient's rounding did not lower
@@ -197,7 +197,7 @@ def _minimize_quotient(problem, u0, opts):
     history = [lam]
     best = None
     reason = "max_iters"
-    sigma, K = 0.0, None  # K is built when a shift first needs it
+    sigma, K, band = 0.0, None, None  # K is built when a shift needs it
     blind = False         # the last step was below the quotient's rounding
     it = factorizations = 0
     while True:
@@ -215,12 +215,12 @@ def _minimize_quotient(problem, u0, opts):
             break
         it += 1
 
-        trial = None
+        A, trial = problem.hessian(S, lam), None
         while trial is None:
             if sigma and K is None:
                 K = problem.stiffness()
             factorizations += 1
-            z, model = _shifted_step(problem, u, S, lam, g, gM, sigma, K)
+            z, model, band = _shifted_step(u, p, g, gM, A, sigma, K, band)
             pred = model / (2.0 * m)
             if pred > 0.0:
                 Sv = _along(S, problem.state(z), 1.0)
@@ -259,41 +259,42 @@ def _minimize_quotient(problem, u0, opts):
                     factorizations)
 
 
-def _shifted_step(problem, u, S, lam, g, gM, sigma, K):
-    """The step z of u - z at the state S of u, with g = gE - lam gM.
+def _shifted_step(u, p, g, gM, A, sigma, K, band):
+    """The step z of u - z for the p-homogeneous quotient at u.
 
-    Solves (A + s K) z = g - mu gM with gM.z = 0 for A = E'' - lam m''
-    (`problem.hessian`, m times the quotient's H) and the shift s = sigma
-    max|diag A| / max|diag K|, K the `dia_array` of `problem.stiffness`
-    (unused at sigma = 0), added to the band of A in place.  With
+    Solves (A + s K) z = g - mu gM with gM.z = 0 for g = gE - lam gM, A the
+    `dia_array` E'' - lam m'' (m times the quotient's H), K the stiffness
+    on A's offsets (unused at sigma = 0) and s = sigma max|diag A| /
+    max|diag K|.  A + s K fills `band`, the solve's `gbsv` band of width
+    max(A.offsets), allocated when None; A is left as it is.  With
     x = (A + s K)^{-1} gM and y = (A + s K)^{-1} g, z = y - (gM.y / gM.x) x;
-    one `gbsv` factorization gives x and, at s > 0, y.  At s = 0, y = u /
-    (p - 1), since E and m are homogeneous of degree p.  As z.(A + s K) z =
-    g.z, the quadratic model of the quotient decreases by (g.z + s z.Kz) /
-    (2 m) along the step.  Returns (z, g.z + s z.Kz), or (None, nan) where
-    the matrix is singular or the step is not finite.
+    one factorization gives x and, at s > 0, y.  At s = 0, y = u / (p - 1),
+    since E and m are homogeneous of degree p.  As z.(A + s K) z = g.z, the
+    quadratic model of the quotient decreases by (g.z + s z.Kz) / (2 m)
+    along the step.  Returns (z, g.z + s z.Kz, band), or (None, nan, band)
+    where the matrix is singular or the step is not finite.
     """
-    ab = problem.hessian(S, lam)
-    bw = (ab.shape[0] - 1) // 3
+    bw = int(max(A.offsets))
+    band = disc.lapack_band(A, bw, bw, bw, band)
     s = 0.0
     if sigma:
-        s = sigma * np.max(np.abs(ab[2 * bw])) / np.max(np.abs(K.diagonal()))
-        disc.add_to_band(ab, K, s, bw, bw, bw)
+        s = sigma * np.max(np.abs(A.diagonal())) / np.max(np.abs(K.diagonal()))
+        disc.add_to_band(band, K, s, bw, bw, bw)
     rhs = np.array((gM, g) if s else (gM,)).T  # in Fortran order
-    xy, info = scipy.linalg.lapack.dgbsv(bw, bw, ab, rhs, overwrite_ab=1,
+    xy, info = scipy.linalg.lapack.dgbsv(bw, bw, band, rhs, overwrite_ab=1,
                                          overwrite_b=1)[2:]
     x = xy[:, 0]
-    y = xy[:, 1] if s else u / (problem.p - 1.0)
+    y = xy[:, 1] if s else u / (p - 1.0)
     gx = float(gM @ x)
     if info != 0 or gx == 0.0:
-        return None, np.nan
+        return None, np.nan, band
     z = y - (float(gM @ y) / gx) * x
     model = float(g @ z)  # not finite where z is not
     if not np.isfinite(model):
-        return None, np.nan
+        return None, np.nan, band
     if s:
         model += s * float(z @ (K @ z))
-    return z, model
+    return z, model, band
 
 
 def _along(S, Ss, tau):
@@ -320,8 +321,7 @@ class _CylinderQuotient:
         self.core = disc._core(mesh)
         self.A = coeffs.entries(self.core.e2.points)
         self._at = None, None
-        self._hessian = self._band = None
-        self._hessian_lam = None  # lam of `_hessian`, None once S moves on
+        self._hessian = None  # one DIA array per solve, written over
 
     def state(self, u):
         return self.core.state(self.mesh.expand(u))
@@ -333,7 +333,6 @@ class _CylinderQuotient:
         E, gE, m, gM, point = disc._eval_full(self.mesh, self.A, S, self.p,
                                               disc._RULE)
         self._at = S, point
-        self._hessian_lam = None
         return E, gE, m, gM
 
     def _point(self, S):
@@ -343,17 +342,9 @@ class _CylinderQuotient:
         return self._at[1]
 
     def hessian(self, S, lam):
-        # one DIA array and one band per solve: each factoring overwrites
-        # the band, refilled here, and a retry at the same S and lam
-        # reuses the array
-        point = self._point(S)
-        if lam != self._hessian_lam:
-            self._hessian = disc._eval_hessian(self.mesh, self.A, point, S,
-                                               lam, self.p, self._hessian)
-            self._hessian_lam = lam
-        bw = self.mesh.n_cells2
-        self._band = disc.lapack_band(self._hessian, bw, bw, bw, self._band)
-        return self._band
+        self._hessian = disc._eval_hessian(self.mesh, self.A, self._point(S),
+                                           S, lam, self.p, self._hessian)
+        return self._hessian
 
     def stiffness(self):
         return disc._p2_diagonals(self.mesh, self.coeffs)[0]
@@ -404,16 +395,16 @@ def _eigen_result(mesh, r):
 
 class _PencilQuotient:
     """The p = 2 quotient u.Ku / u.Mu of the assembled pencil, for
-    `_minimize_quotient`: a state is (u, Ku, Mu), linear in u like the
-    cylinder's, so a trial's products come from those of u and the step
-    and the value and gradient take none.  `stiff` and `mass` are the
-    `dia_array`s of `disc._p2_diagonals`, of bandwidth `bw`."""
+    `_minimize_quotient`: a state is (u, Ku, Mu), linear in u, so a
+    trial's products come from those of u, and the value and gradient take
+    none.  `stiff` and `mass` are the `dia_array`s of `disc._p2_diagonals`;
+    the Hessian 2 (K - lam M) is written into one copy of K."""
 
     p = 2.0
 
-    def __init__(self, stiff, mass, bw):
-        self.stiff, self.mass, self.bw = stiff, mass, bw
-        self._band = None
+    def __init__(self, stiff, mass):
+        self.stiff, self.mass = stiff, mass
+        self._hessian = stiff.copy()
 
     def state(self, u):
         u = np.asarray(u, dtype=float)
@@ -428,12 +419,12 @@ class _PencilQuotient:
         return float(u @ Ku), 2.0 * Ku, float(u @ Mu), 2.0 * Mu
 
     def hessian(self, S, lam):
-        # E'' - lam m'' = 2 K - 2 lam M, bit for bit 2 (K - lam M)
-        bw, K = self.bw, self.stiff
-        ab = self._band = disc.lapack_band(K, bw, bw, bw, self._band)
-        disc.add_to_band(ab, K, 1.0, bw, bw, bw)
-        disc.add_to_band(ab, self.mass, -2.0 * lam, bw, bw, bw)
-        return ab
+        # E'' - lam m'' = 2 (K - lam M), bit for bit 2 K - 2 lam M
+        H = self._hessian.data
+        np.multiply(self.mass.data, -lam, out=H)
+        H += self.stiff.data
+        H *= 2.0
+        return self._hessian
 
     def stiffness(self):
         return self.stiff
@@ -451,12 +442,12 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     else from the lifted start of `minimize_rayleigh`, built from `cross`
     (the p = 2 cross-section ground state, solved here when not given).
     Its unshifted step is Rayleigh-quotient iteration, one banded LU solve
-    of K - lam M; the shift sigma K enters only after a rejected step.  The result carries the engine's certificate:
-    `stop_reason` "residual" (then `converged`), "no_descent" or
-    "max_iters", the max norm of 2 (K u - lam M u) / u.Mu as
-    `final_residual`, tested against ``tol_residual * max(1, |lambda|)``,
-    the steps taken as `iterations` and the LU factorizations as
-    `factorizations`.
+    of K - lam M; the shift sigma K enters only after a rejected step.  The
+    result carries the engine's certificate: `stop_reason` "residual"
+    (then `converged`), "no_descent" or "max_iters", the max norm of
+    2 (K u - lam M u) / u.Mu as `final_residual`, tested against
+    ``tol_residual * max(1, |lambda|)``, the steps taken as `iterations`
+    and the LU factorizations as `factorizations`.
 
     k >= 2 (below n_free) first runs that k = 1 engine, then shift-invert
     Lanczos (ARPACK through `eigsh`) about sigma = lam1 (1 - _SHIFT_MARGIN),
@@ -500,7 +491,7 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     else:
         if start is None:
             start = _lifted_start(mesh, coeffs, 2.0, opts, cross)
-        first = _minimize_quotient(_PencilQuotient(K, M, bw), start, opts)
+        first = _minimize_quotient(_PencilQuotient(K, M), start, opts)
         if k == 1:
             return [_eigen_result(mesh, first)]
         steps, factorizations = first.iterations, first.factorizations + 1
@@ -674,7 +665,7 @@ class _SectionQuotient:
         H = e.band(p * (p - 1.0) * _power(q, p / 2.0 - 1.0) * self.a22,
                    e.dN, e.dN)
         H -= e.band(lam * p * (p - 1.0) * _power(wq, p - 2.0), e.N, e.N)
-        return disc.lapack_band(_interior(H), 1, 1, 1)
+        return _interior(H)
 
     def stiffness(self):
         return _interior(self.e.band(self.a22, self.e.dN, self.e.dN))

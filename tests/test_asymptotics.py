@@ -75,6 +75,15 @@ class TestFitDecay:
         with pytest.raises(ConfigurationError):
             asy.fit_decay(bad, (0, 5))
 
+    def test_negative_window_start_rejected(self):
+        # slabs -2 and -1 would be the far end's, fitted as if they came first
+        grad = np.exp(-0.5 * np.arange(8))
+        prof = cs.SlabProfile(grad, np.ones(8) / 8, grad)
+        assert asy.fit_decay(prof, (2, 6)).alpha_hat == pytest.approx(
+            np.exp(-0.5), rel=1e-12)
+        with pytest.raises(ConfigurationError, match="below slab 0"):
+            asy.fit_decay(prof, (-2, 6))
+
 
 class TestNuEstimate:
     def test_synthetic_geometric_ladder_recovered(self, offdiag_field):
@@ -368,7 +377,7 @@ def fresh_residual(r, coeffs, p):
     mesh = r.field.mesh
     if p == 2:
         K, M = disc._p2_diagonals(mesh, coeffs)
-        problem = es._PencilQuotient(K, M, mesh.n_cells2)
+        problem = es._PencilQuotient(K, M)
     else:
         problem = es._CylinderQuotient(mesh, coeffs, p)
     E, gE, m, gM = problem.gradient(problem.state(r.field.values))

@@ -366,6 +366,31 @@ def test_grad_aligned_family_through_cli(tmp_path):
     assert payload["gap_integral"] == asy.gap_integral_I2(cross, field, 3).value
 
 
+def test_grad_aligned_section_runs_with_the_solver_options(tmp_path,
+                                                          monkeypatch):
+    # the family's identity section is capped by max_iters like every other
+    # solve, and a section left uncertified flags the run even where the
+    # command's own solves are certified
+    solve, seen = cli.cross_section_ground_state, []
+
+    def recorded(*args, **kwargs):
+        seen.append(solve(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "cross_section_ground_state", recorded)
+    monkeypatch.setitem(cli._RUNNERS, "solve", lambda plan, outdir: (
+        [], True, {}))
+    path = write_config(
+        tmp_path, experiment="solve", p=3.0,
+        family={"kind": "grad_aligned", "c": 0.05},
+        solver={"max_iters": 1}, output_dir=str(tmp_path / "runs"))
+    assert cli.main(["solve", "--config", path]) == 0
+    assert [(r.iterations, r.converged) for r in seen] == [(1, False)]
+    run = next((tmp_path / "runs").iterdir())
+    assert json.loads((run / "manifest.json").read_text())[
+        "converged"] is False
+
+
 def test_solver_options_passthrough(tmp_path):
     path = write_config(
         tmp_path, experiment="solve", ell=2.0, p=3.0,

@@ -9,7 +9,6 @@ from cylspectra import asymptotics as asy
 from cylspectra import discretization as disc
 from cylspectra import eigensolve as es
 
-from conftest import dense_from_band
 
 RES = (16, 4)
 
@@ -535,7 +534,7 @@ class TestMinimizeRayleigh:
     def test_retry_reuses_the_hessian(self, monkeypatch, offdiag_field):
         # a rejected step refills the band from the Hessian of its iterate,
         # built once per iterate, and the solve is bit for bit the one that
-        # rebuilds it for every factorization
+        # factors a fresh copy of it in a fresh band every time
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 32))
         cross = cs.cross_section_ground_state(32, offdiag_field, 3)
@@ -552,16 +551,16 @@ class TestMinimizeRayleigh:
         distinct = {(state.tobytes(), lam) for state, lam in builds}
         assert len(distinct) == len(builds)
 
-        hessian = es._CylinderQuotient.hessian
+        step = es._shifted_step
 
-        def rebuilt(self, S, lam):
-            self._hessian_lam = None
-            return hessian(self, S, lam)
+        def fresh(u, p, g, gM, A, sigma, K, band):
+            return step(u, p, g, gM, A.copy(), sigma, K, None)
 
         builds.clear()
-        monkeypatch.setattr(es._CylinderQuotient, "hessian", rebuilt)
+        monkeypatch.setattr(es, "_shifted_step", fresh)
         again = cs.minimize_rayleigh(mesh, offdiag_field, 3, cross=cross)
-        assert len(builds) == again.factorizations == r.factorizations
+        assert len(builds) == again.iterations
+        assert again.factorizations == r.factorizations
         assert again.lam == r.lam and again.iterations == r.iterations
         assert np.array_equal(again.field.values, r.field.values)
         assert np.array_equal(again.rayleigh_history, r.rayleigh_history)
@@ -714,9 +713,7 @@ class TestNewton:
     def hessian(problem, u):
         S = problem.state(u)
         E, _, m, _ = problem.gradient(S)
-        ab = problem.hessian(S, E / m)
-        bw = (ab.shape[0] - 1) // 3
-        return dense_from_band(ab, bw, bw, bw), E / m
+        return problem.hessian(S, E / m).toarray(), E / m
 
     @staticmethod
     def gradient_difference(problem, u, v, lam):
@@ -743,14 +740,18 @@ class TestNewton:
         reference = self.gradient_difference(problem, u, v, lam)
         assert np.linalg.norm(H @ v - reference) <= 1e-8 * np.linalg.norm(
             reference)
-        # the problem reuses its band buffer: the shift and the LU factors
-        # a step leaves in it must not leak into the next Hessian
+        # a step factors its own band: the shift and the LU factors it
+        # leaves there reach neither the Hessian it was given nor a step
+        # that reuses the band
         S = problem.state(u)
         _, gE, _, gM = problem.gradient(S)
-        for sigma in (0.0, 0.5):
-            es._shifted_step(problem, u, S, lam, gE - lam * gM, gM, sigma,
-                             problem.stiffness())
-            assert np.array_equal(self.hessian(problem, u)[0], H)
+        A, K, band = problem.hessian(S, lam), problem.stiffness(), None
+        for sigma in (0.0, 0.5, 0.5):
+            z, _, band = es._shifted_step(u, p, gE - lam * gM, gM, A, sigma,
+                                          K, band)
+            assert np.array_equal(A.toarray(), H)
+            assert np.array_equal(z, es._shifted_step(
+                u, p, gE - lam * gM, gM, A, sigma, K, None)[0])
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     def test_section_hessian_matches_gradient_difference(self, linear_field,
@@ -788,8 +789,9 @@ class TestNewton:
         E, gE, m, gM = problem.gradient(S)
         lam = E / m
         H = self.hessian(problem, u)[0]
-        z, model = es._shifted_step(problem, u, S, lam, gE - lam * gM, gM,
-                                    0.0, None)
+        z, model, _ = es._shifted_step(u, p, gE - lam * gM, gM,
+                                       problem.hessian(S, lam), 0.0, None,
+                                       None)
         assert abs(gM @ z) <= 1e-10 * np.linalg.norm(gM) * np.linalg.norm(z)
         dz = float((gE - lam * gM) @ z) / m
         assert float(z @ H @ z) == pytest.approx(m * dz, rel=1e-8)
@@ -813,7 +815,7 @@ class TestNewton:
                 problem = es._CylinderQuotient(mesh, linear_field, p)
             else:
                 problem = es._PencilQuotient(
-                    *disc._p2_diagonals(mesh, linear_field), mesh.n_cells2)
+                    *disc._p2_diagonals(mesh, linear_field))
         rng = np.random.default_rng(8)
         u = 1.0 + rng.random(n)
         S = problem.state(u)
@@ -833,11 +835,70 @@ class TestNewton:
             bordered = np.block([[A + s * K, gM[:, None]],
                                  [gM[None, :], np.zeros((1, 1))]])
             z_ref = np.linalg.solve(bordered, np.concatenate([g, [0.0]]))[:n]
-            z, model = es._shifted_step(problem, u, S, lam, g, gM, sigma, Kd)
+            z, model, _ = es._shifted_step(u, problem.p, g, gM,
+                                           problem.hessian(S, lam), sigma,
+                                           Kd, None)
             assert np.allclose(z, z_ref, rtol=1e-9,
                                atol=1e-12 * np.abs(z_ref).max())
             assert model == pytest.approx(g @ z_ref + s * z_ref @ K @ z_ref,
                                           rel=1e-9)
+
+    @pytest.mark.parametrize("kind, shape, bc", [
+        (kind, shape, bc) for kind in ("cylinder", "pencil")
+        for shape, bc in ((cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
+                          (cs.Shape.FULL_CYLINDER, cs.BC.DIRICHLET_ALL),
+                          (cs.Shape.HALF_PLUS, cs.BC.HALF_CYLINDER),
+                          (cs.Shape.HALF_MINUS, cs.BC.HALF_CYLINDER))]
+        + [("section", None, None)])
+    def test_hessian_has_the_stiffness_offsets(self, linear_field, kind,
+                                               shape, bc):
+        # the step takes its bandwidth from the Hessian, and a band drops
+        # the diagonals outside it: a narrower Hessian would cut the shift
+        if kind == "section":
+            problem = section_problem(varying_a22(linear_field), 3.0, 8)
+        else:
+            mesh = cs.build_mesh(cs.DomainSpec(shape, 2, bc, 4, 8))
+            problem = (es._CylinderQuotient(mesh, linear_field, 3.0)
+                       if kind == "cylinder" else es._PencilQuotient(
+                           *disc._p2_diagonals(mesh, linear_field)))
+        K = problem.stiffness()
+        u = 1.0 + np.random.default_rng(11).random(K.shape[0])
+        S = problem.state(u)
+        E, _, m, _ = problem.gradient(S)
+        A = problem.hessian(S, E / m)
+        assert sorted(A.offsets) == sorted(K.offsets)
+
+    def test_one_band_per_solve(self, monkeypatch, offdiag_field,
+                                linear_field):
+        # each engine call that factors allocates the one band its
+        # factorizations share, rejected steps and the section's solves
+        # included; a start certified as given factors nothing
+        allocated, per_solve = [], []
+        band, engine = disc.lapack_band, es._minimize_quotient
+
+        def counted_band(A, kl, ku, top=0, out=None):
+            allocated.append(out is None)
+            return band(A, kl, ku, top, out)
+
+        def counted_engine(problem, u0, opts):
+            before = sum(allocated)
+            r = engine(problem, u0, opts)
+            per_solve.append((sum(allocated) - before, r.factorizations))
+            return r
+
+        monkeypatch.setattr(disc, "lapack_band", counted_band)
+        monkeypatch.setattr(es, "_minimize_quotient", counted_engine)
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 32))
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3)
+        assert r.factorizations > r.iterations  # steps were rejected
+        cs.linear_spectrum(mesh, offdiag_field, 1)
+        cs.cross_section_ground_state(32, varying_a22(linear_field), 3)
+        # the p = 3 section, the cylinder, the p = 2 section (whose cosine
+        # start is certified), the pencil, and the sections of a22 and of
+        # a22 = 1
+        assert [bands for bands, _ in per_solve] == [1, 1, 0, 1, 1, 1]
+        assert all((bands == 1) == (count > 0) for bands, count in per_solve)
 
     @pytest.mark.parametrize("shape, bc", [
         (cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
