@@ -212,9 +212,7 @@ class RunPlan:
         if self.p < 2:
             raise ConfigurationError(f"p must be >= 2, got {self.p}")
         self.opts = _parse_solver(sch.get("solver", dict, default=None))
-        self.family, self.family_converged = _parse_family(
-            sch.get("family", dict, required=True), self.p, self.nx2,
-            self.opts)
+        family = sch.get("family", dict, required=True)
 
         if experiment == "solve":
             self.shape = _SHAPES[sch.get("shape", str, default="full",
@@ -268,6 +266,9 @@ class RunPlan:
                 raise ConfigurationError("eps must be a list of positive reals")
             self.eps_list = [float(e) for e in self.eps_list]
         sch.finish()
+        # last: a grad_aligned family solves its identity section
+        self.family, self.family_converged = _parse_family(
+            family, self.p, self.nx2, self.opts)
 
     @property
     def resolution(self):

@@ -20,6 +20,7 @@ optimizer line searches see a consistent objective.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import mmap
 from dataclasses import dataclass
@@ -505,9 +506,9 @@ def _free_diagonals(mesh, L, out=None):
         stencil[1 - a:3 - a, 1 - b:3 - b, 1 + a:a + n1, 1 + b:b + n2] += (
             L[a, :, :, b].transpose(0, 2, 1, 3))
     if out is None:
-        n, o = (r1 - r0) * (n2 - 2), np.arange(-1, 2)
-        offsets = ((n2 - 2) * o[:, None] + o).ravel()
-        out = sp.dia_array((np.empty((9, n)), offsets), shape=(n, n))
+        n = (r1 - r0) * (n2 - 2)
+        out = sp.dia_array((np.empty((9, n)), _stencil_offsets(n2)),
+                           shape=(n, n))
     block = out.data.reshape(3, 3, r1 - r0, n2 - 2)
     for d1, d2 in itertools.product(range(3), range(3)):
         # the column's node is the row's node moved by (d1 - 1, d2 - 1)
@@ -519,6 +520,12 @@ def _free_diagonals(mesh, L, out=None):
     return out
 
 
+def _stencil_offsets(n2):
+    """The nine offsets of `_free_diagonals` for n2 x2 nodes, ascending."""
+    o = np.arange(-1, 2)
+    return ((n2 - 2) * o[:, None] + o).ravel()
+
+
 def lapack_band(A, kl, ku, top=0, out=None):
     """The n x n `dia_array` A in LAPACK band storage, in Fortran order.
 
@@ -526,12 +533,14 @@ def lapack_band(A, kl, ku, top=0, out=None):
     offset o (zero outside the matrix) is row top + ku - o as it stands;
     offsets outside [-kl, ku] are dropped.  `top = kl` rows of fill-in give
     the layout of `gbsv`, `kl = bw, ku = 0` the lower one of
-    `cholesky_banded`.  `out`, an earlier result, is zeroed and reused.
+    `cholesky_banded`.  `out`, an earlier result, is reused with its rows
+    from `top` on zeroed.  A may also be a `FoldedMatrix`, n x n for its
+    fold's n = k.
     """
     n = A.shape[1]
     shape = (top + kl + ku + 1, n)
     if out is not None:
-        out.fill(0.0)
+        out[top:] = 0.0  # gbsv sets its fill-in rows itself
         ab = out
     else:
         # zeros from an anonymous mapping, unmapped when the array dies: a
@@ -549,10 +558,89 @@ def lapack_band(A, kl, ku, top=0, out=None):
 def add_to_band(ab, A, scale, kl, ku, top=0):
     """Adds `scale` times the `dia_array` A to `ab`, a result of
     `lapack_band` with the same layout, in place: each diagonal is a whole
-    band row (with no scaled copy at scale 1)."""
+    band row (with no scaled copy at scale 1).
+
+    A `FoldedMatrix` Q^T H Q adds the rows of H over the first k columns,
+    then the entries that the fold moves, one `np.add.at`; the entries of H
+    in rows k and beyond that the first fill leaves in those columns lie
+    below the k x k matrix, where LAPACK reads nothing.
+    """
+    fold = None
+    if isinstance(A, FoldedMatrix):
+        A, fold = A.H, A.fold
+    n = ab.shape[1]
     for o, v in zip(A.offsets, A.data):
         if -kl <= o <= ku:
+            v = v[:n]
             ab[top + ku - o] += v if scale == 1.0 else scale * v
+    if fold is not None:
+        rows, cols, src = fold.moved
+        np.add.at(ab, (top + ku + rows - cols, cols),
+                  scale * A.data.ravel()[src])
+
+
+class SEven:
+    """The S-even subspace of a full cylinder with a node row at x1 = 0.
+
+    Under symmetry S, A(-x2) = A(x2), the point reflection (x1, x2) ->
+    (-x1, -x2) maps the free DOFs onto themselves in reverse order, so an
+    S-even vector, u = u[::-1], is fixed by its first k = ceil(n_free / 2)
+    entries y: the free nodes of the left half, the x1 = 0 row cut to its
+    first ceil(m / 2) nodes (m = nx2 - 1).  Q takes y to the free DOFs of
+    `half`, the mesh of the cells x1 <= 0 (the full mesh's spec kept), as
+    y[gather].  On the subspace the energy and the p-mass are twice those
+    of these cells, so the quotient of y is that of Q y on `half`, with
+    gradient Q^T g (`fold`, one bincount) and Hessian Q^T H Q
+    (`FoldedMatrix`); `unfold` gives u.
+
+    `moved` = (rows, cols, src) lists the entries (i, j) of a matrix of
+    `half` (`_free_diagonals`) with i or j at least k, as flat indices
+    `src` into its data, and their places (gather[i], gather[j]) in
+    Q^T H Q; the others keep theirs.
+    """
+
+    def __init__(self, mesh):
+        c = mesh.n_cells1 // 2
+        half = self.half = copy.copy(mesh)
+        vars(half).pop("_tensor", None)  # the core of the full x1 nodes
+        half.n_cells1, half.x1 = c, mesh.x1[:c + 1]
+        half.dirichlet_mask = mesh.dirichlet_mask[:c + 1]
+        nh = half.n_free = int((~half.dirichlet_mask).sum())
+        self.n, self.k = mesh.n_free, (mesh.n_free + 1) // 2
+        node = np.arange(nh)
+        g = self.gather = np.minimum(node, self.n - 1 - node)
+        offsets = _stencil_offsets(len(mesh.x2))
+        j = np.broadcast_to(node, (len(offsets), nh))
+        i = j - offsets[:, None]
+        keep = (i >= 0) & (i < nh) & (np.maximum(i, j) >= self.k)
+        self.moved = g[i[keep]], g[j[keep]], np.flatnonzero(keep)
+
+    def unfold(self, y):
+        return np.concatenate((y, y[:self.n - self.k][::-1]))
+
+    def fold(self, g):
+        return np.bincount(self.gather, weights=g, minlength=self.k)
+
+
+class FoldedMatrix:
+    """Q^T H Q of `SEven` for a `dia_array` H of its left half: what the
+    descent's step reads of a matrix (`offsets`, `shape`, `diagonal`, `@`)
+    and `add_to_band` fills into its band."""
+
+    def __init__(self, H, fold):
+        self.H, self.fold = H, fold
+        self.offsets, self.shape = H.offsets, (fold.k, fold.k)
+
+    def diagonal(self):
+        rows, cols, src = self.fold.moved
+        d = self.H.diagonal()[:self.fold.k].copy()  # not a view of H
+        on = rows == cols
+        np.add.at(d, cols[on], self.H.data.ravel()[src[on]])
+        return d
+
+    def __matmul__(self, z):
+        g = self.fold.gather
+        return np.bincount(g, weights=self.H @ z[g], minlength=self.fold.k)
 
 
 def lift_cross_section(cross, mesh) -> DiscreteField:

@@ -1,7 +1,8 @@
 """Eigenpair solvers.
 
 Four entry points: `minimize_rayleigh` (shifted Newton steps on the
-Rayleigh quotient, any p >= 2), `linear_spectrum` (p = 2 on the assembled
+Rayleigh quotient, any p >= 2; under symmetry S on the S-even half of a
+full cylinder first), `linear_spectrum` (p = 2 on the assembled
 pencil: the first eigenpair by the same engine, whose unshifted step there
 is Rayleigh-quotient iteration, k >= 2 by shift-invert Lanczos about a
 shift just below that first eigenvalue, through the banded
@@ -26,6 +27,7 @@ the first p = 2 pair included: `converged` is true for that exit alone.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,6 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import discretization as disc
+from .coeffs import satisfies_symmetry_S
 from .discretization import DiscreteField, _power, _power_slope, _Q1
 from .errors import ConfigurationError, SolverError
 from .mesh import BC, MIN_NX2, CylinderMesh, DomainSpec, Shape, build_mesh
@@ -147,11 +150,11 @@ def _minimize_quotient(problem, u0, opts):
     `gradient(S) -> (E, gE, m, gM)` evaluate a state, the gradient through
     the adjoint passes only, `hessian(S, lam)` gives the matrix
     E'' - lam m'' at S and `stiffness()` the SPD p = 2 stiffness K of the
-    same problem, both as `dia_array`s with the same offsets, and `p` is
-    the exponent.  A state is a tuple of arrays, linear in u.  The
-    iterate is kept p-normalized; the accepted Rayleigh values form a
-    nonincreasing history.  The residual is the max norm of the quotient
-    gradient d = (gE - lam gM)/m.
+    same problem, both as `dia_array`s (or both as `disc.FoldedMatrix`es)
+    with the same offsets, and `p` is the exponent.  A state is a tuple of
+    arrays, linear in u.  The iterate is kept p-normalized; the accepted
+    Rayleigh values form a nonincreasing history.  The residual is the max
+    norm of the quotient gradient d = (gE - lam gM)/m.
 
     Every iteration takes the step u - z of `_shifted_step`, which solves
     (H + sigma K) z = d - mu gM with gM.z = 0, H = (E'' - lam m'')/m: a
@@ -350,6 +353,29 @@ class _CylinderQuotient:
         return disc._p2_diagonals(self.mesh, self.coeffs)[0]
 
 
+class _FoldedQuotient(_CylinderQuotient):
+    """The cylinder's quotient on its S-even subspace (`disc.SEven`), over
+    the k unknowns y: the quotient of the left half's cells at Q y, its
+    gradients folded by Q^T and its matrices as Q^T A Q."""
+
+    def __init__(self, fold, coeffs, p):
+        super().__init__(fold.half, coeffs, p)
+        self.fold = fold
+
+    def state(self, y):
+        return super().state(y[self.fold.gather])
+
+    def gradient(self, S):
+        E, gE, m, gM = super().gradient(S)
+        return E, self.fold.fold(gE), m, self.fold.fold(gM)
+
+    def hessian(self, S, lam):
+        return disc.FoldedMatrix(super().hessian(S, lam), self.fold)
+
+    def stiffness(self):
+        return disc.FoldedMatrix(super().stiffness(), self.fold)
+
+
 def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
                       start=None) -> EigenResult:
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
@@ -363,12 +389,36 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
     on this problem whatever the start.  A non-converged run is returned
     flagged rather than raised, so parameter sweeps can record partial
     data.
+
+    From the lifted start, a full cylinder with a node row at x1 = 0 (an
+    even number of axial cells) under symmetry S at p != 2 is first solved
+    on its S-even half (`_FoldedQuotient`): its first eigenfunction is
+    simple, so it is S-even, and each Newton step there factors a band of
+    ceil(n_free / 2) columns.  The unfolded result then starts the full
+    problem, which tests its residual on the whole cylinder and steps on
+    only where that fails.  `iterations`, `factorizations` and
+    `rayleigh_history` add up both runs, `max_iters` caps them together,
+    and the rest of the result is the full run's.
     """
     opts = opts or SolveOptions()
+    folds = (start is None and p != 2
+             and mesh.spec.shape is Shape.FULL_CYLINDER
+             and mesh.n_cells1 % 2 == 0 and satisfies_symmetry_S(coeffs))
     if start is None:
         start = _lifted_start(mesh, coeffs, p, opts, cross)
-    return _eigen_result(mesh, _minimize_quotient(
-        _CylinderQuotient(mesh, coeffs, p), start, opts))
+    problem = _CylinderQuotient(mesh, coeffs, p)
+    if not folds:
+        return _eigen_result(mesh, _minimize_quotient(problem, start, opts))
+    fold = disc.SEven(mesh)
+    half = _minimize_quotient(_FoldedQuotient(fold, coeffs, p),
+                              start[:fold.k], opts)
+    rest = copy.copy(opts)  # SolveOptions would reject 0 steps left
+    rest.max_iters -= half.iterations
+    full = _minimize_quotient(problem, fold.unfold(half.u), rest)
+    return _eigen_result(mesh, full._replace(
+        iterations=half.iterations + full.iterations,
+        history=np.concatenate((half.history, full.history)),
+        factorizations=half.factorizations + full.factorizations))
 
 
 def _lifted_start(mesh, coeffs, p, opts, cross):

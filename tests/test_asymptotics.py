@@ -372,8 +372,8 @@ def record_half_solves(monkeypatch):
 
 
 def fresh_residual(r, coeffs, p):
-    """The residual of a half-cylinder result, recomputed by a quotient
-    built afresh on the MINUS mesh: max|gE - lam gM| / m and its lam."""
+    """The residual of a result, recomputed by a quotient built afresh on
+    its mesh: max|gE - lam gM| / m and its lam."""
     mesh = r.field.mesh
     if p == 2:
         K, M = disc._p2_diagonals(mesh, coeffs)
@@ -451,6 +451,126 @@ class TestMirroredMinus:
         asy.beta2_upper_bound(3, RES, offdiag_field, 3,
                               cs.SolveOptions(max_iters=1))
         assert [given for _, given, _ in solves] == [False, False]
+
+
+def unfolded(mesh, coeffs, p, opts=None):
+    """`minimize_rayleigh` on the whole mesh: given as `start`, the lifted
+    start bypasses the S-even fold."""
+    opts = opts or cs.SolveOptions()
+    start = es._lifted_start(mesh, coeffs, p, opts, None)
+    return cs.minimize_rayleigh(mesh, coeffs, p, opts, start=start)
+
+
+def record_factorizations(monkeypatch):
+    """The columns of every dgbsv band, and (mesh, result, columns) of each
+    full-cylinder `minimize_rayleigh` that `asy` makes."""
+    import scipy.linalg.lapack as lapack
+    columns, solves = [], []
+    dgbsv, solve = lapack.dgbsv, asy.minimize_rayleigh
+
+    def counted(kl, ku, ab, *args, **kwargs):
+        columns.append(ab.shape[1])
+        return dgbsv(kl, ku, ab, *args, **kwargs)
+
+    def recording(mesh, *args, **kwargs):
+        before = len(columns)
+        r = solve(mesh, *args, **kwargs)
+        solves.append((mesh, r, columns[before:]))
+        return r
+
+    monkeypatch.setattr(lapack, "dgbsv", counted)
+    monkeypatch.setattr(asy, "minimize_rayleigh", recording)
+    return columns, solves
+
+
+class TestSEvenFold:
+    """Under symmetry S at p != 2 a full cylinder with a node row at x1 = 0
+    is solved on its S-even half, then certified on the whole mesh."""
+
+    @pytest.mark.parametrize("family", ["offdiag_field", "identity_field"])
+    @pytest.mark.parametrize("bc", [cs.BC.MIXED, cs.BC.DIRICHLET_ALL])
+    @pytest.mark.parametrize("ell", [2, 3])
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_fold_matches_the_whole_mesh(self, request, family, bc, ell, p):
+        coeffs = request.getfixturevalue(family)
+        opts = cs.SolveOptions()
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, bc,
+                                           4, 16))
+        r, whole = cs.minimize_rayleigh(mesh, coeffs, p), unfolded(
+            mesh, coeffs, p)
+        assert r.converged and r.stop_reason == "residual"
+        assert r.lam == pytest.approx(whole.lam, rel=1e-12)
+        assert np.array_equal(r.field.values, r.field.values[::-1])
+        res, lam = fresh_residual(r, coeffs, p)
+        assert lam == pytest.approx(r.lam, rel=1e-14)
+        assert res <= opts.tol_residual * max(1.0, abs(lam))
+        assert r.final_residual == pytest.approx(res, rel=1e-6)
+        # the certifying run adds its initial value to the history
+        assert len(r.rayleigh_history) == r.iterations + 2
+
+    def test_sweep_factors_half_bands(self, monkeypatch, offdiag_field):
+        # every factorization of a full cylinder has ceil(n_free / 2)
+        # columns, and there are as many steps and factorizations as on
+        # the whole mesh
+        columns, solves = record_factorizations(monkeypatch)
+        asy.sweep_lambda([2, 4], offdiag_field, 3, (32, 4))
+        monkeypatch.undo()
+        assert len(solves) == 4
+        for mesh, r, cols in solves:
+            whole = unfolded(mesh, offdiag_field, 3)
+            assert cols == [(mesh.n_free + 1) // 2] * r.factorizations
+            assert (r.iterations, r.factorizations) == (
+                whole.iterations, whole.factorizations) != (0, 0)
+            assert r.converged and r.lam == pytest.approx(whole.lam,
+                                                          rel=1e-12)
+
+    def test_no_fold_without_symmetry_or_middle_row(self, monkeypatch,
+                                                    offdiag_field,
+                                                    linear_field):
+        # LOD 0.8 breaks symmetry S; 17 axial cells leave no node row at
+        # x1 = 0: both factor the whole mesh, as from a given start
+        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
+        odd = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2.125,
+                                          cs.BC.MIXED, 4, 32))
+        assert odd.n_cells1 == 17
+        columns, solves = record_factorizations(monkeypatch)
+        asy.sweep_lambda([2], linear_field, 3, (32, 4))
+        asy.first_eigen(odd, offdiag_field, 3, cross=cross)
+        monkeypatch.undo()
+        assert len(solves) == 3
+        for (mesh, r, cols), coeffs in zip(
+                solves, (linear_field, linear_field, offdiag_field)):
+            whole = unfolded(mesh, coeffs, 3)
+            assert cols == [mesh.n_free] * r.factorizations
+            assert r.lam == whole.lam
+            assert np.array_equal(r.rayleigh_history, whole.rayleigh_history)
+
+    @pytest.mark.parametrize("max_iters", [1, 3])
+    def test_max_iters_caps_both_runs(self, monkeypatch, offdiag_field,
+                                      max_iters):
+        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
+        mesh = mixed_mesh(4, nx2=32)
+        columns, _ = record_factorizations(monkeypatch)
+        r = asy.first_eigen(mesh, offdiag_field, 3,
+                            cs.SolveOptions(max_iters=max_iters), cross)
+        monkeypatch.undo()
+        assert r.iterations == max_iters < unfolded(
+            mesh, offdiag_field, 3).iterations
+        assert r.stop_reason == "max_iters" and not r.converged
+        assert set(columns) == {(mesh.n_free + 1) // 2}
+
+    @pytest.mark.parametrize("bc", [cs.BC.MIXED, cs.BC.DIRICHLET_ALL])
+    def test_near_symmetric_table_certified(self, bc):
+        coeffs = near_symmetric_tabulated()
+        opts = cs.SolveOptions()
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 3, bc,
+                                           4, 16))
+        r = cs.minimize_rayleigh(mesh, coeffs, 3, opts)
+        assert r.converged
+        res, lam = fresh_residual(r, coeffs, 3)
+        assert res <= opts.tol_residual * max(1.0, abs(lam))
+        assert r.lam == pytest.approx(unfolded(mesh, coeffs, 3).lam,
+                                      rel=1e-9)
 
 
 class TestPicone:

@@ -391,6 +391,21 @@ def test_grad_aligned_section_runs_with_the_solver_options(tmp_path,
         "converged"] is False
 
 
+def test_rejected_config_solves_no_section(tmp_path, monkeypatch, capsys):
+    # the command's own keys are checked before a grad_aligned family solves
+    # its identity section
+    solve, calls = cli.cross_section_ground_state, []
+    monkeypatch.setattr(cli, "cross_section_ground_state",
+                        lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    path = write_config(tmp_path, ell=2.0, k=0,
+                        family={"kind": "grad_aligned", "c": 0.05},
+                        output_dir=str(tmp_path / "runs"))
+    assert cli.main(["spectrum", "--config", path]) == cli.EXIT_CONFIG
+    assert "k must be >= 1" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "runs").exists()
+
+
 def test_solver_options_passthrough(tmp_path):
     path = write_config(
         tmp_path, experiment="solve", ell=2.0, p=3.0,
@@ -510,6 +525,8 @@ def test_bad_tabulated_csv_exits_2(tmp_path, capsys, text):
     ("solve", dict(BASE, family={"kind": "tabulated"}), "'csv' path"),
     ("solve", dict(BASE, solver={"tol_residual": 0}),
      "tol_residual must be positive"),
+    ("solve", dict(BASE, shape="half_minus", bc="mixed"),
+     "half cylinders require the half-cylinder bc"),
 ])
 def test_config_rejected_upfront(tmp_path, monkeypatch, capsys, command, cfg,
                                  message):

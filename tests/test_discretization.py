@@ -222,6 +222,58 @@ def test_band_is_the_dia_matrix(shape, bc, nx2, linear_field):
             assert np.count_nonzero(ab) == np.count_nonzero(oracle)
 
 
+def s_even_fold(bc, ell, nx2):
+    """`disc.SEven` of a full cylinder at 4 cells per unit, and its Q as a
+    dense matrix from the k unknowns to the left half's free DOFs."""
+    mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, bc, 4,
+                                       nx2))
+    fold = disc.SEven(mesh)
+    Q = np.zeros((fold.half.n_free, fold.k))
+    Q[np.arange(fold.half.n_free), fold.gather] = 1.0
+    return mesh, fold, Q
+
+
+@pytest.mark.parametrize("bc", [cs.BC.MIXED, cs.BC.DIRICHLET_ALL])
+@pytest.mark.parametrize("ell", [2, 3])
+@pytest.mark.parametrize("nx2", [4, 5, 8])
+def test_folded_band_is_q_transpose_a_q(bc, ell, nx2, offdiag_field):
+    # the Hessian and the stiffness of the left half, folded into the gbsv
+    # band of the k unknowns (an even and an odd count of section nodes)
+    from cylspectra import eigensolve as es
+    _, fold, Q = s_even_fold(bc, ell, nx2)
+    problem = es._CylinderQuotient(fold.half, offdiag_field, 3.0)
+    v = 1.0 + np.random.default_rng(nx2).random(fold.k)[fold.gather]
+    S = problem.state(v)
+    E, _, m, _ = problem.gradient(S)
+    z = np.random.default_rng(ell).standard_normal(fold.k)
+    bw = nx2
+    for H in (problem.hessian(S, E / m), problem.stiffness()):
+        A, oracle = disc.FoldedMatrix(H, fold), Q.T @ H.toarray() @ Q
+        assert max(A.offsets) == bw and A.shape == (fold.k, fold.k)
+        scale = np.abs(oracle).max()
+        np.testing.assert_allclose(
+            dense_from_band(disc.lapack_band(A, bw, bw, bw), bw, bw, bw),
+            oracle, rtol=0, atol=1e-15 * scale)
+        np.testing.assert_allclose(A.diagonal(), np.diag(oracle), rtol=0,
+                                   atol=1e-15 * scale)
+        np.testing.assert_allclose(A @ z, oracle @ z, rtol=0,
+                                   atol=1e-14 * scale * np.abs(z).sum())
+
+
+@pytest.mark.parametrize("bc", [cs.BC.MIXED, cs.BC.DIRICHLET_ALL])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_s_even_energy_is_twice_the_half(bc, p, offdiag_field):
+    mesh, fold, _ = s_even_fold(bc, 3, 8)
+    y = 1.0 + np.random.default_rng(3).random(fold.k)
+    u = fold.unfold(y)
+    assert np.array_equal(u, u[::-1]) and np.array_equal(u[:fold.k], y)
+    whole, half = mesh.expand(u), fold.half.expand(y[fold.gather])
+    assert cs.energy(mesh, offdiag_field, whole, p) == pytest.approx(
+        2.0 * cs.energy(fold.half, offdiag_field, half, p), rel=1e-14)
+    assert disc.p_mass(mesh, whole, p)[0] == pytest.approx(
+        2.0 * disc.p_mass(fold.half, half, p)[0], rel=1e-14)
+
+
 def test_mass_matrix_positive_definite(small_mixed_mesh, identity_field):
     pair = cs.assemble_p2(small_mixed_mesh, identity_field)
     import scipy.sparse.linalg as spla

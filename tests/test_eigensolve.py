@@ -481,11 +481,12 @@ class TestMinimizeRayleigh:
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 4, cs.BC.MIXED, 4, 16))
         # the start lifts the section state of the default options: the
-        # subject here is the returned iterate, not the start
+        # subject here is the returned iterate, not the start.  Given as
+        # `start`, it keeps the whole descent on the full cylinder
         cross = cs.cross_section_ground_state(16, offdiag_field, 3)
-        r = cs.minimize_rayleigh(mesh, offdiag_field, 3,
-                                 cs.SolveOptions(tol_residual=1e-17),
-                                 cross=cross)
+        opts = cs.SolveOptions(tol_residual=1e-17)
+        start = es._lifted_start(mesh, offdiag_field, 3, opts, cross)
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3, opts, start=start)
         assert r.stop_reason in ("no_descent", "max_iters")
         assert residuals[-1] > min(residuals)
         assert r.final_residual == min(residuals)
@@ -534,7 +535,9 @@ class TestMinimizeRayleigh:
     def test_retry_reuses_the_hessian(self, monkeypatch, offdiag_field):
         # a rejected step refills the band from the Hessian of its iterate,
         # built once per iterate, and the solve is bit for bit the one that
-        # factors a fresh copy of it in a fresh band every time
+        # factors a fresh copy of it in a fresh band every time.  Under
+        # symmetry S every step is taken on the S-even half, whose Hessian
+        # is the fold of the left half's
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 32))
         cross = cs.cross_section_ground_state(32, offdiag_field, 3)
@@ -554,7 +557,8 @@ class TestMinimizeRayleigh:
         step = es._shifted_step
 
         def fresh(u, p, g, gM, A, sigma, K, band):
-            return step(u, p, g, gM, A.copy(), sigma, K, None)
+            A = disc.FoldedMatrix(A.H.copy(), A.fold)
+            return step(u, p, g, gM, A, sigma, K, None)
 
         builds.clear()
         monkeypatch.setattr(es, "_shifted_step", fresh)
@@ -894,11 +898,31 @@ class TestNewton:
         assert r.factorizations > r.iterations  # steps were rejected
         cs.linear_spectrum(mesh, offdiag_field, 1)
         cs.cross_section_ground_state(32, varying_a22(linear_field), 3)
-        # the p = 3 section, the cylinder, the p = 2 section (whose cosine
-        # start is certified), the pencil, and the sections of a22 and of
-        # a22 = 1
-        assert [bands for bands, _ in per_solve] == [1, 1, 0, 1, 1, 1]
+        # the p = 3 section, the cylinder's S-even half and the full
+        # cylinder, which certifies the unfolded half at step 0, the p = 2
+        # section (whose cosine start is certified), the pencil, and the
+        # sections of a22 and of a22 = 1
+        assert [bands for bands, _ in per_solve] == [1, 1, 0, 0, 1, 1, 1]
         assert all((bands == 1) == (count > 0) for bands, count in per_solve)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_fill_in_rows_not_read(self, linear_field, sigma):
+        # a reused band is zeroed from row `top` on: gbsv sets its kl
+        # fill-in rows above that itself, so NaN there leaves the step
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
+        problem = es._CylinderQuotient(mesh, linear_field, 3.0)
+        u = 1.0 + np.random.default_rng(5).random(mesh.n_free)
+        S = problem.state(u)
+        E, gE, m, gM = problem.gradient(S)
+        g, A, K = gE - E / m * gM, problem.hessian(S, E / m), \
+            problem.stiffness()
+        z, model, band = es._shifted_step(u, 3.0, g, gM, A, sigma, K, None)
+        band[:mesh.n_cells2] = np.nan
+        again, model_again, reused = es._shifted_step(u, 3.0, g, gM, A,
+                                                      sigma, K, band)
+        assert reused is band
+        assert np.array_equal(again, z) and model_again == model
 
     @pytest.mark.parametrize("shape, bc", [
         (cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
