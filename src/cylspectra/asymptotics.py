@@ -30,10 +30,10 @@ import numpy as np
 from . import discretization as disc
 from .coeffs import satisfies_symmetry_S
 from .discretization import DiscreteField
+# linear_spectrum is unused here; perfbench's tracer test reads it
 from .eigensolve import (CrossSectionResult, EigenResult, Side,
                          SolveOptions, cross_section_ground_state,
-                         half_cylinder_eigen, linear_spectrum,
-                         minimize_rayleigh)
+                         first_eigen, half_cylinder_eigen, linear_spectrum)
 from .errors import ConfigurationError, DimensionMismatchError
 from .mesh import BC, DomainSpec, Shape, SlabProfile, build_mesh, slab_integrals
 
@@ -118,15 +118,6 @@ class SweepRow:
     iterations: int
     residual: float
     converged: bool
-
-
-def first_eigen(mesh, coeffs, p, opts=None, cross=None) -> EigenResult:
-    """First eigenpair on `mesh`: the assembled pencil at p = 2
-    (`linear_spectrum`), the quotient descent otherwise
-    (`minimize_rayleigh`), started from `cross` when given."""
-    if p == 2:
-        return linear_spectrum(mesh, coeffs, 1, opts, cross)[0]
-    return minimize_rayleigh(mesh, coeffs, p, opts, cross)
 
 
 def _half_pair(ell, resolution, coeffs, p, opts, cross):
@@ -424,19 +415,31 @@ def end_mass_split(u: DiscreteField, mesh, coeffs, p) -> EndMassSplit:
 
     Plus labels the left end (whose boundary layer the PLUS half-cylinder
     problem models), minus the right end; `d_plus + d_minus` recovers the
-    total p-mass and `n_plus + n_minus` the total energy.
+    total p-mass and `n_plus + n_minus` the total energy.  With an odd
+    number of axial cells the middle cell is split at x1 = 0, where the Q1
+    field is the mean of its two node rows, and each part is integrated by
+    the same Gauss rule on its own sub-grid.
     """
     if mesh.spec.shape is not Shape.FULL_CYLINDER:
         raise ConfigurationError("end-mass split expects a full cylinder")
     grid = mesh.expand(u.values)
     per_cell = disc.cell_integrals(mesh, coeffs, grid, p)
-    centers = 0.5 * (mesh.x1[:-1] + mesh.x1[1:])
-    left = centers < 0.0
-    mass = per_cell["p_mass"]
-    ener = per_cell["a_energy"]
-    return EndMassSplit(
-        d_plus=float(mass[left].sum()), d_minus=float(mass[~left].sum()),
-        n_plus=float(ener[left].sum()), n_minus=float(ener[~left].sum()))
+    c, odd = divmod(mesh.n_cells1, 2)
+    cells = np.arange(mesh.n_cells1)
+    sides = (cells < c, cells >= c + odd)
+    d = [per_cell["p_mass"][side].sum() for side in sides]
+    n = [per_cell["a_energy"][side].sum() for side in sides]
+    if odd:
+        mid = 0.5 * (grid[c] + grid[c + 1])
+        parts = (([mesh.x1[c], 0.0], [grid[c], mid]),
+                 ([0.0, mesh.x1[c + 1]], [mid, grid[c + 1]]))
+        for k, (x1, rows) in enumerate(parts):
+            core = disc._Tensor(np.array(x1), mesh.x2)
+            q, (uq, _, _), _ = disc._form(core, coeffs, np.array(rows))
+            d[k] += core.integrate(disc._power(uq, p))
+            n[k] += core.integrate(disc._power(q, p / 2.0))
+    return EndMassSplit(d_plus=float(d[0]), d_minus=float(d[1]),
+                        n_plus=float(n[0]), n_minus=float(n[1]))
 
 
 def translate_distance(u_full: DiscreteField, u_half: DiscreteField,

@@ -255,7 +255,9 @@ class RunPlan:
             else:
                 self.window = asy.default_window(self.ell)
             lo, hi = self.window
-            n_slabs = int(np.floor(2 * self.ell))
+            # unit slabs from the left end, the last one partial where
+            # 2 ell is no whole number, as `CylinderMesh.slab_edges`
+            n_slabs = int(np.ceil(2 * self.ell - 1e-9))
             if lo < 0 or min(hi, n_slabs - 1) - lo < 2:
                 raise ConfigurationError(
                     f"decay window {self.window} needs >= 3 slabs inside the "

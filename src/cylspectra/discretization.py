@@ -20,7 +20,6 @@ optimizer line searches see a consistent objective.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import mmap
 from dataclasses import dataclass
@@ -534,8 +533,8 @@ def lapack_band(A, kl, ku, top=0, out=None):
     offsets outside [-kl, ku] are dropped.  `top = kl` rows of fill-in give
     the layout of `gbsv`, `kl = bw, ku = 0` the lower one of
     `cholesky_banded`.  `out`, an earlier result, is reused with its rows
-    from `top` on zeroed.  A may also be a `FoldedMatrix`, n x n for its
-    fold's n = k.
+    from `top` on zeroed.  A may also be a `FoldedMatrix`, n x n for the
+    k unknowns of its fold.
     """
     n = A.shape[1]
     shape = (top + kl + ku + 1, n)
@@ -579,53 +578,12 @@ def add_to_band(ab, A, scale, kl, ku, top=0):
                   scale * A.data.ravel()[src])
 
 
-class SEven:
-    """The S-even subspace of a full cylinder with a node row at x1 = 0.
-
-    Under symmetry S, A(-x2) = A(x2), the point reflection (x1, x2) ->
-    (-x1, -x2) maps the free DOFs onto themselves in reverse order, so an
-    S-even vector, u = u[::-1], is fixed by its first k = ceil(n_free / 2)
-    entries y: the free nodes of the left half, the x1 = 0 row cut to its
-    first ceil(m / 2) nodes (m = nx2 - 1).  Q takes y to the free DOFs of
-    `half`, the mesh of the cells x1 <= 0 (the full mesh's spec kept), as
-    y[gather].  On the subspace the energy and the p-mass are twice those
-    of these cells, so the quotient of y is that of Q y on `half`, with
-    gradient Q^T g (`fold`, one bincount) and Hessian Q^T H Q
-    (`FoldedMatrix`); `unfold` gives u.
-
-    `moved` = (rows, cols, src) lists the entries (i, j) of a matrix of
-    `half` (`_free_diagonals`) with i or j at least k, as flat indices
-    `src` into its data, and their places (gather[i], gather[j]) in
-    Q^T H Q; the others keep theirs.
-    """
-
-    def __init__(self, mesh):
-        c = mesh.n_cells1 // 2
-        half = self.half = copy.copy(mesh)
-        vars(half).pop("_tensor", None)  # the core of the full x1 nodes
-        half.n_cells1, half.x1 = c, mesh.x1[:c + 1]
-        half.dirichlet_mask = mesh.dirichlet_mask[:c + 1]
-        nh = half.n_free = int((~half.dirichlet_mask).sum())
-        self.n, self.k = mesh.n_free, (mesh.n_free + 1) // 2
-        node = np.arange(nh)
-        g = self.gather = np.minimum(node, self.n - 1 - node)
-        offsets = _stencil_offsets(len(mesh.x2))
-        j = np.broadcast_to(node, (len(offsets), nh))
-        i = j - offsets[:, None]
-        keep = (i >= 0) & (i < nh) & (np.maximum(i, j) >= self.k)
-        self.moved = g[i[keep]], g[j[keep]], np.flatnonzero(keep)
-
-    def unfold(self, y):
-        return np.concatenate((y, y[:self.n - self.k][::-1]))
-
-    def fold(self, g):
-        return np.bincount(self.gather, weights=g, minlength=self.k)
-
-
 class FoldedMatrix:
-    """Q^T H Q of `SEven` for a `dia_array` H of its left half: what the
-    descent's step reads of a matrix (`offsets`, `shape`, `diagonal`, `@`)
-    and `add_to_band` fills into its band."""
+    """Q^T H Q for a `dia_array` H of a half mesh and a `fold` that defines
+    Q (`eigensolve._FoldedQuotient`: the k unknowns, their `gather` and the
+    `moved` entries): what the descent's step reads of a matrix
+    (`offsets`, `shape`, `diagonal`, `@`) and `add_to_band` fills into its
+    band."""
 
     def __init__(self, H, fold):
         self.H, self.fold = H, fold

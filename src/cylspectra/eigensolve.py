@@ -1,14 +1,15 @@
 """Eigenpair solvers.
 
-Four entry points: `minimize_rayleigh` (shifted Newton steps on the
-Rayleigh quotient, any p >= 2; under symmetry S on the S-even half of a
-full cylinder first), `linear_spectrum` (p = 2 on the assembled
-pencil: the first eigenpair by the same engine, whose unshifted step there
-is Rayleigh-quotient iteration, k >= 2 by shift-invert Lanczos about a
-shift just below that first eigenvalue, through the banded
-Cholesky factor of K - sigma M), `cross_section_ground_state`
-(the 1D problem on the cross section), and `half_cylinder_eigen` (first
-eigenvalue of a half cylinder with a Dirichlet far end).  All of them see
+The first eigenpair of a mesh has one route, `first_eigen`: at p = 2
+`linear_spectrum` (the assembled pencil: the first eigenpair by the
+descent engine, whose unshifted step there is Rayleigh-quotient
+iteration; k >= 2 by shift-invert Lanczos about a shift just below it,
+through the banded Cholesky factor of K - sigma M), else
+`minimize_rayleigh` (shifted Newton steps on the Rayleigh quotient; under
+symmetry S on the S-even half of a full cylinder first).
+`half_cylinder_eigen` builds a half cylinder with a Dirichlet far end for
+it, and `cross_section_ground_state` solves the 1D problem on the cross
+section.  All of them see
 the discrete problem through the one Q1 core of `discretization` and its
 one Gauss rule: the cylinder solves through its tensor-product quadrature
 and p = 2 matrices, the cross-section solve through the same 1D element on
@@ -42,7 +43,7 @@ from . import discretization as disc
 from .coeffs import satisfies_symmetry_S
 from .discretization import DiscreteField, _power, _power_slope, _Q1
 from .errors import ConfigurationError, SolverError
-from .mesh import BC, MIN_NX2, CylinderMesh, DomainSpec, Shape, build_mesh
+from .mesh import BC, MIN_NX2, DomainSpec, Shape, build_mesh
 
 
 class Init(enum.Enum):
@@ -142,7 +143,7 @@ class _Descent(NamedTuple):
     factorizations: int
 
 
-def _minimize_quotient(problem, u0, opts):
+def _minimize_quotient(problem, u0, opts, prior=None):
     """Rayleigh-quotient descent by shifted Newton steps on the unit p-sphere.
 
     `problem` works on Gauss-point states: `state(u)` is the forward
@@ -179,11 +180,13 @@ def _minimize_quotient(problem, u0, opts):
     exit), "no_descent" (a step below the quotient's rounding did not lower
     the residual, the rounding floor, or no shift up to _SHIFT_LIMIT gives
     a step that descends) or "max_iters"; `iterations` counts the steps
-    tried and `factorizations` the banded LU factorizations.  The iterate
-    with the lowest residual is returned as it was certified, only its sign
-    fixed to a positive sum: on stretched cells with a strong a12 the
-    discrete first eigenvector can have negative entries.  Its value comes from
-    a fresh forward pass, so no rounding of the carried state reaches it.
+    tried and `factorizations` the banded LU factorizations, from those of
+    `prior`, a `_Descent` that u0 continues, whose history comes first and
+    whose steps count toward `max_iters`.  The iterate with the lowest
+    residual is returned as it was certified, only its sign fixed to a
+    positive sum: on stretched cells with a strong a12 the discrete first
+    eigenvector can have negative entries.  Its value comes from a fresh
+    forward pass, so no rounding of the carried state reaches it.
     """
     p = problem.p
     u = np.array(u0, dtype=float)
@@ -198,11 +201,14 @@ def _minimize_quotient(problem, u0, opts):
     E, gE, m, gM = problem.gradient(S)
     lam = E / m
     history = [lam]
+    it = factorizations = 0
+    if prior is not None:
+        history[:0] = prior.history
+        it, factorizations = prior.iterations, prior.factorizations
     best = None
     reason = "max_iters"
     sigma, K, band = 0.0, None, None  # K is built when a shift needs it
     blind = False         # the last step was below the quotient's rounding
-    it = factorizations = 0
     while True:
         g = gE - lam * gM  # m d
         res = float(np.max(np.abs(g))) / m if g.size else 0.0
@@ -354,26 +360,55 @@ class _CylinderQuotient:
 
 
 class _FoldedQuotient(_CylinderQuotient):
-    """The cylinder's quotient on its S-even subspace (`disc.SEven`), over
-    the k unknowns y: the quotient of the left half's cells at Q y, its
-    gradients folded by Q^T and its matrices as Q^T A Q."""
+    """The quotient of a full cylinder with a node row at x1 = 0 on its
+    S-even subspace: the one definition of that subspace.
 
-    def __init__(self, fold, coeffs, p):
-        super().__init__(fold.half, coeffs, p)
-        self.fold = fold
+    Under symmetry S, A(-x2) = A(x2), the point reflection (x1, x2) ->
+    (-x1, -x2) reverses the order of the free DOFs, so an S-even vector,
+    u = u[::-1] (`unfold`), is fixed by its first k = ceil(n_free / 2)
+    entries y.  Q takes y to the free DOFs of `mesh`, the cells x1 <= 0
+    (the full spec kept), as y[gather]; there the energy and the p-mass
+    are half those of u, so the quotient of y is theirs at Q y, with
+    gradients Q^T g and matrices Q^T H Q (`disc.FoldedMatrix`).  `moved`
+    = (rows, cols, src) lists the entries (i, j) of a half-mesh matrix
+    (`_free_diagonals`) with i or j at least k, as flat indices `src` into
+    its data, at their places (gather[i], gather[j]) in Q^T H Q.
+    """
+
+    def __init__(self, mesh, coeffs, p):
+        c = mesh.n_cells1 // 2
+        half = copy.copy(mesh)
+        vars(half).pop("_tensor", None)  # the core of the full x1 nodes
+        half.n_cells1, half.x1 = c, mesh.x1[:c + 1]
+        half.dirichlet_mask = mesh.dirichlet_mask[:c + 1]
+        nh = half.n_free = int((~half.dirichlet_mask).sum())
+        super().__init__(half, coeffs, p)
+        self.n, self.k = mesh.n_free, (mesh.n_free + 1) // 2
+        node = np.arange(nh)
+        g = self.gather = np.minimum(node, self.n - 1 - node)
+        offsets = disc._stencil_offsets(len(mesh.x2))
+        j = np.broadcast_to(node, (len(offsets), nh))
+        i = j - offsets[:, None]
+        keep = (i >= 0) & (i < nh) & (np.maximum(i, j) >= self.k)
+        self.moved = g[i[keep]], g[j[keep]], np.flatnonzero(keep)
+
+    def unfold(self, y):
+        return np.concatenate((y, y[:self.n - self.k][::-1]))
 
     def state(self, y):
-        return super().state(y[self.fold.gather])
+        return super().state(y[self.gather])
 
     def gradient(self, S):
         E, gE, m, gM = super().gradient(S)
-        return E, self.fold.fold(gE), m, self.fold.fold(gM)
+        gE, gM = (np.bincount(self.gather, weights=g, minlength=self.k)
+                  for g in (gE, gM))
+        return E, gE, m, gM
 
     def hessian(self, S, lam):
-        return disc.FoldedMatrix(super().hessian(S, lam), self.fold)
+        return disc.FoldedMatrix(super().hessian(S, lam), self)
 
     def stiffness(self):
-        return disc.FoldedMatrix(super().stiffness(), self.fold)
+        return disc.FoldedMatrix(super().stiffness(), self)
 
 
 def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
@@ -390,35 +425,27 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
     flagged rather than raised, so parameter sweeps can record partial
     data.
 
-    From the lifted start, a full cylinder with a node row at x1 = 0 (an
-    even number of axial cells) under symmetry S at p != 2 is first solved
-    on its S-even half (`_FoldedQuotient`): its first eigenfunction is
-    simple, so it is S-even, and each Newton step there factors a band of
-    ceil(n_free / 2) columns.  The unfolded result then starts the full
-    problem, which tests its residual on the whole cylinder and steps on
-    only where that fails.  `iterations`, `factorizations` and
-    `rayleigh_history` add up both runs, `max_iters` caps them together,
-    and the rest of the result is the full run's.
+    The problem alone chooses the fold: a full cylinder with an even
+    number of axial cells under symmetry S at p != 2 is first solved on
+    its S-even subspace (`_FoldedQuotient`) from the first k entries of
+    the start, each Newton step factoring a band of k = ceil(n_free / 2)
+    columns; its first eigenfunction is simple, so it is S-even.  The
+    unfolded result starts the full problem, which tests its residual on
+    the whole cylinder and steps on only where that fails, continuing the
+    folded run's counts and history under the same `max_iters`.
     """
     opts = opts or SolveOptions()
-    folds = (start is None and p != 2
-             and mesh.spec.shape is Shape.FULL_CYLINDER
-             and mesh.n_cells1 % 2 == 0 and satisfies_symmetry_S(coeffs))
     if start is None:
         start = _lifted_start(mesh, coeffs, p, opts, cross)
-    problem = _CylinderQuotient(mesh, coeffs, p)
-    if not folds:
-        return _eigen_result(mesh, _minimize_quotient(problem, start, opts))
-    fold = disc.SEven(mesh)
-    half = _minimize_quotient(_FoldedQuotient(fold, coeffs, p),
-                              start[:fold.k], opts)
-    rest = copy.copy(opts)  # SolveOptions would reject 0 steps left
-    rest.max_iters -= half.iterations
-    full = _minimize_quotient(problem, fold.unfold(half.u), rest)
-    return _eigen_result(mesh, full._replace(
-        iterations=half.iterations + full.iterations,
-        history=np.concatenate((half.history, full.history)),
-        factorizations=half.factorizations + full.factorizations))
+    prior = None
+    if (p != 2 and mesh.spec.shape is Shape.FULL_CYLINDER
+            and mesh.n_cells1 % 2 == 0 and satisfies_symmetry_S(coeffs)):
+        fold = _FoldedQuotient(mesh, coeffs, p)
+        prior = _minimize_quotient(fold, start[:fold.k], opts)
+        start = fold.unfold(prior.u)
+        del fold  # its Gauss-point data, freed before the full run's
+    return _eigen_result(mesh, _minimize_quotient(
+        _CylinderQuotient(mesh, coeffs, p), start, opts, prior))
 
 
 def _lifted_start(mesh, coeffs, p, opts, cross):
@@ -624,25 +651,31 @@ def _krylov_ritz(K, M, apply_inverse, k):
     return lams, Q @ y
 
 
-def half_cylinder_eigen(side, ell, resolution, coeffs, p,
-                        opts=None, cross=None, start=None) -> EigenResult:
-    """First eigenvalue of the half cylinder with a Dirichlet far end.
-
-    `side` PLUS is (0, ell) with the natural end at 0; MINUS is (-ell, 0)
-    with the natural end at 0.  For p = 2 the assembled pencil is solved
-    (`linear_spectrum`), otherwise the cylinder quotient is descended
-    (`minimize_rayleigh`); both start from `start`, a vector over the free
-    DOFs of that half cylinder, when given, else from the lifted
-    quarter-wave state, built from `cross` when given.  The residual test
-    certifies the result on this half cylinder either way.
-    """
-    opts = opts or SolveOptions()
-    nx2, cpu = resolution
-    shape = Shape.HALF_PLUS if side is Side.PLUS else Shape.HALF_MINUS
-    mesh = build_mesh(DomainSpec(shape, ell, BC.HALF_CYLINDER, cpu, nx2))
+def first_eigen(mesh, coeffs, p, opts=None, cross=None,
+                start=None) -> EigenResult:
+    """First eigenpair on `mesh`: the assembled pencil at p = 2
+    (`linear_spectrum`), the quotient descent otherwise
+    (`minimize_rayleigh`), from `start` (free DOFs, any scale) when given,
+    else from the lifted state, built from `cross` when given.  The
+    residual test certifies the result on `mesh` either way."""
     if p == 2:
         return linear_spectrum(mesh, coeffs, 1, opts, cross, start)[0]
     return minimize_rayleigh(mesh, coeffs, p, opts, cross, start)
+
+
+def half_cylinder_eigen(side, ell, resolution, coeffs, p,
+                        opts=None, cross=None, start=None) -> EigenResult:
+    """First eigenpair of the half cylinder with a Dirichlet far end, by
+    `first_eigen` on its mesh.
+
+    `side` PLUS is (0, ell) with the natural end at 0; MINUS is (-ell, 0)
+    with the natural end at 0.  `start` is a vector over the free DOFs of
+    that half cylinder.
+    """
+    nx2, cpu = resolution
+    shape = Shape.HALF_PLUS if side is Side.PLUS else Shape.HALF_MINUS
+    mesh = build_mesh(DomainSpec(shape, ell, BC.HALF_CYLINDER, cpu, nx2))
+    return first_eigen(mesh, coeffs, p, opts, cross, start)
 
 
 # ---------------------------------------------------------------------------

@@ -224,8 +224,10 @@ class TestSlabBound:
 
 
 class TestEndMassSplit:
-    def test_symmetric_family_half_half(self, offdiag_field):
-        mesh = mixed_mesh(4)
+    # at ell 2.125 the 17th axial cell straddles x1 = 0
+    @pytest.mark.parametrize("ell", [4, 2.125])
+    def test_symmetric_family_half_half(self, offdiag_field, ell):
+        mesh = mixed_mesh(ell)
         r = cs.minimize_rayleigh(mesh, offdiag_field, 3)
         split = asy.end_mass_split(r.field, mesh, offdiag_field, 3)
         assert split.d_plus == pytest.approx(0.5, abs=1e-6)
@@ -454,19 +456,20 @@ class TestMirroredMinus:
 
 
 def unfolded(mesh, coeffs, p, opts=None):
-    """`minimize_rayleigh` on the whole mesh: given as `start`, the lifted
-    start bypasses the S-even fold."""
+    """The engine on the whole mesh's quotient from the lifted start, with
+    no S-even fold."""
     opts = opts or cs.SolveOptions()
     start = es._lifted_start(mesh, coeffs, p, opts, None)
-    return cs.minimize_rayleigh(mesh, coeffs, p, opts, start=start)
+    return es._eigen_result(mesh, es._minimize_quotient(
+        es._CylinderQuotient(mesh, coeffs, p), start, opts))
 
 
 def record_factorizations(monkeypatch):
     """The columns of every dgbsv band, and (mesh, result, columns) of each
-    full-cylinder `minimize_rayleigh` that `asy` makes."""
+    full-cylinder `minimize_rayleigh`."""
     import scipy.linalg.lapack as lapack
     columns, solves = [], []
-    dgbsv, solve = lapack.dgbsv, asy.minimize_rayleigh
+    dgbsv, solve = lapack.dgbsv, es.minimize_rayleigh
 
     def counted(kl, ku, ab, *args, **kwargs):
         columns.append(ab.shape[1])
@@ -475,11 +478,12 @@ def record_factorizations(monkeypatch):
     def recording(mesh, *args, **kwargs):
         before = len(columns)
         r = solve(mesh, *args, **kwargs)
-        solves.append((mesh, r, columns[before:]))
+        if mesh.spec.shape is cs.Shape.FULL_CYLINDER:
+            solves.append((mesh, r, columns[before:]))
         return r
 
     monkeypatch.setattr(lapack, "dgbsv", counted)
-    monkeypatch.setattr(asy, "minimize_rayleigh", recording)
+    monkeypatch.setattr(es, "minimize_rayleigh", recording)
     return columns, solves
 
 
@@ -544,6 +548,22 @@ class TestSEvenFold:
             assert cols == [mesh.n_free] * r.factorizations
             assert r.lam == whole.lam
             assert np.array_equal(r.rayleigh_history, whole.rayleigh_history)
+
+    def test_given_start_is_folded(self, monkeypatch, offdiag_field):
+        # the problem alone chooses the fold: a given start is folded from
+        # its first k entries, and the result is the lifted start's
+        mesh = mixed_mesh(4, nx2=32)
+        start = es._lifted_start(mesh, offdiag_field, 3, cs.SolveOptions(),
+                                 None)
+        lifted = cs.minimize_rayleigh(mesh, offdiag_field, 3)
+        columns, solves = record_factorizations(monkeypatch)
+        r = es.minimize_rayleigh(mesh, offdiag_field, 3, start=start)
+        monkeypatch.undo()
+        assert [cols for _, _, cols in solves] == [columns]
+        assert columns == [(mesh.n_free + 1) // 2] * r.factorizations
+        assert r.factorizations > 0 and r.converged
+        assert r.lam == lifted.lam
+        assert np.array_equal(r.field.values, lifted.field.values)
 
     @pytest.mark.parametrize("max_iters", [1, 3])
     def test_max_iters_caps_both_runs(self, monkeypatch, offdiag_field,

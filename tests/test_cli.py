@@ -476,6 +476,16 @@ def test_decay_window_validated_upfront(tmp_path):
                         window=[2, 10], output_dir=str(tmp_path / "runs"))
     assert cli.main(["decay", "--config", path]) == 2
     assert not (tmp_path / "runs").exists()
+    # at ell 2.125 the profile has a fifth, partial slab, as the mesh cuts it
+    path = write_config(tmp_path, experiment="decay", ell=2.125,
+                        window=[3, 4], output_dir=str(tmp_path / "runs"))
+    assert cli.main(["decay", "--config", path]) == 2
+    assert not (tmp_path / "runs").exists()
+    path = write_config(tmp_path, experiment="decay", ell=2.125,
+                        window=[2, 4], output_dir=str(tmp_path / "runs"))
+    assert cli.main(["decay", "--config", path]) == 0
+    run = next((tmp_path / "runs").iterdir())
+    assert json.loads((run / "decay.json").read_text())["window"] == [2, 4]
 
 
 def test_tabulated_family_through_cli(tmp_path):

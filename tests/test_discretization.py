@@ -222,14 +222,16 @@ def test_band_is_the_dia_matrix(shape, bc, nx2, linear_field):
             assert np.count_nonzero(ab) == np.count_nonzero(oracle)
 
 
-def s_even_fold(bc, ell, nx2):
-    """`disc.SEven` of a full cylinder at 4 cells per unit, and its Q as a
-    dense matrix from the k unknowns to the left half's free DOFs."""
+def s_even_fold(bc, ell, nx2, coeffs):
+    """`eigensolve._FoldedQuotient` of a full cylinder at 4 cells per unit
+    and p = 3, and its Q as a dense matrix from the k unknowns to the free
+    DOFs of the left half, its `mesh`."""
+    from cylspectra import eigensolve as es
     mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, bc, 4,
                                        nx2))
-    fold = disc.SEven(mesh)
-    Q = np.zeros((fold.half.n_free, fold.k))
-    Q[np.arange(fold.half.n_free), fold.gather] = 1.0
+    fold = es._FoldedQuotient(mesh, coeffs, 3.0)
+    Q = np.zeros((fold.mesh.n_free, fold.k))
+    Q[np.arange(fold.mesh.n_free), fold.gather] = 1.0
     return mesh, fold, Q
 
 
@@ -240,8 +242,8 @@ def test_folded_band_is_q_transpose_a_q(bc, ell, nx2, offdiag_field):
     # the Hessian and the stiffness of the left half, folded into the gbsv
     # band of the k unknowns (an even and an odd count of section nodes)
     from cylspectra import eigensolve as es
-    _, fold, Q = s_even_fold(bc, ell, nx2)
-    problem = es._CylinderQuotient(fold.half, offdiag_field, 3.0)
+    _, fold, Q = s_even_fold(bc, ell, nx2, offdiag_field)
+    problem = es._CylinderQuotient(fold.mesh, offdiag_field, 3.0)
     v = 1.0 + np.random.default_rng(nx2).random(fold.k)[fold.gather]
     S = problem.state(v)
     E, _, m, _ = problem.gradient(S)
@@ -263,15 +265,15 @@ def test_folded_band_is_q_transpose_a_q(bc, ell, nx2, offdiag_field):
 @pytest.mark.parametrize("bc", [cs.BC.MIXED, cs.BC.DIRICHLET_ALL])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_s_even_energy_is_twice_the_half(bc, p, offdiag_field):
-    mesh, fold, _ = s_even_fold(bc, 3, 8)
+    mesh, fold, _ = s_even_fold(bc, 3, 8, offdiag_field)
     y = 1.0 + np.random.default_rng(3).random(fold.k)
     u = fold.unfold(y)
     assert np.array_equal(u, u[::-1]) and np.array_equal(u[:fold.k], y)
-    whole, half = mesh.expand(u), fold.half.expand(y[fold.gather])
+    whole, half = mesh.expand(u), fold.mesh.expand(y[fold.gather])
     assert cs.energy(mesh, offdiag_field, whole, p) == pytest.approx(
-        2.0 * cs.energy(fold.half, offdiag_field, half, p), rel=1e-14)
+        2.0 * cs.energy(fold.mesh, offdiag_field, half, p), rel=1e-14)
     assert disc.p_mass(mesh, whole, p)[0] == pytest.approx(
-        2.0 * disc.p_mass(fold.half, half, p)[0], rel=1e-14)
+        2.0 * disc.p_mass(fold.mesh, half, p)[0], rel=1e-14)
 
 
 def test_mass_matrix_positive_definite(small_mixed_mesh, identity_field):

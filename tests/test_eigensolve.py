@@ -462,7 +462,7 @@ class TestMinimizeRayleigh:
         r = es._minimize_quotient(problem, w, cs.SolveOptions())
         assert r.stop_reason == "no_descent" and r.iterations == 1
 
-    def test_returns_best_iterate(self, monkeypatch, offdiag_field):
+    def test_returns_best_iterate(self, offdiag_field):
         # below rounding the residual wanders after it bottoms out; the
         # exit hands back the iterate with the lowest residual seen.  At
         # ell = 4 the step past the best iterate moves the carried state
@@ -477,16 +477,16 @@ class TestMinimizeRayleigh:
                 states.append(S)
                 return E, gE, m, gM
 
-        monkeypatch.setattr(es, "_CylinderQuotient", Recording)
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 4, cs.BC.MIXED, 4, 16))
         # the start lifts the section state of the default options: the
-        # subject here is the returned iterate, not the start.  Given as
-        # `start`, it keeps the whole descent on the full cylinder
+        # subject here is the returned iterate, not the start.  The engine
+        # descends the whole cylinder's quotient, with no S-even fold
         cross = cs.cross_section_ground_state(16, offdiag_field, 3)
         opts = cs.SolveOptions(tol_residual=1e-17)
         start = es._lifted_start(mesh, offdiag_field, 3, opts, cross)
-        r = cs.minimize_rayleigh(mesh, offdiag_field, 3, opts, start=start)
+        r = es._eigen_result(mesh, es._minimize_quotient(
+            Recording(mesh, offdiag_field, 3), start, opts))
         assert r.stop_reason in ("no_descent", "max_iters")
         assert residuals[-1] > min(residuals)
         assert r.final_residual == min(residuals)
@@ -884,10 +884,13 @@ class TestNewton:
             allocated.append(out is None)
             return band(A, kl, ku, top, out)
 
-        def counted_engine(problem, u0, opts):
+        def counted_engine(problem, u0, opts, prior=None):
+            # this call's factorizations: a run that continues `prior`
+            # starts its count at the prior's
             before = sum(allocated)
-            r = engine(problem, u0, opts)
-            per_solve.append((sum(allocated) - before, r.factorizations))
+            r = engine(problem, u0, opts, prior)
+            own = r.factorizations - (prior.factorizations if prior else 0)
+            per_solve.append((sum(allocated) - before, own))
             return r
 
         monkeypatch.setattr(disc, "lapack_band", counted_band)
