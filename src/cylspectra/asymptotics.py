@@ -39,6 +39,8 @@ from .mesh import BC, DomainSpec, Shape, SlabProfile, build_mesh, slab_integrals
 
 # a half-cylinder ladder is monotone when no step rises by more than this
 MONOTONE_SLACK = 1e-7
+# the rungs the tail extrapolation of a ladder fits
+LADDER_RUNGS = 3
 # a12 W' vanishes when its max is at most this share of max|W'| max(1, |a12|)
 ZERO_TOL = 1e-10
 # the Picone residual is read where the lift exceeds this share of max W
@@ -151,11 +153,9 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
     cross resolution, together with the cross-section value, the gap, the
     decay fit of the mixed minimizer and its end-mass split.  Rows are
     independent; non-converged solves are flagged in the row and the sweep
-    continues.
+    continues.  The lengths are checked first (`check_lengths`).
     """
-    ells = list(ells)
-    if any(b <= a for a, b in zip(ells, ells[1:])):
-        raise ConfigurationError("ells must be strictly increasing")
+    ells = check_lengths(ells, resolution)
     opts = opts or SolveOptions()
     nx2, cpu = resolution
     cross = cross_section_ground_state(nx2, family_coeffs, p, opts)
@@ -203,13 +203,11 @@ def nu_infinity_estimate(side, family_coeffs, p, ell_ladder, resolution,
     The limit is estimated by fitting a geometric tail through the last
     three rungs (Aitken delta-squared).  If the ladder fails the expected
     monotone decrease beyond `MONOTONE_SLACK`, or the tail is not
-    geometric-decreasing, the last rung is reported as the estimate.
+    geometric-decreasing, the last rung is reported as the estimate.  The
+    ladder is checked first: at least `LADDER_RUNGS` lengths
+    (`check_lengths`).
     """
-    ladder_ells = list(ell_ladder)
-    if len(ladder_ells) < 3:
-        raise ConfigurationError("need a ladder of at least 3 lengths")
-    if any(b <= a for a, b in zip(ladder_ells, ladder_ells[1:])):
-        raise ConfigurationError("ladder lengths must be strictly increasing")
+    ladder_ells = check_lengths(ell_ladder, resolution, LADDER_RUNGS)
     opts = opts or SolveOptions()
     cross = cross_section_ground_state(resolution[0], family_coeffs, p, opts)
     values, converged = [], True
@@ -230,6 +228,32 @@ def nu_infinity_estimate(side, family_coeffs, p, ell_ladder, resolution,
             extrapolated = last - d2 * d2 / denom
     return NuEstimate(side, list(zip(ladder_ells, values)), last,
                       extrapolated, monotone_ok, converged)
+
+
+def check_lengths(ells, resolution, rungs=1):
+    """The lengths of a sweep, a ladder or `beta2` runs, as a list; checked
+    first, before any solve: at least `rungs` of them, strictly increasing,
+    and each a positive ell whose half cylinder (so also its full one) is a
+    whole number of cells at `resolution` = (nx2, cells_per_unit)."""
+    ells, (nx2, cpu) = list(ells), resolution
+    if len(ells) < rungs or any(b <= a for a, b in zip(ells, ells[1:])):
+        raise ConfigurationError(f"ells must be at least {rungs} lengths, "
+                                 f"strictly increasing; got {ells}")
+    for ell in ells:
+        DomainSpec(Shape.HALF_PLUS, ell, BC.HALF_CYLINDER, cpu, nx2)
+    return ells
+
+
+def check_window(window, n_slabs):
+    """The decay window (first, last) cut to a profile of `n_slabs` slabs;
+    `ConfigurationError` where it starts below slab 0 or holds fewer than
+    3 slabs."""
+    lo, hi = window[0], min(window[1], n_slabs - 1)
+    if lo < 0 or hi - lo < 2:  # numpy would wrap lo < 0 from the far end
+        raise ConfigurationError(
+            f"decay window {tuple(window)} needs >= 3 slabs inside the "
+            f"{n_slabs}-slab profile, none below slab 0")
+    return lo, hi
 
 
 def default_window(ell):
@@ -256,13 +280,8 @@ def fit_decay(profile, window) -> DecayFit:
     `alpha_hat` is exp(slope).  A flat profile comes back with alpha_hat = 1
     and the `no_decay` flag.
     """
-    lo, hi = window
-    if lo < 0:  # numpy would wrap it around from the far end
-        raise ConfigurationError(f"decay window {window} starts below slab 0")
-    hi = min(hi, len(profile) - 1)
+    lo, hi = check_window(window, len(profile))
     idx = np.arange(lo, hi + 1)
-    if idx.size < 3:
-        raise ConfigurationError("decay window must contain at least 3 slabs")
     values = profile.grad_energy[idx]
     if np.any(values <= 0.0):
         raise ConfigurationError("nonpositive slab energies in the fit window")
@@ -310,8 +329,7 @@ def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs, p) -> float:
     cross-section integrals.  It upper-bounds the semi-infinite infimum and
     tends to the cross-section value as eps -> 0.
     """
-    if eps <= 0.0:
-        raise ConfigurationError("eps must be positive")
+    check_eps(eps)
     e, a11q, a12q, a22q, wv, wp = _section(cross, coeffs)
     # density of |A grad v . grad v| at unit axial factor
     q_sec = (eps ** 2 * a11q * wv ** 2
@@ -320,6 +338,12 @@ def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs, p) -> float:
     sec_energy = float(np.sum(e.weights @ np.abs(q_sec) ** (p / 2.0)))
     sec_mass = float(np.sum(e.weights @ np.abs(wv) ** p))
     return sec_energy / sec_mass
+
+
+def check_eps(eps):
+    """`ConfigurationError` unless the test-function rate eps is positive."""
+    if not eps > 0.0:
+        raise ConfigurationError(f"eps must be positive, got {eps}")
 
 
 def slab_bound(cross: CrossSectionResult, coeffs, p, variant="squared"):
@@ -355,8 +379,9 @@ def beta2_upper_bound(ell, resolution, coeffs, p, opts=None,
     supported on the two halves have disjoint support, so the larger of
     the two first eigenvalues bounds the second min-max value of the full
     cylinder.  The bound is certified (`converged`) when both solves are,
-    each on its own residual.
+    each on its own residual.  `ell` is checked first (`check_lengths`).
     """
+    check_lengths([ell], resolution)
     opts = opts or SolveOptions()
     if cross is None:
         cross = cross_section_ground_state(resolution[0], coeffs, p, opts)

@@ -18,6 +18,12 @@ Commands and their artifacts:
   decay      decay.csv (slab profile) + decay.json (fitted ratio)
   beta2      beta2.csv    {ell, beta2_upper, lambda_half_plus, lambda_half_minus}
   report     report.txt / report.csv from previous run manifests
+
+A config is checked in full before its run directory is made, by the
+checks the library itself runs before any solve: `check_resolution` and
+`DomainSpec` (mesh), `check_exponent` (discretization), and
+`check_lengths`, `check_window` and `check_eps` (asymptotics).  Only a
+`k` above the free DOFs of the mesh is found once the run has begun.
 """
 
 from __future__ import annotations
@@ -36,10 +42,12 @@ from . import __version__
 from . import asymptotics as asy
 from .coeffs import (CoefficientFamily, FamilyKind, load_tabulated_csv,
                      make_coefficients, satisfies_symmetry_S)
+from .discretization import check_exponent
 from .eigensolve import (Side, SolveOptions, cross_section_ground_state,
                          linear_spectrum)
 from .errors import ConfigurationError, SolverError
-from .mesh import MIN_NX2, BC, DomainSpec, Shape, build_mesh, slab_integrals
+from .mesh import (BC, DomainSpec, Shape, build_mesh, check_resolution,
+                   slab_count, slab_integrals)
 
 SWEEP_HEADER = ("ell,p,family,lambda_mixed,lambda_dirichlet,lambda_half_plus,"
                 "lambda_half_minus,mu1,gap,alpha_hat,d_plus,d_minus,n_plus,"
@@ -165,9 +173,7 @@ def _parse_family(raw, p, nx2, opts):
 
 
 def _parse_solver(raw):
-    if raw is None:
-        return SolveOptions()
-    sch = _Schema(raw, "solver")
+    sch = _Schema(raw or {}, "solver")
     opts = SolveOptions(
         tol_residual=sch.get("tol_residual", float, default=1e-8),
         max_iters=sch.get("max_iters", int, default=50000),
@@ -178,7 +184,11 @@ def _parse_solver(raw):
 
 class RunPlan:
     """Validated experiment configuration: all that the config alone can
-    tell is checked up front, before any run directory exists."""
+    tell is checked up front, before any run directory exists.  The plan
+    parses the JSON types and keeps the rules of the command line alone
+    (experiment names, `spectrum` at p = 2, report manifests); every other
+    rule is the library's one check of it, which the solves call too.  A
+    solve, spectrum or decay run keeps its one domain as `spec`."""
 
     def __init__(self, cfg, experiment, cli_output_dir=None):
         sch = _Schema(cfg)
@@ -204,69 +214,58 @@ class RunPlan:
         self.nx2 = resolution.get("nx2", int, required=True)
         self.cells_per_unit = resolution.get("cells_per_unit", int, required=True)
         resolution.finish()
-        if self.nx2 < MIN_NX2 or self.cells_per_unit < 2:
-            raise ConfigurationError("resolution too coarse: "
-                                     f"nx2 >= {MIN_NX2}, cells_per_unit >= 2")
+        check_resolution(self.nx2, self.cells_per_unit)
 
         self.p = sch.get("p", float, required=True)
-        if self.p < 2:
-            raise ConfigurationError(f"p must be >= 2, got {self.p}")
+        check_exponent(self.p)
         self.opts = _parse_solver(sch.get("solver", dict, default=None))
         family = sch.get("family", dict, required=True)
 
         if experiment == "solve":
-            self.shape = _SHAPES[sch.get("shape", str, default="full",
-                                         choices=set(_SHAPES))]
+            shape = _SHAPES[sch.get("shape", str, default="full",
+                                    choices=set(_SHAPES))]
             default_bc = {"full": "mixed", "half_plus": "half",
                           "half_minus": "half", "cross_section": "dirichlet"}
-            raw_bc = sch.get("bc", str, default=default_bc[self.shape.value],
-                             choices=set(_BCS))
-            self.bc = _BCS[raw_bc]
-            self.ell = sch.get("ell", float, default=1.0)
-            DomainSpec(self.shape, self.ell, self.bc, self.cells_per_unit,
-                       self.nx2)
+            bc = _BCS[sch.get("bc", str, default=default_bc[shape.value],
+                              choices=set(_BCS))]
+            self.spec = DomainSpec(shape, sch.get("ell", float, default=1.0),
+                                   bc, self.cells_per_unit, self.nx2)
         elif experiment in ("sweep", "beta2", "ladder"):
-            self.ells = sch.get("ells", list, required=True)
-            if (not self.ells or
-                    not all(_is_json(e, (int, float)) for e in self.ells)):
-                raise ConfigurationError("ells must be a nonempty numeric list")
-            self.ells = [float(e) for e in self.ells]
-            if any(b <= a for a, b in zip(self.ells, self.ells[1:])):
-                raise ConfigurationError("ells must be strictly increasing")
+            ells = sch.get("ells", list, required=True)
+            if not all(_is_json(e, (int, float)) for e in ells):
+                raise ConfigurationError("ells must be a numeric list")
+            rungs = asy.LADDER_RUNGS if experiment == "ladder" else 1
+            self.ells = asy.check_lengths([float(e) for e in ells],
+                                          self.resolution, rungs)
             if experiment == "ladder":
-                if len(self.ells) < 3:
-                    raise ConfigurationError("ladder needs at least 3 lengths")
                 self.side = Side(sch.get("side", str, default="plus",
                                          choices={"plus", "minus"}))
-        elif experiment == "spectrum":
+        elif experiment in ("spectrum", "decay"):
             self.ell = sch.get("ell", float, required=True)
-            self.k = sch.get("k", int, default=3)
-            if self.k < 1:
-                raise ConfigurationError("k must be >= 1")
-            if self.p != 2:
-                raise ConfigurationError("spectrum requires p = 2")
-        elif experiment == "decay":
-            self.ell = sch.get("ell", float, required=True)
-            window = sch.get("window", list, default=None)
-            if window is not None:
-                if len(window) != 2 or not all(_is_json(w, int) for w in window):
-                    raise ConfigurationError("window must be [first, last]")
-                self.window = (window[0], window[1])
+            self.spec = DomainSpec(Shape.FULL_CYLINDER, self.ell, BC.MIXED,
+                                   self.cells_per_unit, self.nx2)
+            if experiment == "spectrum":
+                self.k = sch.get("k", int, default=3)
+                if self.k < 1:
+                    raise ConfigurationError("k must be >= 1")
+                if self.p != 2:
+                    raise ConfigurationError("spectrum requires p = 2")
             else:
-                self.window = asy.default_window(self.ell)
-            lo, hi = self.window
-            # unit slabs from the left end, the last one partial where
-            # 2 ell is no whole number, as `CylinderMesh.slab_edges`
-            n_slabs = int(np.ceil(2 * self.ell - 1e-9))
-            if lo < 0 or min(hi, n_slabs - 1) - lo < 2:
-                raise ConfigurationError(
-                    f"decay window {self.window} needs >= 3 slabs inside the "
-                    f"{n_slabs}-slab profile")
+                window = sch.get("window", list, default=None)
+                if window is None:
+                    window = asy.default_window(self.ell)
+                elif (len(window) != 2
+                      or not all(_is_json(w, int) for w in window)):
+                    raise ConfigurationError("window must be [first, last]")
+                self.window = tuple(window)
+                asy.check_window(self.window, slab_count(self.spec.length))
         elif experiment == "gap_check":
-            self.eps_list = sch.get("eps", list, default=[0.1, 0.01])
-            if not all(_is_json(e, (int, float)) and e > 0 for e in self.eps_list):
+            eps = sch.get("eps", list, default=[0.1, 0.01])
+            if not all(_is_json(e, (int, float)) for e in eps):
                 raise ConfigurationError("eps must be a list of positive reals")
-            self.eps_list = [float(e) for e in self.eps_list]
+            self.eps_list = [float(e) for e in eps]
+            for e in self.eps_list:
+                asy.check_eps(e)
         sch.finish()
         # last: a grad_aligned family solves its identity section
         self.family, self.family_converged = _parse_family(
@@ -295,21 +294,20 @@ def _make_run_dir(base, experiment):
     raise OSError(f"could not create a fresh run directory under {base}")
 
 
-def _first_pair(plan, shape, bc):
-    """The first eigenpair on the plan's cylinder of `shape` and `bc`."""
-    mesh = build_mesh(DomainSpec(shape, plan.ell, bc, plan.cells_per_unit,
-                                 plan.nx2))
-    return asy.first_eigen(mesh, plan.family, plan.p, plan.opts)
+def _first_pair(plan):
+    """The first eigenpair on the plan's cylinder."""
+    return asy.first_eigen(build_mesh(plan.spec), plan.family, plan.p,
+                           plan.opts)
 
 
 def _run_solve(plan, outdir):
-    if plan.shape is Shape.CROSS_SECTION:
+    if plan.spec.shape is Shape.CROSS_SECTION:
         cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
                                            plan.opts)
         payload = {"lambda": cross.mu1, "iterations": cross.iterations,
                    "residual": cross.residual, "converged": cross.converged}
     else:
-        r = _first_pair(plan, plan.shape, plan.bc)
+        r = _first_pair(plan)
         payload = {"lambda": r.lam, "iterations": r.iterations,
                    "residual": r.final_residual, "converged": r.converged}
     _atomic_write(os.path.join(outdir, "solve.json"), _dump_json(payload))
@@ -343,9 +341,8 @@ def _run_ladder(plan, outdir):
 
 
 def _run_spectrum(plan, outdir):
-    mesh = build_mesh(DomainSpec(Shape.FULL_CYLINDER, plan.ell, BC.MIXED,
-                                 plan.cells_per_unit, plan.nx2))
-    results = linear_spectrum(mesh, plan.family, plan.k, plan.opts)
+    results = linear_spectrum(build_mesh(plan.spec), plan.family, plan.k,
+                              plan.opts)
     _write_csv(outdir, "spectrum.csv", "k,lambda,iterations,residual,converged",
                [(i, r.lam, r.iterations, r.final_residual, r.converged)
                 for i, r in enumerate(results, start=1)])
@@ -381,7 +378,7 @@ def _run_gap_check(plan, outdir):
 
 
 def _run_decay(plan, outdir):
-    r = _first_pair(plan, Shape.FULL_CYLINDER, BC.MIXED)
+    r = _first_pair(plan)
     profile = slab_integrals(r.field.mesh, plan.family, r.field, plan.p)
     oriented = asy.orient_profile(profile)
     _write_csv(outdir, "decay.csv", "slab,grad_energy,p_mass,a_energy",

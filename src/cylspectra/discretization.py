@@ -73,8 +73,10 @@ class SparsePair:
     mass: sp.csr_matrix
 
 
-def _check_p(p):
-    if p < 2:
+def check_exponent(p):
+    """The one floor of the exponent: `UnsupportedExponentError` unless
+    p >= 2."""
+    if not p >= 2:
         raise UnsupportedExponentError(f"p must be >= 2, got {p}")
 
 
@@ -333,13 +335,13 @@ def energy(mesh, coeffs, u, p) -> float:
     in absolute value before the p/2 power to guard against roundoff
     producing tiny negatives at quadrature points.
     """
-    _check_p(p)
+    check_exponent(p)
     return _energy_of(mesh, coeffs, u, p, False)
 
 
 def energy_gradient(mesh, coeffs, u, p) -> np.ndarray:
     """Exact derivative of the discrete energy w.r.t. each free nodal value."""
-    _check_p(p)
+    check_exponent(p)
     return _energy_of(mesh, coeffs, u, p, True)[1][~mesh.dirichlet_mask]
 
 
@@ -350,7 +352,7 @@ def p_mass(mesh, u, p):
     -------
     (value, gradient) : (float, ndarray over free DOFs)
     """
-    _check_p(p)
+    check_exponent(p)
     core = _core(mesh)
     value, grad = _mass_sums(core, core.values(_grid(mesh, u)), p, True)
     return value, grad[~mesh.dirichlet_mask]
@@ -432,7 +434,7 @@ def rayleigh(mesh, coeffs, u, p) -> float:
 
 def grad_p_norm(mesh, u, p) -> float:
     """Plain gradient p-norm  integral |grad u|^p  (no coefficients)."""
-    _check_p(p)
+    check_exponent(p)
     core = _core(mesh)
     _, g1, g2 = core.state(_grid(mesh, u))
     return core.integrate(_power(g1 * g1 + g2 * g2, p / 2.0))
@@ -444,7 +446,7 @@ def cell_integrals(mesh, coeffs, grid, p):
     Returns a dict of (n_cells1, n_cells2) arrays: `a_energy` for
     |A grad u . grad u|^{p/2}, `grad_p` for |grad u|^p, `p_mass` for |u|^p.
     """
-    _check_p(p)
+    check_exponent(p)
     core = _core(mesh)
     q, (uq, g1, g2), _ = _form(core, coeffs, grid)
     dens = {"a_energy": _power(q, p / 2.0),

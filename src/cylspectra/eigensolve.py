@@ -43,7 +43,7 @@ from . import discretization as disc
 from .coeffs import satisfies_symmetry_S
 from .discretization import DiscreteField, _power, _power_slope, _Q1
 from .errors import ConfigurationError, SolverError
-from .mesh import BC, MIN_NX2, DomainSpec, Shape, build_mesh
+from .mesh import BC, DomainSpec, Shape, build_mesh, check_resolution
 
 
 class Init(enum.Enum):
@@ -416,12 +416,13 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
 
     Newton steps shifted by the p = 2 stiffness matrix under a trust-region
-    ratio test (`_minimize_quotient`), from `start` (free DOFs, any scale)
-    when given, else from `_lifted_start`.  Stops when the projected
-    gradient falls below ``tol_residual * max(1, |lambda|)`` in the max
-    norm, when no trial step descends, or at `max_iters`; `stop_reason`
-    says which, and `converged` is true only for the residual exit, tested
-    on this problem whatever the start.  A non-converged run is returned
+    ratio test (`_minimize_quotient`), from `start` (free DOFs, any scale;
+    `DimensionMismatchError` for any other length) when given, else from
+    `_lifted_start`; p is checked first (`disc.check_exponent`).  Stops
+    when the projected gradient falls below ``tol_residual * max(1,
+    |lambda|)`` in the max norm, when no trial step descends, or at
+    `max_iters`; `stop_reason` says which, and `converged` is true only
+    for the residual exit, tested on this problem whatever the start.  A non-converged run is returned
     flagged rather than raised, so parameter sweeps can record partial
     data.
 
@@ -434,9 +435,11 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
     the whole cylinder and steps on only where that fails, continuing the
     folded run's counts and history under the same `max_iters`.
     """
+    disc.check_exponent(p)
     opts = opts or SolveOptions()
-    if start is None:
-        start = _lifted_start(mesh, coeffs, p, opts, cross)
+    # DiscreteField checks the length of a given start
+    start = (_lifted_start(mesh, coeffs, p, opts, cross) if start is None
+             else DiscreteField(start, mesh).values)
     prior = None
     if (p != 2 and mesh.spec.shape is Shape.FULL_CYLINDER
             and mesh.n_cells1 % 2 == 0 and satisfies_symmetry_S(coeffs)):
@@ -515,9 +518,10 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     """k smallest eigenpairs of the p = 2 pencil (K, M).
 
     k = 1 runs the descent engine (`_minimize_quotient`) on the pencil
-    quotient u.Ku / u.Mu from `start` (free DOFs, any scale) when given,
-    else from the lifted start of `minimize_rayleigh`, built from `cross`
-    (the p = 2 cross-section ground state, solved here when not given).
+    quotient u.Ku / u.Mu from `start` (free DOFs, any scale, its length
+    checked) when given, else from the lifted start of
+    `minimize_rayleigh`, built from `cross` (the p = 2 cross-section
+    ground state, solved here when not given).
     Its unshifted step is Rayleigh-quotient iteration, one banded LU solve
     of K - lam M; the shift sigma K enters only after a rejected step.  The
     result carries the engine's certificate: `stop_reason` "residual"
@@ -566,8 +570,8 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
         lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         reason = "dense"
     else:
-        if start is None:
-            start = _lifted_start(mesh, coeffs, 2.0, opts, cross)
+        start = (_lifted_start(mesh, coeffs, 2.0, opts, cross)
+                 if start is None else DiscreteField(start, mesh).values)
         first = _minimize_quotient(_PencilQuotient(K, M), start, opts)
         if k == 1:
             return [_eigen_result(mesh, first)]
@@ -693,9 +697,10 @@ def cross_section_ground_state(nx2, coeffs, p,
     constant comes from a second descent, of the plain (a22 = 1) problem on
     the same element, where a22 is not 1.  A descent that stops uncertified
     is returned flagged (`converged` false), as the cylinder solves are.
+    nx2 and p are checked first (`check_resolution`, `check_exponent`).
     """
-    if nx2 < MIN_NX2:
-        raise ConfigurationError(f"nx2 must be >= {MIN_NX2}, got {nx2}")
+    check_resolution(nx2)
+    disc.check_exponent(p)
     opts = opts or SolveOptions()
     x2 = np.linspace(-0.5, 0.5, nx2 + 1)
     e = _Q1(x2)

@@ -10,7 +10,9 @@ class DimensionMismatchError(ValueError):
 
 
 class UnsupportedExponentError(ValueError):
-    """Exponent p outside the supported range p >= 2."""
+    """Exponent p outside the supported range p >= 2, raised by the one
+    check of that floor, `discretization.check_exponent`: every solve and
+    the CLI config call it before any solve."""
 
 
 class AdmissibilityError(ValueError):

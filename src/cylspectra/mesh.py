@@ -48,7 +48,8 @@ class DomainSpec:
     bc : BC
         Boundary-condition tag; must be compatible with `shape`.
     cells_per_unit : int
-        Axial cells per unit length (>= 2).
+        Axial cells per unit length (>= 2); a cylinder's axial `length`
+        must be a whole number of cells.
     nx2 : int
         Cross-section cells (>= MIN_NX2).
     """
@@ -62,12 +63,7 @@ class DomainSpec:
     def __post_init__(self):
         if not self.ell > 0:
             raise ConfigurationError(f"ell must be positive, got {self.ell}")
-        if self.cells_per_unit < 2:
-            raise ConfigurationError(
-                f"cells_per_unit must be >= 2, got {self.cells_per_unit}")
-        if self.nx2 < MIN_NX2:
-            raise ConfigurationError(
-                f"nx2 must be >= {MIN_NX2}, got {self.nx2}")
+        check_resolution(self.nx2, self.cells_per_unit)
         if self.shape is Shape.FULL_CYLINDER:
             if self.bc not in (BC.MIXED, BC.DIRICHLET_ALL):
                 raise ConfigurationError(
@@ -76,12 +72,39 @@ class DomainSpec:
             if self.bc is not BC.HALF_CYLINDER:
                 raise ConfigurationError(
                     f"half cylinders require the half-cylinder bc, got {self.bc}")
-        elif self.shape is Shape.CROSS_SECTION:
+        elif self.bc is not BC.DIRICHLET_ALL:
             # 1D problem handled by eigensolve.cross_section_ground_state;
             # its boundary condition is Dirichlet at both interval ends.
-            if self.bc is not BC.DIRICHLET_ALL:
+            raise ConfigurationError(
+                "cross section uses Dirichlet ends; set bc=DIRICHLET_ALL")
+        if self.shape is not Shape.CROSS_SECTION:
+            cells = self.cells_per_unit * self.length
+            if abs(round(cells) - cells) > 1e-9:
                 raise ConfigurationError(
-                    "cross section uses Dirichlet ends; set bc=DIRICHLET_ALL")
+                    "axial length times cells_per_unit must be a whole "
+                    f"number of cells, got {cells}")
+
+    @property
+    def length(self):
+        """Axial length: 2 ell for the full cylinder, else ell."""
+        return (2.0 if self.shape is Shape.FULL_CYLINDER else 1.0) * self.ell
+
+
+def check_resolution(nx2, cells_per_unit=2):
+    """`ConfigurationError` unless there are at least MIN_NX2 cross-section
+    cells and 2 axial cells per unit length; the default passes the latter,
+    for the cross section, which has no axis."""
+    if nx2 < MIN_NX2:
+        raise ConfigurationError(f"nx2 must be >= {MIN_NX2}, got {nx2}")
+    if cells_per_unit < 2:
+        raise ConfigurationError(
+            f"cells_per_unit must be >= 2, got {cells_per_unit}")
+
+
+def slab_count(length):
+    """Unit slabs along an axial `length` from one end, the last one partial
+    where `length` is no whole number."""
+    return int(np.ceil(length - 1e-9))
 
 
 class CylinderMesh:
@@ -103,19 +126,10 @@ class CylinderMesh:
                 "cross-section problems are one-dimensional; "
                 "use eigensolve.cross_section_ground_state")
         self.spec = spec
-        ell = float(spec.ell)
-        if spec.shape is Shape.FULL_CYLINDER:
-            x1_lo, x1_hi = -ell, ell
-        elif spec.shape is Shape.HALF_PLUS:
-            x1_lo, x1_hi = 0.0, ell
-        else:
-            x1_lo, x1_hi = -ell, 0.0
-        length = x1_hi - x1_lo
+        length = spec.length
+        x1_lo = 0.0 if spec.shape is Shape.HALF_PLUS else -float(spec.ell)
+        x1_hi = x1_lo + length
         n_cells1 = int(round(spec.cells_per_unit * length))
-        if abs(n_cells1 - spec.cells_per_unit * length) > 1e-9:
-            raise ConfigurationError(
-                "axial length times cells_per_unit must be a whole number "
-                f"of cells, got {spec.cells_per_unit * length}")
         self.n_cells1 = n_cells1
         self.n_cells2 = spec.nx2
         self.x1 = np.linspace(x1_lo, x1_hi, n_cells1 + 1)
@@ -137,10 +151,9 @@ class CylinderMesh:
 
         self.n_free = int((~mask).sum())
 
-        edges = [x1_lo + k for k in range(int(np.floor(length + 1e-9)) + 1)]
-        if x1_hi - edges[-1] > 1e-9:
-            edges.append(x1_hi)
-        self.slab_edges = np.asarray(edges)
+        edges = x1_lo + np.arange(slab_count(length) + 1.0)
+        edges[-1] = min(edges[-1], x1_hi)
+        self.slab_edges = edges
 
     def expand(self, free_values):
         """Free-DOF vector -> full nodal grid with zeros at masked nodes."""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ import cylspectra as cs
 from cylspectra import asymptotics as asy
 from cylspectra import discretization as disc
 from cylspectra import eigensolve as es
-from cylspectra.errors import ConfigurationError, DimensionMismatchError
+from cylspectra.errors import (ConfigurationError, DimensionMismatchError,
+                               UnsupportedExponentError)
 
 RES = (16, 4)
 
@@ -668,3 +671,128 @@ class TestTranslateDistance:
         ones = cs.DiscreteField(np.ones(narrow.n_free), narrow)
         with pytest.raises(DimensionMismatchError):
             asy.translate_distance(r.field, ones, cs.Side.PLUS, 2, 2)
+
+
+def count_engine_calls(monkeypatch):
+    """Records every descent of the engine, whatever the problem."""
+    calls = []
+    engine = es._minimize_quotient
+
+    def counted(*args, **kwargs):
+        calls.append(type(args[0]).__name__)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(es, "_minimize_quotient", counted)
+    return calls
+
+
+# lengths with the bad one among them: at 16 x 4, ell 0 and -1 are no
+# lengths, and 2.1 is 8.4 axial cells of a half cylinder (16.8 of a full one)
+BAD_LENGTHS = (([0.0, 2.0], 0.0), ([-1.0, 2.0], -1.0), ([2.1, 3.0], 2.1),
+               ([2.0, 3.0, 4.1], 4.1))
+
+
+class TestInputChecks:
+    """Each input rule is checked once, by the library, before any solve."""
+
+    @pytest.mark.parametrize("ells, bad", BAD_LENGTHS)
+    def test_lengths_rejected_before_any_solve(self, monkeypatch,
+                                               offdiag_field, ells, bad):
+        sections = count_section_solves(monkeypatch)
+        engine = count_engine_calls(monkeypatch)
+        ladder = ells + [5.0] if len(ells) < 3 else ells
+        for run in (
+                lambda: asy.sweep_lambda(ells, offdiag_field, 3, RES),
+                lambda: asy.nu_infinity_estimate(cs.Side.PLUS, offdiag_field,
+                                                 3, ladder, RES),
+                lambda: asy.beta2_upper_bound(bad, RES, offdiag_field, 3)):
+            with pytest.raises(ConfigurationError):
+                run()
+        assert sections == [] and engine == []
+
+    def test_lengths_check(self):
+        assert asy.check_lengths((2, 3.5), RES) == [2, 3.5]
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            asy.check_lengths([2, 2], RES)
+        with pytest.raises(ConfigurationError, match="at least 3 lengths"):
+            asy.check_lengths([2, 3], RES, asy.LADDER_RUNGS)
+        with pytest.raises(ConfigurationError, match="at least 1 lengths"):
+            asy.sweep_lambda([], cs.make_coefficients(cs.CoefficientFamily(
+                cs.FamilyKind.IDENTITY)), 2, RES)
+        # 2.125 cuts a full cylinder of 4 cells per unit into 17 cells, but
+        # its half cylinders into 8.5
+        with pytest.raises(ConfigurationError, match="whole number of cells"):
+            asy.check_lengths([2.125], RES)
+
+    def test_window_check(self):
+        assert asy.check_window((2, 10), 8) == (2, 7)
+        assert asy.check_window([0, 2], 3) == (0, 2)
+        with pytest.raises(ConfigurationError, match="below slab 0"):
+            asy.check_window((-1, 4), 8)
+        with pytest.raises(ConfigurationError, match="inside the 4-slab"):
+            asy.check_window((2, 10), 4)
+
+    @pytest.mark.parametrize("p", [1.5, 0.5, float("nan")])
+    def test_exponent_floor_before_any_solve(self, monkeypatch,
+                                             offdiag_field, p):
+        engine = count_engine_calls(monkeypatch)
+        mesh = mixed_mesh(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (
+                    lambda: cs.minimize_rayleigh(mesh, offdiag_field, p),
+                    lambda: es.first_eigen(mesh, offdiag_field, p),
+                    lambda: asy.first_eigen(mesh, offdiag_field, p),
+                    lambda: cs.half_cylinder_eigen(cs.Side.PLUS, 2, RES,
+                                                   offdiag_field, p),
+                    lambda: cs.cross_section_ground_state(16, offdiag_field,
+                                                          p),
+                    lambda: asy.sweep_lambda([1, 2], offdiag_field, p, RES),
+                    lambda: asy.beta2_upper_bound(2, RES, offdiag_field, p),
+                    lambda: asy.nu_infinity_estimate(
+                        cs.Side.MINUS, offdiag_field, p, [1, 2, 3], RES)):
+                with pytest.raises(UnsupportedExponentError,
+                                   match="p must be >= 2"):
+                    run()
+        assert engine == []
+
+
+def random_tabulated(rng, symmetric):
+    """A tabulated family through 7 random samples: a11 and a22 in [1, 2],
+    a12 in [-0.6, 0.6], so every A is uniformly elliptic; mirrored about
+    x2 = 0 where `symmetric`."""
+    x2 = np.linspace(-0.5, 0.5, 7)
+    a = rng.uniform([1.0, -0.6, 1.0], [2.0, 0.6, 2.0], size=(7, 3))
+    if symmetric:
+        a = 0.5 * (a + a[::-1])
+    rows = np.column_stack([x2, a])
+    return cs.make_coefficients(cs.CoefficientFamily(
+        cs.FamilyKind.TABULATED, samples=tuple(map(tuple, rows))))
+
+
+class TestNesting:
+    """The exact discrete facts of nested Q1 spaces, at any p: a half
+    cylinder, shifted to an end of the full one and extended by zero, and
+    the axial lift of the section state both lie in the mixed space, and
+    a shorter cylinder's Dirichlet and half-cylinder spaces in a longer
+    one's (the mesh spacing is the same)."""
+
+    SLACK = 1e-10
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_sweep_rows_nest(self, p, symmetric):
+        for seed in range(20):
+            coeffs = random_tabulated(np.random.default_rng(seed), symmetric)
+            assert cs.satisfies_symmetry_S(coeffs) == symmetric
+            rows = asy.sweep_lambda([1, 2, 3], coeffs, p, RES)
+            bound = 1.0 + self.SLACK
+            for r in rows:
+                assert r.converged, seed
+                assert r.lambda_mixed <= bound * min(
+                    r.lambda_half_plus, r.lambda_half_minus, r.mu1), seed
+            for a, b in zip(rows, rows[1:]):
+                for name in ("lambda_half_plus", "lambda_half_minus",
+                             "lambda_dirichlet"):
+                    assert getattr(b, name) <= bound * getattr(a, name), (
+                        seed, name)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -391,17 +392,36 @@ def test_grad_aligned_section_runs_with_the_solver_options(tmp_path,
         "converged"] is False
 
 
-def test_rejected_config_solves_no_section(tmp_path, monkeypatch, capsys):
-    # the command's own keys are checked before a grad_aligned family solves
-    # its identity section
-    solve, calls = cli.cross_section_ground_state, []
-    monkeypatch.setattr(cli, "cross_section_ground_state",
-                        lambda *a, **kw: calls.append(a) or solve(*a, **kw))
-    path = write_config(tmp_path, ell=2.0, k=0,
+# lengths no solve can mesh at 16 x 4: ell 0 and -1, and 2.1 and 4.1,
+# which cut a half cylinder into 8.4 and 16.4 cells (2.1 a full one into 16.8)
+UNMESHABLE = "whole number of cells|must be positive"
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("spectrum", {"ell": 2.0, "k": 0}, "k must be >= 1"),
+] + [(command, {"ells": ells}, UNMESHABLE)
+     for command in ("sweep", "ladder", "beta2")
+     for ells in ([0, 2, 3], [-1, 2, 3], [2.1, 3, 4], [2, 3, 4.1])
+] + [(command, {"ell": 2.1}, UNMESHABLE)
+     for command in ("solve", "spectrum", "decay")])
+def test_rejected_config_solves_no_section(tmp_path, monkeypatch, capsys,
+                                           command, extra, message):
+    # every rule is checked before a grad_aligned family solves its
+    # identity section, and before any solve of the run
+    from cylspectra import eigensolve
+    solve, calls = eigensolve.cross_section_ground_state, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    for module in (eigensolve, cli, cli.asy):
+        monkeypatch.setattr(module, "cross_section_ground_state", counted)
+    path = write_config(tmp_path, experiment=command,
                         family={"kind": "grad_aligned", "c": 0.05},
-                        output_dir=str(tmp_path / "runs"))
-    assert cli.main(["spectrum", "--config", path]) == cli.EXIT_CONFIG
-    assert "k must be >= 1" in capsys.readouterr().err
+                        output_dir=str(tmp_path / "runs"), **extra)
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    assert re.search(message, capsys.readouterr().err)
     assert calls == []
     assert not (tmp_path / "runs").exists()
 
@@ -537,6 +557,10 @@ def test_bad_tabulated_csv_exits_2(tmp_path, capsys, text):
      "tol_residual must be positive"),
     ("solve", dict(BASE, shape="half_minus", bc="mixed"),
      "half cylinders require the half-cylinder bc"),
+    ("solve", dict(BASE, ell=1.3, resolution={"nx2": 8, "cells_per_unit": 2}),
+     "whole number of cells"),
+    ("gap-check", dict(BASE, eps=[0.1, 0.0]), "eps must be positive"),
+    ("decay", dict(BASE, ell=4.0, window=[-1, 5]), "below slab 0"),
 ])
 def test_config_rejected_upfront(tmp_path, monkeypatch, capsys, command, cfg,
                                  message):
@@ -645,8 +669,6 @@ def test_cross_section_config_validated_upfront(tmp_path, extra):
     ("spectrum", {"ell": 1.0, "k": 100,
                   "resolution": {"nx2": 6, "cells_per_unit": 3}},
      "1 <= k <= 35"),
-    ("solve", {"ell": 1.3, "resolution": {"nx2": 8, "cells_per_unit": 2}},
-     "whole number of cells"),
 ])
 def test_late_config_error_exits_2_with_manifest(tmp_path, command, extra,
                                                  message):

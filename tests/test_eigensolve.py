@@ -8,6 +8,7 @@ import cylspectra as cs
 from cylspectra import asymptotics as asy
 from cylspectra import discretization as disc
 from cylspectra import eigensolve as es
+from cylspectra.errors import DimensionMismatchError, SolverError
 
 
 RES = (16, 4)
@@ -1094,3 +1095,99 @@ class TestFullSymmetry:
             rotated = -rotated
         diff = cs.p_mass(mesh, grid - rotated, 3.0)[0]
         assert diff ** (1 / 3.0) < 1e-4
+
+
+class TestGuards:
+    """The engine's guards against bad input and singular steps."""
+
+    @staticmethod
+    def mesh():
+        # ell 2 at 4 cells per unit: 16 axial cells, so COD is folded at p 3
+        return cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2,
+                                           cs.BC.MIXED, 4, 16))
+
+    @pytest.mark.parametrize("extra", [-7, 7])
+    @pytest.mark.parametrize("family", ["offdiag_field", "linear_field"])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_start_length_checked(self, request, p, family, extra):
+        # the fold takes the first k entries of a start, the pencil
+        # multiplies it and the whole mesh expands it: every path checks
+        # its length first
+        mesh = self.mesh()
+        with pytest.raises(DimensionMismatchError, match="free DOFs"):
+            es.first_eigen(mesh, request.getfixturevalue(family), p,
+                           start=np.ones(mesh.n_free + extra))
+
+    @pytest.mark.parametrize("family, problem", [
+        ("offdiag_field", "_FoldedQuotient"),
+        ("linear_field", "_CylinderQuotient")])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_zero_start_raises(self, monkeypatch, request, p, family,
+                               problem):
+        engine, problems = es._minimize_quotient, []
+
+        def recording(*args, **kwargs):
+            problems.append(type(args[0]).__name__)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(es, "_minimize_quotient", recording)
+        mesh = self.mesh()
+        with pytest.raises(SolverError, match="zero p-mass"):
+            es.first_eigen(mesh, request.getfixturevalue(family), p,
+                           start=np.zeros(mesh.n_free))
+        assert problems == ["_PencilQuotient" if p == 2 else problem]
+
+    def test_singular_matrix_gives_no_step(self, linear_field):
+        mesh = self.mesh()
+        problem = es._CylinderQuotient(mesh, linear_field, 3.0)
+        u = es._lifted_start(mesh, linear_field, 3.0, cs.SolveOptions(),
+                             None)
+        S = problem.state(u)
+        E, gE, m, gM = problem.gradient(S)
+        g = gE - E / m * gM
+        A = problem.hessian(S, E / m).copy()
+        A.data[:, 5] = 0.0  # the diagonals are column-aligned: column 5
+        z, model, band = es._shifted_step(u, 3.0, g, gM, A, 0.0, None, None)
+        assert z is None and np.isnan(model)
+        z, model, _ = es._shifted_step(u, 3.0, g, gM, A, es._SHIFT_FIRST,
+                                       problem.stiffness(), band)
+        assert np.all(np.isfinite(z)) and np.isfinite(model)
+
+    def test_singular_matrix_grows_the_shift(self, monkeypatch,
+                                             linear_field):
+        # the first iterate's Newton matrix loses a column: the engine gets
+        # no step at sigma 0, retries at the first shift and goes on
+        steps, shifted = [], es._shifted_step
+
+        def recording(u, p, g, gM, A, sigma, K, band):
+            out = shifted(u, p, g, gM, A, sigma, K, band)
+            steps.append((sigma, out[0] is None))
+            return out
+
+        class Singular(es._CylinderQuotient):
+            def hessian(self, S, lam):
+                H = super().hessian(S, lam)
+                if not steps:
+                    H.data[:, 5] = 0.0
+                return H
+
+        mesh, opts = self.mesh(), cs.SolveOptions()
+        start = es._lifted_start(mesh, linear_field, 3.0, opts, None)
+        monkeypatch.setattr(es, "_shifted_step", recording)
+        r = es._minimize_quotient(Singular(mesh, linear_field, 3.0), start,
+                                  opts)
+        assert steps[:2] == [(0.0, True), (es._SHIFT_FIRST, False)]
+        assert r.stop_reason == "residual"
+
+    @pytest.mark.parametrize("family", ["offdiag_field", "linear_field"])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_negative_start_returned_positive(self, request, p, family):
+        # from the certified field negated, the engine hands back the
+        # certified field: its sign is fixed to a positive sum
+        coeffs, mesh = request.getfixturevalue(family), self.mesh()
+        r = es.first_eigen(mesh, coeffs, p)
+        flipped = es.first_eigen(mesh, coeffs, p, start=-r.field.values)
+        assert flipped.converged and np.sum(flipped.field.values) > 0
+        assert flipped.lam == pytest.approx(r.lam, rel=1e-12)
+        assert np.allclose(flipped.field.values, r.field.values, rtol=0,
+                           atol=1e-9 * np.max(r.field.values))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import cylspectra as cs
-from cylspectra.errors import ConfigurationError
+from cylspectra.errors import ConfigurationError, DimensionMismatchError
+from cylspectra.mesh import slab_count
 
 
 def spec(shape, ell, bc, cpu=4, nx2=4):
@@ -55,6 +56,15 @@ def test_invalid_combinations_rejected():
         spec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, nx2=3)
     with pytest.raises(ConfigurationError):
         cs.build_mesh(spec(cs.Shape.CROSS_SECTION, 1, cs.BC.DIRICHLET_ALL))
+    # the spec checks whole cells: 2.125 is 17 cells of a full cylinder at
+    # 4 per unit but 8.5 of a half one, 2.1 is 16.8 of a full one; the
+    # cross section has no axis to cut
+    spec(cs.Shape.FULL_CYLINDER, 2.125, cs.BC.MIXED)
+    spec(cs.Shape.CROSS_SECTION, 2.1, cs.BC.DIRICHLET_ALL)
+    with pytest.raises(ConfigurationError, match="whole number of cells"):
+        spec(cs.Shape.HALF_PLUS, 2.125, cs.BC.HALF_CYLINDER)
+    with pytest.raises(ConfigurationError, match="whole number of cells"):
+        spec(cs.Shape.FULL_CYLINDER, 2.1, cs.BC.DIRICHLET_ALL)
 
 
 def test_slab_edges_unit_spacing():
@@ -70,6 +80,13 @@ def test_expand_restrict_roundtrip():
     grid = mesh.expand(values)
     assert np.all(grid[:, 0] == 0) and np.all(grid[:, -1] == 0)
     assert np.array_equal(mesh.restrict(grid), values)
+    for shape in ((mesh.n_free - 1,), (mesh.n_free + 1,), (mesh.n_free, 1)):
+        with pytest.raises(DimensionMismatchError, match="free values"):
+            mesh.expand(np.zeros(shape))
+    n1, n2 = grid.shape
+    for shape in ((n1, n2 + 1), (n1 - 1, n2), (n1 * n2,)):
+        with pytest.raises(DimensionMismatchError, match="grid of shape"):
+            mesh.restrict(np.zeros(shape))
 
 
 def test_refinement_keeps_boundary_semantics():
@@ -86,6 +103,8 @@ def test_refinement_keeps_boundary_semantics():
 @pytest.mark.parametrize("ell, n_slabs", [(2, 4), (2.25, 5)])
 def test_slab_sums_match_totals(identity_field, ell, n_slabs):
     mesh = cs.build_mesh(spec(cs.Shape.FULL_CYLINDER, ell, cs.BC.MIXED, 4, 8))
+    assert slab_count(2 * ell) == len(mesh.slab_edges) - 1
+    assert mesh.slab_edges[-1] == ell
     rng = np.random.default_rng(3)
     u = cs.DiscreteField(rng.standard_normal(mesh.n_free), mesh)
     for p in (2.0, 3.0):
