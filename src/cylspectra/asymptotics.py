@@ -341,9 +341,10 @@ def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs, p) -> float:
 
 
 def check_eps(eps):
-    """`ConfigurationError` unless the test-function rate eps is positive."""
-    if not eps > 0.0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+    """`ConfigurationError` unless the test-function rate eps is positive
+    and finite."""
+    if not 0.0 < eps < np.inf:
+        raise ConfigurationError(f"eps must be positive and finite, got {eps}")
 
 
 def slab_bound(cross: CrossSectionResult, coeffs, p, variant="squared"):

@@ -20,10 +20,12 @@ Commands and their artifacts:
   report     report.txt / report.csv from previous run manifests
 
 A config is checked in full before its run directory is made, by the
-checks the library itself runs before any solve: `check_resolution` and
-`DomainSpec` (mesh), `check_exponent` (discretization), and
-`check_lengths`, `check_window` and `check_eps` (asymptotics).  Only a
-`k` above the free DOFs of the mesh is found once the run has begun.
+checks the library itself runs before any solve: `check_resolution`,
+`DomainSpec` and `CylinderMesh` (mesh), `check_exponent`
+(discretization), `check_k` (eigensolve), and `check_lengths`,
+`check_window` and `check_eps` (asymptotics).  The mesh of a `solve`,
+`spectrum` or `decay` run is built then, once: it counts the free nodes
+that `k` is checked against and the slabs that a decay window must fit.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ from . import asymptotics as asy
 from .coeffs import (CoefficientFamily, FamilyKind, load_tabulated_csv,
                      make_coefficients, satisfies_symmetry_S)
 from .discretization import check_exponent
-from .eigensolve import (Side, SolveOptions, cross_section_ground_state,
-                         linear_spectrum)
+from .eigensolve import (Side, SolveOptions, check_k,
+                         cross_section_ground_state, linear_spectrum)
 from .errors import ConfigurationError, SolverError
 from .mesh import (BC, DomainSpec, Shape, build_mesh, check_resolution,
-                   slab_count, slab_integrals)
+                   slab_integrals)
 
 SWEEP_HEADER = ("ell,p,family,lambda_mixed,lambda_dirichlet,lambda_half_plus,"
                 "lambda_half_minus,mu1,gap,alpha_hat,d_plus,d_minus,n_plus,"
@@ -146,9 +148,8 @@ class _Schema:
 
 
 _FAMILY_KINDS = {k.value: k for k in FamilyKind}
-_SHAPES = {"full": Shape.FULL_CYLINDER, "half_plus": Shape.HALF_PLUS,
-           "half_minus": Shape.HALF_MINUS, "cross_section": Shape.CROSS_SECTION}
-_BCS = {"mixed": BC.MIXED, "dirichlet": BC.DIRICHLET_ALL, "half": BC.HALF_CYLINDER}
+_SHAPES = {s.value: s for s in Shape}
+_BCS = {b.value: b for b in BC}
 
 
 def _parse_family(raw, p, nx2, opts):
@@ -173,11 +174,12 @@ def _parse_family(raw, p, nx2, opts):
 
 
 def _parse_solver(raw):
+    """`SolveOptions` from the keys a config sets; the rest keep their
+    defaults."""
     sch = _Schema(raw or {}, "solver")
-    opts = SolveOptions(
-        tol_residual=sch.get("tol_residual", float, default=1e-8),
-        max_iters=sch.get("max_iters", int, default=50000),
-    )
+    kinds = {"tol_residual": float, "max_iters": int}
+    opts = SolveOptions(**{key: sch.get(key, kind)
+                           for key, kind in kinds.items() if key in sch.cfg})
     sch.finish()
     return opts
 
@@ -188,7 +190,8 @@ class RunPlan:
     parses the JSON types and keeps the rules of the command line alone
     (experiment names, `spectrum` at p = 2, report manifests); every other
     rule is the library's one check of it, which the solves call too.  A
-    solve, spectrum or decay run keeps its one domain as `spec`."""
+    solve, spectrum or decay run keeps the mesh of its one domain as
+    `mesh`, built here (None for a cross-section solve)."""
 
     def __init__(self, cfg, experiment, cli_output_dir=None):
         sch = _Schema(cfg)
@@ -228,8 +231,10 @@ class RunPlan:
                           "half_minus": "half", "cross_section": "dirichlet"}
             bc = _BCS[sch.get("bc", str, default=default_bc[shape.value],
                               choices=set(_BCS))]
-            self.spec = DomainSpec(shape, sch.get("ell", float, default=1.0),
-                                   bc, self.cells_per_unit, self.nx2)
+            spec = DomainSpec(shape, sch.get("ell", float, default=1.0), bc,
+                              self.cells_per_unit, self.nx2)
+            self.mesh = (None if shape is Shape.CROSS_SECTION
+                         else build_mesh(spec))
         elif experiment in ("sweep", "beta2", "ladder"):
             ells = sch.get("ells", list, required=True)
             if not all(_is_json(e, (int, float)) for e in ells):
@@ -242,12 +247,12 @@ class RunPlan:
                                          choices={"plus", "minus"}))
         elif experiment in ("spectrum", "decay"):
             self.ell = sch.get("ell", float, required=True)
-            self.spec = DomainSpec(Shape.FULL_CYLINDER, self.ell, BC.MIXED,
-                                   self.cells_per_unit, self.nx2)
+            self.mesh = build_mesh(DomainSpec(
+                Shape.FULL_CYLINDER, self.ell, BC.MIXED, self.cells_per_unit,
+                self.nx2))
             if experiment == "spectrum":
                 self.k = sch.get("k", int, default=3)
-                if self.k < 1:
-                    raise ConfigurationError("k must be >= 1")
+                check_k(self.k, self.mesh)
                 if self.p != 2:
                     raise ConfigurationError("spectrum requires p = 2")
             else:
@@ -258,7 +263,7 @@ class RunPlan:
                       or not all(_is_json(w, int) for w in window)):
                     raise ConfigurationError("window must be [first, last]")
                 self.window = tuple(window)
-                asy.check_window(self.window, slab_count(self.spec.length))
+                asy.check_window(self.window, self.mesh.n_slabs)
         elif experiment == "gap_check":
             eps = sch.get("eps", list, default=[0.1, 0.01])
             if not all(_is_json(e, (int, float)) for e in eps):
@@ -296,12 +301,11 @@ def _make_run_dir(base, experiment):
 
 def _first_pair(plan):
     """The first eigenpair on the plan's cylinder."""
-    return asy.first_eigen(build_mesh(plan.spec), plan.family, plan.p,
-                           plan.opts)
+    return asy.first_eigen(plan.mesh, plan.family, plan.p, plan.opts)
 
 
 def _run_solve(plan, outdir):
-    if plan.spec.shape is Shape.CROSS_SECTION:
+    if plan.mesh is None:  # the cross section
         cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
                                            plan.opts)
         payload = {"lambda": cross.mu1, "iterations": cross.iterations,
@@ -341,8 +345,7 @@ def _run_ladder(plan, outdir):
 
 
 def _run_spectrum(plan, outdir):
-    results = linear_spectrum(build_mesh(plan.spec), plan.family, plan.k,
-                              plan.opts)
+    results = linear_spectrum(plan.mesh, plan.family, plan.k, plan.opts)
     _write_csv(outdir, "spectrum.csv", "k,lambda,iterations,residual,converged",
                [(i, r.lam, r.iterations, r.final_residual, r.converged)
                 for i, r in enumerate(results, start=1)])
@@ -442,12 +445,14 @@ def _run_report(plan, outdir):
                 txt.append("  no gap detected "
                            f"(max |gap| = {max(abs(g) for g in gaps):.3g})")
                 csv_rows.append((section, "no_gap", True))
-            sandwich = [(r["ell"], (r["lambda_dirichlet"] - r["mu1"]) * r["ell"])
+            # the Dirichlet excess lamD - mu1 decays like 1/ell^2
+            sandwich = [(r["ell"],
+                         (r["lambda_dirichlet"] - r["mu1"]) * r["ell"] ** 2)
                         for r in rows]
-            csv_rows += [(section, f"sandwich_c_ell_{ell:g}", c_ell)
-                         for ell, c_ell in sandwich]
-            txt.append("  dirichlet sandwich (lamD-mu1)*ell: " + ", ".join(
-                f"{ell:g}:{c_ell:.4g}" for ell, c_ell in sandwich))
+            csv_rows += [(section, f"sandwich_c_ell2_{ell:g}", level)
+                         for ell, level in sandwich]
+            txt.append("  dirichlet sandwich (lamD-mu1)*ell^2: " + ", ".join(
+                f"{ell:g}:{level:.4g}" for ell, level in sandwich))
             alpha = rows[-1]["alpha_hat"]
             txt.append(f"  decay alpha_hat (last row): {alpha:.6g}")
             csv_rows.append((section, "alpha_hat_last", alpha))
@@ -546,8 +551,8 @@ def run_config(path, experiment, output_dir=None, threads=1):
     except OSError as exc:
         error, code = f"I/O failure during run: {exc}", EXIT_IO
     except ConfigurationError as exc:
-        # configuration problems only detectable against the mesh or
-        # computed data
+        # configuration problems only detectable against computed data or
+        # the files a report reads
         error, code = f"invalid config: {exc}", EXIT_CONFIG
     except SolverError as exc:
         error, code = f"solver failure: {exc}", EXIT_SOLVER

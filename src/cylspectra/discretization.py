@@ -75,9 +75,9 @@ class SparsePair:
 
 def check_exponent(p):
     """The one floor of the exponent: `UnsupportedExponentError` unless
-    p >= 2."""
-    if not p >= 2:
-        raise UnsupportedExponentError(f"p must be >= 2, got {p}")
+    2 <= p < inf."""
+    if not 2 <= p < np.inf:
+        raise UnsupportedExponentError(f"p must be >= 2 and finite, got {p}")
 
 
 class _Q1:

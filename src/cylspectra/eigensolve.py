@@ -63,8 +63,9 @@ class SolveOptions:
     init: Init = Init.LIFTED_W
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ConfigurationError("tol_residual must be positive")
+        # an infinite tolerance would certify any start, a nan none
+        if not 0 < self.tol_residual < np.inf:
+            raise ConfigurationError("tol_residual must be positive and finite")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
 
@@ -211,7 +212,7 @@ def _minimize_quotient(problem, u0, opts, prior=None):
     blind = False         # the last step was below the quotient's rounding
     while True:
         g = gE - lam * gM  # m d
-        res = float(np.max(np.abs(g))) / m if g.size else 0.0
+        res = float(np.max(np.abs(g))) / m
         if best is None or res < best[0]:
             best = res, u
         elif blind:
@@ -515,7 +516,8 @@ _SHIFT_MARGIN = 1e-3
 
 
 def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
-    """k smallest eigenpairs of the p = 2 pencil (K, M).
+    """k smallest eigenpairs of the p = 2 pencil (K, M); k is checked
+    first (`check_k`).
 
     k = 1 runs the descent engine (`_minimize_quotient`) on the pencil
     quotient u.Ku / u.Mu from `start` (free DOFs, any scale, its length
@@ -558,10 +560,9 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     Eigenvectors are p-mass normalized; the first has a nonnegative sum,
     the others a positive largest entry.
     """
+    check_k(k, mesh)
     opts = opts or SolveOptions()
     n = mesh.n_free
-    if k < 1 or k > n:
-        raise ConfigurationError(f"need 1 <= k <= {n}, got {k}")
     K, M = disc._p2_diagonals(mesh, coeffs)
     bw = mesh.n_cells2
     steps = factorizations = 0
@@ -623,6 +624,14 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
             and res <= opts.tol_residual * max(1.0, abs(lam)), reason,
             factorizations))
     return results
+
+
+def check_k(k, mesh):
+    """`ConfigurationError` unless 1 <= k <= the free nodes of `mesh`, the
+    eigenpairs that `linear_spectrum` can return there."""
+    if not 1 <= k <= mesh.n_free:
+        raise ConfigurationError(
+            f"k must be >= 1 and <= the {mesh.n_free} free nodes, got {k}")
 
 
 def _cholesky(ab):

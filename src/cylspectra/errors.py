@@ -10,7 +10,7 @@ class DimensionMismatchError(ValueError):
 
 
 class UnsupportedExponentError(ValueError):
-    """Exponent p outside the supported range p >= 2, raised by the one
+    """Exponent p outside the supported range 2 <= p < inf, raised by the one
     check of that floor, `discretization.check_exponent`: every solve and
     the CLI config call it before any solve."""
 

@@ -4,7 +4,7 @@ The computational domains are ``(-ell, ell) x omega`` (full cylinder),
 ``(0, ell) x omega`` / ``(-ell, 0) x omega`` (half cylinders), with the
 cross section fixed to ``omega = (-1/2, 1/2)`` so that reflection symmetry
 of coefficient fields is expressible.  Grids are uniform in each direction;
-unit-width slabs anchored at the cylinder ends support decay diagnostics.
+unit-width slabs from the left end support decay diagnostics.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class DomainSpec:
         Full cylinder, one of the half cylinders, or the bare cross section.
     ell : float
         Half-length of the full cylinder, or length of a half cylinder;
-        positive for every shape, though the cross section does not use it.
+        positive and finite for every shape, though the cross section does
+        not use it.
     bc : BC
         Boundary-condition tag; must be compatible with `shape`.
     cells_per_unit : int
@@ -61,8 +62,9 @@ class DomainSpec:
     nx2: int
 
     def __post_init__(self):
-        if not self.ell > 0:
-            raise ConfigurationError(f"ell must be positive, got {self.ell}")
+        if not 0 < self.ell < np.inf:
+            raise ConfigurationError(
+                f"ell must be positive and finite, got {self.ell}")
         check_resolution(self.nx2, self.cells_per_unit)
         if self.shape is Shape.FULL_CYLINDER:
             if self.bc not in (BC.MIXED, BC.DIRICHLET_ALL):
@@ -101,12 +103,6 @@ def check_resolution(nx2, cells_per_unit=2):
             f"cells_per_unit must be >= 2, got {cells_per_unit}")
 
 
-def slab_count(length):
-    """Unit slabs along an axial `length` from one end, the last one partial
-    where `length` is no whole number."""
-    return int(np.ceil(length - 1e-9))
-
-
 class CylinderMesh:
     """Uniform tensor-product grid with boundary tags.
 
@@ -116,8 +112,12 @@ class CylinderMesh:
         Node coordinates along the axis and across the section.
     dirichlet_mask : ndarray of bool, shape (n1, n2)
         True where the nodal value is constrained to zero.
-    slab_edges : ndarray
-        Axial breakpoints at unit spacing, anchored at the ends.
+    n_free : int
+        Unconstrained nodes, the unknowns of every solve; at least one, else
+        `ConfigurationError` (a full Dirichlet cylinder one cell long).
+    n_slabs : int
+        Unit slabs from the left end, the last one partial where the length
+        is no whole number: axial cell i lies in slab i // cells_per_unit.
     """
 
     def __init__(self, spec: DomainSpec):
@@ -150,10 +150,11 @@ class CylinderMesh:
         self.dirichlet_mask = mask
 
         self.n_free = int((~mask).sum())
-
-        edges = x1_lo + np.arange(slab_count(length) + 1.0)
-        edges[-1] = min(edges[-1], x1_hi)
-        self.slab_edges = edges
+        if not self.n_free:
+            raise ConfigurationError(
+                f"the {spec.shape.value} {spec.bc.value} domain of "
+                f"{n_cells1} axial cell(s) has no free node")
+        self.n_slabs = -(-n_cells1 // spec.cells_per_unit)
 
     def expand(self, free_values):
         """Free-DOF vector -> full nodal grid with zeros at masked nodes."""
@@ -174,13 +175,6 @@ class CylinderMesh:
                 f"got {grid.shape}")
         return grid[~self.dirichlet_mask].copy()
 
-    def axial_cell_slab(self):
-        """Slab index of each axial cell column (cells never straddle edges)."""
-        centers = 0.5 * (self.x1[:-1] + self.x1[1:])
-        return np.clip(
-            np.searchsorted(self.slab_edges, centers) - 1,
-            0, len(self.slab_edges) - 2)
-
 
 @dataclass
 class SlabProfile:
@@ -199,7 +193,7 @@ class SlabProfile:
 
 
 def build_mesh(spec: DomainSpec) -> CylinderMesh:
-    """Build the tensor grid, boundary masks and slab edges for `spec`."""
+    """Build the tensor grid and boundary masks for `spec`."""
     return CylinderMesh(spec)
 
 
@@ -214,11 +208,10 @@ def slab_integrals(mesh, coeffs, u, p) -> SlabProfile:
 
     grid = u if isinstance(u, np.ndarray) else mesh.expand(u.values)
     per_cell = disc.cell_integrals(mesh, coeffs, grid, p)
-    slab_of = mesh.axial_cell_slab()
-    n_slabs = len(mesh.slab_edges) - 1
-    grad_e = np.zeros(n_slabs)
-    mass = np.zeros(n_slabs)
-    a_e = np.zeros(n_slabs)
+    slab_of = np.arange(mesh.n_cells1) // mesh.spec.cells_per_unit
+    grad_e = np.zeros(mesh.n_slabs)
+    mass = np.zeros(mesh.n_slabs)
+    a_e = np.zeros(mesh.n_slabs)
     np.add.at(grad_e, slab_of, per_cell["grad_p"].sum(axis=1))
     np.add.at(mass, slab_of, per_cell["p_mass"].sum(axis=1))
     np.add.at(a_e, slab_of, per_cell["a_energy"].sum(axis=1))

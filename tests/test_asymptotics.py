@@ -732,7 +732,7 @@ class TestInputChecks:
         with pytest.raises(ConfigurationError, match="inside the 4-slab"):
             asy.check_window((2, 10), 4)
 
-    @pytest.mark.parametrize("p", [1.5, 0.5, float("nan")])
+    @pytest.mark.parametrize("p", [1.5, 0.5, float("nan"), float("inf")])
     def test_exponent_floor_before_any_solve(self, monkeypatch,
                                              offdiag_field, p):
         engine = count_engine_calls(monkeypatch)
@@ -755,6 +755,20 @@ class TestInputChecks:
                                    match="p must be >= 2"):
                     run()
         assert engine == []
+
+    # JSON reads Infinity and NaN as numbers; no rule takes either
+    @pytest.mark.parametrize("x", [np.inf, np.nan])
+    @pytest.mark.parametrize("check, error, message", [
+        (disc.check_exponent, UnsupportedExponentError, "p must be >= 2"),
+        (lambda x: cs.DomainSpec(cs.Shape.FULL_CYLINDER, x, cs.BC.MIXED, 4,
+                                 16), ConfigurationError, "ell must be"),
+        (lambda x: cs.SolveOptions(tol_residual=x), ConfigurationError,
+         "tol_residual must be"),
+        (asy.check_eps, ConfigurationError, "eps must be"),
+    ], ids=["p", "ell", "tol_residual", "eps"])
+    def test_non_finite_rejected(self, check, error, message, x):
+        with pytest.raises(error, match=f"{message}.* finite"):
+            check(x)
 
 
 def random_tabulated(rng, symmetric):

@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 
@@ -24,6 +25,21 @@ def write_config(tmp_path, name="cfg.json", **extra):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@pytest.fixture
+def section_solves(monkeypatch):
+    """Records the cross-section solves made through every module."""
+    from cylspectra import eigensolve
+    solve, calls = eigensolve.cross_section_ground_state, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    for module in (eigensolve, cli, cli.asy):
+        monkeypatch.setattr(module, "cross_section_ground_state", counted)
+    return calls
 
 
 def run_cli(*args):
@@ -299,6 +315,16 @@ def test_report_empty_and_full(tmp_path):
     text = (run2 / "report.txt").read_text()
     assert "no gap detected" in text
     assert "[absent]" in text
+    # the Dirichlet sandwich level (lamD - mu1) ell^2 of each sweep row
+    rows = cli._read_sweep_csv(sweep_run / "sweep.csv")
+    levels = {key: float(value) for _, key, value in (
+        line.split(",") for line in
+        (run2 / "report.csv").read_text().splitlines()[1:])
+        if key.startswith("sandwich")}
+    assert levels == {
+        f"sandwich_c_ell2_{r['ell']:g}":
+            (r["lambda_dirichlet"] - r["mu1"]) * r["ell"] ** 2 for r in rows}
+    assert "dirichlet sandwich (lamD-mu1)*ell^2: 2:" in text
 
 
 def test_report_generic_and_ladder_rows(tmp_path):
@@ -404,25 +430,16 @@ UNMESHABLE = "whole number of cells|must be positive"
      for ells in ([0, 2, 3], [-1, 2, 3], [2.1, 3, 4], [2, 3, 4.1])
 ] + [(command, {"ell": 2.1}, UNMESHABLE)
      for command in ("solve", "spectrum", "decay")])
-def test_rejected_config_solves_no_section(tmp_path, monkeypatch, capsys,
+def test_rejected_config_solves_no_section(tmp_path, capsys, section_solves,
                                            command, extra, message):
     # every rule is checked before a grad_aligned family solves its
     # identity section, and before any solve of the run
-    from cylspectra import eigensolve
-    solve, calls = eigensolve.cross_section_ground_state, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    for module in (eigensolve, cli, cli.asy):
-        monkeypatch.setattr(module, "cross_section_ground_state", counted)
     path = write_config(tmp_path, experiment=command,
                         family={"kind": "grad_aligned", "c": 0.05},
                         output_dir=str(tmp_path / "runs"), **extra)
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
     assert re.search(message, capsys.readouterr().err)
-    assert calls == []
+    assert section_solves == []
     assert not (tmp_path / "runs").exists()
 
 
@@ -561,14 +578,40 @@ def test_bad_tabulated_csv_exits_2(tmp_path, capsys, text):
      "whole number of cells"),
     ("gap-check", dict(BASE, eps=[0.1, 0.0]), "eps must be positive"),
     ("decay", dict(BASE, ell=4.0, window=[-1, 5]), "below slab 0"),
+    # k above the 35 free nodes of the 6 x 6 mixed mesh
+    ("spectrum", dict(BASE, ell=1.0, k=100,
+                      resolution={"nx2": 6, "cells_per_unit": 3}),
+     "<= the 35 free nodes"),
+    # a full Dirichlet cylinder one cell long has no unknown
+    ("solve", dict(BASE, ell=0.25, bc="dirichlet",
+                   resolution={"nx2": 8, "cells_per_unit": 2}),
+     "no free node"),
+    ("solve", dict(BASE, ell=0.25, bc="dirichlet", p=3.0,
+                   resolution={"nx2": 8, "cells_per_unit": 2}),
+     "no free node"),
+    # JSON reads Infinity and NaN as numbers
+    ("solve", dict(BASE, solver={"tol_residual": float("inf")}),
+     "tol_residual must be positive and finite"),
+    ("solve", dict(BASE, solver={"tol_residual": float("nan")}),
+     "tol_residual must be positive and finite"),
+    ("solve", dict(BASE, p=float("inf")), "p must be >= 2 and finite"),
+    ("solve", dict(BASE, ell=float("inf")), "ell must be positive and finite"),
+    ("sweep", dict(BASE, ells=[2, float("inf")]),
+     "ell must be positive and finite"),
+    ("gap-check", dict(BASE, eps=[float("inf")]),
+     "eps must be positive and finite"),
+    ("solve", dict(BASE, experiment="sweep"), "config declares experiment"),
+    # no window: the default [2, ell - 2] holds no 3 slabs at ell 2
+    ("decay", dict(BASE, ell=2.0), "needs >= 3 slabs"),
 ])
-def test_config_rejected_upfront(tmp_path, monkeypatch, capsys, command, cfg,
-                                 message):
+def test_config_rejected_upfront(tmp_path, monkeypatch, capsys,
+                                 section_solves, command, cfg, message):
     # the default output directory "runs" lands in the working directory
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert cli.main([command, "--config", "cfg.json"]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert section_solves == []
     assert not (tmp_path / "runs").exists()
 
 
@@ -664,23 +707,6 @@ def test_cross_section_config_validated_upfront(tmp_path, extra):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("command, extra, message", [
-    # k above the 35 free DOFs of the 6 x 6 mixed mesh
-    ("spectrum", {"ell": 1.0, "k": 100,
-                  "resolution": {"nx2": 6, "cells_per_unit": 3}},
-     "1 <= k <= 35"),
-])
-def test_late_config_error_exits_2_with_manifest(tmp_path, command, extra,
-                                                 message):
-    path = write_config(tmp_path, experiment=command,
-                        output_dir=str(tmp_path / "runs"), **extra)
-    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
-    run = next((tmp_path / "runs").iterdir())
-    manifest = json.loads((run / "manifest.json").read_text())
-    assert manifest["converged"] is False and manifest["outputs"] == []
-    assert message in manifest["error"]
-
-
 def test_io_failure_exits_3_with_manifest(tmp_path, monkeypatch):
     def broken(plan, outdir):
         raise OSError("disk gone")
@@ -692,6 +718,52 @@ def test_io_failure_exits_3_with_manifest(tmp_path, monkeypatch):
     run = next((tmp_path / "runs").iterdir())
     manifest = json.loads((run / "manifest.json").read_text())
     assert "disk gone" in manifest["error"]
+
+
+def test_unmakeable_run_directory_exits_3(tmp_path, monkeypatch, capsys):
+    # the output directory lies under a file, and every run-directory name
+    # of one timestamp is taken
+    (tmp_path / "file").write_text("")
+    path = write_config(tmp_path, experiment="solve", ell=2.0,
+                        output_dir=str(tmp_path / "file" / "runs"))
+    assert cli.run_config(path, "solve") == (None, cli.EXIT_IO)
+    monkeypatch.setattr(cli, "_utc_now", lambda: "stamp")
+    for suffix in [""] + [f"-{i}" for i in range(1, 1000)]:
+        (tmp_path / "runs" / f"stamp-solve{suffix}").mkdir(parents=True)
+    path = write_config(tmp_path, experiment="solve", ell=2.0,
+                        output_dir=str(tmp_path / "runs"))
+    assert cli.run_config(path, "solve") == (None, cli.EXIT_IO)
+    err = capsys.readouterr().err
+    assert err.count("cannot create output directory") == 2
+    assert "could not create a fresh run directory" in err
+
+
+def test_unwritable_manifest_exits_3(tmp_path, monkeypatch, capsys):
+    write = cli._atomic_write
+
+    def no_manifest(path, text):
+        if path.endswith("manifest.json"):
+            raise OSError("read-only")
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_atomic_write", no_manifest)
+    monkeypatch.setitem(cli._RUNNERS, "solve", lambda plan, outdir: (
+        [], True, {}))
+    path = write_config(tmp_path, experiment="solve", ell=2.0,
+                        output_dir=str(tmp_path / "runs"))
+    assert cli.run_config(path, "solve") == (None, cli.EXIT_IO)
+    assert "cannot write manifest: read-only" in capsys.readouterr().err
+
+
+def test_module_run_exits_with_main_code(tmp_path, monkeypatch):
+    # `python -m cylspectra.cli` exits with the code of `main`; taken out of
+    # sys.modules, the module runs afresh without runpy's warning
+    monkeypatch.delitem(sys.modules, "cylspectra.cli")
+    monkeypatch.setattr(sys, "argv", [
+        "cylspectra", "solve", "--config", str(tmp_path / "nope.json")])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("cylspectra.cli", run_name="__main__")
+    assert exit_.value.code == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -350,8 +350,12 @@ class TestLinearSpectrum:
 
     def test_k_validation(self, identity_field, small_mixed_mesh):
         from cylspectra.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            cs.linear_spectrum(small_mixed_mesh, identity_field, 0)
+        # the 35 free nodes of the 6 x 6 mixed mesh bound k
+        n = small_mixed_mesh.n_free
+        for k in (0, n + 1):
+            with pytest.raises(ConfigurationError,
+                               match=f"<= the {n} free nodes"):
+                cs.linear_spectrum(small_mixed_mesh, identity_field, k)
 
 
 class TestMinimizeRayleigh:

@@ -3,7 +3,6 @@ import pytest
 
 import cylspectra as cs
 from cylspectra.errors import ConfigurationError, DimensionMismatchError
-from cylspectra.mesh import slab_count
 
 
 def spec(shape, ell, bc, cpu=4, nx2=4):
@@ -65,13 +64,31 @@ def test_invalid_combinations_rejected():
         spec(cs.Shape.HALF_PLUS, 2.125, cs.BC.HALF_CYLINDER)
     with pytest.raises(ConfigurationError, match="whole number of cells"):
         spec(cs.Shape.FULL_CYLINDER, 2.1, cs.BC.DIRICHLET_ALL)
+    # one cell between two Dirichlet ends leaves no unknown; two leave one
+    # node row
+    with pytest.raises(ConfigurationError, match="no free node"):
+        cs.build_mesh(spec(cs.Shape.FULL_CYLINDER, 0.25, cs.BC.DIRICHLET_ALL,
+                           cpu=2))
+    assert cs.build_mesh(spec(cs.Shape.FULL_CYLINDER, 0.5,
+                              cs.BC.DIRICHLET_ALL, cpu=2)).n_free == 3
 
 
-def test_slab_edges_unit_spacing():
-    mesh = cs.build_mesh(spec(cs.Shape.FULL_CYLINDER, 3, cs.BC.MIXED))
-    assert np.allclose(mesh.slab_edges, np.arange(-3, 4))
-    half = cs.build_mesh(spec(cs.Shape.HALF_PLUS, 2, cs.BC.HALF_CYLINDER))
-    assert np.allclose(half.slab_edges, [0, 1, 2])
+def test_slab_edges_unit_spacing(identity_field):
+    # the field u = x1 has p = 2 mass (b^3 - a^3) / 3 on a slab (a, b),
+    # exact under the Gauss rule: the slabs are unit wide from the left
+    # end, the last one cut short
+    for domain, edges in (
+            (spec(cs.Shape.FULL_CYLINDER, 3, cs.BC.MIXED), np.arange(-3, 4)),
+            (spec(cs.Shape.HALF_PLUS, 2, cs.BC.HALF_CYLINDER), [0, 1, 2]),
+            (spec(cs.Shape.FULL_CYLINDER, 2.25, cs.BC.MIXED, 4, 8),
+             [-2.25, -1.25, -0.25, 0.75, 1.75, 2.25])):
+        mesh = cs.build_mesh(domain)
+        grid = np.repeat(mesh.x1[:, None], mesh.x2.size, axis=1)
+        prof = cs.slab_integrals(mesh, identity_field, grid, 2.0)
+        edges = np.asarray(edges, dtype=float)
+        assert mesh.n_slabs == len(prof) == len(edges) - 1
+        assert np.allclose(prof.p_mass, np.diff(edges ** 3) / 3.0,
+                           rtol=1e-12, atol=1e-14)
 
 
 def test_expand_restrict_roundtrip():
@@ -103,8 +120,7 @@ def test_refinement_keeps_boundary_semantics():
 @pytest.mark.parametrize("ell, n_slabs", [(2, 4), (2.25, 5)])
 def test_slab_sums_match_totals(identity_field, ell, n_slabs):
     mesh = cs.build_mesh(spec(cs.Shape.FULL_CYLINDER, ell, cs.BC.MIXED, 4, 8))
-    assert slab_count(2 * ell) == len(mesh.slab_edges) - 1
-    assert mesh.slab_edges[-1] == ell
+    assert mesh.n_slabs == n_slabs
     rng = np.random.default_rng(3)
     u = cs.DiscreteField(rng.standard_normal(mesh.n_free), mesh)
     for p in (2.0, 3.0):
