@@ -143,18 +143,6 @@ class _Q1:
         out[cut + (-1,)] = hi[cut + (-1,)]
         return out
 
-    def band(self, coef, A, B):
-        """Tridiagonal Gram matrix G[r, s] = sum coef w A_r B_s of `N`/`dN`.
-
-        `coef` is a scalar or given at the Gauss points; the result holds
-        the rows (G[r, r-1], G[r, r], G[r, r+1]) over the nodes r.
-        """
-        cw = np.broadcast_to(coef * self.weights[:, None], self.points.shape)
-        L = np.einsum("qc,aq,bq->cab", cw, A, B)
-        zero = np.zeros(len(L))
-        return self._nodal(np.stack([zero, L[:, 0, 0], L[:, 0, 1]]),
-                           np.stack([L[:, 1, 0], L[:, 1, 1], zero]), 1)
-
 
 class _Tensor:
     """Gauss-point values of nodal grids on the tensor grid x1 x x2.

@@ -8,12 +8,11 @@ through the banded Cholesky factor of K - sigma M), else
 `minimize_rayleigh` (shifted Newton steps on the Rayleigh quotient; under
 symmetry S on the S-even half of a full cylinder first).
 `half_cylinder_eigen` builds a half cylinder with a Dirichlet far end for
-it, and `cross_section_ground_state` solves the 1D problem on the cross
-section.  All of them see
-the discrete problem through the one Q1 core of `discretization` and its
-one Gauss rule: the cylinder solves through its tensor-product quadrature
-and p = 2 matrices, the cross-section solve through the same 1D element on
-the x2 nodes.
+it, and `cross_section_ground_state` solves the cross-section problem as
+the first eigenpair of a mixed cylinder one axial cell long.  Every one of
+them is a solve on a cylinder mesh, on the p = 2 pencil or the quotient of
+`minimize_rayleigh`, and sees the discrete problem through the one Q1 core
+of `discretization`: its tensor-product Gauss rule and p = 2 matrices.
 
 The descent sees its problem as states linear in the nodal vector: its
 values and slopes at the Gauss points, or on the p = 2 pencil the vector
@@ -28,7 +27,6 @@ the first p = 2 pair included: `converged` is true for that exit alone.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,14 +34,13 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import discretization as disc
-from .coeffs import satisfies_symmetry_S
-from .discretization import DiscreteField, _power, _power_slope, _Q1
+from .coeffs import CoefficientField, satisfies_symmetry_S
+from .discretization import DiscreteField
 from .errors import ConfigurationError, SolverError
-from .mesh import BC, DomainSpec, Shape, build_mesh, check_resolution
+from .mesh import BC, CylinderMesh, DomainSpec, Shape, build_mesh
 
 
 class Init(enum.Enum):
@@ -95,8 +92,10 @@ class CrossSectionResult:
     p-normalized, positive inside); `w_slope` the element slopes;
     `poincare_cp` the discrete Poincare constant, mu1(omega; a22 = 1)^{-1/p}.
     `iterations`, `residual` and `converged` are those of the descent
-    engine at every p, as for the cylinder solves; `converged` is also
-    false when the descent of the plain problem stopped uncertified.
+    engine on the one-cell cylinder of `cross_section_ground_state` at
+    every p, as for the cylinder solves (on a lifted field that residual is
+    half the 1D quotient's at the same nodal values); `converged` is also
+    false when the solve of the plain problem stopped uncertified.
     """
 
     def __init__(self, mu1, w_nodes, x2_nodes, p, poincare_cp, iterations,
@@ -368,7 +367,9 @@ class _FoldedQuotient(_CylinderQuotient):
     (-x1, -x2) reverses the order of the free DOFs, so an S-even vector,
     u = u[::-1] (`unfold`), is fixed by its first k = ceil(n_free / 2)
     entries y.  Q takes y to the free DOFs of `mesh`, the cells x1 <= 0
-    (the full spec kept), as y[gather]; there the energy and the p-mass
+    on a mesh of their own spec (a mixed cylinder of length ell, shifted
+    along the axis, which A does not see, or the MINUS half cylinder of a
+    Dirichlet one), as y[gather]; there the energy and the p-mass
     are half those of u, so the quotient of y is theirs at Q y, with
     gradients Q^T g and matrices Q^T H Q (`disc.FoldedMatrix`).  `moved`
     = (rows, cols, src) lists the entries (i, j) of a half-mesh matrix
@@ -377,13 +378,14 @@ class _FoldedQuotient(_CylinderQuotient):
     """
 
     def __init__(self, mesh, coeffs, p):
-        c = mesh.n_cells1 // 2
-        half = copy.copy(mesh)
-        vars(half).pop("_tensor", None)  # the core of the full x1 nodes
-        half.n_cells1, half.x1 = c, mesh.x1[:c + 1]
-        half.dirichlet_mask = mesh.dirichlet_mask[:c + 1]
-        nh = half.n_free = int((~half.dirichlet_mask).sum())
+        s = mesh.spec
+        half = CylinderMesh(
+            DomainSpec(Shape.FULL_CYLINDER, s.ell / 2, BC.MIXED,
+                       s.cells_per_unit, s.nx2) if s.bc is BC.MIXED
+            else DomainSpec(Shape.HALF_MINUS, s.ell, BC.HALF_CYLINDER,
+                            s.cells_per_unit, s.nx2))
         super().__init__(half, coeffs, p)
+        nh = half.n_free
         self.n, self.k = mesh.n_free, (mesh.n_free + 1) // 2
         node = np.arange(nh)
         g = self.gather = np.minimum(node, self.n - 1 - node)
@@ -699,79 +701,42 @@ def cross_section_ground_state(nx2, coeffs, p,
                                opts=None) -> CrossSectionResult:
     """Ground state of the cross-section problem with Dirichlet ends.
 
-    Solves the 1D analogue of the cylinder problem with coefficient a22 on
-    the Q1 element of the cylinder's x2 nodes (nx2 >= MIN_NX2 cells) by the
-    descent of `minimize_rayleigh` at every p, from the sampled cosine, its
-    steps shifted by the interior a22 stiffness.  The discrete Poincare
-    constant comes from a second descent, of the plain (a22 = 1) problem on
-    the same element, where a22 is not 1.  A descent that stops uncertified
-    is returned flagged (`converged` false), as the cylinder solves are.
-    nx2 and p are checked first (`check_resolution`, `check_exponent`).
+    Solved as the first eigenpair of the mixed cylinder one axial cell long,
+    (-1/4, 1/4) x omega with h1 = 1/2 and nx2 >= MIN_NX2 section cells, with
+    a11 = 1, a12 = 0 and the family's a22.  Under the tensor Gauss rule a Q1
+    field's energy there is at least the weighted sum of its section
+    energies at the x1 Gauss points, with equality only where d1 u = 0, and
+    its p-mass is exactly that weighted sum; so the first eigenfunction is
+    the discrete section ground state W lifted, and its eigenvalue is mu1.
+    The engine p-normalizes the lift on the cylinder, so `w_nodes` is the
+    mean of the two node rows times h1^(1/p).  The solve starts from the
+    sampled cosine on both rows, on the p = 2 pencil or the quotient of
+    `minimize_rayleigh`; the discrete Poincare constant comes from a second
+    solve, of the plain (a22 = 1) problem on the same mesh, where a22 is not
+    1.  A solve that stops uncertified is returned flagged (`converged`
+    false), as the cylinder solves are.  nx2 and p are checked first.
     """
-    check_resolution(nx2)
+    mesh = CylinderMesh(DomainSpec(Shape.FULL_CYLINDER, 0.25, BC.MIXED, 2,
+                                   nx2))
     disc.check_exponent(p)
     opts = opts or SolveOptions()
-    x2 = np.linspace(-0.5, 0.5, nx2 + 1)
-    e = _Q1(x2)
-    a22 = coeffs.a22(e.points)
-    start = np.cos(np.pi * x2[1:-1])
+    start = mesh.restrict(np.tile(np.cos(np.pi * mesh.x2), (2, 1)))
 
-    # p-normalized with a nonnegative sum, as the engine returns it
-    r = _minimize_quotient(_SectionQuotient(e, a22, p), start, opts)
-    converged = r.stop_reason == "residual"
-    mu_plain = r.lam
+    def solve(a22):
+        # the quotients that linear_spectrum (k = 1) and minimize_rayleigh
+        # build, without those entry points: perfbench counts their calls
+        # as a run's cylinder solves (none of linear_spectrum in a p = 3
+        # sweep), and the section is none of them
+        field = CoefficientField(np.ones_like, np.zeros_like, a22)
+        problem = (_PencilQuotient(*disc._p2_diagonals(mesh, field))
+                   if p == 2 else _CylinderQuotient(mesh, field, p))
+        return _minimize_quotient(problem, start, opts)
+
+    r = plain = solve(coeffs.a22)
+    a22 = coeffs.a22(disc._core(mesh).e2.points)
     if float(np.max(np.abs(a22 - 1.0))) >= 1e-14:
-        plain = _minimize_quotient(_SectionQuotient(e, np.ones_like(a22), p),
-                                   start, opts)
-        mu_plain = plain.lam
-        converged = converged and plain.stop_reason == "residual"
-    return CrossSectionResult(r.lam, np.concatenate(([0.0], r.u, [0.0])), x2,
-                              p, mu_plain ** (-1.0 / p), r.iterations,
-                              r.residual, converged)
-
-
-class _SectionQuotient:
-    """The cross-section quotient over the interior nodes, for
-    `_minimize_quotient`: states are (w, w') at the Gauss points."""
-
-    def __init__(self, e, a22, p):
-        self.e, self.a22, self.p = e, a22, p
-
-    def state(self, w_free):
-        w = np.concatenate(([0.0], w_free, [0.0]))
-        return self.e.values(w), self.e.slopes(w)
-
-    def value(self, S, grad=False):
-        (wq, slope), e, p = S, self.e, self.p
-        q = self.a22 * slope * slope
-        E = float(np.sum(e.weights @ _power(q, p / 2.0)))
-        m = float(np.sum(e.weights @ _power(wq, p)))
-        if not grad:
-            return E, m
-        cw = e.weights[:, None]
-        s = 2.0 * cw * _power_slope(q, p / 2.0) * self.a22 * slope
-        t = cw * _power_slope(wq, p)
-        return E, e.slopes_adjoint(s)[1:-1], m, e.values_adjoint(t)[1:-1]
-
-    def gradient(self, S):
-        return self.value(S, grad=True)
-
-    def hessian(self, S, lam):
-        (wq, slope), e, p = S, self.e, self.p
-        q = self.a22 * slope * slope
-        H = e.band(p * (p - 1.0) * _power(q, p / 2.0 - 1.0) * self.a22,
-                   e.dN, e.dN)
-        H -= e.band(lam * p * (p - 1.0) * _power(wq, p - 2.0), e.N, e.N)
-        return _interior(H)
-
-    def stiffness(self):
-        return _interior(self.e.band(self.a22, self.e.dN, self.e.dN))
-
-
-def _interior(G):
-    """The interior-node matrix of 1D Gram rows G (`_Q1.band`) as a
-    `dia_array`, zero where a column's entry lies in an end node's row."""
-    data = np.stack([G[0, 2:], G[1, 1:-1], G[2, :-2]])
-    data[0, -1] = data[2, 0] = 0.0
-    n = data.shape[1]
-    return sp.dia_array((data, (-1, 0, 1)), shape=(n, n))
+        plain = solve(np.ones_like)
+    converged = r.stop_reason == plain.stop_reason == "residual"
+    w = mesh.expand(r.u).mean(axis=0) * mesh.h1 ** (1.0 / p)
+    return CrossSectionResult(r.lam, w, mesh.x2, p, plain.lam ** (-1.0 / p),
+                              r.iterations, r.residual, converged)

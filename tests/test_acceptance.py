@@ -36,11 +36,14 @@ def check(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def coeffs(kind, c=0.0):
-    key = ("coeffs", kind, c)
+def coeffs(kind, c=0.0, p=2.0):
+    """The family's field; `grad_aligned` is built, as the CLI builds it,
+    from the identity section at the run's p."""
+    ga = kind is cs.FamilyKind.GRAD_ALIGNED
+    key = ("coeffs", kind, c, p if ga else None)
     if key not in _cache:
-        if kind is cs.FamilyKind.GRAD_ALIGNED:
-            base = cross(cs.FamilyKind.IDENTITY, 0.0, 2.0)
+        if ga:
+            base = cross(cs.FamilyKind.IDENTITY, 0.0, p)
             _cache[key] = cs.make_coefficients(
                 cs.CoefficientFamily(kind, c), cross=base)
         else:
@@ -51,7 +54,7 @@ def coeffs(kind, c=0.0):
 def cross(kind, c, p):
     key = ("cross", kind, c, p)
     if key not in _cache:
-        _cache[key] = cs.cross_section_ground_state(NX2, coeffs(kind, c), p)
+        _cache[key] = cs.cross_section_ground_state(NX2, coeffs(kind, c, p), p)
     return _cache[key]
 
 
@@ -64,7 +67,7 @@ def sweep(kind, c, p):
     key = ("sweep", kind, c, p)
     if key not in _cache:
         _cache[key] = asy.sweep_lambda(
-            lengths(ELLS, kind, c, p), coeffs(kind, c), p, RES)
+            lengths(ELLS, kind, c, p), coeffs(kind, c, p), p, RES)
     return _cache[key]
 
 
@@ -72,7 +75,7 @@ def ladder(kind, c, p, side):
     key = ("ladder", kind, c, p, side)
     if key not in _cache:
         _cache[key] = asy.nu_infinity_estimate(
-            side, coeffs(kind, c), p, lengths(LADDER, kind, c, p), RES)
+            side, coeffs(kind, c, p), p, lengths(LADDER, kind, c, p), RES)
     return _cache[key]
 
 
@@ -90,7 +93,7 @@ def mixed_solve(kind, c, p, ell):
     if key not in _cache:
         mesh = cs.build_mesh(cs.DomainSpec(
             cs.Shape.FULL_CYLINDER, ell, cs.BC.MIXED, CPU, NX2))
-        fam = coeffs(kind, c)
+        fam = coeffs(kind, c, p)
         if p == 2:
             r = cs.linear_spectrum(mesh, fam, 1)[0]
         else:
@@ -267,7 +270,7 @@ def test_07_decay(fam, p):
     # end layers leave 6% of the p-mass in (-2, 2); at 24 it is 0.3%.
     ell = lengths([12.0], *fam, p)[-1]
     mesh, r = mixed_solve(*fam, p, ell)
-    coef = coeffs(*fam)
+    coef = coeffs(*fam, p)
     prof = cs.slab_integrals(mesh, coef, r.field, p)
     fit = asy.fit_decay(asy.orient_profile(prof), asy.default_window(ell))
     mid = int(ell)  # unit slabs from -ell: slabs mid-2 .. mid+1 cover (-2, 2)
@@ -367,7 +370,8 @@ def test_11_picone():
             mesh, r = mixed_solve(*fam, p, 8.0)
             cr = cross(*fam, p)
             field = _positivity_projected(r.field, mesh, p)
-            val = asy.picone_residual_min(field, cr, mesh, coeffs(*fam), p)
+            val = asy.picone_residual_min(field, cr, mesh, coeffs(*fam, p),
+                                          p)
             worst = min(worst, val)
             details.append(f"{fam[0].value}/p{p:g}: {val:.1e}")
     check("11 picone residual", worst >= -1e-10, "; ".join(details))

@@ -30,6 +30,23 @@ def one_d_ground_state_oracle(p):
     return brentq(endpoint, 2.0, 60.0, xtol=1e-10)
 
 
+def dense_section_pencil(a22, nx2):
+    """The interior-node pencil (K, M) of the 1D problem with coefficient
+    a22: piecewise-linear elements on nx2 uniform cells, each integrated by
+    the 3-point Gauss rule, assembled densely."""
+    g, w = np.polynomial.legendre.leggauss(3)
+    h = 1.0 / nx2
+    N = np.stack([(1.0 - g) / 2.0, (1.0 + g) / 2.0])
+    dN = np.stack([-np.ones(3), np.ones(3)]) / h
+    K, M = np.zeros((nx2 + 1, nx2 + 1)), np.zeros((nx2 + 1, nx2 + 1))
+    for c in range(nx2):
+        x = -0.5 + h * (c + (g + 1.0) / 2.0)
+        wc = w * h / 2.0
+        K[c:c + 2, c:c + 2] += (dN * (a22(x) * wc)) @ dN.T
+        M[c:c + 2, c:c + 2] += (N * wc) @ N.T
+    return K[1:-1, 1:-1], M[1:-1, 1:-1]
+
+
 def closed_form_mu1(p):
     # (p-1) * pi_p^p with pi_p = 2 pi / (p sin(pi/p))
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
@@ -91,12 +108,29 @@ class TestCrossSection:
             cross = cs.cross_section_ground_state(nx2, field, 2)
             assert cross.converged and 1 <= cross.iterations
             assert cross.residual <= 1e-8 * cross.mu1
-            e = disc._Q1(cross.x2_nodes)
-            K, M = (es._interior(G).toarray()
-                    for G in (e.band(field.a22(e.points), e.dN, e.dN),
-                              e.band(1.0, e.N, e.N)))
-            lam = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
+            lam = scipy.linalg.eigh(*dense_section_pencil(field.a22, nx2),
+                                    eigvals_only=True)[0]
             assert cross.mu1 == pytest.approx(lam, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_one_cell_rows_agree(self, monkeypatch, p):
+        # the section is solved on the mixed cylinder one axial cell long:
+        # its first eigenfunction is the section state lifted, the same on
+        # both node rows, and w_nodes is their mean scaled to the section
+        samples = ((-0.5, 1.0, 0.0, 2.0), (0.0, 1.0, 0.0, 1.0),
+                   (0.5, 1.0, 0.0, 1.5))
+        field = cs.make_coefficients(
+            cs.CoefficientFamily(cs.FamilyKind.TABULATED, samples=samples))
+        engine, solved = es._minimize_quotient, []
+        monkeypatch.setattr(es, "_minimize_quotient",
+                            lambda *a: solved.append(engine(*a)) or solved[-1])
+        cross = cs.cross_section_ground_state(16, field, p)
+        assert cross.converged and len(solved) == 2  # a22 and a22 = 1
+        rows = solved[0].u.reshape(2, 15)
+        assert np.max(np.abs(rows[0] - rows[1])) <= 1e-10 * np.max(rows)
+        np.testing.assert_allclose(cross.w_nodes[1:-1],
+                                   rows.mean(axis=0) * 0.5 ** (1.0 / p),
+                                   rtol=1e-14)
 
     def test_min_resolution_enforced(self, identity_field):
         # one floor, MIN_NX2 = 4, for the section solve, the domain and
@@ -285,8 +319,11 @@ class TestLinearSpectrum:
                                                      family, request):
         # the pencil state (u, Ku, Mu) reaches each gradient pass after a
         # step through _along and the engine's in-place scaling, with no
-        # product of its own; the first pass is a fresh one
+        # product of its own; the first pass is a fresh one.  The section,
+        # solved on a pencil too, is solved before the recording starts
         coeffs = request.getfixturevalue(family)
+        crosses = {spec.nx2: cs.cross_section_ground_state(spec.nx2, coeffs, 2)
+                   for spec in ORACLE_MESHES}
         carried = []
 
         class Recording(es._PencilQuotient):
@@ -297,7 +334,8 @@ class TestLinearSpectrum:
         monkeypatch.setattr(es, "_PencilQuotient", Recording)
         for spec in ORACLE_MESHES:
             carried.clear()
-            r = cs.linear_spectrum(cs.build_mesh(spec), coeffs, 1)[0]
+            r = cs.linear_spectrum(cs.build_mesh(spec), coeffs, 1,
+                                   cross=crosses[spec.nx2])[0]
             assert r.iterations >= 1 and len(carried) == r.iterations + 1
             for problem, S in carried[1:]:
                 assert len(S) == 3
@@ -462,7 +500,7 @@ class TestMinimizeRayleigh:
         # no shift gives a finite step from a non-finite iterate: the
         # descent stops once sigma swamps H instead of growing it forever
         problem = section_problem(varying_a22(linear_field), 3.0, 16)
-        w = np.cos(np.pi * np.linspace(-0.5, 0.5, 17)[1:-1])
+        w = lift(np.cos(np.pi * np.linspace(-0.5, 0.5, 17)[1:-1]))
         w[3] = np.nan
         r = es._minimize_quotient(problem, w, cs.SolveOptions())
         assert r.stop_reason == "no_descent" and r.iterations == 1
@@ -484,12 +522,12 @@ class TestMinimizeRayleigh:
 
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 4, cs.BC.MIXED, 4, 16))
-        # the start lifts the section state of the default options: the
-        # subject here is the returned iterate, not the start.  The engine
-        # descends the whole cylinder's quotient, with no S-even fold
-        cross = cs.cross_section_ground_state(16, offdiag_field, 3)
+        # the start is the lifted sampled cosine: the subject here is the
+        # returned iterate, not the start.  The engine descends the whole
+        # cylinder's quotient, with no S-even fold
         opts = cs.SolveOptions(tol_residual=1e-17)
-        start = es._lifted_start(mesh, offdiag_field, 3, opts, cross)
+        start = mesh.restrict(np.tile(np.cos(np.pi * mesh.x2),
+                                      (mesh.x1.size, 1)))
         r = es._eigen_result(mesh, es._minimize_quotient(
             Recording(mesh, offdiag_field, 3), start, opts))
         assert r.stop_reason in ("no_descent", "max_iters")
@@ -639,14 +677,13 @@ class TestMinimizeRayleigh:
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     def test_section_curvature_matches_second_difference(self, linear_field,
                                                          p):
-        # the nodal reference is the quotient of the axial lift on a mixed
-        # cylinder, as in TestGaussPointStates; linear_offdiag has a22 = 1,
-        # so a22 is made to vary with x2 here
-        field = cs.CoefficientField(linear_field.a11, linear_field.a12,
-                                    lambda x2: 1.0 + x2 * x2)
+        # along lifted directions the section's one-cell quotient is the
+        # quotient of the lift on any mixed cylinder, the nodal reference
+        # here as in TestGaussPointStates; linear_offdiag has a22 = 1, so
+        # a22 is made to vary with x2 here
+        field = varying_a22(linear_field)
         x2 = np.linspace(-0.5, 0.5, 17)
-        e = disc._Q1(x2)
-        problem = es._SectionQuotient(e, field.a22(e.points), p)
+        problem = section_problem(field, p, 16)
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 1, cs.BC.MIXED, 2, 16))
         rng = np.random.default_rng(5)
@@ -659,8 +696,8 @@ class TestMinimizeRayleigh:
             return cs.rayleigh(mesh, field, grid, p)
 
         reference = self.second_difference(lifted, w, z)
-        assert self.newton_curvature(problem, w, z) == pytest.approx(
-            reference, rel=1e-6)
+        assert self.newton_curvature(problem, lift(w), lift(z)) == \
+            pytest.approx(reference, rel=1e-6)
 
     def test_p3_solves_certified(self, offdiag_field):
         # the four solves of one sweep row, each certified by the residual
@@ -699,8 +736,18 @@ class TestMinimizeRayleigh:
 
 
 def section_problem(field, p, nx2):
-    e = disc._Q1(np.linspace(-0.5, 0.5, nx2 + 1))
-    return es._SectionQuotient(e, field.a22(e.points), p)
+    # the quotient that `cross_section_ground_state` descends at p != 2:
+    # the mixed cylinder one axial cell long, with a11 = 1, a12 = 0 and the
+    # field's a22
+    mesh = cs.build_mesh(
+        cs.DomainSpec(cs.Shape.FULL_CYLINDER, 0.25, cs.BC.MIXED, 2, nx2))
+    section = cs.CoefficientField(np.ones_like, np.zeros_like, field.a22)
+    return es._CylinderQuotient(mesh, section, p)
+
+
+def lift(w):
+    # interior section values on both node rows of that one-cell cylinder
+    return np.tile(w, 2)
 
 
 def stiffness_cholesky(mesh, field):
@@ -767,7 +814,7 @@ class TestNewton:
                                                          p):
         problem = section_problem(varying_a22(linear_field), p, 16)
         rng = np.random.default_rng(7)
-        w = np.cos(np.pi * np.linspace(-0.5, 0.5, 17)[1:-1])
+        w = lift(np.cos(np.pi * np.linspace(-0.5, 0.5, 17)[1:-1]))
         v = rng.standard_normal(w.size)
         H, lam = self.hessian(problem, w)
         reference = self.gradient_difference(problem, w, v, lam)
@@ -783,7 +830,7 @@ class TestNewton:
         # full step the ratio test measures
         if kind == "section":
             problem = section_problem(varying_a22(linear_field), p, 16)
-            n = 15
+            n = problem.mesh.n_free
         else:
             shape, bc = {"mixed": (cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
                          "dirichlet": (cs.Shape.FULL_CYLINDER,
@@ -808,14 +855,14 @@ class TestNewton:
 
     @pytest.mark.parametrize("kind", ["cylinder", "pencil", "section"])
     def test_step_matches_bordered_system(self, linear_field, kind):
-        # 8 cells each: 2 x 4 on the cylinder and its p = 2 pencil, 8 on the
-        # cross section; the oracle is the dense bordered system of
-        # E'' - lam m'' + s K.  At sigma = 0 the step takes y = u / (p - 1)
-        # from homogeneity in place of a second solve
+        # 8 cells each: 2 x 4 on the cylinder and its p = 2 pencil, 1 x 8 on
+        # the section's one-cell cylinder; the oracle is the dense bordered
+        # system of E'' - lam m'' + s K.  At sigma = 0 the step takes
+        # y = u / (p - 1) from homogeneity in place of a second solve
         p = 3.0
         if kind == "section":
             problem = section_problem(varying_a22(linear_field), p, 8)
-            n = 7
+            n = problem.mesh.n_free
         else:
             mesh = cs.build_mesh(
                 cs.DomainSpec(cs.Shape.FULL_CYLINDER, 0.5, cs.BC.MIXED, 2, 4))
@@ -1006,21 +1053,20 @@ class TestGaussPointStates:
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     def test_section_trial_matches_lifted_quotient(self, linear_field, p):
         # nx2 = 64 as in the shooting-oracle check; the nodal reference is
-        # the quotient of the axial lift on a mixed cylinder
+        # the quotient of the axial lift on a longer mixed cylinder
         x2 = np.linspace(-0.5, 0.5, 65)
-        e = disc._Q1(x2)
-        problem = es._SectionQuotient(e, linear_field.a22(e.points), p)
+        problem = section_problem(linear_field, p, 64)
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 1, cs.BC.MIXED, 2, 64))
         rng = np.random.default_rng(2)
         w = np.cos(np.pi * x2[1:-1])
         s = rng.standard_normal(w.size)
-        Sw, Ss = problem.state(w), problem.state(s)
+        Sw, Ss = problem.state(lift(w)), problem.state(lift(s))
         for tau in (1e-3, 0.3, 2.0):
             E, m = problem.value(es._along(Sw, Ss, tau))
-            lift = np.tile(np.concatenate(([0.0], w - tau * s, [0.0])),
+            grid = np.tile(np.concatenate(([0.0], w - tau * s, [0.0])),
                            (mesh.x1.size, 1))
-            nodal = cs.rayleigh(mesh, linear_field, lift, p)
+            nodal = cs.rayleigh(mesh, linear_field, grid, p)
             assert E / m == pytest.approx(nodal, rel=1e-13)
 
 
