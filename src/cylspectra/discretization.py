@@ -521,10 +521,9 @@ def lapack_band(A, kl, ku, top=0, out=None):
     Entry (i, j) sits at row top + ku + i - j of column j, so A's `data` at
     offset o (zero outside the matrix) is row top + ku - o as it stands;
     offsets outside [-kl, ku] are dropped.  `top = kl` rows of fill-in give
-    the layout of `gbsv`, `kl = bw, ku = 0` the lower one of
-    `cholesky_banded`.  `out`, an earlier result, is reused with its rows
-    from `top` on zeroed.  A may also be a `FoldedMatrix`, n x n for the
-    k unknowns of its fold.
+    the layout of `gbsv`, `kl = bw, ku = 0` the lower one of `pbtrf`.
+    `out`, an earlier result, is reused with its rows from `top` on zeroed.
+    A may also be a `FoldedMatrix`, n x n for the k unknowns of its fold.
     """
     n = A.shape[1]
     shape = (top + kl + ku + 1, n)

@@ -3,8 +3,8 @@
 The first eigenpair of a mesh has one route, `first_eigen`: at p = 2
 `linear_spectrum` (the assembled pencil: the first eigenpair by the
 descent engine, whose unshifted step there is Rayleigh-quotient
-iteration; k >= 2 by shift-invert Lanczos about a shift just below it,
-through the banded Cholesky factor of K - sigma M), else
+iteration; k >= 2 by Lanczos on L^{-1} M L^{-T}, the standard form of the
+pencil shifted just below it, K - sigma M = L L^T banded), else
 `minimize_rayleigh` (shifted Newton steps on the Rayleigh quotient; under
 symmetry S on the S-even half of a full cylinder first).
 `half_cylinder_eigen` builds a half cylinder with a Dirichlet far end for
@@ -535,25 +535,29 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     and the LU factorizations as `factorizations`.
 
     k >= 2 (below n_free) first runs that k = 1 engine, then shift-invert
-    Lanczos (ARPACK through `eigsh`) about sigma = lam1 (1 - _SHIFT_MARGIN),
-    lam1 the engine's Rayleigh quotient: every Lanczos step applies
-    (K - sigma M)^{-1} M through one banded Cholesky factorization
-    (`_cholesky`).  The rate then follows (lam_k - sigma) / (lam_{k+1} -
-    sigma), not lam_k / lam_{k+1}, which tends to 1 in the collapsing
-    cluster of long cylinders (Ericsson & Ruhe 1980).  By Sylvester's law
-    of inertia the factorization succeeds only if every eigenvalue lies
-    above sigma; as a Rayleigh quotient is at least the true lam1, sigma
-    then lies within _SHIFT_MARGIN below it.  Where that factorization
-    fails or the engine stopped at max_iters, the shift is 0 and the factor
-    that of K.  The fixed start vector of ones makes the result
-    deterministic.  `converged` certifies that ARPACK converged and that
-    the residual of k = 1, the max norm of 2 (K v - lam M v) / v.Mv, passes
-    the same test.
+    Lanczos about sigma = lam1 (1 - _SHIFT_MARGIN), lam1 the engine's
+    Rayleigh quotient.  With the banded Cholesky factor K - sigma M = L L^T
+    (`_cholesky`) the pencil's pairs are those of the symmetric operator
+    T = L^{-1} M L^{-T}: lam = sigma + 1 / theta and v = L^{-T} y (Ericsson
+    & Ruhe 1980).  ARPACK (`eigsh`) finds the k largest theta in standard
+    mode, and each Lanczos step is one shift-invert solve: a pair of
+    triangular solves and one product with M.  The rate follows (lam_k -
+    sigma) / (lam_{k+1} - sigma), not lam_k / lam_{k+1}, which tends to 1
+    in the collapsing cluster of long cylinders.  By Sylvester's law of
+    inertia the factorization succeeds only if every eigenvalue lies above
+    sigma; as a Rayleigh quotient is at least the true lam1, sigma then
+    lies within _SHIFT_MARGIN below it.  Where that factorization fails or
+    the engine stopped at max_iters, the shift is 0 and the factor that of
+    K.  The Lanczos starts from y0 = L^T 1, the pencil's vector of ones
+    (v = L^{-T} y0 = 1), which makes the result deterministic.
+    `converged` certifies that ARPACK converged and that the residual of
+    k = 1, the max norm of 2 (K v - lam M v) / v.Mv, passes the same test.
     `max_iters` caps the engine's steps and the ARPACK restarts; a run that
-    hits the latter comes back flagged, with Ritz pairs from a short
-    shift-invert Krylov space, since ARPACK hands back only the pairs it
-    converged, and `stop_reason` "max_iters" ("arpack" otherwise, "dense"
-    for k = n_free, which solves the dense pencil and counts nothing).
+    hits the latter comes back flagged, with Ritz pairs of T from a short
+    Krylov space (`_krylov_ritz`), since ARPACK hands back only the pairs
+    it converged, and `stop_reason` "max_iters" ("arpack" otherwise,
+    "dense" for k = n_free, which solves the dense pencil and counts
+    nothing).  A given `start` is checked on every branch.
     `iterations` counts the engine's steps plus the shift-invert solves of
     the whole call, and `factorizations` the engine's LU factorizations
     plus the Cholesky ones, both shared by all k results.  K and M stay the
@@ -565,6 +569,8 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     check_k(k, mesh)
     opts = opts or SolveOptions()
     n = mesh.n_free
+    # DiscreteField checks the length of a given start, on every branch
+    start = start if start is None else DiscreteField(start, mesh).values
     K, M = disc._p2_diagonals(mesh, coeffs)
     bw = mesh.n_cells2
     steps = factorizations = 0
@@ -573,8 +579,8 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
         lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         reason = "dense"
     else:
-        start = (_lifted_start(mesh, coeffs, 2.0, opts, cross)
-                 if start is None else DiscreteField(start, mesh).values)
+        if start is None:
+            start = _lifted_start(mesh, coeffs, 2.0, opts, cross)
         first = _minimize_quotient(_PencilQuotient(K, M), start, opts)
         if k == 1:
             return [_eigen_result(mesh, first)]
@@ -589,25 +595,28 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
         ab = disc.lapack_band(K, bw, 0)
         disc.add_to_band(ab, M, -sigma, bw, 0)
         try:
-            solve = _cholesky(ab)
+            factor, solve_l, solve_lt = _cholesky(ab)
         except SolverError:  # an eigenvalue lies below sigma
             sigma = 0.0
             factorizations += 1
-            solve = _cholesky(disc.lapack_band(K, bw, 0))
+            factor, solve_l, solve_lt = _cholesky(disc.lapack_band(K, bw, 0))
 
-        def apply_inverse(x):
+        def apply_t(y):  # one shift-invert solve: L^{-1} M L^{-T} y
             nonlocal steps
             steps += 1
-            return solve(np.ravel(x))
+            return solve_l(M @ solve_lt(y))
 
-        op_inv = spla.LinearOperator((n, n), matvec=apply_inverse,
-                                     dtype=float)
+        T = spla.LinearOperator((n, n), matvec=apply_t, dtype=float)
+        # y0 = L^T 1 starts the Lanczos of the pencil from v = 1
+        y0 = scipy.linalg.blas.dtbmv(bw, factor, np.ones(n), lower=1,
+                                     trans=1)
         try:
-            lams, vecs = spla.eigsh(K, k, M=M, sigma=sigma, OPinv=op_inv,
-                                    v0=np.ones(n), maxiter=opts.max_iters)
+            theta, y = spla.eigsh(T, k, which="LA", v0=y0,
+                                  maxiter=opts.max_iters)
         except spla.ArpackNoConvergence:
-            lams, vecs = _krylov_ritz(K, M, apply_inverse, k)
+            theta, y = _krylov_ritz(T, k, y0, solve_lt, M)
             reason = "max_iters"
+        lams, vecs = sigma + 1.0 / theta, solve_lt(y)
 
     results = []
     for rank, j in enumerate(np.argsort(lams)):
@@ -637,33 +646,42 @@ def check_k(k, mesh):
 
 
 def _cholesky(ab):
-    """A^{-1} for a symmetric A in the lower band storage of
-    `cholesky_banded`, factored in place; `SolverError` where A is not
-    positive definite."""
-    try:
-        cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"band factorization failed: {exc}") from exc
-    # the factor is checked once, by `cholesky_banded`; each solve checks d
-    return lambda d: scipy.linalg.cho_solve_banded(
-        (cb, True), np.asarray_chkfinite(d), check_finite=False)
+    """The banded Cholesky factor A = L L^T of a symmetric A in the lower
+    band storage of `lapack_band` (kl = bw, ku = 0), factored in place by
+    `dpbtrf`, with its two triangular solves: (L in that storage,
+    d -> L^{-1} d, d -> L^{-T} d).  `SolverError` where A is not positive
+    definite.  Each solve (`dtbtrs`) takes a vector or the columns of a
+    matrix and checks them finite; the factor is checked once, by
+    `dpbtrf`, whose pivot test also fails on a non-finite band."""
+    lapack = scipy.linalg.lapack
+    factor, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise SolverError(f"band factorization failed: info {info}")
+
+    def triangular(trans):
+        return lambda d: lapack.dtbtrs(factor, np.asarray_chkfinite(d),
+                                       uplo="L", trans=trans)[0]
+    return factor, triangular("N"), triangular("T")
 
 
-def _krylov_ritz(K, M, apply_inverse, k):
-    """k smallest Ritz pairs of (K, M) on a shift-invert Krylov space of ones.
+def _krylov_ritz(T, k, y0, solve_lt, M):
+    """k largest Ritz pairs of T = L^{-1} M L^{-T}, the shift-invert
+    operator of K - sigma M = L L^T, on its Krylov space of 2k + 1 vectors
+    from y0.
 
-    The fallback when ARPACK runs out of restarts: min-max upper bounds of
-    the wanted eigenvalues, with no residual certificate.
+    The fallback when ARPACK runs out of restarts.  A Ritz value theta is
+    at most its eigenvalue (min-max), so sigma + 1 / theta bounds the
+    pencil's from above; there is no residual certificate.  The projection
+    Q^T T Q is X^T M X with X = L^{-T} Q: M products, not more solves.
     """
-    n = K.shape[0]
-    block = [np.ones(n) / np.sqrt(n)]
-    for _ in range(min(n, 2 * k + 1) - 1):
-        w = apply_inverse(M @ block[-1])
+    block = [y0 / np.linalg.norm(y0)]
+    for _ in range(min(len(y0), 2 * k + 1) - 1):
+        w = T @ block[-1]
         block.append(w / np.linalg.norm(w))
     Q = np.linalg.qr(np.column_stack(block))[0]
-    lams, y = scipy.linalg.eigh(Q.T @ (K @ Q), Q.T @ (M @ Q),
-                                subset_by_index=[0, k - 1])
-    return lams, Q @ y
+    X = solve_lt(Q)
+    theta, y = scipy.linalg.eigh(X.T @ (M @ X))
+    return theta[-k:], Q @ y[:, -k:]
 
 
 def first_eigen(mesh, coeffs, p, opts=None, cross=None,

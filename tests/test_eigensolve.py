@@ -365,15 +365,17 @@ class TestLinearSpectrum:
         # lam1..lam4 = 9.857, 9.878, 9.990, 10.166: about sigma = 0 the
         # Lanczos rate follows lam3 / lam4, just below the certified lam1 it
         # does not (85 shift-invert solves about 0, 21 below lam1)
+        # each shift-invert solve applies L^{-1} once; the back-transform
+        # of the Ritz vectors applies only L^{-T}
         cholesky, solves = es._cholesky, []
 
         def counted(ab):
-            solve = cholesky(ab)
+            factor, solve_l, solve_lt = cholesky(ab)
 
             def counted_solve(d):
                 solves.append(1)
-                return solve(d)
-            return counted_solve
+                return solve_l(d)
+            return factor, counted_solve, solve_lt
 
         monkeypatch.setattr(es, "_cholesky", counted)
         mesh = cs.build_mesh(
@@ -385,6 +387,39 @@ class TestLinearSpectrum:
         # iterations: the engine's steps and the shift-invert solves
         assert all(r.iterations == one.iterations + len(solves)
                    for r in results)
+
+    def test_one_mass_product_per_lanczos_step(self, monkeypatch,
+                                               offdiag_field):
+        # the Lanczos runs in standard mode on L^{-1} M L^{-T}: each step
+        # is one shift-invert solve and one product with M, where ARPACK's
+        # generalized mode multiplies by M about three times per solve
+        # (59 products for 21 solves on this mesh)
+        import scipy.sparse
+        eigsh, matmul = es.spla.eigsh, scipy.sparse.dia_array.__matmul__
+        inside, products = [False], []
+
+        def watched_eigsh(*args, **kwargs):
+            inside[0] = True
+            try:
+                return eigsh(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def counted_matmul(A, x):
+            if inside[0]:
+                products.append(1)
+            return matmul(A, x)
+
+        monkeypatch.setattr(es.spla, "eigsh", watched_eigsh)
+        monkeypatch.setattr(scipy.sparse.dia_array, "__matmul__",
+                            counted_matmul)
+        mesh = cs.build_mesh(
+            cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 32))
+        one = cs.linear_spectrum(mesh, offdiag_field, 1)[0]
+        results = cs.linear_spectrum(mesh, offdiag_field, 3)
+        assert all(r.converged for r in results)
+        solves = results[0].iterations - one.iterations
+        assert 0 < len(products) == solves
 
     def test_k_validation(self, identity_field, small_mixed_mesh):
         from cylspectra.errors import ConfigurationError
@@ -751,7 +786,8 @@ def lift(w):
 
 
 def stiffness_cholesky(mesh, field):
-    # the factor that `linear_spectrum` falls back to at k >= 2
+    # the factor K = L L^T that `linear_spectrum` falls back to at k >= 2,
+    # with its two triangular solves
     return es._cholesky(disc.lapack_band(
         disc._p2_diagonals(mesh, field)[0], mesh.n_cells2, 0))
 
@@ -988,22 +1024,22 @@ class TestNewton:
                                                     shape, bc):
         import scipy.sparse.linalg as spla
         mesh = cs.build_mesh(cs.DomainSpec(shape, 2, bc, 4, 8))
-        solve = stiffness_cholesky(mesh, linear_field)
+        _, solve_l, solve_lt = stiffness_cholesky(mesh, linear_field)
         K = cs.assemble_p2(mesh, linear_field).stiffness
         b = np.random.default_rng(9).standard_normal(mesh.n_free)
         reference = spla.spsolve(K.tocsc(), b)
-        assert np.allclose(solve(b), reference, rtol=1e-10,
+        assert np.allclose(solve_lt(solve_l(b)), reference, rtol=1e-10,
                            atol=1e-12 * np.abs(reference).max())
 
     def test_stiffness_solve_rejects_non_finite(self, linear_field):
         # each solve checks its right-hand side; the factor is checked once
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
-        solve = stiffness_cholesky(mesh, linear_field)
         b = np.ones(mesh.n_free)
         b[3] = np.nan
-        with pytest.raises(ValueError):
-            solve(b)
+        for solve in stiffness_cholesky(mesh, linear_field)[1:]:
+            with pytest.raises(ValueError):
+                solve(b)
 
 
 class TestGaussPointStates:
@@ -1167,6 +1203,15 @@ class TestGuards:
         with pytest.raises(DimensionMismatchError, match="free DOFs"):
             es.first_eigen(mesh, request.getfixturevalue(family), p,
                            start=np.ones(mesh.n_free + extra))
+
+    def test_start_length_checked_at_full_k(self, offdiag_field):
+        # k = n_free solves the dense pencil, which needs no start; a given
+        # one is checked all the same
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 1,
+                                           cs.BC.MIXED, 2, 4))
+        with pytest.raises(DimensionMismatchError, match="free DOFs"):
+            cs.linear_spectrum(mesh, offdiag_field, mesh.n_free,
+                               start=np.ones(3))
 
     @pytest.mark.parametrize("family, problem", [
         ("offdiag_field", "_FoldedQuotient"),
