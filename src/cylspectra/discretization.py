@@ -5,17 +5,21 @@ Everything is built from one 1D element, `_Q1`: a uniform node array with
 the 3-point Gauss rule per cell.  The grid is a tensor product and A
 depends on x2 only, so every 2D quantity factors into 1D passes (sum
 factorization): values and slopes at the Gauss points are one pass per
-axis over the nodal grid, nodal gradients are the adjoint passes, and
-every cylinder matrix (the p = 2 stiffness and mass, the Newton Hessian)
-is assembled from cell matrices, one pass per axis, into the nine
-diagonals of its free-DOF band (`_free_diagonals`), held as a
-`scipy.sparse.dia_array`.  Its column-aligned diagonals are also the rows
-of LAPACK band storage, so one array is both the operator of scipy's
-compiled products and the band that `lapack_band` fills, a whole row per
-diagonal; only the public `assemble_p2` builds CSR matrices.  All
-integrals use that one rule, and gradients are exact derivatives of the
-quadrature sums, so finite-difference checks pass to tight tolerance and
-optimizer line searches see a consistent objective.
+axis over the nodal grid, and nodal gradients are the adjoint passes.
+Every cylinder matrix is a 9-point stencil held as the nine diagonals of
+its free-DOF band (`_free_diagonals`), a `scipy.sparse.dia_array`.  The
+Newton Hessian is assembled on each mesh from cell matrices, one pass per
+axis.  The p = 2 stiffness and mass have the same cell matrices at every
+x1 cell, so they are tiled from three node rows (a natural end, an inner
+row, the other natural end), assembled that way once per coefficient
+field and cell width and cached on the field (`_p2_rows`).  The
+column-aligned diagonals are also the rows of LAPACK band storage, so one
+array is both the operator of scipy's compiled products and the band that
+`lapack_band` fills, a whole row per diagonal; only the public
+`assemble_p2` builds CSR matrices.  All integrals use that one rule, and
+gradients are exact derivatives of the quadrature sums, so
+finite-difference checks pass to tight tolerance and optimizer line
+searches see a consistent objective.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import scipy.sparse as sp
 
 from .errors import (AdmissibilityError, DimensionMismatchError,
                      QuotientUndefinedError, UnsupportedExponentError)
-from .mesh import BC, CylinderMesh
+from .mesh import BC, CylinderMesh, DomainSpec, Shape
 
 
 class QuadratureRule:
@@ -443,21 +447,56 @@ def cell_integrals(mesh, coeffs, grid, p):
     return {k: core.integrate(v, per_cell=True) for k, v in dens.items()}
 
 
+def _p2_rows(coeffs, nx2, h1):
+    """The node rows of the p = 2 stiffness and mass of `coeffs` on every
+    mesh of nx2 section cells and axial cells of width h1: a read-only
+    array (matrix, d1, d2, row, x2 node), matrix 0 the stiffness and 1 the
+    mass, built once and cached on `coeffs`.
+
+    `[k, :, :, t]` holds the nine diagonals of `_free_diagonals` at the
+    columns of one node row: t = 1 at an inner row, whose d1 = 0, 1, 2
+    diagonals are the blocks B^T, A0, B of the block-tridiagonal matrix (B
+    above its diagonal), and t = 0, 2 at a natural left and right end,
+    whose d1 = 1 diagonals are the end block E.  They are assembled as the
+    Hessian is, from the cell matrices of the Gauss-point densities
+    w A[i + j] (the term d_i u d_j v of the stiffness) and w (the mass), on
+    the two cells of a mixed mesh with nodes 0, h1, 2 h1.  The densities
+    are data of x2 alone, so every x1 cell of every such mesh has these
+    cell matrices.  The key is the exact width of the mesh's own element,
+    `x1[1] - x1[0]`: meshes with the same cells per unit can differ there
+    in the last bit, and so would their matrices.
+    """
+    # cached on the field so lifetimes match, as `_core` caches on the mesh
+    cache = coeffs.__dict__.setdefault("_p2_rows", {})
+    if (nx2, h1) not in cache:
+        two = CylinderMesh(DomainSpec(Shape.FULL_CYLINDER, 0.5, BC.MIXED, 2,
+                                      nx2))
+        core = _Tensor(np.array([0.0, h1, 2.0 * h1]), two.x2)
+        A = coeffs.entries(core.e2.points)
+        K = sum(core.cell_matrices(A[i + j] * core.w, *core.pairs(i, j))
+                for i, j in _GRADIENT_TERMS)
+        M = core.cell_matrices(core.w, *core.pairs(None, None))
+        rows = np.stack([_free_diagonals(two, L).data for L in (K, M)])
+        rows.flags.writeable = False
+        cache[nx2, h1] = rows.reshape(2, 3, 3, 3, nx2 - 1)
+    return cache[nx2, h1]
+
+
 def _p2_diagonals(mesh, coeffs):
     """The p = 2 stiffness and mass over the free DOFs, as the `dia_array`s
-    of `_free_diagonals`.
-
-    Both come from the cell matrices of their Gauss-point densities, w A[i + j]
-    for the term d_i u d_j v of the stiffness and w for the mass, as the
-    Hessian's do.  The densities are data of x2 alone, so the cell matrices
-    are one column of cells, the same at every x1 cell.
+    of `_free_diagonals`, tiled from the rows of `_p2_rows`: the end rows
+    at the natural ends, the inner row at every other free node row, then
+    the couplings to Dirichlet rows cut as `_free_diagonals` cuts them.
+    Bit for bit the assembly of the mesh's own cell matrices, with none
+    formed here.  Each matrix has a fresh array of its own, never a view of
+    the cache or of the other, so a caller may write into it, and one that
+    keeps only the stiffness keeps no mass.
     """
-    core = _core(mesh)
-    A = coeffs.entries(core.e2.points)
-    K = sum(core.cell_matrices(A[i + j] * core.w, *core.pairs(i, j))
-            for i, j in _GRADIENT_TERMS)
-    M = core.cell_matrices(core.w, *core.pairs(None, None))
-    return _free_diagonals(mesh, K), _free_diagonals(mesh, M)
+    rows = _p2_rows(coeffs, mesh.n_cells2, float(mesh.x1[1] - mesh.x1[0]))
+    # the row of each free node row: 0 at x1 row 0, 2 at the last, else 1
+    kind = np.digitize(range(*_free_rows(mesh)), (1, mesh.n_cells1))
+    blocks = [_cut_dirichlet(np.take(r, kind, axis=2)) for r in rows]
+    return tuple(_band(b.reshape(9, -1), len(mesh.x2)) for b in blocks)
 
 
 def assemble_p2(mesh, coeffs) -> SparsePair:
@@ -469,8 +508,7 @@ def assemble_p2(mesh, coeffs) -> SparsePair:
     Both are 9-point stencils over the nodes, built from the same cell
     matrices and diagonals as the descent's shift (see `_p2_diagonals`).
     """
-    K, M = _p2_diagonals(mesh, coeffs)
-    return SparsePair(sp.csr_matrix(K), sp.csr_matrix(M))
+    return SparsePair(*map(sp.csr_matrix, _p2_diagonals(mesh, coeffs)))
 
 
 def _free_diagonals(mesh, L, out=None):
@@ -486,27 +524,45 @@ def _free_diagonals(mesh, L, out=None):
     (d1 - 1) (nx2 - 1) + d2 - 1 and the bandwidth is nx2.  All nine are
     summed in one (d1, d2, node) stencil indexed by the row's node, one
     slice-add per cell corner, then each is copied out at the column's node.
+    The Newton Hessian, whose cell matrices vary along x1, is assembled
+    here on each mesh; the p = 2 matrices only once per field and cell
+    width, on the two cells of `_p2_rows`, and then tiled.
     """
     n1, n2 = mesh.dirichlet_mask.shape
-    free = ~mesh.dirichlet_mask.all(axis=1)
-    r0, r1 = int(free.argmax()), int(free.argmax() + free.sum())
+    r0, r1 = _free_rows(mesh)
     stencil = np.zeros((3, 3, n1 + 2, n2 + 2))  # one node of zeros around
     for a, b in itertools.product((0, 1), (0, 1)):
         stencil[1 - a:3 - a, 1 - b:3 - b, 1 + a:a + n1, 1 + b:b + n2] += (
             L[a, :, :, b].transpose(0, 2, 1, 3))
-    if out is None:
-        n = (r1 - r0) * (n2 - 2)
-        out = sp.dia_array((np.empty((9, n)), _stencil_offsets(n2)),
-                           shape=(n, n))
+    out = _band(np.empty((9, (r1 - r0) * (n2 - 2))), n2) if out is None else out
     block = out.data.reshape(3, 3, r1 - r0, n2 - 2)
     for d1, d2 in itertools.product(range(3), range(3)):
         # the column's node is the row's node moved by (d1 - 1, d2 - 1)
         block[d1, d2] = stencil[d1, d2, r0 + 2 - d1:r1 + 2 - d1,
                                 3 - d2:n2 + 1 - d2]
-    # no coupling from a Dirichlet node (an x2 end, an x1 row not free)
+    _cut_dirichlet(block)
+    return out
+
+
+def _band(data, n2):
+    """The `dia_array` of `_free_diagonals` with diagonals `data` (9, n),
+    for n2 x2 nodes."""
+    return sp.dia_array((data, _stencil_offsets(n2)), shape=data.shape[1:] * 2)
+
+
+def _free_rows(mesh):
+    """(r0, r1): the x1 rows r0..r1-1 of `mesh` that hold free nodes."""
+    free = ~mesh.dirichlet_mask.all(axis=1)
+    return int(free.argmax()), int(free.argmax() + free.sum())
+
+
+def _cut_dirichlet(block):
+    """Zeros the couplings to Dirichlet nodes (an x2 end, an x1 row not
+    free) in diagonals viewed as block[d1, d2, free row, x2 node]; returns
+    the block."""
     block[:, 0, :, -1] = block[:, 2, :, 0] = 0.0
     block[0, :, -1] = block[2, :, 0] = 0.0
-    return out
+    return block
 
 
 def _stencil_offsets(n2):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,49 @@ def test_report_reads_bound_and_failures():
     assert out["studies"]["parent"] == {"failed": 0, "attempted": 8,
                                         "runs_without_result": 1}
     assert out["studies"]["change"]["attempted"] == 12
+
+
+def test_main_reports_each_workload(tmp_path, monkeypatch, capsys):
+    # `all` runs every workload of BENCHMARK.json in turn, each to the end,
+    # prints one block per workload and writes --out keyed by workload
+    root = _PATH.parents[1]
+    names = [w["name"] for w in json.loads(
+        (root / "BENCHMARK.json").read_text())["workloads"]]
+    runs = []
+
+    def stub(checkout, workload, seed, seconds):
+        runs.append((workload, seed, "change" if checkout == root
+                     else "parent"))
+        value = (1.0 + names.index(workload)) * (
+            0.9 if checkout == root else 1.0)
+        return {"failed": 0, "attempted": 2, "metrics": {
+            m: {"value": value}
+            for m in ("study_cal", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", stub)
+    out = tmp_path / "pairs.json"
+    args = ["--parent", str(tmp_path), "--change", str(root), "--pairs", "3",
+            "--seconds", "1", "--seed0", "5", "--out", str(out)]
+    assert bench_pairs.main(args + ["--workload", "all"]) == 0
+    # the parent first in even pairs, the change first in odd ones
+    order = [("parent", "change"), ("change", "parent")]
+    assert runs == [(w, 5 + i, side) for w in names for i in range(3)
+                    for side in order[i % 2]]
+    result = json.loads(out.read_text())
+    assert list(result) == names
+    for k, name in enumerate(names):
+        row = result[name]["metrics"]["study_cal"]
+        assert result[name]["seeds"] == [5, 7]
+        assert row["parent"]["median"] == pytest.approx(1.0 + k)
+        assert row["wins"] == 3 and row["met"]
+        assert result[name]["studies"]["change"]["attempted"] == 6
+    blocks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("== ")]
+    assert blocks == [f"== {name}" for name in names]
+
+    runs.clear()
+    assert bench_pairs.main(args + ["--workload", names[2], names[0]]) == 0
+    assert list(json.loads(out.read_text())) == [names[2], names[0]]
+    assert [w for w, _, _ in runs] == [names[2]] * 6 + [names[0]] * 6
+    with pytest.raises(SystemExit):
+        bench_pairs.main(args + ["--workload", "no-such-workload"])

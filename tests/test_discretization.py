@@ -222,6 +222,137 @@ def test_band_is_the_dia_matrix(shape, bc, nx2, linear_field):
             assert np.count_nonzero(ab) == np.count_nonzero(oracle)
 
 
+SHAPES_BCS = [(cs.Shape.FULL_CYLINDER, cs.BC.MIXED),
+              (cs.Shape.FULL_CYLINDER, cs.BC.DIRICHLET_ALL),
+              (cs.Shape.HALF_PLUS, cs.BC.HALF_CYLINDER),
+              (cs.Shape.HALF_MINUS, cs.BC.HALF_CYLINDER)]
+
+
+def per_mesh_p2(mesh, coeffs):
+    """The p = 2 stiffness and mass assembled from the mesh's own cell
+    matrices, one column of them, into its own band, as the Newton Hessian
+    is: the reference that the tiled matrices must equal bit for bit."""
+    core = disc._Tensor(mesh.x1, mesh.x2)
+    A = coeffs.entries(core.e2.points)
+    K = sum(core.cell_matrices(A[i + j] * core.w, *core.pairs(i, j))
+            for i, j in disc._GRADIENT_TERMS)
+    M = core.cell_matrices(core.w, *core.pairs(None, None))
+    return disc._free_diagonals(mesh, K), disc._free_diagonals(mesh, M)
+
+
+def tiled_meshes(nx2, cpu, coeffs):
+    """Every shape and boundary condition from one axial cell to 96 (ell
+    12 at 4 cells per unit), the S-even half mesh of each full cylinder
+    with a node row at x1 = 0, and the mesh of the section solve.  Among
+    them: one-cell meshes, which are all end rows, and the Dirichlet
+    cylinder of two cells, which has one free row."""
+    from cylspectra import eigensolve as es
+    for cells in (1, 2, 3, 5, 8, 13, 24, 48, 96):
+        for shape, bc in SHAPES_BCS:
+            if bc is cs.BC.DIRICHLET_ALL and cells == 1:
+                continue  # no free node
+            full = shape is cs.Shape.FULL_CYLINDER
+            ell = cells / cpu / (2 if full else 1)
+            mesh = cs.build_mesh(cs.DomainSpec(shape, ell, bc, cpu, nx2))
+            yield mesh
+            if full and cells % 2 == 0:
+                yield es._FoldedQuotient(mesh, coeffs, 3.0).mesh
+    yield cs.CylinderMesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 0.25,
+                                        cs.BC.MIXED, 2, nx2))
+
+
+def tiling_field(name, request):
+    if name == "grad_aligned":
+        identity = request.getfixturevalue("identity_field")
+        return cs.make_coefficients(
+            cs.CoefficientFamily(cs.FamilyKind.GRAD_ALIGNED, 0.15),
+            cross=cs.cross_section_ground_state(16, identity, 2))
+    if name == "tabulated":  # every entry varies, a22 too
+        rows = [(x, 1.0 + 0.2 * x, 0.3 - 0.4 * x, 1.0 + 0.5 * (x + 0.5) ** 2)
+                for x in np.linspace(-0.5, 0.5, 7)]
+        return cs.make_coefficients(cs.CoefficientFamily(
+            cs.FamilyKind.TABULATED, samples=tuple(rows)))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("nx2, cpu", [(8, 2), (16, 3), (12, 5), (32, 4)])
+@pytest.mark.parametrize("family", ["offdiag_field", "linear_field",
+                                    "grad_aligned", "tabulated"])
+def test_tiled_p2_matrices_are_the_per_mesh_assembly(nx2, cpu, family,
+                                                     request):
+    # one field for every mesh, so the rows cached for one mesh serve the
+    # next; at 3 and 5 cells per unit the meshes' cell widths differ in the
+    # last bit, and rows shared across them would not be these matrices
+    coeffs = tiling_field(family, request)
+    for mesh in tiled_meshes(nx2, cpu, coeffs):
+        for A, B in zip(disc._p2_diagonals(mesh, coeffs),
+                        per_mesh_p2(mesh, coeffs)):
+            assert A.shape == B.shape
+            assert np.array_equal(A.offsets, B.offsets)
+            assert np.array_equal(A.data, B.data)  # ==, no tolerance
+
+
+def test_p2_sweep_builds_the_rows_twice(monkeypatch):
+    # twelve cylinder pencils on the family's field and one on the section
+    # solve's own field: one row build for each field, since every mesh
+    # has cells of width 1/4.  Only the mixed meshes build a `_Tensor`,
+    # for the slab profile and the end-mass split, and the section's
+    from cylspectra import asymptotics as asy
+    coeffs = cs.make_coefficients(
+        cs.CoefficientFamily(cs.FamilyKind.CONSTANT_OFFDIAG, 0.3))
+    calls, rows, cores = [], disc._p2_rows, []
+    core = disc._core
+
+    def counted_rows(field, nx2, h1):
+        calls.append((field, rows(field, nx2, h1)))
+        return calls[-1][1]
+
+    def counted_core(mesh):
+        if "_tensor" not in mesh.__dict__:
+            cores.append(mesh.spec.bc)
+        return core(mesh)
+
+    monkeypatch.setattr(disc, "_p2_rows", counted_rows)
+    monkeypatch.setattr(disc, "_core", counted_core)
+    table = asy.sweep_lambda([2, 4, 8], coeffs, 2, (16, 4))
+    assert len(table) == 3 and len(calls) == 13
+    # a build returns a new array, a cache hit the one built before
+    built = {id(r): field for field, r in calls}
+    assert len(built) == 2
+    assert sum(field is coeffs for field in built.values()) == 1
+    assert cores and set(cores) == {cs.BC.MIXED}
+
+
+def test_p2_rows_cache():
+    coeffs = cs.make_coefficients(
+        cs.CoefficientFamily(cs.FamilyKind.LINEAR_OFFDIAG, 0.8))
+    rows = disc._p2_rows(coeffs, 8, 0.25)
+    assert disc._p2_rows(coeffs, 8, 0.25) is rows
+    assert rows.shape == (2, 3, 3, 3, 7)
+    # the reflected field has rows of its own: its stiffness differs in the
+    # cross terms, its mass does not
+    reflected = disc._p2_rows(cs.reflect_axis(coeffs), 8, 0.25)
+    assert reflected is not rows
+    assert not np.array_equal(reflected[0], rows[0])
+    assert np.array_equal(reflected[1], rows[1])
+    with pytest.raises(ValueError):
+        rows[0, 1, 1, 1, 0] = 1.0
+    # every tile is a fresh array: writing into one changes no other tile
+    # of the mesh and not the cache.  The stiffness and the mass share no
+    # memory, so a caller that keeps only the stiffness frees the mass
+    mesh = cs.build_mesh(
+        cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2, cs.BC.MIXED, 4, 8))
+    cached = rows.copy()
+    first = disc._p2_diagonals(mesh, coeffs)
+    second = disc._p2_diagonals(mesh, coeffs)
+    assert not np.shares_memory(first[0].data, first[1].data)
+    kept = [A.data.copy() for A in second]
+    for A in first:
+        A.data[...] = 7.0
+    assert all(np.array_equal(A.data, d) for A, d in zip(second, kept))
+    assert np.array_equal(disc._p2_rows(coeffs, 8, 0.25), cached)
+
+
 def s_even_fold(bc, ell, nx2, coeffs):
     """`eigensolve._FoldedQuotient` of a full cylinder at 4 cells per unit
     and p = 3, and its Q as a dense matrix from the k unknowns to the free

@@ -1,18 +1,22 @@
 """Alternating paired runs of the benchmark on two checkouts.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \\
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W [W ...] \\
         --pairs N --seconds S --seed0 K [--out FILE]
 
-Pair i runs ``perfbench/run.py --workload W --seed K+i --seconds S --trace 0``
-in both checkouts, one run at a time: the parent first in even pairs, the
-change first in odd ones.  A run's value of a metric is the one on the last
-line of its output, that run's median over its studies.  For each
-end-to-end metric of the change's BENCHMARK.json this prints both sides'
-median and quartiles (of the run values), the pairs the change won (a tie
-counts for neither), the median difference against the parent's
-interquartile range, the relative change of the median against the metric's
-bound, and whether that is a gain (`decide`); then the failed studies
-against those attempted on each side.  `--out` writes the same as JSON.
+`--workload` names one or more workloads of the change's BENCHMARK.json, or
+`all` for every one; they run one after another, each to the end.  Pair i
+of workload W runs
+``perfbench/run.py --workload W --seed K+i --seconds S --trace 0`` in both
+checkouts, one run at a time: the parent first in even pairs, the change
+first in odd ones.  A run's value of a metric is the one on the last line
+of its output, that run's median over its studies.  For each workload, one
+block prints, for each end-to-end metric, both sides' median and quartiles
+(of the run values), the pairs the change won (a tie counts for neither),
+the median difference against the parent's interquartile range, the
+relative change of the median against the metric's bound, and whether that
+is a gain (`decide`); then the failed studies against those attempted on
+each side.  A block prints as soon as its workload is done.  `--out` writes
+the same as JSON, keyed by workload.
 """
 
 from __future__ import annotations
@@ -98,32 +102,26 @@ def report(metrics, parent_runs, change_runs):
     return {"metrics": rows, "studies": studies}
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, type=Path)
-    parser.add_argument("--change", required=True, type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", required=True, type=int)
-    parser.add_argument("--seconds", required=True, type=float)
-    parser.add_argument("--seed0", required=True, type=int)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args(argv)
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-
+def run_pairs(args, workload):
+    """The parent's and the change's runs of `workload`, pair by pair."""
     parent_runs, change_runs = [], []
     for i in range(args.pairs):
         seed = args.seed0 + i
         order = [(args.parent, parent_runs), (args.change, change_runs)]
         for checkout, runs in order if i % 2 == 0 else order[::-1]:
-            runs.append(run_once(checkout, args.workload, seed,
-                                 args.seconds))
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}): " + ", ".join(
-            f"{side} {r['metrics']['study_cal']['value']:.4f}" if r
-            else f"{side} no result" for side, r in
-            (("parent", parent_runs[-1]), ("change", change_runs[-1]))),
-            flush=True)
+            runs.append(run_once(checkout, workload, seed, args.seconds))
+        print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}): "
+              + ", ".join(
+                  f"{side} {r['metrics']['study_cal']['value']:.4f}" if r
+                  else f"{side} no result" for side, r in
+                  (("parent", parent_runs[-1]), ("change", change_runs[-1]))),
+              flush=True)
+    return parent_runs, change_runs
 
-    out = report(bench["end_to_end"], parent_runs, change_runs)
+
+def print_report(workload, out):
+    """The block of one workload's `report`."""
+    print(f"== {workload}")
     for name, row in out["metrics"].items():
         p, c = row["parent"], row["change"]
         print(f"{name} ({row['unit']}): parent {p['median']:.4f} "
@@ -138,11 +136,35 @@ def main(argv=None):
     for side, st in out["studies"].items():
         print(f"{side}: failed {st['failed']}/{st['attempted']} studies, "
               f"{st['runs_without_result']} runs without a result")
-    if args.out:
-        args.out.write_text(json.dumps(
-            {"workload": args.workload, "seeds": [
-                args.seed0, args.seed0 + args.pairs - 1],
-             "seconds": args.seconds, **out}, indent=1) + "\n")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--workload", required=True, nargs="+")
+    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--seconds", required=True, type=float)
+    parser.add_argument("--seed0", required=True, type=int)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = known if args.workload == ["all"] else args.workload
+    unknown = sorted(set(workloads) - set(known))
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; "
+                     f"BENCHMARK.json has {', '.join(known)} or all")
+
+    results = {}
+    for workload in workloads:
+        out = report(bench["end_to_end"], *run_pairs(args, workload))
+        print_report(workload, out)
+        results[workload] = {"seeds": [args.seed0,
+                                       args.seed0 + args.pairs - 1],
+                             "seconds": args.seconds, **out}
+        if args.out:  # rewritten after each workload, so none is lost
+            args.out.write_text(json.dumps(results, indent=1) + "\n")
     return 0
 
 
