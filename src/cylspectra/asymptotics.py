@@ -35,7 +35,7 @@ from .eigensolve import (CrossSectionResult, EigenResult, Side,
                          SolveOptions, cross_section_ground_state,
                          first_eigen, half_cylinder_eigen, linear_spectrum)
 from .errors import ConfigurationError, DimensionMismatchError
-from .mesh import BC, DomainSpec, Shape, SlabProfile, build_mesh, slab_integrals
+from .mesh import BC, DomainSpec, Shape, SlabProfile, _slab_sums, build_mesh
 
 # a half-cylinder ladder is monotone when no step rises by more than this
 MONOTONE_SLACK = 1e-7
@@ -151,7 +151,8 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
     both half-cylinder problems (`_half_pair`, so under symmetry S the
     MINUS one starts from the reflected PLUS eigenvector), all at the same
     cross resolution, together with the cross-section value, the gap, the
-    decay fit of the mixed minimizer and its end-mass split.  Rows are
+    decay fit of the mixed minimizer and its end-mass split, both from one
+    pass of its per-cell integrals (`disc.cell_integrals`).  Rows are
     independent; non-converged solves are flagged in the row and the sweep
     continues.  The lengths are checked first (`check_lengths`).
     """
@@ -168,9 +169,10 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
         r_p, r_mi = _half_pair(ell, resolution, family_coeffs, p, opts,
                                cross)
 
-        profile = slab_integrals(mesh_m, family_coeffs, r_m.field, p)
-        alpha = _sweep_alpha(profile, ell)
-        split = end_mass_split(r_m.field, mesh_m, family_coeffs, p)
+        grid = mesh_m.expand(r_m.field.values)
+        per_cell = disc.cell_integrals(mesh_m, family_coeffs, grid, p)
+        alpha = _sweep_alpha(_slab_sums(mesh_m, per_cell), ell)
+        split = _split(mesh_m, family_coeffs, grid, per_cell, p)
         conv = cross.converged and all(
             r.converged for r in (r_m, r_d, r_p, r_mi))
         rows.append(SweepRow(
@@ -449,10 +451,15 @@ def end_mass_split(u: DiscreteField, mesh, coeffs, p) -> EndMassSplit:
     if mesh.spec.shape is not Shape.FULL_CYLINDER:
         raise ConfigurationError("end-mass split expects a full cylinder")
     grid = mesh.expand(u.values)
-    per_cell = disc.cell_integrals(mesh, coeffs, grid, p)
+    return _split(mesh, coeffs, grid,
+                  disc.cell_integrals(mesh, coeffs, grid, p), p)
+
+
+def _split(mesh, coeffs, grid, per_cell, p):
+    """The `end_mass_split` of the nodal `grid` of a full cylinder, with
+    `per_cell` its `disc.cell_integrals`."""
     c, odd = divmod(mesh.n_cells1, 2)
-    cells = np.arange(mesh.n_cells1)
-    sides = (cells < c, cells >= c + odd)
+    sides = (slice(c), slice(c + odd, None))  # x1 cells of either end
     d = [per_cell["p_mass"][side].sum() for side in sides]
     n = [per_cell["a_energy"][side].sum() for side in sides]
     if odd:

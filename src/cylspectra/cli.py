@@ -299,11 +299,6 @@ def _make_run_dir(base, experiment):
     raise OSError(f"could not create a fresh run directory under {base}")
 
 
-def _first_pair(plan):
-    """The first eigenpair on the plan's cylinder."""
-    return asy.first_eigen(plan.mesh, plan.family, plan.p, plan.opts)
-
-
 def _run_solve(plan, outdir):
     if plan.mesh is None:  # the cross section
         cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
@@ -311,7 +306,7 @@ def _run_solve(plan, outdir):
         payload = {"lambda": cross.mu1, "iterations": cross.iterations,
                    "residual": cross.residual, "converged": cross.converged}
     else:
-        r = _first_pair(plan)
+        r = asy.first_eigen(plan.mesh, plan.family, plan.p, plan.opts)
         payload = {"lambda": r.lam, "iterations": r.iterations,
                    "residual": r.final_residual, "converged": r.converged}
     _atomic_write(os.path.join(outdir, "solve.json"), _dump_json(payload))
@@ -381,7 +376,7 @@ def _run_gap_check(plan, outdir):
 
 
 def _run_decay(plan, outdir):
-    r = _first_pair(plan)
+    r = asy.first_eigen(plan.mesh, plan.family, plan.p, plan.opts)
     profile = slab_integrals(r.field.mesh, plan.family, r.field, plan.p)
     oriented = asy.orient_profile(profile)
     _write_csv(outdir, "decay.csv", "slab,grad_energy,p_mass,a_energy",

@@ -141,12 +141,12 @@ def ellipticity_margin(field: CoefficientField) -> float:
 
 def satisfies_symmetry_S(field: CoefficientField) -> bool:
     """True iff A(-x2) = A(x2) entrywise within `SYMMETRY_TOL` on a
-    symmetric sample."""
-    x2 = np.linspace(0.0, 0.5, 257)
-    for entry in (field.a11, field.a12, field.a22):
-        if np.max(np.abs(entry(-x2) - entry(x2))) > SYMMETRY_TOL:
-            return False
-    return True
+    symmetric sample; cached on the field, whose entries no code changes."""
+    if "_symmetry_S" not in field.__dict__:
+        x2 = np.linspace(0.0, 0.5, 257)
+        field._symmetry_S = all(np.max(np.abs(a(-x2) - a(x2))) <= SYMMETRY_TOL
+                                for a in (field.a11, field.a12, field.a22))
+    return field._symmetry_S
 
 
 def reflect_axis(field: CoefficientField) -> CoefficientField:

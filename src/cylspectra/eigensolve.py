@@ -5,8 +5,9 @@ The first eigenpair of a mesh has one route, `first_eigen`: at p = 2
 descent engine, whose unshifted step there is Rayleigh-quotient
 iteration; k >= 2 by Lanczos on L^{-1} M L^{-T}, the standard form of the
 pencil shifted just below it, K - sigma M = L L^T banded), else
-`minimize_rayleigh` (shifted Newton steps on the Rayleigh quotient; under
-symmetry S on the S-even half of a full cylinder first).
+`minimize_rayleigh` (shifted Newton steps on the Rayleigh quotient).
+Either engine run takes one fold rule (`_first_descent`): under symmetry S
+a full cylinder is solved on its S-even half first, at every p.
 `half_cylinder_eigen` builds a half cylinder with a Dirichlet far end for
 it, and `cross_section_ground_state` solves the cross-section problem as
 the first eigenpair of a mixed cylinder one axial cell long.  Every one of
@@ -28,7 +29,7 @@ the first p = 2 pair included: `converged` is true for that exit alone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -359,59 +360,93 @@ class _CylinderQuotient:
         return disc._p2_diagonals(self.mesh, self.coeffs)[0]
 
 
-class _FoldedQuotient(_CylinderQuotient):
+class _FoldedQuotient:
     """The quotient of a full cylinder with a node row at x1 = 0 on its
-    S-even subspace: the one definition of that subspace.
+    S-even subspace: the one definition of that subspace, at every p.
 
     Under symmetry S, A(-x2) = A(x2), the point reflection (x1, x2) ->
     (-x1, -x2) reverses the order of the free DOFs, so an S-even vector,
     u = u[::-1] (`unfold`), is fixed by its first k = ceil(n_free / 2)
-    entries y.  Q takes y to the free DOFs of `mesh`, the cells x1 <= 0
-    on a mesh of their own spec (a mixed cylinder of length ell, shifted
-    along the axis, which A does not see, or the MINUS half cylinder of a
-    Dirichlet one), as y[gather]; there the energy and the p-mass
-    are half those of u, so the quotient of y is theirs at Q y, with
-    gradients Q^T g and matrices Q^T H Q (`disc.FoldedMatrix`).  `moved`
-    = (rows, cols, src) lists the entries (i, j) of a half-mesh matrix
-    (`_free_diagonals`) with i or j at least k, as flat indices `src` into
-    its data, at their places (gather[i], gather[j]) in Q^T H Q.
+    entries y.  Q takes y to the free DOFs of the half mesh `mesh`, the
+    cells x1 <= 0 on a mesh of their own spec (a mixed cylinder of length
+    ell, shifted along the axis, which A does not see, or the MINUS half
+    cylinder of a Dirichlet one), as y[gather].  `inner` is the quotient there
+    (`_quotient`: the p = 2 pencil's, else the Gauss-point one): the energy
+    and the p-mass of Q y are half those of u, so the quotient of y is
+    inner's at Q y, with gradients Q^T g and matrices Q^T H Q
+    (`disc.FoldedMatrix`).  `moved` = (rows, cols, src) lists the entries
+    (i, j) of a half-mesh matrix (`_free_diagonals`) with i or j at least
+    k, as flat indices `src` into its data, at their places (gather[i],
+    gather[j]) in Q^T H Q.
     """
 
     def __init__(self, mesh, coeffs, p):
         s = mesh.spec
-        half = CylinderMesh(
-            DomainSpec(Shape.FULL_CYLINDER, s.ell / 2, BC.MIXED,
-                       s.cells_per_unit, s.nx2) if s.bc is BC.MIXED
-            else DomainSpec(Shape.HALF_MINUS, s.ell, BC.HALF_CYLINDER,
-                            s.cells_per_unit, s.nx2))
-        super().__init__(half, coeffs, p)
-        nh = half.n_free
+        half = self.mesh = CylinderMesh(
+            replace(s, ell=s.ell / 2) if s.bc is BC.MIXED
+            else replace(s, shape=Shape.HALF_MINUS, bc=BC.HALF_CYLINDER))
+        self.inner, self.p = _quotient(half, coeffs, p), p
+        self.value = self.inner.value  # a state is the inner quotient's
         self.n, self.k = mesh.n_free, (mesh.n_free + 1) // 2
-        node = np.arange(nh)
+        node = np.arange(half.n_free)
         g = self.gather = np.minimum(node, self.n - 1 - node)
         offsets = disc._stencil_offsets(len(mesh.x2))
-        j = np.broadcast_to(node, (len(offsets), nh))
+        j = np.broadcast_to(node, (len(offsets), node.size))
         i = j - offsets[:, None]
-        keep = (i >= 0) & (i < nh) & (np.maximum(i, j) >= self.k)
+        keep = (i >= 0) & (i < node.size) & (np.maximum(i, j) >= self.k)
         self.moved = g[i[keep]], g[j[keep]], np.flatnonzero(keep)
 
     def unfold(self, y):
         return np.concatenate((y, y[:self.n - self.k][::-1]))
 
     def state(self, y):
-        return super().state(y[self.gather])
+        return self.inner.state(y[self.gather])
 
     def gradient(self, S):
-        E, gE, m, gM = super().gradient(S)
+        E, gE, m, gM = self.inner.gradient(S)
         gE, gM = (np.bincount(self.gather, weights=g, minlength=self.k)
                   for g in (gE, gM))
         return E, gE, m, gM
 
     def hessian(self, S, lam):
-        return disc.FoldedMatrix(super().hessian(S, lam), self)
+        return disc.FoldedMatrix(self.inner.hessian(S, lam), self)
 
     def stiffness(self):
-        return disc.FoldedMatrix(super().stiffness(), self)
+        return disc.FoldedMatrix(self.inner.stiffness(), self)
+
+
+def _quotient(mesh, coeffs, p):
+    """The quotient of the first eigenpair on `mesh` for the descent
+    engine: the assembled pencil's at p = 2, else the Gauss-point one."""
+    if p == 2:
+        return _PencilQuotient(*disc._p2_diagonals(mesh, coeffs))
+    return _CylinderQuotient(mesh, coeffs, p)
+
+
+def _first_descent(mesh, coeffs, p, whole, start, opts) -> EigenResult:
+    """The descent engine's first eigenpair of `mesh` from `start` on the
+    quotient `whole(mesh, coeffs, p)`: the one fold rule, at every p.
+
+    The problem alone chooses the fold: a full cylinder with an even
+    number of axial cells under symmetry S is first solved on its S-even
+    subspace (`_FoldedQuotient`, on the half mesh's `_quotient`, so at
+    p = 2 on its pencil whatever `whole` is) from the first k entries of
+    the start, each Newton step factoring a band of k = ceil(n_free / 2)
+    columns; its first eigenfunction is simple, so it is S-even.  The
+    unfolded result starts the whole problem, which tests its residual on
+    the whole cylinder and steps on only where that fails, continuing the
+    folded run's counts and history under the same `max_iters`.  The
+    folded stage is freed before the whole problem is built.
+    """
+    prior = None
+    if (mesh.spec.shape is Shape.FULL_CYLINDER and mesh.n_cells1 % 2 == 0
+            and satisfies_symmetry_S(coeffs)):
+        fold = _FoldedQuotient(mesh, coeffs, p)
+        prior = _minimize_quotient(fold, start[:fold.k], opts)
+        start = fold.unfold(prior.u)
+        del fold  # its half-mesh data, freed before the whole problem's
+    return _eigen_result(mesh, _minimize_quotient(
+        whole(mesh, coeffs, p), start, opts, prior))
 
 
 def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
@@ -419,39 +454,24 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
 
     Newton steps shifted by the p = 2 stiffness matrix under a trust-region
-    ratio test (`_minimize_quotient`), from `start` (free DOFs, any scale;
+    ratio test (`_minimize_quotient`) on the Gauss-point quotient
+    (`_CylinderQuotient`), from `start` (free DOFs, any scale;
     `DimensionMismatchError` for any other length) when given, else from
     `_lifted_start`; p is checked first (`disc.check_exponent`).  Stops
     when the projected gradient falls below ``tol_residual * max(1,
     |lambda|)`` in the max norm, when no trial step descends, or at
     `max_iters`; `stop_reason` says which, and `converged` is true only
-    for the residual exit, tested on this problem whatever the start.  A non-converged run is returned
-    flagged rather than raised, so parameter sweeps can record partial
-    data.
-
-    The problem alone chooses the fold: a full cylinder with an even
-    number of axial cells under symmetry S at p != 2 is first solved on
-    its S-even subspace (`_FoldedQuotient`) from the first k entries of
-    the start, each Newton step factoring a band of k = ceil(n_free / 2)
-    columns; its first eigenfunction is simple, so it is S-even.  The
-    unfolded result starts the full problem, which tests its residual on
-    the whole cylinder and steps on only where that fails, continuing the
-    folded run's counts and history under the same `max_iters`.
+    for the residual exit, tested on this problem whatever the start.  A
+    non-converged run is returned flagged rather than raised, so parameter
+    sweeps can record partial data.  Under symmetry S a full cylinder is
+    solved on its S-even half first (`_first_descent`).
     """
     disc.check_exponent(p)
     opts = opts or SolveOptions()
     # DiscreteField checks the length of a given start
     start = (_lifted_start(mesh, coeffs, p, opts, cross) if start is None
              else DiscreteField(start, mesh).values)
-    prior = None
-    if (p != 2 and mesh.spec.shape is Shape.FULL_CYLINDER
-            and mesh.n_cells1 % 2 == 0 and satisfies_symmetry_S(coeffs)):
-        fold = _FoldedQuotient(mesh, coeffs, p)
-        prior = _minimize_quotient(fold, start[:fold.k], opts)
-        start = fold.unfold(prior.u)
-        del fold  # its Gauss-point data, freed before the full run's
-    return _eigen_result(mesh, _minimize_quotient(
-        _CylinderQuotient(mesh, coeffs, p), start, opts, prior))
+    return _first_descent(mesh, coeffs, p, _CylinderQuotient, start, opts)
 
 
 def _lifted_start(mesh, coeffs, p, opts, cross):
@@ -525,23 +545,31 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     quotient u.Ku / u.Mu from `start` (free DOFs, any scale, its length
     checked) when given, else from the lifted start of
     `minimize_rayleigh`, built from `cross` (the p = 2 cross-section
-    ground state, solved here when not given).
+    ground state, solved here when not given).  Under symmetry S a full
+    cylinder with an even number of axial cells is solved on the pencil
+    of its S-even half first (`_first_descent`): its K and M are tiles of
+    the rows the whole pencil is tiled from, and each step factors a band
+    of about n_free / 2 columns.  The whole pencil then tests the unfolded
+    pair, so the certificate below is always the whole mesh's.
     Its unshifted step is Rayleigh-quotient iteration, one banded LU solve
     of K - lam M; the shift sigma K enters only after a rejected step.  The
     result carries the engine's certificate: `stop_reason` "residual"
     (then `converged`), "no_descent" or "max_iters", the max norm of
     2 (K u - lam M u) / u.Mu as `final_residual`, tested against
     ``tol_residual * max(1, |lambda|)``, the steps taken as `iterations`
-    and the LU factorizations as `factorizations`.
+    and the LU factorizations as `factorizations`, the S-even half's
+    included.
 
-    k >= 2 (below n_free) first runs that k = 1 engine, then shift-invert
-    Lanczos about sigma = lam1 (1 - _SHIFT_MARGIN), lam1 the engine's
-    Rayleigh quotient.  With the banded Cholesky factor K - sigma M = L L^T
-    (`_cholesky`) the pencil's pairs are those of the symmetric operator
-    T = L^{-1} M L^{-T}: lam = sigma + 1 / theta and v = L^{-T} y (Ericsson
-    & Ruhe 1980).  ARPACK (`eigsh`) finds the k largest theta in standard
-    mode, and each Lanczos step is one shift-invert solve: a pair of
-    triangular solves and one product with M.  The rate follows (lam_k -
+    k >= 2 (below n_free) first runs that k = 1 engine, unfolded, on the
+    whole pencil (its Lanczos factors the whole pencil anyway), then
+    shift-invert Lanczos about sigma = lam1 (1 - _SHIFT_MARGIN), lam1 the
+    engine's Rayleigh quotient.  With the banded Cholesky factor
+    K - sigma M = L L^T (`_cholesky`) the pencil's pairs are those of the
+    symmetric operator T = L^{-1} M L^{-T}: lam = sigma + 1 / theta and
+    v = L^{-T} y (Ericsson & Ruhe 1980).  ARPACK (`eigsh`) finds the k
+    largest theta in standard mode, and each Lanczos step is one
+    shift-invert solve: a pair of triangular solves and one product
+    with M.  The rate follows (lam_k -
     sigma) / (lam_{k+1} - sigma), not lam_k / lam_{k+1}, which tends to 1
     in the collapsing cluster of long cylinders.  By Sylvester's law of
     inertia the factorization succeeds only if every eigenvalue lies above
@@ -571,6 +599,10 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     n = mesh.n_free
     # DiscreteField checks the length of a given start, on every branch
     start = start if start is None else DiscreteField(start, mesh).values
+    if k < n and start is None:
+        start = _lifted_start(mesh, coeffs, 2.0, opts, cross)
+    if k == 1 < n:
+        return [_first_descent(mesh, coeffs, 2.0, _quotient, start, opts)]
     K, M = disc._p2_diagonals(mesh, coeffs)
     bw = mesh.n_cells2
     steps = factorizations = 0
@@ -579,11 +611,10 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
         lams, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         reason = "dense"
     else:
-        if start is None:
-            start = _lifted_start(mesh, coeffs, 2.0, opts, cross)
+        # not folded: the Lanczos below factors the whole pencil anyway and
+        # takes only lam1 of this engine, for its shift; folding this run
+        # too raised the peak RSS of a k = 3 spectrum (ROADMAP, "Tried")
         first = _minimize_quotient(_PencilQuotient(K, M), start, opts)
-        if k == 1:
-            return [_eigen_result(mesh, first)]
         steps, factorizations = first.iterations, first.factorizations + 1
         # an engine cut by max_iters leaves sigma = 0, so a capped call stays
         # on the Lanczos about 0.  Otherwise the factorization decides: the
@@ -741,14 +772,11 @@ def cross_section_ground_state(nx2, coeffs, p,
     start = mesh.restrict(np.tile(np.cos(np.pi * mesh.x2), (2, 1)))
 
     def solve(a22):
-        # the quotients that linear_spectrum (k = 1) and minimize_rayleigh
-        # build, without those entry points: perfbench counts their calls
-        # as a run's cylinder solves (none of linear_spectrum in a p = 3
-        # sweep), and the section is none of them
+        # the quotient of `first_eigen`, without its entry points:
+        # perfbench counts their calls as a run's cylinder solves (none of
+        # linear_spectrum in a p = 3 sweep), and the section is none of them
         field = CoefficientField(np.ones_like, np.zeros_like, a22)
-        problem = (_PencilQuotient(*disc._p2_diagonals(mesh, field))
-                   if p == 2 else _CylinderQuotient(mesh, field, p))
-        return _minimize_quotient(problem, start, opts)
+        return _minimize_quotient(_quotient(mesh, field, p), start, opts)
 
     r = plain = solve(coeffs.a22)
     a22 = coeffs.a22(disc._core(mesh).e2.points)

@@ -207,12 +207,14 @@ def slab_integrals(mesh, coeffs, u, p) -> SlabProfile:
     from . import discretization as disc
 
     grid = u if isinstance(u, np.ndarray) else mesh.expand(u.values)
-    per_cell = disc.cell_integrals(mesh, coeffs, grid, p)
+    return _slab_sums(mesh, disc.cell_integrals(mesh, coeffs, grid, p))
+
+
+def _slab_sums(mesh, per_cell):
+    """The `SlabProfile` of the per-cell integrals of
+    `discretization.cell_integrals`."""
     slab_of = np.arange(mesh.n_cells1) // mesh.spec.cells_per_unit
-    grad_e = np.zeros(mesh.n_slabs)
-    mass = np.zeros(mesh.n_slabs)
-    a_e = np.zeros(mesh.n_slabs)
-    np.add.at(grad_e, slab_of, per_cell["grad_p"].sum(axis=1))
-    np.add.at(mass, slab_of, per_cell["p_mass"].sum(axis=1))
-    np.add.at(a_e, slab_of, per_cell["a_energy"].sum(axis=1))
-    return SlabProfile(grad_e, mass, a_e)
+    sums = np.zeros((3, mesh.n_slabs))
+    for row, key in zip(sums, ("grad_p", "p_mass", "a_energy")):
+        np.add.at(row, slab_of, per_cell[key].sum(axis=1))
+    return SlabProfile(*sums)

@@ -61,6 +61,82 @@ def test_higher_is_better_metric():
     assert row["median_difference"] == pytest.approx(-0.1)
 
 
+def test_nine_of_ten_lost_pairs_is_a_regression():
+    # the mirror of a gain: a change that is worse in nine of ten pairs, by
+    # more than the parent's IQR in the median
+    change = [p + 0.1 for p in PARENT]
+    change[4] = PARENT[4] - 0.05  # the one pair won
+    row = bench_pairs.decide(PARENT, change, "lower")
+    assert (row["wins"], row["losses"]) == (1, 9)
+    assert -row["median_difference"] > row["parent_iqr"]
+    assert row["worse"] and not row["met"]
+    # a gain is no regression
+    row = bench_pairs.decide(PARENT, [p - 0.1 for p in PARENT], "lower")
+    assert row["met"] and not row["worse"]
+
+
+def test_eight_lost_pairs_or_a_loss_within_the_spread_is_no_regression():
+    change = [p + 0.1 for p in PARENT]
+    change[2] = PARENT[2] - 0.05
+    change[7] = PARENT[7] - 0.05
+    row = bench_pairs.decide(PARENT, change, "lower")
+    assert (row["wins"], row["losses"]) == (2, 8) and not row["worse"]
+    # every pair lost, each by less than the parent's IQR
+    row = bench_pairs.decide(PARENT, [p + 0.01 for p in PARENT], "lower")
+    assert row["losses"] == 10
+    assert -row["median_difference"] < row["parent_iqr"]
+    assert not row["worse"]
+
+
+def test_ties_are_no_losses():
+    change = [p + 0.1 for p in PARENT]
+    change[0] = PARENT[0]  # one tie leaves nine losses: still a regression
+    row = bench_pairs.decide(PARENT, change, "lower")
+    assert (row["wins"], row["losses"]) == (0, 9) and row["worse"]
+    change[1] = PARENT[1]  # two ties leave eight
+    row = bench_pairs.decide(PARENT, change, "lower")
+    assert (row["wins"], row["losses"]) == (0, 8) and not row["worse"]
+    # no change at all is neither a gain nor a regression
+    row = bench_pairs.decide(PARENT, list(PARENT), "lower")
+    assert (row["wins"], row["losses"]) == (0, 0)
+    assert not row["met"] and not row["worse"]
+
+
+def test_higher_is_better_regression():
+    # a fall in a higher-is-better metric regresses, a rise does not
+    row = bench_pairs.decide(PARENT, [p - 0.1 for p in PARENT], "higher")
+    assert row["losses"] == 10 and row["worse"] and not row["met"]
+    row = bench_pairs.decide(PARENT, [p + 0.1 for p in PARENT], "higher")
+    assert row["wins"] == 10 and not row["worse"]
+
+
+def test_report_lists_the_regressed_metrics(capsys):
+    def result(cal, rss):
+        return {"failed": 0, "attempted": 4, "metrics": {
+            "study_cal": {"value": cal}, "peak_rss_mb": {"value": rss}}}
+
+    metrics = [{"name": "study_cal", "unit": "cal", "better": "lower",
+                "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+                "bound": 0.05}]
+    parent = [result(p, 69.0 + 0.01 * i) for i, p in enumerate(PARENT)]
+    # study_cal gains; peak_rss_mb rises by 0.2 MB in every pair, within
+    # its bound but far beyond the parent's IQR
+    change = [result(p - 0.1, 69.2 + 0.01 * i)
+              for i, p in enumerate(PARENT)]
+    out = bench_pairs.report(metrics, parent, change)
+    assert out["regressed"] == ["peak_rss_mb"]
+    assert out["metrics"]["peak_rss_mb"]["within_bound"]
+    assert out["metrics"]["study_cal"]["met"]
+    bench_pairs.print_report("w", out)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("gain: True; worse: False")
+    assert lines[2].endswith("gain: False; worse: True")
+    assert lines[-1] == "regressed: peak_rss_mb"
+    bench_pairs.print_report("w", bench_pairs.report(metrics, parent, parent))
+    assert capsys.readouterr().out.splitlines()[-1] == "regressed: none"
+
+
 def test_report_reads_bound_and_failures():
     def result(value):
         return {"failed": 0, "attempted": 4,
@@ -112,7 +188,8 @@ def test_main_reports_each_workload(tmp_path, monkeypatch, capsys):
         row = result[name]["metrics"]["study_cal"]
         assert result[name]["seeds"] == [5, 7]
         assert row["parent"]["median"] == pytest.approx(1.0 + k)
-        assert row["wins"] == 3 and row["met"]
+        assert row["wins"] == 3 and row["met"] and not row["worse"]
+        assert result[name]["regressed"] == []
         assert result[name]["studies"]["change"]["attempted"] == 6
     blocks = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("== ")]

@@ -42,6 +42,49 @@ def test_symmetry_S(identity_field, offdiag_field, linear_field):
     assert not cs.satisfies_symmetry_S(linear_field)
 
 
+def test_symmetry_S_cached_on_the_field():
+    # the answer is computed once per field: a second call evaluates no
+    # entry, and every other field, the reflected one too, gets its own
+    calls = []
+
+    def counted(entry):
+        def evaluate(x2):
+            calls.append(entry)
+            return entry(np.asarray(x2, dtype=float))
+        return evaluate
+
+    one, even, odd = (lambda x2: 1.0 + 0.0 * x2, lambda x2: 0.2 + 0.0 * x2,
+                      lambda x2: 0.4 * x2)
+    field = cs.CoefficientField(counted(one), counted(even), counted(one))
+    calls.clear()  # the ellipticity margin evaluated the entries
+    assert cs.satisfies_symmetry_S(field)
+    assert len(calls) == 6  # each entry at x2 and at -x2
+    calls.clear()
+    assert cs.satisfies_symmetry_S(field) and calls == []
+    reflected = cs.reflect_axis(field)
+    calls.clear()
+    assert cs.satisfies_symmetry_S(reflected) and len(calls) == 6
+    # a fresh field with the same diagonal entries and an odd a12
+    fresh = cs.CoefficientField(counted(one), counted(odd), counted(one))
+    calls.clear()
+    assert not cs.satisfies_symmetry_S(fresh) and calls
+    calls.clear()
+    assert not cs.satisfies_symmetry_S(fresh) and calls == []
+    assert cs.satisfies_symmetry_S(field)
+
+
+def test_symmetry_S_of_a_tabulated_family():
+    # a12 rises across the section: asymmetric, as often as it is asked
+    rows = [(x, 1.0, 0.3 * x, 1.0) for x in np.linspace(-0.5, 0.5, 5)]
+    field = cs.make_coefficients(cs.CoefficientFamily(
+        cs.FamilyKind.TABULATED, samples=tuple(rows)))
+    assert not cs.satisfies_symmetry_S(field)
+    assert not cs.satisfies_symmetry_S(field)
+    even = [(x, 1.0, 0.3 * x * x, 1.0) for x in np.linspace(-0.5, 0.5, 5)]
+    assert cs.satisfies_symmetry_S(cs.make_coefficients(cs.CoefficientFamily(
+        cs.FamilyKind.TABULATED, samples=tuple(even))))
+
+
 def test_reflect_basics(identity_field, offdiag_field):
     refl = cs.reflect_axis(identity_field)
     x2 = np.linspace(-0.5, 0.5, 33)

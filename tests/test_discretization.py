@@ -293,10 +293,11 @@ def test_tiled_p2_matrices_are_the_per_mesh_assembly(nx2, cpu, family,
 
 
 def test_p2_sweep_builds_the_rows_twice(monkeypatch):
-    # twelve cylinder pencils on the family's field and one on the section
-    # solve's own field: one row build for each field, since every mesh
-    # has cells of width 1/4.  Only the mixed meshes build a `_Tensor`,
-    # for the slab profile and the end-mass split, and the section's
+    # twelve cylinder pencils and the six S-even half pencils of the full
+    # cylinders on the family's field, and one on the section solve's own
+    # field: one row build for each field, since every mesh has cells of
+    # width 1/4.  Only the mixed meshes build a `_Tensor`, for the slab
+    # profile and the end-mass split, and the section's
     from cylspectra import asymptotics as asy
     coeffs = cs.make_coefficients(
         cs.CoefficientFamily(cs.FamilyKind.CONSTANT_OFFDIAG, 0.3))
@@ -315,7 +316,7 @@ def test_p2_sweep_builds_the_rows_twice(monkeypatch):
     monkeypatch.setattr(disc, "_p2_rows", counted_rows)
     monkeypatch.setattr(disc, "_core", counted_core)
     table = asy.sweep_lambda([2, 4, 8], coeffs, 2, (16, 4))
-    assert len(table) == 3 and len(calls) == 13
+    assert len(table) == 3 and len(calls) == 19
     # a build returns a new array, a cache hit the one built before
     built = {id(r): field for field, r in calls}
     assert len(built) == 2

@@ -288,13 +288,15 @@ class TestLinearSpectrum:
     def test_shifted_factorization_fallback(self, monkeypatch, offdiag_field):
         # an engine lam1 above lam2 puts the shift above two eigenvalues: the
         # shifted Cholesky factorization fails, and the Lanczos falls back
-        # to the shift 0 and the factor of K
-        engine = es._minimize_quotient
+        # to the shift 0 and the factor of K.  The engine of k >= 2 is the
+        # whole pencil's, unfolded; k = 1 may fold, so its counts differ
+        engine, engines = es._minimize_quotient, []
 
-        def above_lam2(problem, u0, opts):
-            r = engine(problem, u0, opts)
+        def above_lam2(problem, u0, opts, prior=None):
+            r = engine(problem, u0, opts, prior)
             if isinstance(problem, es._PencilQuotient):
                 r = r._replace(lam=1.01 * lam2)
+            engines.append((problem, prior, r))
             return r
 
         monkeypatch.setattr(es, "_minimize_quotient", above_lam2)
@@ -305,13 +307,17 @@ class TestLinearSpectrum:
                                        pair.mass.toarray(),
                                        eigvals_only=True)[:3]
             lam2 = oracle[1]
-            one = cs.linear_spectrum(mesh, offdiag_field, 1)[0]
+            engines.clear()
             results = cs.linear_spectrum(mesh, offdiag_field, 3)
             assert np.allclose([r.lam for r in results], oracle, rtol=1e-10,
                                atol=0.0)
             assert all(r.converged for r in results)
+            # the last engine run; the section's come before it
+            problem, prior, first = engines[-1]
+            assert isinstance(problem, es._PencilQuotient) and prior is None
+            assert problem.stiff.shape == (mesh.n_free,) * 2
             # the failed shifted factorization and the factor of K
-            assert all(r.factorizations == one.factorizations + 2
+            assert all(r.factorizations == first.factorizations + 2
                        for r in results)
 
     @pytest.mark.parametrize("family", ["offdiag_field", "linear_field"])
@@ -319,8 +325,11 @@ class TestLinearSpectrum:
                                                      family, request):
         # the pencil state (u, Ku, Mu) reaches each gradient pass after a
         # step through _along and the engine's in-place scaling, with no
-        # product of its own; the first pass is a fresh one.  The section,
-        # solved on a pencil too, is solved before the recording starts
+        # product of its own; the first pass of each engine run is a fresh
+        # one: one run, or under symmetry S on a full cylinder with an even
+        # cell count the S-even half's and then the whole pencil's.  The
+        # section, solved on a pencil too, is solved before the recording
+        # starts
         coeffs = request.getfixturevalue(family)
         crosses = {spec.nx2: cs.cross_section_ground_state(spec.nx2, coeffs, 2)
                    for spec in ORACLE_MESHES}
@@ -332,16 +341,23 @@ class TestLinearSpectrum:
                 return super().gradient(S)
 
         monkeypatch.setattr(es, "_PencilQuotient", Recording)
+        runs = []
         for spec in ORACLE_MESHES:
             carried.clear()
-            r = cs.linear_spectrum(cs.build_mesh(spec), coeffs, 1,
+            mesh = cs.build_mesh(spec)
+            r = cs.linear_spectrum(mesh, coeffs, 1,
                                    cross=crosses[spec.nx2])[0]
-            assert r.iterations >= 1 and len(carried) == r.iterations + 1
+            runs.append(len({id(problem) for problem, _ in carried}))
+            assert r.iterations >= 1
+            assert len(carried) == r.iterations + runs[-1]
             for problem, S in carried[1:]:
                 assert len(S) == 3
                 fresh = problem.state(S[0])
                 for a, b in zip(fresh[1:], S[1:]):
                     assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+        # the three mixed meshes and the Dirichlet one have even cell counts
+        assert runs == ([2, 2, 2, 2, 1, 1] if family == "offdiag_field"
+                        else [1] * 6)
 
     def test_shift_at_nx2_6(self, offdiag_field, small_mixed_mesh):
         # nx2 = 6 gets the lifted start like any mesh: the engine runs and
@@ -991,9 +1007,10 @@ class TestNewton:
         cs.cross_section_ground_state(32, varying_a22(linear_field), 3)
         # the p = 3 section, the cylinder's S-even half and the full
         # cylinder, which certifies the unfolded half at step 0, the p = 2
-        # section (whose cosine start is certified), the pencil, and the
-        # sections of a22 and of a22 = 1
-        assert [bands for bands, _ in per_solve] == [1, 1, 0, 0, 1, 1, 1]
+        # section (whose cosine start is certified), the pencil's S-even
+        # half and the whole pencil, which certifies it at step 0 too, and
+        # the sections of a22 and of a22 = 1
+        assert [bands for bands, _ in per_solve] == [1, 1, 0, 0, 1, 0, 1, 1]
         assert all((bands == 1) == (count > 0) for bands, count in per_solve)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
@@ -1170,6 +1187,159 @@ class TestHalfCylinder:
                 assert whole.lam <= half.lam + 1e-6
 
 
+def cod(c):
+    return cs.make_coefficients(
+        cs.CoefficientFamily(cs.FamilyKind.CONSTANT_OFFDIAG, c))
+
+
+def lowest_pencil_eigenvalues(mesh, coeffs, k=1):
+    # the oracle: dense eigh of the assembled pencil
+    pair = cs.assemble_p2(mesh, coeffs)
+    return scipy.linalg.eigh(pair.stiffness.toarray(), pair.mass.toarray(),
+                             eigvals_only=True, subset_by_index=[0, k - 1])
+
+
+class TestP2Fold:
+    """The S-even fold of the first p = 2 eigenpair of a symmetric full
+    cylinder: the half's pencil first, then the whole pencil, which
+    certifies the unfolded pair and continues the half run's counts."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        # every engine run, and the column count of every gbsv band
+        runs, bands = [], []
+        engine, gbsv = es._minimize_quotient, es.scipy.linalg.lapack.dgbsv
+
+        def engine_run(problem, u0, opts, prior=None):
+            r = engine(problem, u0, opts, prior)
+            runs.append((problem, np.array(u0), prior, r))
+            return r
+
+        def counted_gbsv(kl, ku, ab, b, **kwargs):
+            bands.append(ab.shape[1])
+            return gbsv(kl, ku, ab, b, **kwargs)
+
+        monkeypatch.setattr(es, "_minimize_quotient", engine_run)
+        monkeypatch.setattr(es.scipy.linalg.lapack, "dgbsv", counted_gbsv)
+        return runs, bands
+
+    def check_folded(self, mesh, coeffs, runs, bands, r, opts):
+        # the half run, then the whole pencil's continuing it; each
+        # factorization of the half run on a band of k columns
+        (fold, _, _, half), (whole, u0, prior, last) = runs
+        n, k = mesh.n_free, -(-mesh.n_free // 2)
+        assert isinstance(fold, es._FoldedQuotient)
+        assert isinstance(fold.inner, es._PencilQuotient)
+        assert isinstance(whole, es._PencilQuotient)
+        assert fold.k == k and whole.stiff.shape == (n, n)
+        assert prior is half and np.array_equal(u0, fold.unfold(half.u))
+        # the half run certifies its pair, and the whole pencil certifies
+        # it unfolded, as given: no step beyond the half run's
+        assert half.stop_reason == "residual"
+        assert last.iterations == half.iterations
+        assert bands == [k] * half.factorizations + [n] * (
+            last.factorizations - half.factorizations)
+        assert r.iterations == last.iterations >= half.iterations
+        assert r.factorizations == last.factorizations >= half.factorizations
+        assert np.array_equal(r.rayleigh_history[:len(half.history)],
+                              half.history)
+        # certified on the whole mesh: the residual of the assembled pencil
+        pair = cs.assemble_p2(mesh, coeffs)
+        v = r.field.values
+        Mv = pair.mass @ v
+        res = 2.0 * np.max(np.abs(pair.stiffness @ v - r.lam * Mv)) / (v @ Mv)
+        assert r.converged and r.stop_reason == "residual"
+        # (the CSR products round differently from the DIA ones)
+        assert res == pytest.approx(r.final_residual, rel=1e-6,
+                                    abs=1e-14 * r.lam)
+        assert res <= opts.tol_residual * max(1.0, r.lam)
+        # and the pair is S-even
+        assert np.allclose(v, v[::-1], rtol=0, atol=1e-12 * np.abs(v).max())
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("bc", [cs.BC.MIXED, cs.BC.DIRICHLET_ALL])
+    @pytest.mark.parametrize("ell", [1, 2, 4])
+    def test_folded_first_pair_matches_dense_eigh(self, monkeypatch, c, bc,
+                                                  ell):
+        coeffs = cod(c) if c else cs.make_coefficients(
+            cs.CoefficientFamily(cs.FamilyKind.IDENTITY))
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, bc,
+                                           4, 16))
+        oracle = lowest_pencil_eigenvalues(mesh, coeffs)[0]
+        cross = cs.cross_section_ground_state(16, coeffs, 2)
+        opts = cs.SolveOptions()
+        runs, bands = self.recorded(monkeypatch)
+        for solve in (lambda: cs.linear_spectrum(mesh, coeffs, 1, opts,
+                                                 cross)[0],
+                      lambda: asy.first_eigen(mesh, coeffs, 2, opts, cross)):
+            runs.clear()
+            bands.clear()
+            r = solve()
+            assert r.lam == pytest.approx(oracle, rel=1e-10, abs=0.0)
+            self.check_folded(mesh, coeffs, runs, bands, r, opts)
+
+    def test_long_cylinder_with_a_close_s_odd_partner(self, monkeypatch):
+        # ell 40 at 8 x 2: the S-odd second eigenvalue lies 3.0e-6
+        # relative above the first, which the fold cannot mix in
+        coeffs = cod(0.3)
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 40,
+                                           cs.BC.MIXED, 2, 8))
+        lam1, lam2 = lowest_pencil_eigenvalues(mesh, coeffs, 2)
+        assert (lam2 - lam1) / lam1 == pytest.approx(3.0e-6, rel=0.05)
+        runs, bands = self.recorded(monkeypatch)
+        cross = cs.cross_section_ground_state(8, coeffs, 2)
+        runs.clear()
+        bands.clear()
+        opts = cs.SolveOptions()
+        r = cs.linear_spectrum(mesh, coeffs, 1, opts, cross)[0]
+        assert r.lam == pytest.approx(lam1, rel=1e-10, abs=0.0)
+        self.check_folded(mesh, coeffs, runs, bands, r, opts)
+
+    def test_given_start_folded_from_its_first_k_entries(self, monkeypatch,
+                                                         offdiag_field):
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2,
+                                           cs.BC.MIXED, 4, 16))
+        k = -(-mesh.n_free // 2)
+        start = 1.0 + np.random.default_rng(12).random(mesh.n_free)
+        runs, _ = self.recorded(monkeypatch)
+        r = cs.linear_spectrum(mesh, offdiag_field, 1, start=start)[0]
+        assert np.array_equal(runs[0][1], start[:k])
+        # the entries beyond the first k are never read
+        runs.clear()
+        other = start.copy()
+        other[k:] = -7.0
+        again = cs.linear_spectrum(mesh, offdiag_field, 1, start=other)[0]
+        assert again.lam == r.lam
+        assert np.array_equal(again.field.values, r.field.values)
+        assert again.iterations == r.iterations
+
+    @pytest.mark.parametrize("case", ["odd_cells", "linear_offdiag",
+                                      "half_plus", "half_minus"])
+    def test_no_fold(self, monkeypatch, offdiag_field, linear_field, case):
+        # an odd axial cell count has no node row at x1 = 0; the one-sided
+        # family is not S-symmetric; a half cylinder has no reflection
+        shape, bc, ell, coeffs = {
+            "odd_cells": (cs.Shape.FULL_CYLINDER, cs.BC.MIXED, 1.25,
+                          offdiag_field),
+            "linear_offdiag": (cs.Shape.FULL_CYLINDER, cs.BC.MIXED, 2,
+                               linear_field),
+            "half_plus": (cs.Shape.HALF_PLUS, cs.BC.HALF_CYLINDER, 2,
+                          offdiag_field),
+            "half_minus": (cs.Shape.HALF_MINUS, cs.BC.HALF_CYLINDER, 2,
+                           offdiag_field)}[case]
+        mesh = cs.build_mesh(cs.DomainSpec(shape, ell, bc, 2, 16))
+        assert (mesh.n_cells1 % 2 == 1) == (case == "odd_cells")
+        cross = cs.cross_section_ground_state(16, coeffs, 2)
+        runs, bands = self.recorded(monkeypatch)
+        r = cs.linear_spectrum(mesh, coeffs, 1, cross=cross)[0]
+        [(problem, _, prior, last)] = runs
+        assert isinstance(problem, es._PencilQuotient) and prior is None
+        assert bands == [mesh.n_free] * last.factorizations
+        assert r.converged
+        assert r.lam == pytest.approx(lowest_pencil_eigenvalues(
+            mesh, coeffs)[0], rel=1e-10, abs=0.0)
+
+
 class TestFullSymmetry:
     def test_symmetric_family_minimizer_symmetry(self, offdiag_field):
         mesh = cs.build_mesh(
@@ -1230,7 +1400,9 @@ class TestGuards:
         with pytest.raises(SolverError, match="zero p-mass"):
             es.first_eigen(mesh, request.getfixturevalue(family), p,
                            start=np.zeros(mesh.n_free))
-        assert problems == ["_PencilQuotient" if p == 2 else problem]
+        # the S-even fold is taken at every p, the first run to see the start
+        assert problems == ["_PencilQuotient" if p == 2
+                            and problem == "_CylinderQuotient" else problem]
 
     def test_singular_matrix_gives_no_step(self, linear_field):
         mesh = self.mesh()

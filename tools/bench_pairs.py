@@ -14,8 +14,9 @@ block prints, for each end-to-end metric, both sides' median and quartiles
 (of the run values), the pairs the change won (a tie counts for neither),
 the median difference against the parent's interquartile range, the
 relative change of the median against the metric's bound, and whether that
-is a gain (`decide`); then the failed studies against those attempted on
-each side.  A block prints as soon as its workload is done.  `--out` writes
+is a gain or a regression (`decide`); then the failed studies against those
+attempted on each side, and last the metrics that regressed ("none" where
+none did).  A block prints as soon as its workload is done.  `--out` writes
 the same as JSON, keyed by workload.
 """
 
@@ -28,7 +29,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-# a gain is won in at least this share of the pairs
+# a gain is won, and a regression lost, in at least this share of the pairs
 WIN_SHARE = 0.9
 
 
@@ -47,7 +48,9 @@ def decide(parent, change, better):
     The change wins a pair where its value is better than the parent's, and
     a tie counts for neither.  It shows a gain (`met`) when it wins at least
     WIN_SHARE of the pairs and its median is better than the parent's by
-    more than the parent's interquartile range.
+    more than the parent's interquartile range, and a regression (`worse`)
+    when it loses at least WIN_SHARE of the pairs and its median is worse
+    than the parent's by more than that range.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs per side")
@@ -59,7 +62,9 @@ def decide(parent, change, better):
     return {"pairs": len(parent), "wins": wins, "losses": losses,
             "median_difference": difference, "parent_iqr": q3 - q1,
             "met": wins >= WIN_SHARE * len(parent)
-            and difference > q3 - q1}
+            and difference > q3 - q1,
+            "worse": losses >= WIN_SHARE * len(parent)
+            and -difference > q3 - q1}
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -78,7 +83,8 @@ def run_once(checkout, workload, seed, seconds):
 def report(metrics, parent_runs, change_runs):
     """Per metric of `metrics` (BENCHMARK.json's end_to_end), both sides'
     summaries over the pairs where both runs gave a result, and `decide`;
-    per side, the failed studies against those attempted."""
+    per side, the failed studies against those attempted; and the names of
+    the metrics that regressed."""
     both = [(p, c) for p, c in zip(parent_runs, change_runs) if p and c]
     rows = {}
     for metric in metrics if both else ():
@@ -99,7 +105,8 @@ def report(metrics, parent_runs, change_runs):
                       "runs_without_result": sum(r is None for r in runs)}
                for side, runs in (("parent", parent_runs),
                                   ("change", change_runs))}
-    return {"metrics": rows, "studies": studies}
+    return {"metrics": rows, "studies": studies,
+            "regressed": [name for name, row in rows.items() if row["worse"]]}
 
 
 def run_pairs(args, workload):
@@ -132,10 +139,11 @@ def print_report(workload, out):
               f"parent IQR {row['parent_iqr']:.4f}; median "
               f"{100 * row['relative_change_of_median']:+.1f}% (bound "
               f"{100 * row['bound']:.0f}%, within: {row['within_bound']}); "
-              f"gain: {row['met']}")
+              f"gain: {row['met']}; worse: {row['worse']}")
     for side, st in out["studies"].items():
         print(f"{side}: failed {st['failed']}/{st['attempted']} studies, "
               f"{st['runs_without_result']} runs without a result")
+    print("regressed: " + (", ".join(out["regressed"]) or "none"))
 
 
 def main(argv=None):
