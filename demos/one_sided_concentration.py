@@ -14,7 +14,7 @@ family = cs.make_coefficients(
     cs.CoefficientFamily(cs.FamilyKind.LINEAR_OFFDIAG, 0.8))
 cross = cs.cross_section_ground_state(32, family, 2)
 
-gi = asy.gap_integral_I2(cross, family, 2)
+gi = asy.gap_integral_I2(cross, family)
 print(f"gap integral: {gi.value:+.6f}  (a12 W' vanishes: {gi.a12_gradw_vanishes})")
 print(f"mu1 = {cross.mu1:.6f}\n")
 

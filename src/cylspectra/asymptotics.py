@@ -122,7 +122,7 @@ class SweepRow:
     converged: bool
 
 
-def _half_pair(ell, resolution, coeffs, p, opts, cross):
+def _half_pair(ell, resolution, coeffs, p, opts):
     """The PLUS and MINUS half-cylinder solves of one length.
 
     Under symmetry S, A(-x2) = A(x2), the point reflection (x1, x2) ->
@@ -133,13 +133,12 @@ def _half_pair(ell, resolution, coeffs, p, opts, cross):
     solve is uncertified, the MINUS solve starts from the lifted state as
     the PLUS one does.  Both go through `half_cylinder_eigen`.
     """
-    rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts,
-                             cross)
+    rp = half_cylinder_eigen(Side.PLUS, ell, resolution, coeffs, p, opts)
     start = None
     if rp.converged and satisfies_symmetry_S(coeffs):
         start = rp.field.values[::-1]
     rm = half_cylinder_eigen(Side.MINUS, ell, resolution, coeffs, p, opts,
-                             cross, start)
+                             start)
     return rp, rm
 
 
@@ -150,9 +149,11 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
     For each ell: the mixed and all-Dirichlet full-cylinder problems plus
     both half-cylinder problems (`_half_pair`, so under symmetry S the
     MINUS one starts from the reflected PLUS eigenvector), all at the same
-    cross resolution, together with the cross-section value, the gap, the
-    decay fit of the mixed minimizer and its end-mass split, both from one
-    pass of its per-cell integrals (`disc.cell_integrals`).  Rows are
+    cross resolution, together with the cross-section value (the one
+    section solve of the sweep, cached on the field, which every other
+    solve starts from), the gap, the decay fit of the mixed minimizer and
+    its end-mass split, both from one pass of its per-cell integrals
+    (`disc.cell_integrals`).  Rows are
     independent; non-converged solves are flagged in the row and the sweep
     continues.  The lengths are checked first (`check_lengths`).
     """
@@ -164,10 +165,9 @@ def sweep_lambda(ells, family_coeffs, p, resolution,
     for ell in ells:
         mesh_m = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.MIXED, cpu, nx2))
         mesh_d = build_mesh(DomainSpec(Shape.FULL_CYLINDER, ell, BC.DIRICHLET_ALL, cpu, nx2))
-        r_m = first_eigen(mesh_m, family_coeffs, p, opts, cross)
-        r_d = first_eigen(mesh_d, family_coeffs, p, opts, cross)
-        r_p, r_mi = _half_pair(ell, resolution, family_coeffs, p, opts,
-                               cross)
+        r_m = first_eigen(mesh_m, family_coeffs, p, opts)
+        r_d = first_eigen(mesh_d, family_coeffs, p, opts)
+        r_p, r_mi = _half_pair(ell, resolution, family_coeffs, p, opts)
 
         grid = mesh_m.expand(r_m.field.values)
         per_cell = disc.cell_integrals(mesh_m, family_coeffs, grid, p)
@@ -211,11 +211,9 @@ def nu_infinity_estimate(side, family_coeffs, p, ell_ladder, resolution,
     """
     ladder_ells = check_lengths(ell_ladder, resolution, LADDER_RUNGS)
     opts = opts or SolveOptions()
-    cross = cross_section_ground_state(resolution[0], family_coeffs, p, opts)
     values, converged = [], True
     for ell in ladder_ells:
-        r = half_cylinder_eigen(side, ell, resolution, family_coeffs, p, opts,
-                                cross)
+        r = half_cylinder_eigen(side, ell, resolution, family_coeffs, p, opts)
         values.append(r.lam)
         converged = converged and r.converged
     diffs = np.diff(values)
@@ -298,16 +296,16 @@ def fit_decay(profile, window) -> DecayFit:
                     no_decay=alpha > 0.999)
 
 
-def gap_integral_I2(cross: CrossSectionResult, coeffs, p) -> GapIntegral:
+def gap_integral_I2(cross: CrossSectionResult, coeffs) -> GapIntegral:
     """Signed cross-section integral deciding the gap side.
 
     Computes  integral |a22 W'^2|^{(p-2)/2} (a12 W') W  over the section by
-    the 1D quadrature of the ground state, and reports whether a12 W' is
-    identically zero within `ZERO_TOL` (the trigger separating the gap and
-    no-gap regimes).
+    the 1D quadrature of the ground state, at its own p, and reports
+    whether a12 W' is identically zero within `ZERO_TOL` (the trigger
+    separating the gap and no-gap regimes).
     """
     e, _, a12q, a22q, wv, wp = _section(cross, coeffs)
-    weight = np.abs(a22q * wp ** 2) ** ((p - 2.0) / 2.0)
+    weight = np.abs(a22q * wp ** 2) ** ((cross.p - 2.0) / 2.0)
     integrand = weight * (a12q * wp) * wv
     value = float(np.sum(e.weights @ integrand))
     scale = float(np.max(np.abs(a12q * wp))) if a12q.size else 0.0
@@ -323,13 +321,13 @@ def _section(cross, coeffs):
             e.slopes(cross.w_nodes))
 
 
-def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs, p) -> float:
+def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs) -> float:
     """Rayleigh quotient of the exponentially decaying lifted test function.
 
     On (0, inf) x omega the energy and p-mass of exp(-eps x1) W(x2) share
-    the axial factor integral exp(-p eps x1), so the quotient is a ratio of
-    cross-section integrals.  It upper-bounds the semi-infinite infimum and
-    tends to the cross-section value as eps -> 0.
+    the axial factor integral exp(-p eps x1), p the section's own, so the
+    quotient is a ratio of cross-section integrals.  It upper-bounds the
+    semi-infinite infimum and tends to the cross-section value as eps -> 0.
     """
     check_eps(eps)
     e, a11q, a12q, a22q, wv, wp = _section(cross, coeffs)
@@ -337,8 +335,8 @@ def exp_test_upper_bound(eps, cross: CrossSectionResult, coeffs, p) -> float:
     q_sec = (eps ** 2 * a11q * wv ** 2
              - 2.0 * eps * a12q * wp * wv
              + a22q * wp ** 2)
-    sec_energy = float(np.sum(e.weights @ np.abs(q_sec) ** (p / 2.0)))
-    sec_mass = float(np.sum(e.weights @ np.abs(wv) ** p))
+    sec_energy = float(np.sum(e.weights @ np.abs(q_sec) ** (cross.p / 2.0)))
+    sec_mass = float(np.sum(e.weights @ np.abs(wv) ** cross.p))
     return sec_energy / sec_mass
 
 
@@ -349,13 +347,13 @@ def check_eps(eps):
         raise ConfigurationError(f"eps must be positive and finite, got {eps}")
 
 
-def slab_bound(cross: CrossSectionResult, coeffs, p, variant="squared"):
+def slab_bound(cross: CrossSectionResult, coeffs, variant="squared"):
     """Cross-section upper-bound integral from the slab construction.
 
     `variant` 'as_printed' uses  a22 W'^2 - (a12 W')/a11  inside the p/2
-    power; 'squared' uses  a22 W'^2 - (a12 W')^2/a11.  Negative integrand
-    values are clamped at zero before the power; the number of clamped
-    quadrature points is returned alongside the value.
+    power, p the section's own; 'squared' uses  a22 W'^2 - (a12 W')^2/a11.
+    Negative integrand values are clamped at zero before the power; the
+    number of clamped quadrature points is returned alongside the value.
     """
     if variant not in ("as_printed", "squared"):
         raise ConfigurationError(f"unknown slab-bound variant {variant!r}")
@@ -368,39 +366,36 @@ def slab_bound(cross: CrossSectionResult, coeffs, p, variant="squared"):
         integrand = base - cross_term ** 2 / a11q
     clamped = int(np.count_nonzero(integrand < 0.0))
     integrand = np.clip(integrand, 0.0, None)
-    value = float(np.sum(e.weights @ integrand ** (p / 2.0)))
+    value = float(np.sum(e.weights @ integrand ** (cross.p / 2.0)))
     return value, clamped
 
 
-def beta2_upper_bound(ell, resolution, coeffs, p, opts=None,
-                      cross=None) -> Beta2Bound:
+def beta2_upper_bound(ell, resolution, coeffs, p, opts=None) -> Beta2Bound:
     """Upper bound for the second min-max eigenvalue from disjoint supports.
 
-    The two half-cylinder solves of `_half_pair`, from `cross` (the
-    cross-section ground state, solved here when not given) or, for MINUS
-    under symmetry S, from the reflected PLUS eigenvector; functions
-    supported on the two halves have disjoint support, so the larger of
-    the two first eigenvalues bounds the second min-max value of the full
-    cylinder.  The bound is certified (`converged`) when both solves are,
-    each on its own residual.  `ell` is checked first (`check_lengths`).
+    The two half-cylinder solves of `_half_pair`, from the lifted section
+    state or, for MINUS under symmetry S, from the reflected PLUS
+    eigenvector; functions supported on the two halves have disjoint
+    support, so the larger of the two first eigenvalues bounds the second
+    min-max value of the full cylinder.  The bound is certified
+    (`converged`) when both solves are, each on its own residual.  `ell` is
+    checked first (`check_lengths`).
     """
     check_lengths([ell], resolution)
     opts = opts or SolveOptions()
-    if cross is None:
-        cross = cross_section_ground_state(resolution[0], coeffs, p, opts)
-    rp, rm = _half_pair(ell, resolution, coeffs, p, opts, cross)
+    rp, rm = _half_pair(ell, resolution, coeffs, p, opts)
     return Beta2Bound(max(rp.lam, rm.lam), rp, rm,
                       rp.converged and rm.converged)
 
 
 def picone_residual_min(u: DiscreteField, cross: CrossSectionResult, mesh,
-                        coeffs, p) -> float:
+                        coeffs) -> float:
     """Minimum of the pointwise Picone residual against the lifted state.
 
     R(u, v) = |A grad u . grad u|^{p/2}
               - |A grad v . grad v|^{(p-2)/2} A grad v . grad(u^p / v^{p-1})
-    with v the axial lift of the cross-section ground state, evaluated at
-    quadrature points where v exceeds `W_FLOOR` max W (the ratio
+    with v the axial lift of the cross-section ground state and p its own,
+    evaluated at quadrature points where v exceeds `W_FLOOR` max W (the ratio
     u^p / v^{p-1} is unstable where v vanishes at the walls).  The
     returned minimum is normalized by the local energy scale, so the
     theoretical bound reads  min >= -1e-10.  Requires u >= 0.
@@ -414,6 +409,7 @@ def picone_residual_min(u: DiscreteField, cross: CrossSectionResult, mesh,
         raise ConfigurationError(
             "Picone residual requires a nonnegative field")
     grid = np.clip(grid, 0.0, None)
+    p = cross.p
     w_floor = W_FLOOR * float(np.max(cross.w_nodes))
 
     core = disc._core(mesh)

@@ -351,12 +351,11 @@ def _run_spectrum(plan, outdir):
 def _run_gap_check(plan, outdir):
     cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
                                        plan.opts)
-    gi = asy.gap_integral_I2(cross, plan.family, plan.p)
-    printed, printed_clamps = asy.slab_bound(cross, plan.family, plan.p, "as_printed")
-    squared, squared_clamps = asy.slab_bound(cross, plan.family, plan.p, "squared")
+    gi = asy.gap_integral_I2(cross, plan.family)
+    printed, printed_clamps = asy.slab_bound(cross, plan.family, "as_printed")
+    squared, squared_clamps = asy.slab_bound(cross, plan.family, "squared")
     exp_tests = [{"eps": e,
-                  "value": asy.exp_test_upper_bound(e, cross, plan.family,
-                                                    plan.p)}
+                  "value": asy.exp_test_upper_bound(e, cross, plan.family)}
                  for e in plan.eps_list]
     payload = {
         "mu1": cross.mu1,
@@ -392,10 +391,8 @@ def _run_decay(plan, outdir):
 
 
 def _run_beta2(plan, outdir):
-    cross = cross_section_ground_state(plan.nx2, plan.family, plan.p,
-                                       plan.opts)
     bounds = [asy.beta2_upper_bound(ell, plan.resolution, plan.family,
-                                    plan.p, plan.opts, cross=cross)
+                                    plan.p, plan.opts)
               for ell in plan.ells]
     _write_csv(outdir, "beta2.csv",
                "ell,beta2_upper,lambda_half_plus,lambda_half_minus",

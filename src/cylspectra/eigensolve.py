@@ -14,6 +14,9 @@ the first eigenpair of a mixed cylinder one axial cell long.  Every one of
 them is a solve on a cylinder mesh, on the p = 2 pencil or the quotient of
 `minimize_rayleigh`, and sees the discrete problem through the one Q1 core
 of `discretization`: its tensor-product Gauss rule and p = 2 matrices.
+A section is solved once per coefficient field and key, and cached on the
+field; every first-eigenpair solve starts from the lift of its own
+problem's section (`_lifted_start`), which no caller passes in.
 
 The descent sees its problem as states linear in the nodal vector: its
 values and slopes at the Gauss points, or on the p = 2 pencil the vector
@@ -96,15 +99,17 @@ class CrossSectionResult:
     engine on the one-cell cylinder of `cross_section_ground_state` at
     every p, as for the cylinder solves (on a lifted field that residual is
     half the 1D quotient's at the same nodal values); `converged` is also
-    false when the solve of the plain problem stopped uncertified.
+    false when the solve of the plain problem stopped uncertified.  The
+    four arrays are read-only copies: every caller of a cached section
+    shares them.
     """
 
     def __init__(self, mu1, w_nodes, x2_nodes, p, poincare_cp, iterations,
                  residual, converged):
         self.mu1 = float(mu1)
         self.converged = converged
-        self.w_nodes = np.asarray(w_nodes, dtype=float)
-        self.x2_nodes = np.asarray(x2_nodes, dtype=float)
+        self.w_nodes = np.array(w_nodes, dtype=float)
+        self.x2_nodes = np.array(x2_nodes, dtype=float)
         self.p = float(p)
         self.poincare_cp = float(poincare_cp)
         self.iterations = iterations
@@ -113,6 +118,9 @@ class CrossSectionResult:
         h = x2_nodes[1] - x2_nodes[0]
         self.w_slope = np.diff(self.w_nodes) / h
         self.cell_midpoints = 0.5 * (self.x2_nodes[:-1] + self.x2_nodes[1:])
+        for a in (self.w_nodes, self.x2_nodes, self.w_slope,
+                  self.cell_midpoints):
+            a.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +457,7 @@ def _first_descent(mesh, coeffs, p, whole, start, opts) -> EigenResult:
         whole(mesh, coeffs, p), start, opts, prior))
 
 
-def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
-                      start=None) -> EigenResult:
+def minimize_rayleigh(mesh, coeffs, p, opts=None, start=None) -> EigenResult:
     """First eigenpair by Rayleigh-quotient descent over the free DOFs.
 
     Newton steps shifted by the p = 2 stiffness matrix under a trust-region
@@ -469,25 +476,25 @@ def minimize_rayleigh(mesh, coeffs, p, opts=None, cross=None,
     disc.check_exponent(p)
     opts = opts or SolveOptions()
     # DiscreteField checks the length of a given start
-    start = (_lifted_start(mesh, coeffs, p, opts, cross) if start is None
+    start = (_lifted_start(mesh, coeffs, p, opts) if start is None
              else DiscreteField(start, mesh).values)
     return _first_descent(mesh, coeffs, p, _CylinderQuotient, start, opts)
 
 
-def _lifted_start(mesh, coeffs, p, opts, cross):
+def _lifted_start(mesh, coeffs, p, opts):
     """The free DOFs of the start: all ones under `Init.ONES`, else the
-    section state `cross` (solved here at p with the same `opts` when it is
-    None) lifted along the axis: flat on a mixed cylinder, else times the
-    cosine cos(pi x1 / (2 ell)), which vanishes at the Dirichlet ends."""
+    problem's own section ground state (`cross_section_ground_state` at p
+    with the same `opts`, solved once per field and key) lifted along the
+    axis: flat on a mixed cylinder, else times the cosine
+    cos(pi x1 / (2 ell)), which vanishes at the Dirichlet ends."""
     if opts.init is Init.ONES:
         return np.ones(mesh.n_free)
-    if cross is None:
-        cross = cross_section_ground_state(mesh.n_cells2, coeffs, p, opts)
+    w = cross_section_ground_state(mesh.n_cells2, coeffs, p, opts).w_nodes
     if mesh.spec.bc is BC.MIXED:
         axial = np.ones_like(mesh.x1)
     else:
         axial = np.cos(np.pi * mesh.x1 / (2.0 * mesh.spec.ell))
-    return mesh.restrict(axial[:, None] * cross.w_nodes[None, :])
+    return mesh.restrict(axial[:, None] * w[None, :])
 
 
 def _eigen_result(mesh, r):
@@ -537,19 +544,18 @@ class _PencilQuotient:
 _SHIFT_MARGIN = 1e-3
 
 
-def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
+def linear_spectrum(mesh, coeffs, k, opts=None, start=None):
     """k smallest eigenpairs of the p = 2 pencil (K, M); k is checked
     first (`check_k`).
 
     k = 1 runs the descent engine (`_minimize_quotient`) on the pencil
     quotient u.Ku / u.Mu from `start` (free DOFs, any scale, its length
     checked) when given, else from the lifted start of
-    `minimize_rayleigh`, built from `cross` (the p = 2 cross-section
-    ground state, solved here when not given).  Under symmetry S a full
-    cylinder with an even number of axial cells is solved on the pencil
-    of its S-even half first (`_first_descent`): its K and M are tiles of
-    the rows the whole pencil is tiled from, and each step factors a band
-    of about n_free / 2 columns.  The whole pencil then tests the unfolded
+    `minimize_rayleigh`, built from the p = 2 cross-section ground state.
+    Under symmetry S a full cylinder with an even number of axial cells is
+    solved on the pencil of its S-even half first (`_first_descent`): its
+    K and M are tiles of the rows the whole pencil is tiled from, and each
+    step factors a band of about n_free / 2 columns.  The whole pencil then tests the unfolded
     pair, so the certificate below is always the whole mesh's.
     Its unshifted step is Rayleigh-quotient iteration, one banded LU solve
     of K - lam M; the shift sigma K enters only after a rejected step.  The
@@ -600,7 +606,7 @@ def linear_spectrum(mesh, coeffs, k, opts=None, cross=None, start=None):
     # DiscreteField checks the length of a given start, on every branch
     start = start if start is None else DiscreteField(start, mesh).values
     if k < n and start is None:
-        start = _lifted_start(mesh, coeffs, 2.0, opts, cross)
+        start = _lifted_start(mesh, coeffs, 2.0, opts)
     if k == 1 < n:
         return [_first_descent(mesh, coeffs, 2.0, _quotient, start, opts)]
     K, M = disc._p2_diagonals(mesh, coeffs)
@@ -715,20 +721,19 @@ def _krylov_ritz(T, k, y0, solve_lt, M):
     return theta[-k:], Q @ y[:, -k:]
 
 
-def first_eigen(mesh, coeffs, p, opts=None, cross=None,
-                start=None) -> EigenResult:
+def first_eigen(mesh, coeffs, p, opts=None, start=None) -> EigenResult:
     """First eigenpair on `mesh`: the assembled pencil at p = 2
     (`linear_spectrum`), the quotient descent otherwise
     (`minimize_rayleigh`), from `start` (free DOFs, any scale) when given,
-    else from the lifted state, built from `cross` when given.  The
-    residual test certifies the result on `mesh` either way."""
+    else from the lifted section state.  The residual test certifies the
+    result on `mesh` either way."""
     if p == 2:
-        return linear_spectrum(mesh, coeffs, 1, opts, cross, start)[0]
-    return minimize_rayleigh(mesh, coeffs, p, opts, cross, start)
+        return linear_spectrum(mesh, coeffs, 1, opts, start)[0]
+    return minimize_rayleigh(mesh, coeffs, p, opts, start)
 
 
 def half_cylinder_eigen(side, ell, resolution, coeffs, p,
-                        opts=None, cross=None, start=None) -> EigenResult:
+                        opts=None, start=None) -> EigenResult:
     """First eigenpair of the half cylinder with a Dirichlet far end, by
     `first_eigen` on its mesh.
 
@@ -739,7 +744,7 @@ def half_cylinder_eigen(side, ell, resolution, coeffs, p,
     nx2, cpu = resolution
     shape = Shape.HALF_PLUS if side is Side.PLUS else Shape.HALF_MINUS
     mesh = build_mesh(DomainSpec(shape, ell, BC.HALF_CYLINDER, cpu, nx2))
-    return first_eigen(mesh, coeffs, p, opts, cross, start)
+    return first_eigen(mesh, coeffs, p, opts, start)
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +768,22 @@ def cross_section_ground_state(nx2, coeffs, p,
     `minimize_rayleigh`; the discrete Poincare constant comes from a second
     solve, of the plain (a22 = 1) problem on the same mesh, where a22 is not
     1.  A solve that stops uncertified is returned flagged (`converged`
-    false), as the cylinder solves are.  nx2 and p are checked first.
+    false), as the cylinder solves are.
+
+    The result is cached on `coeffs`, whose entries no code changes, keyed
+    by (nx2, p, tol_residual, max_iters) of `opts` (its `init` does not
+    enter the solve): every caller with that key shares one result, whose
+    arrays are read-only.  The key is looked up first; nx2 and p are
+    checked on a miss, before the solve, so no invalid key is cached.
     """
+    opts = opts or SolveOptions()
+    cache = coeffs.__dict__.setdefault("_cross_sections", {})
+    key = nx2, p, opts.tol_residual, opts.max_iters
+    if key in cache:
+        return cache[key]
     mesh = CylinderMesh(DomainSpec(Shape.FULL_CYLINDER, 0.25, BC.MIXED, 2,
                                    nx2))
     disc.check_exponent(p)
-    opts = opts or SolveOptions()
     start = mesh.restrict(np.tile(np.cos(np.pi * mesh.x2), (2, 1)))
 
     def solve(a22):
@@ -784,5 +799,7 @@ def cross_section_ground_state(nx2, coeffs, p,
         plain = solve(np.ones_like)
     converged = r.stop_reason == plain.stop_reason == "residual"
     w = mesh.expand(r.u).mean(axis=0) * mesh.h1 ** (1.0 / p)
-    return CrossSectionResult(r.lam, w, mesh.x2, p, plain.lam ** (-1.0 / p),
-                              r.iterations, r.residual, converged)
+    cache[key] = CrossSectionResult(r.lam, w, mesh.x2, p,
+                                    plain.lam ** (-1.0 / p), r.iterations,
+                                    r.residual, converged)
+    return cache[key]

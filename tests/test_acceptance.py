@@ -370,8 +370,7 @@ def test_11_picone():
             mesh, r = mixed_solve(*fam, p, 8.0)
             cr = cross(*fam, p)
             field = _positivity_projected(r.field, mesh, p)
-            val = asy.picone_residual_min(field, cr, mesh, coeffs(*fam, p),
-                                          p)
+            val = asy.picone_residual_min(field, cr, mesh, coeffs(*fam, p))
             worst = min(worst, val)
             details.append(f"{fam[0].value}/p{p:g}: {val:.1e}")
     check("11 picone residual", worst >= -1e-10, "; ".join(details))

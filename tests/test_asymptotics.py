@@ -9,6 +9,7 @@ from cylspectra import discretization as disc
 from cylspectra import eigensolve as es
 from cylspectra.errors import (ConfigurationError, DimensionMismatchError,
                                UnsupportedExponentError)
+from conftest import count_section_solves, own_field
 
 RES = (16, 4)
 
@@ -18,34 +19,20 @@ def mixed_mesh(ell, cpu=4, nx2=16):
         cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, cs.BC.MIXED, cpu, nx2))
 
 
-def count_section_solves(monkeypatch):
-    """Records the cross-section solves made through eigensolve and asy."""
-    from cylspectra import eigensolve
-    calls = []
-    solve = eigensolve.cross_section_ground_state
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    for module in (eigensolve, asy):
-        monkeypatch.setattr(module, "cross_section_ground_state", counted)
-    return calls
-
-
 def section_opts(monkeypatch):
-    """Records the `opts` of every cross-section solve through asy."""
+    """Records the `opts` of every cross-section call: a sweep's own, for
+    its mu1, and the lifted starts' through eigensolve."""
     import inspect
-    from cylspectra import eigensolve
     recorded = []
-    solve = eigensolve.cross_section_ground_state
+    solve = es.cross_section_ground_state
     signature = inspect.signature(solve)
 
     def recording(*args, **kwargs):
         recorded.append(signature.bind(*args, **kwargs).arguments.get("opts"))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(asy, "cross_section_ground_state", recording)
+    for module in (es, asy):
+        monkeypatch.setattr(module, "cross_section_ground_state", recording)
     return recorded
 
 
@@ -103,44 +90,39 @@ class TestNuEstimate:
         nu, C, rho = 9.5, 0.8, 0.5
         values = iter([nu + C * rho ** ell for ell in (2, 4, 6)])
 
-        def fake_half(side, ell, resolution, coeffs, p, opts=None,
-                      cross=None):
+        def fake_half(side, ell, resolution, coeffs, p, opts=None):
             class R:
                 lam = next(values)
                 converged = True
             return R()
 
         monkeypatch.setattr(asy, "half_cylinder_eigen", fake_half)
-        monkeypatch.setattr(asy, "cross_section_ground_state",
-                            lambda *args, **kwargs: None)
         est = asy.nu_infinity_estimate(cs.Side.PLUS, None, 2, [2, 4, 6], RES)
         assert est.extrapolated == pytest.approx(nu, abs=1e-12)
 
     def test_non_monotone_falls_back(self, monkeypatch):
         values = iter([9.0, 9.4, 9.2])
 
-        def fake_half(side, ell, resolution, coeffs, p, opts=None,
-                      cross=None):
+        def fake_half(side, ell, resolution, coeffs, p, opts=None):
             class R:
                 lam = next(values)
                 converged = True
             return R()
 
         monkeypatch.setattr(asy, "half_cylinder_eigen", fake_half)
-        monkeypatch.setattr(asy, "cross_section_ground_state",
-                            lambda *args, **kwargs: None)
         est = asy.nu_infinity_estimate(cs.Side.MINUS, None, 2, [2, 4, 6], RES)
         assert not est.monotone_ok
         assert est.extrapolated == est.last_value == 9.2
 
-    def test_p3_ladder_solves_cross_section_once(self, monkeypatch,
-                                                 offdiag_field):
-        calls = count_section_solves(monkeypatch)
+    def test_p3_ladder_solves_cross_section_once(self, monkeypatch):
+        # each rung starts from the section, solved for the first rung
+        # alone; under Init.ONES none is solved
+        field, solves = own_field(), count_section_solves(monkeypatch)
         for p in (2, 3):
-            calls.clear()
-            asy.nu_infinity_estimate(cs.Side.PLUS, offdiag_field, p,
-                                     [2, 4, 6], RES)
-            assert len(calls) == 1
+            asy.nu_infinity_estimate(cs.Side.PLUS, field, p, [2, 4, 6], RES)
+        asy.nu_infinity_estimate(cs.Side.PLUS, own_field(), 3, [2, 4, 6],
+                                 RES, cs.SolveOptions(init=cs.Init.ONES))
+        assert solves == [(16, 2), (16, 3)]
 
     def test_ladder_validation(self, offdiag_field):
         with pytest.raises(ConfigurationError):
@@ -153,27 +135,27 @@ class TestNuEstimate:
 class TestGapIntegral:
     def test_identity_zero_and_flag(self, identity_field):
         cross = cs.cross_section_ground_state(32, identity_field, 2)
-        gi = asy.gap_integral_I2(cross, identity_field, 2)
+        gi = asy.gap_integral_I2(cross, identity_field)
         assert gi.value == 0.0
         assert gi.a12_gradw_vanishes
 
     def test_constant_offdiag_odd_integrand(self, offdiag_field):
         cross = cs.cross_section_ground_state(32, offdiag_field, 2)
-        gi = asy.gap_integral_I2(cross, offdiag_field, 2)
+        gi = asy.gap_integral_I2(cross, offdiag_field)
         assert abs(gi.value) < 1e-12
         assert not gi.a12_gradw_vanishes
 
     def test_linear_offdiag_closed_form(self, linear_field):
         # int (0.8 x2 W') W = -0.4 int W^2 = -0.4 for the 2-normalized state
         cross = cs.cross_section_ground_state(64, linear_field, 2)
-        gi = asy.gap_integral_I2(cross, linear_field, 2)
+        gi = asy.gap_integral_I2(cross, linear_field)
         assert gi.value == pytest.approx(-0.4, rel=1e-10)
 
     def test_grad_aligned_positive(self, identity_field):
         cross = cs.cross_section_ground_state(64, identity_field, 2)
         ga = cs.make_coefficients(
             cs.CoefficientFamily(cs.FamilyKind.GRAD_ALIGNED, 0.15), cross=cross)
-        gi = asy.gap_integral_I2(cross, ga, 2)
+        gi = asy.gap_integral_I2(cross, ga)
         oracle = 0.15 * 4 * np.sqrt(2) * np.pi / 3  # c int W'^2 W, W = sqrt2 cos
         assert gi.value == pytest.approx(oracle, rel=1e-2)
         assert gi.value > 0
@@ -182,26 +164,28 @@ class TestGapIntegral:
 class TestExpTest:
     def test_decoupled_closed_form(self, identity_field):
         cross = cs.cross_section_ground_state(32, identity_field, 2)
-        val = asy.exp_test_upper_bound(0.1, cross, identity_field, 2)
+        val = asy.exp_test_upper_bound(0.1, cross, identity_field)
         assert val == pytest.approx(cross.mu1 + 0.01, rel=1e-12)
 
     def test_small_eps_approaches_mu1(self, offdiag_field):
-        cross = cs.cross_section_ground_state(32, offdiag_field, 2)
-        val = asy.exp_test_upper_bound(0.01, cross, offdiag_field, 2)
-        assert abs(val - cross.mu1) < 0.1 * cross.mu1 * 0.01 + 0.05
+        # at the section's own p, which the bound reads from it
+        for p in (2.0, 3.0):
+            cross = cs.cross_section_ground_state(32, offdiag_field, p)
+            val = asy.exp_test_upper_bound(0.01, cross, offdiag_field)
+            assert abs(val - cross.mu1) < 0.1 * cross.mu1 * 0.01 + 0.05
 
     def test_upper_bounds_the_limit(self, offdiag_field):
         cross = cs.cross_section_ground_state(16, offdiag_field, 2)
         est = asy.nu_infinity_estimate(cs.Side.PLUS, offdiag_field, 2,
                                        [4, 8, 12], RES)
-        val = asy.exp_test_upper_bound(0.05, cross, offdiag_field, 2)
+        val = asy.exp_test_upper_bound(0.05, cross, offdiag_field)
         assert val >= est.extrapolated - 1e-8
 
     def test_eps_must_be_positive(self, identity_field):
         cross = cs.cross_section_ground_state(16, identity_field, 2)
         for eps in (0.0, -0.1):
             with pytest.raises(ConfigurationError):
-                asy.exp_test_upper_bound(eps, cross, identity_field, 2)
+                asy.exp_test_upper_bound(eps, cross, identity_field)
 
 
 class TestSlabBound:
@@ -209,21 +193,21 @@ class TestSlabBound:
         for p in (2.0, 3.0):
             cross = cs.cross_section_ground_state(32, identity_field, p)
             for variant in ("as_printed", "squared"):
-                val, clamped = asy.slab_bound(cross, identity_field, p, variant)
+                val, clamped = asy.slab_bound(cross, identity_field, variant)
                 assert val == pytest.approx(cross.mu1, rel=1e-12)
                 assert clamped == 0
 
     def test_constant_offdiag_squared_oracle(self, offdiag_field):
         # a12 = c constant: squared variant = (1 - c^2) mu1 exactly
         cross = cs.cross_section_ground_state(32, offdiag_field, 2)
-        val, _ = asy.slab_bound(cross, offdiag_field, 2, "squared")
+        val, _ = asy.slab_bound(cross, offdiag_field, "squared")
         assert val == pytest.approx((1 - 0.09) * cross.mu1, rel=1e-12)
         assert val < cross.mu1
 
     def test_variant_validation(self, identity_field):
         cross = cs.cross_section_ground_state(16, identity_field, 2)
         with pytest.raises(ConfigurationError):
-            asy.slab_bound(cross, identity_field, 2, "bogus")
+            asy.slab_bound(cross, identity_field, "bogus")
 
 
 class TestEndMassSplit:
@@ -255,13 +239,13 @@ class TestEndMassSplit:
 
 
 class TestSweep:
-    def test_p3_sweep_solves_cross_section_once(self, monkeypatch,
-                                                offdiag_field):
-        calls = count_section_solves(monkeypatch)
+    def test_p3_sweep_solves_cross_section_once(self, monkeypatch):
+        # the row's mu1 and every first-eigenpair start of the sweep share
+        # one section solve
+        field, solves = own_field(), count_section_solves(monkeypatch)
         for p in (2, 3):
-            calls.clear()
-            asy.sweep_lambda([2, 4], offdiag_field, p, RES)
-            assert len(calls) == 1
+            asy.sweep_lambda([2, 4, 8], field, p, RES)
+        assert solves == [(16, 2), (16, 3)]
 
     def test_p2_sweep_builds_no_csr(self, monkeypatch, offdiag_field):
         # the p = 2 solves apply K and M as DIA arrays; only the public
@@ -285,13 +269,15 @@ class TestSweep:
         cs.assemble_p2(mesh, offdiag_field)
         assert calls
 
-    def test_section_solve_takes_the_options(self, monkeypatch,
-                                             offdiag_field):
-        # a config's tolerance reaches the solve behind the mu1 column
+    def test_section_solve_takes_the_options(self, monkeypatch):
+        # a config's tolerance reaches the solve behind the mu1 column, and
+        # every start of the row is lifted from that one solve
         recorded = section_opts(monkeypatch)
+        solves = count_section_solves(monkeypatch)
         opts = cs.SolveOptions(tol_residual=1e-4)
-        tab = asy.sweep_lambda([2], offdiag_field, 3, RES, opts)
-        assert recorded == [opts]
+        tab = asy.sweep_lambda([2], own_field(), 3, RES, opts)
+        assert recorded and all(o is opts for o in recorded)
+        assert solves == [(16, 3)]
         assert tab[0].converged
 
     def test_identity_rows_have_no_gap(self, identity_field):
@@ -337,23 +323,27 @@ class TestBeta2:
 
     def test_uncertified_solves_flagged(self, monkeypatch, offdiag_field):
         # one step certifies neither half-cylinder solve; the options reach
-        # the cross-section solve too
+        # the cross-section solve of their starts too, solved once
         recorded = section_opts(monkeypatch)
+        solves = count_section_solves(monkeypatch)
         opts = cs.SolveOptions(max_iters=1)
-        bound = asy.beta2_upper_bound(3, RES, offdiag_field, 3, opts)
-        assert recorded == [opts]
+        bound = asy.beta2_upper_bound(3, RES, own_field(), 3, opts)
+        assert recorded == [opts, opts]  # PLUS, and MINUS from the lift
+        assert solves == [(16, 3)]
         assert not bound.converged
         assert not (bound.plus.converged or bound.minus.converged)
         assert bound.value == max(bound.plus.lam, bound.minus.lam)
         certified = asy.beta2_upper_bound(3, RES, offdiag_field, 3)
         assert certified.converged and certified.value < bound.value
 
-    def test_p3_solves_cross_section_once(self, monkeypatch, offdiag_field):
-        calls = count_section_solves(monkeypatch)
+    def test_p3_solves_cross_section_once(self, monkeypatch):
+        field, solves = own_field(), count_section_solves(monkeypatch)
         for p in (2, 3):
-            calls.clear()
-            asy.beta2_upper_bound(3, RES, offdiag_field, p)
-            assert len(calls) == 1
+            asy.beta2_upper_bound(3, RES, field, p)
+            asy.beta2_upper_bound(4, RES, field, p)
+        asy.beta2_upper_bound(3, RES, own_field(), 3,
+                              cs.SolveOptions(init=cs.Init.ONES))
+        assert solves == [(16, 2), (16, 3)]
 
     def test_quarter_wave_identity(self, identity_field):
         val = asy.beta2_upper_bound(2, (32, 8), identity_field, 2).value
@@ -368,7 +358,7 @@ def record_half_solves(monkeypatch):
 
     def recording(side, *args, **kwargs):
         r = solve(side, *args, **kwargs)
-        start = args[6] if len(args) > 6 else kwargs.get("start")
+        start = args[5] if len(args) > 5 else kwargs.get("start")
         solves.append((side, start is not None, r))
         return r
 
@@ -462,7 +452,7 @@ def unfolded(mesh, coeffs, p, opts=None):
     """The engine on the whole mesh's quotient from the lifted start, with
     no S-even fold."""
     opts = opts or cs.SolveOptions()
-    start = es._lifted_start(mesh, coeffs, p, opts, None)
+    start = es._lifted_start(mesh, coeffs, p, opts)
     return es._eigen_result(mesh, es._minimize_quotient(
         es._CylinderQuotient(mesh, coeffs, p), start, opts))
 
@@ -535,14 +525,16 @@ class TestSEvenFold:
                                                     offdiag_field,
                                                     linear_field):
         # LOD 0.8 breaks symmetry S; 17 axial cells leave no node row at
-        # x1 = 0: both factor the whole mesh, as from a given start
-        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
+        # x1 = 0: both factor the whole mesh, as from a given start.  The
+        # section start is solved into the field's cache first, out of the
+        # count, as the sweep solves its own before its first cylinder
+        cs.cross_section_ground_state(32, offdiag_field, 3)
         odd = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 2.125,
                                           cs.BC.MIXED, 4, 32))
         assert odd.n_cells1 == 17
         columns, solves = record_factorizations(monkeypatch)
         asy.sweep_lambda([2], linear_field, 3, (32, 4))
-        asy.first_eigen(odd, offdiag_field, 3, cross=cross)
+        asy.first_eigen(odd, offdiag_field, 3)
         monkeypatch.undo()
         assert len(solves) == 3
         for (mesh, r, cols), coeffs in zip(
@@ -556,8 +548,7 @@ class TestSEvenFold:
         # the problem alone chooses the fold: a given start is folded from
         # its first k entries, and the result is the lifted start's
         mesh = mixed_mesh(4, nx2=32)
-        start = es._lifted_start(mesh, offdiag_field, 3, cs.SolveOptions(),
-                                 None)
+        start = es._lifted_start(mesh, offdiag_field, 3, cs.SolveOptions())
         lifted = cs.minimize_rayleigh(mesh, offdiag_field, 3)
         columns, solves = record_factorizations(monkeypatch)
         r = es.minimize_rayleigh(mesh, offdiag_field, 3, start=start)
@@ -571,11 +562,13 @@ class TestSEvenFold:
     @pytest.mark.parametrize("max_iters", [1, 3])
     def test_max_iters_caps_both_runs(self, monkeypatch, offdiag_field,
                                       max_iters):
-        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
+        # the capped section start, solved into the field's cache first,
+        # out of the count
+        opts = cs.SolveOptions(max_iters=max_iters)
+        cs.cross_section_ground_state(32, offdiag_field, 3, opts)
         mesh = mixed_mesh(4, nx2=32)
         columns, _ = record_factorizations(monkeypatch)
-        r = asy.first_eigen(mesh, offdiag_field, 3,
-                            cs.SolveOptions(max_iters=max_iters), cross)
+        r = asy.first_eigen(mesh, offdiag_field, 3, opts)
         monkeypatch.undo()
         assert r.iterations == max_iters < unfolded(
             mesh, offdiag_field, 3).iterations
@@ -602,10 +595,10 @@ class TestPicone:
         cross = cs.cross_section_ground_state(16, identity_field, 2)
         lift = cs.lift_cross_section(cross, mesh)
         assert abs(asy.picone_residual_min(
-            lift, cross, mesh, identity_field, 2)) < 1e-12
+            lift, cross, mesh, identity_field)) < 1e-12
         doubled = cs.DiscreteField(2 * lift.values, mesh)
         assert abs(asy.picone_residual_min(
-            doubled, cross, mesh, identity_field, 2)) < 1e-12
+            doubled, cross, mesh, identity_field)) < 1e-12
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_minimizer_nonnegative(self, offdiag_field, p):
@@ -613,21 +606,21 @@ class TestPicone:
         cross = cs.cross_section_ground_state(16, offdiag_field, p)
         r = cs.minimize_rayleigh(mesh, offdiag_field, p)
         assert asy.picone_residual_min(
-            r.field, cross, mesh, offdiag_field, p) >= -1e-10
+            r.field, cross, mesh, offdiag_field) >= -1e-10
 
     def test_negative_field_rejected(self, identity_field):
         mesh = mixed_mesh(2)
         cross = cs.cross_section_ground_state(16, identity_field, 2)
         u = cs.DiscreteField(-np.ones(mesh.n_free), mesh)
         with pytest.raises(ConfigurationError):
-            asy.picone_residual_min(u, cross, mesh, identity_field, 2)
+            asy.picone_residual_min(u, cross, mesh, identity_field)
 
     def test_section_resolution_checked(self, identity_field):
         mesh = mixed_mesh(2)
         cross = cs.cross_section_ground_state(8, identity_field, 2)
         u = cs.DiscreteField(np.ones(mesh.n_free), mesh)
         with pytest.raises(DimensionMismatchError):
-            asy.picone_residual_min(u, cross, mesh, identity_field, 2)
+            asy.picone_residual_min(u, cross, mesh, identity_field)
 
 
 class TestTranslateDistance:
@@ -696,8 +689,9 @@ class TestInputChecks:
     """Each input rule is checked once, by the library, before any solve."""
 
     @pytest.mark.parametrize("ells, bad", BAD_LENGTHS)
-    def test_lengths_rejected_before_any_solve(self, monkeypatch,
-                                               offdiag_field, ells, bad):
+    def test_lengths_rejected_before_any_solve(self, monkeypatch, ells,
+                                               bad):
+        offdiag_field = own_field()
         sections = count_section_solves(monkeypatch)
         engine = count_engine_calls(monkeypatch)
         ladder = ells + [5.0] if len(ells) < 3 else ells

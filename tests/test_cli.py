@@ -11,6 +11,7 @@ import pytest
 
 import cylspectra as cs
 from cylspectra import cli
+from conftest import count_section_solves
 
 BASE = {
     "family": {"kind": "identity"},
@@ -245,24 +246,17 @@ def test_beta2_outputs(tmp_path):
 
 
 def test_beta2_p3_solves_cross_section_once(tmp_path, monkeypatch):
-    from cylspectra import eigensolve
-    calls = []
-    solve = eigensolve.cross_section_ground_state
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    for module in (eigensolve, cli):
-        monkeypatch.setattr(module, "cross_section_ground_state", counted)
+    # each run builds its own field and solves its section once, for the
+    # half-cylinder solves of both lengths
+    solves = count_section_solves(monkeypatch)
     for p in (2.0, 3.0):
-        calls.clear()
+        solves.clear()
         path = write_config(
             tmp_path, experiment="beta2", p=p,
             family={"kind": "constant_offdiag", "c": 0.3},
             ells=[2, 3], output_dir=str(tmp_path / "runs"))
         assert cli.main(["beta2", "--config", path]) == 0
-        assert len(calls) == 1
+        assert solves == [(16, p)]
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -390,7 +384,7 @@ def test_grad_aligned_family_through_cli(tmp_path):
         cs.CoefficientFamily(cs.FamilyKind.GRAD_ALIGNED, 0.05),
         cross=cs.cross_section_ground_state(16, ident, 3))
     cross = cs.cross_section_ground_state(16, field, 3)
-    assert payload["gap_integral"] == asy.gap_integral_I2(cross, field, 3).value
+    assert payload["gap_integral"] == asy.gap_integral_I2(cross, field).value
 
 
 def test_grad_aligned_section_runs_with_the_solver_options(tmp_path,

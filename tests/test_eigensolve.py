@@ -8,7 +8,9 @@ import cylspectra as cs
 from cylspectra import asymptotics as asy
 from cylspectra import discretization as disc
 from cylspectra import eigensolve as es
-from cylspectra.errors import DimensionMismatchError, SolverError
+from cylspectra.errors import (ConfigurationError, DimensionMismatchError,
+                               SolverError, UnsupportedExponentError)
+from conftest import count_section_solves, own_field
 
 
 RES = (16, 4)
@@ -136,7 +138,6 @@ class TestCrossSection:
         # one floor, MIN_NX2 = 4, for the section solve, the domain and
         # the CLI config
         from cylspectra import cli
-        from cylspectra.errors import ConfigurationError
         from cylspectra.mesh import MIN_NX2
         assert MIN_NX2 == 4
         cfg = {"family": {"kind": "identity"}, "p": 2.0, "ell": 2.0,
@@ -150,6 +151,76 @@ class TestCrossSection:
                 build()
         cross = cs.cross_section_ground_state(4, identity_field, 2)
         assert cross.converged
+
+
+class TestSectionCache:
+    """`cross_section_ground_state` solves a section once per field and
+    key (nx2, p, tol_residual, max_iters), and every first-eigenpair solve
+    starts from the lift of the problem's own section."""
+
+    def test_start_is_the_problems_own_section(self):
+        # COD 0.9, p 3, 32 x 4, ell 8 mixed: other sections of the field in
+        # its cache leave the solve bit for bit as from an empty cache
+        mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8,
+                                           cs.BC.MIXED, 4, 32))
+        empty = cs.minimize_rayleigh(mesh, own_field(c=0.9), 3)
+        field = own_field(c=0.9)
+        for nx2, p in ((32, 2), (32, 4), (16, 3)):
+            cs.cross_section_ground_state(nx2, field, p)
+        filled = cs.minimize_rayleigh(mesh, field, 3)
+        assert empty.converged
+        assert empty.lam == pytest.approx(20.924887, rel=1e-7)
+        assert filled.converged and filled.lam == empty.lam
+        assert filled.iterations == empty.iterations
+        assert np.array_equal(filled.field.values, empty.field.values)
+        # the lift of the p = 2 section, which a solver once took as its
+        # section, certifies another critical point
+        w2 = cs.cross_section_ground_state(32, field, 2).w_nodes
+        wrong = cs.minimize_rayleigh(
+            mesh, field, 3, start=mesh.restrict(np.tile(w2, (65, 1))))
+        assert wrong.converged
+        assert wrong.lam == pytest.approx(28.336384, rel=1e-7)
+
+    def test_one_solve_per_key(self, monkeypatch):
+        field, solves = own_field(), count_section_solves(monkeypatch)
+        base = cs.cross_section_ground_state(16, field, 3)
+        # init does not enter the solve, so it is no part of the key
+        for opts in (None, cs.SolveOptions(),
+                     cs.SolveOptions(init=cs.Init.ONES)):
+            assert cs.cross_section_ground_state(16, field, 3.0, opts) is base
+        assert solves == [(16, 3)]
+        for opts in (cs.SolveOptions(tol_residual=1e-6),
+                     cs.SolveOptions(max_iters=2)):
+            other = cs.cross_section_ground_state(16, field, 3, opts)
+            assert other is not base
+            assert cs.cross_section_ground_state(16, field, 3, opts) is other
+        assert other.iterations <= 2
+        assert cs.cross_section_ground_state(8, field, 3) is not base
+        assert cs.cross_section_ground_state(16, field, 2) is not base
+        assert solves == [(16, 3)] * 3 + [(8, 3), (16, 2)]
+        # the reflected field is a field of its own, with its own cache
+        refl = cs.reflect_axis(field)
+        mirrored = cs.cross_section_ground_state(16, refl, 3)
+        assert mirrored is not base and mirrored.mu1 == base.mu1
+        assert solves[-1] == (16, 3) and len(solves) == 6
+
+    def test_invalid_key_not_cached(self, monkeypatch):
+        field, solves = own_field(), count_section_solves(monkeypatch)
+        for _ in range(2):  # raised again: nothing was cached
+            with pytest.raises(ConfigurationError, match=">= 4"):
+                cs.cross_section_ground_state(3, field, 3)
+            with pytest.raises(UnsupportedExponentError):
+                cs.cross_section_ground_state(16, field, 1.5)
+        assert solves == []
+
+    def test_cached_arrays_read_only(self):
+        field = own_field()
+        cross = cs.cross_section_ground_state(16, field, 2)
+        for a in (cross.w_nodes, cross.x2_nodes, cross.w_slope,
+                  cross.cell_midpoints):
+            with pytest.raises(ValueError, match="read-only"):
+                a[1] = 0.0
+        assert cs.cross_section_ground_state(16, field, 2).w_nodes[1] > 0.0
 
 
 # Small meshes for dense-pencil oracles: the two longer mixed ones hold a
@@ -328,11 +399,11 @@ class TestLinearSpectrum:
         # product of its own; the first pass of each engine run is a fresh
         # one: one run, or under symmetry S on a full cylinder with an even
         # cell count the S-even half's and then the whole pencil's.  The
-        # section, solved on a pencil too, is solved before the recording
-        # starts
+        # section, solved on a pencil too, is solved into the field's cache
+        # before the recording starts
         coeffs = request.getfixturevalue(family)
-        crosses = {spec.nx2: cs.cross_section_ground_state(spec.nx2, coeffs, 2)
-                   for spec in ORACLE_MESHES}
+        for spec in ORACLE_MESHES:
+            cs.cross_section_ground_state(spec.nx2, coeffs, 2)
         carried = []
 
         class Recording(es._PencilQuotient):
@@ -345,8 +416,7 @@ class TestLinearSpectrum:
         for spec in ORACLE_MESHES:
             carried.clear()
             mesh = cs.build_mesh(spec)
-            r = cs.linear_spectrum(mesh, coeffs, 1,
-                                   cross=crosses[spec.nx2])[0]
+            r = cs.linear_spectrum(mesh, coeffs, 1)[0]
             runs.append(len({id(problem) for problem, _ in carried}))
             assert r.iterations >= 1
             assert len(carried) == r.iterations + runs[-1]
@@ -438,7 +508,6 @@ class TestLinearSpectrum:
         assert 0 < len(products) == solves
 
     def test_k_validation(self, identity_field, small_mixed_mesh):
-        from cylspectra.errors import ConfigurationError
         # the 35 free nodes of the 6 x 6 mixed mesh bound k
         n = small_mixed_mesh.n_free
         for k in (0, n + 1):
@@ -614,14 +683,15 @@ class TestMinimizeRayleigh:
                                             bc, ell, builds):
         # K is assembled only when sigma first becomes nonzero, at most
         # once a solve; where every step is taken at sigma = 0 (one
-        # factorization each) it is never built
-        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
+        # factorization each) it is never built.  The section start is
+        # solved into the field's cache first, out of the count
+        cs.cross_section_ground_state(32, offdiag_field, 3)
         calls, diagonals = [], disc._p2_diagonals
         monkeypatch.setattr(disc, "_p2_diagonals",
                             lambda *a: calls.append(a) or diagonals(*a))
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, bc, 4, 32))
-        r = cs.minimize_rayleigh(mesh, offdiag_field, 3, cross=cross)
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3)
         assert r.stop_reason == "residual"
         assert len(calls) == builds
         assert (r.factorizations == r.iterations) == (builds == 0)
@@ -631,10 +701,11 @@ class TestMinimizeRayleigh:
         # built once per iterate, and the solve is bit for bit the one that
         # factors a fresh copy of it in a fresh band every time.  Under
         # symmetry S every step is taken on the S-even half, whose Hessian
-        # is the fold of the left half's
+        # is the fold of the left half's.  The section start is solved into
+        # the field's cache first, out of the count
         mesh = cs.build_mesh(
             cs.DomainSpec(cs.Shape.FULL_CYLINDER, 8, cs.BC.MIXED, 4, 32))
-        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
+        cs.cross_section_ground_state(32, offdiag_field, 3)
         builds, cells = [], disc._hessian_cells
 
         def counted(core, A, point, state, lam, p):
@@ -642,7 +713,7 @@ class TestMinimizeRayleigh:
             return cells(core, A, point, state, lam, p)
 
         monkeypatch.setattr(disc, "_hessian_cells", counted)
-        r = cs.minimize_rayleigh(mesh, offdiag_field, 3, cross=cross)
+        r = cs.minimize_rayleigh(mesh, offdiag_field, 3)
         assert r.stop_reason == "residual"
         assert r.factorizations > r.iterations == len(builds)
         distinct = {(state.tobytes(), lam) for state, lam in builds}
@@ -656,7 +727,7 @@ class TestMinimizeRayleigh:
 
         builds.clear()
         monkeypatch.setattr(es, "_shifted_step", fresh)
-        again = cs.minimize_rayleigh(mesh, offdiag_field, 3, cross=cross)
+        again = cs.minimize_rayleigh(mesh, offdiag_field, 3)
         assert len(builds) == again.iterations
         assert again.factorizations == r.factorizations
         assert again.lam == r.lam and again.iterations == r.iterations
@@ -753,14 +824,13 @@ class TestMinimizeRayleigh:
     def test_p3_solves_certified(self, offdiag_field):
         # the four solves of one sweep row, each certified by the residual
         ell, res, opts = 4, (32, 4), cs.SolveOptions()
-        cross = cs.cross_section_ground_state(32, offdiag_field, 3)
         solves = [cs.minimize_rayleigh(
             cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, bc, 4,
                                         32)),
-            offdiag_field, 3, opts, cross=cross)
+            offdiag_field, 3, opts)
             for bc in (cs.BC.MIXED, cs.BC.DIRICHLET_ALL)]
         solves += [cs.half_cylinder_eigen(side, ell, res, offdiag_field, 3,
-                                          opts, cross=cross)
+                                          opts)
                    for side in (cs.Side.PLUS, cs.Side.MINUS)]
         for r in solves:
             assert r.stop_reason == "residual" and r.converged
@@ -976,11 +1046,12 @@ class TestNewton:
         A = problem.hessian(S, E / m)
         assert sorted(A.offsets) == sorted(K.offsets)
 
-    def test_one_band_per_solve(self, monkeypatch, offdiag_field,
-                                linear_field):
+    def test_one_band_per_solve(self, monkeypatch, linear_field):
         # each engine call that factors allocates the one band its
         # factorizations share, rejected steps and the section's solves
-        # included; a start certified as given factors nothing
+        # included; a start certified as given factors nothing.  A field of
+        # its own, whose section cache no other test has filled
+        offdiag_field = own_field()
         allocated, per_solve = [], []
         band, engine = disc.lapack_band, es._minimize_quotient
 
@@ -1266,12 +1337,13 @@ class TestP2Fold:
         mesh = cs.build_mesh(cs.DomainSpec(cs.Shape.FULL_CYLINDER, ell, bc,
                                            4, 16))
         oracle = lowest_pencil_eigenvalues(mesh, coeffs)[0]
-        cross = cs.cross_section_ground_state(16, coeffs, 2)
+        # the section start, solved into the field's cache before the
+        # engine runs are recorded
+        cs.cross_section_ground_state(16, coeffs, 2)
         opts = cs.SolveOptions()
         runs, bands = self.recorded(monkeypatch)
-        for solve in (lambda: cs.linear_spectrum(mesh, coeffs, 1, opts,
-                                                 cross)[0],
-                      lambda: asy.first_eigen(mesh, coeffs, 2, opts, cross)):
+        for solve in (lambda: cs.linear_spectrum(mesh, coeffs, 1, opts)[0],
+                      lambda: asy.first_eigen(mesh, coeffs, 2, opts)):
             runs.clear()
             bands.clear()
             r = solve()
@@ -1287,11 +1359,11 @@ class TestP2Fold:
         lam1, lam2 = lowest_pencil_eigenvalues(mesh, coeffs, 2)
         assert (lam2 - lam1) / lam1 == pytest.approx(3.0e-6, rel=0.05)
         runs, bands = self.recorded(monkeypatch)
-        cross = cs.cross_section_ground_state(8, coeffs, 2)
+        cs.cross_section_ground_state(8, coeffs, 2)  # into the cache
         runs.clear()
         bands.clear()
         opts = cs.SolveOptions()
-        r = cs.linear_spectrum(mesh, coeffs, 1, opts, cross)[0]
+        r = cs.linear_spectrum(mesh, coeffs, 1, opts)[0]
         assert r.lam == pytest.approx(lam1, rel=1e-10, abs=0.0)
         self.check_folded(mesh, coeffs, runs, bands, r, opts)
 
@@ -1329,9 +1401,9 @@ class TestP2Fold:
                            offdiag_field)}[case]
         mesh = cs.build_mesh(cs.DomainSpec(shape, ell, bc, 2, 16))
         assert (mesh.n_cells1 % 2 == 1) == (case == "odd_cells")
-        cross = cs.cross_section_ground_state(16, coeffs, 2)
+        cs.cross_section_ground_state(16, coeffs, 2)  # into the cache
         runs, bands = self.recorded(monkeypatch)
-        r = cs.linear_spectrum(mesh, coeffs, 1, cross=cross)[0]
+        r = cs.linear_spectrum(mesh, coeffs, 1)[0]
         [(problem, _, prior, last)] = runs
         assert isinstance(problem, es._PencilQuotient) and prior is None
         assert bands == [mesh.n_free] * last.factorizations
@@ -1407,8 +1479,7 @@ class TestGuards:
     def test_singular_matrix_gives_no_step(self, linear_field):
         mesh = self.mesh()
         problem = es._CylinderQuotient(mesh, linear_field, 3.0)
-        u = es._lifted_start(mesh, linear_field, 3.0, cs.SolveOptions(),
-                             None)
+        u = es._lifted_start(mesh, linear_field, 3.0, cs.SolveOptions())
         S = problem.state(u)
         E, gE, m, gM = problem.gradient(S)
         g = gE - E / m * gM
@@ -1439,7 +1510,7 @@ class TestGuards:
                 return H
 
         mesh, opts = self.mesh(), cs.SolveOptions()
-        start = es._lifted_start(mesh, linear_field, 3.0, opts, None)
+        start = es._lifted_start(mesh, linear_field, 3.0, opts)
         monkeypatch.setattr(es, "_shifted_step", recording)
         r = es._minimize_quotient(Singular(mesh, linear_field, 3.0), start,
                                   opts)
